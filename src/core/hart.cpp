@@ -250,7 +250,7 @@ Hart::MemOutcome Hart::translate_data(u64 vaddr, mem::Access access) {
   return out;
 }
 
-bool Hart::fetch(u32* word) {
+bool Hart::fetch(u32* word, u64* paddr) {
   if ((pc_ & 3) != 0) {
     raise(TrapCause::kInstAddrMisaligned, pc_);
     return false;
@@ -260,6 +260,7 @@ bool Hart::fetch(u32* word) {
     raise(out.cause, out.tval);
     return false;
   }
+  *paddr = out.paddr;
   *word = mem_.read_u32(out.paddr);
   return true;
 }
@@ -324,8 +325,10 @@ StepResult Hart::step() {
   cycles_ += config_.timing.base_cycles;
 
   u32 word = 0;
-  if (fetch(&word)) {
-    const Inst inst = isa::decode(word);
+  u64 paddr = 0;
+  if (fetch(&word, &paddr)) {
+    Inst& inst = decoded_[(paddr >> 2) % kDecodedEntries];
+    if (inst.raw != word) inst = isa::decode(word);
     if (trace_hook_) trace_hook_(priv_, pc_, inst);
     if (inst.op == Op::kIllegal) {
       raise(TrapCause::kIllegalInst, word);

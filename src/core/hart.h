@@ -9,6 +9,7 @@
 #include <array>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "core/csr.h"
 #include "core/timing.h"
@@ -154,7 +155,7 @@ class Hart {
   bool data_access_allowed(const mem::TlbEntry& entry, mem::Access access,
                            bool* pkey_denied);
 
-  bool fetch(u32* word);
+  bool fetch(u32* word, u64* paddr);
   bool mem_load(u64 vaddr, unsigned size, bool sign_extend, u64* value);
   bool mem_store(u64 vaddr, unsigned size, u64 value);
   bool exec(const isa::Inst& inst);         // returns false if trapped
@@ -182,6 +183,13 @@ class Hart {
   bool trapped_ = false;      // set by raise() during the current step
   TrapCause trap_cause_ = TrapCause::kIllegalInst;
   u64 next_pc_ = 0;
+
+  // Decoded-instruction cache, direct-mapped by fetch physical address.
+  // Every fetch still reads the raw word; a slot is reused only when its
+  // raw field equals that word, so the cache needs neither a valid bit
+  // (Inst{} == decode(0)) nor invalidation on stores, loads or restores.
+  static constexpr size_t kDecodedEntries = 4096;
+  std::vector<isa::Inst> decoded_ = std::vector<isa::Inst>(kDecodedEntries);
 };
 
 }  // namespace sealpk::core

@@ -39,10 +39,23 @@ class Tlb {
 
   size_t capacity() const { return entries_.size(); }
 
-  // Looks up `vpn`; counts a hit or miss.
+  // Looks up `vpn`; counts a hit or miss. Returns the first matching slot.
+  //
+  // The slot that hit last is tried before the scan. That is exact because
+  // no valid slot before the hinted one ever holds the hinted slot's VPN:
+  // the hint is only set to a first match (or reset to slot 0), insert()
+  // never adds a VPN that some valid slot already holds (it overwrites
+  // that first match in place), and nothing else changes a slot's VPN.
   std::optional<TlbEntry> lookup(u64 vpn) {
-    for (const auto& slot : entries_) {
+    const Slot& hinted = entries_[hint_];
+    if (hinted.valid && hinted.entry.vpn == vpn) {
+      ++stats_.hits;
+      return hinted.entry;
+    }
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      const Slot& slot = entries_[i];
       if (slot.valid && slot.entry.vpn == vpn) {
+        hint_ = i;
         ++stats_.hits;
         return slot.entry;
       }
@@ -166,6 +179,7 @@ class Tlb {
       slot.valid = r.get_bool();
     }
     next_victim_ = static_cast<size_t>(r.get_u64());
+    hint_ = 0;  // a blob may hold duplicate VPNs; slot 0 is never shadowed
     stats_.hits = r.get_u64();
     stats_.misses = r.get_u64();
     stats_.flushes = r.get_u64();
@@ -179,6 +193,7 @@ class Tlb {
   };
   std::vector<Slot> entries_;
   size_t next_victim_ = 0;
+  size_t hint_ = 0;  // slot of the last lookup hit; see lookup()
   TlbStats stats_;
 };
 

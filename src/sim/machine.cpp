@@ -1,6 +1,8 @@
 #include "sim/machine.h"
 
+#include <algorithm>
 #include <exception>
+#include <optional>
 
 #include "snapshot/snapshot.h"
 
@@ -114,11 +116,26 @@ RunOutcome Machine::run(u64 max_instructions) {
         audit_every != 0 ? hart_.instret() + audit_every : ~u64{0};
   }
   const u64 ckpt_every = config_.checkpoint_interval;
+  const u64 quantum = config_.preempt_quantum;
+  // Between traps, every check this loop makes is a pure function of the
+  // retired count, so one Hart::run chunk may cover all steps up to the
+  // nearest budget, audit, checkpoint or quantum deadline. An injector or
+  // recorder acts after every step, so either forces single steps.
+  const bool single_step = faults || recorder_ != nullptr;
+  // What the loop does after each retired instruction, applied once for a
+  // chunk that retired `retired` of them.
+  const auto note_retired = [&](u64 retired) {
+    if (retired == 0) return;
+    runloop_.trap_streak = 0;
+    runloop_.last_trap_pc = ~u64{0};
+    runloop_.stall_streak = 0;
+    if (quantum != 0) runloop_.since_switch += retired;
+  };
 
   while (!kernel_.all_exited()) {
     if (rollback_pending_) perform_rollback();
-    if (hart_.instret() - start_instret >= max_instructions) break;
-    const u64 before = hart_.instret();
+    const u64 done = hart_.instret() - start_instret;
+    if (done >= max_instructions) break;
     try {
       if (hart_.instret() >= runloop_.next_audit) {
         auditor_->audit_and_recover();
@@ -137,8 +154,33 @@ RunOutcome Machine::run(u64 max_instructions) {
         take_checkpoint();
       }
 
-      const core::StepResult r = hart_.step();
-      if (r.kind == core::StepKind::kTrap) {
+      u64 chunk = 1;
+      if (!single_step) {
+        chunk = std::min(max_instructions - done,
+                         runloop_.next_audit - hart_.instret());
+        if (ckpt_every != 0) {
+          chunk = std::min(chunk, runloop_.next_checkpoint - hart_.instret());
+        }
+        if (quantum != 0) {
+          chunk = std::min(chunk, quantum > runloop_.since_switch
+                                      ? quantum - runloop_.since_switch
+                                      : u64{1});
+        }
+      }
+      const u64 before = hart_.instret();
+      std::optional<core::StepResult> trap;
+      try {
+        trap = hart_.run(chunk);
+      } catch (...) {
+        note_retired(hart_.instret() - before);
+        throw;
+      }
+      note_retired(hart_.instret() - before);
+
+      if (trap.has_value()) {
+        // The trapping step itself retired nothing; the livelock watchdog
+        // asks whether the kernel's handling moves instret on from here.
+        const u64 trap_instret = hart_.instret();
         const u64 trap_pc = hart_.csrs().sepc;
         kernel_.handle_trap();
         runloop_.since_switch = 0;
@@ -164,25 +206,19 @@ RunOutcome Machine::run(u64 max_instructions) {
           runloop_.last_trap_pc = ~u64{0};
           runloop_.stall_streak = 0;
         }
-      } else {
-        runloop_.trap_streak = 0;
-        runloop_.last_trap_pc = ~u64{0};
-        if (config_.preempt_quantum != 0 &&
-            ++runloop_.since_switch >= config_.preempt_quantum) {
-          if (kernel_.runnable_threads() > 1) kernel_.preempt();
-          runloop_.since_switch = 0;
+        if (hart_.instret() != trap_instret) {
+          runloop_.stall_streak = 0;
+        } else if (config_.watchdog_livelock != 0 &&
+                   ++runloop_.stall_streak >= config_.watchdog_livelock) {
+          kernel_.kill_current(os::kExitLivelock,
+                               os::Kernel::KillOrigin::kWatchdog);
+          runloop_.stall_streak = 0;
+          runloop_.trap_streak = 0;
+          runloop_.last_trap_pc = ~u64{0};
         }
-      }
-
-      if (hart_.instret() != before) {
-        runloop_.stall_streak = 0;
-      } else if (config_.watchdog_livelock != 0 &&
-                 ++runloop_.stall_streak >= config_.watchdog_livelock) {
-        kernel_.kill_current(os::kExitLivelock,
-                             os::Kernel::KillOrigin::kWatchdog);
-        runloop_.stall_streak = 0;
-        runloop_.trap_streak = 0;
-        runloop_.last_trap_pc = ~u64{0};
+      } else if (quantum != 0 && runloop_.since_switch >= quantum) {
+        if (kernel_.runnable_threads() > 1) kernel_.preempt();
+        runloop_.since_switch = 0;
       }
 
       if (faults && !rollback_pending_) injector_->maybe_inject(hart_, kernel_);

@@ -408,5 +408,50 @@ TEST_F(MpkHart, SealPkInstructionsIllegalInMpkFlavour) {
   EXPECT_EQ(step().cause, TrapCause::kIllegalInst);
 }
 
+// ---------------------------------------------------------------------------
+// Decoded-instruction cache. Slots are reused only when their raw word
+// equals the word just fetched, so code writes need no invalidation.
+// ---------------------------------------------------------------------------
+
+TEST(DecodedCache, DecodeOfZeroIsTheDefaultInst) {
+  // An untouched slot holds Inst{}; it must be what word 0 decodes to, or a
+  // fetched zero word would execute a stale entry.
+  EXPECT_EQ(isa::decode(0), Inst{});
+}
+
+TEST_F(BareHart, StoreToCodeRunsTheNewInstruction) {
+  const Inst before{.op = Op::kAddi, .rd = isa::a3, .rs1 = 0, .imm = 1};
+  const Inst after{.op = Op::kAddi, .rd = isa::a3, .rs1 = 0, .imm = 2};
+  hart_.set_reg(isa::a0, kCodeBase);
+  hart_.set_reg(isa::a1, isa::encode(after));
+  place({
+      before,
+      Inst{.op = Op::kSw, .rs1 = isa::a0, .rs2 = isa::a1, .imm = 0},
+      Inst{.op = Op::kJal, .rd = 0, .imm = -8},
+  });
+  run_ok(1);
+  EXPECT_EQ(hart_.reg(isa::a3), 1u);
+  run_ok(2);  // overwrite the first instruction, jump back to it
+  ASSERT_EQ(hart_.pc(), kCodeBase);
+  run_ok(1);
+  EXPECT_EQ(hart_.reg(isa::a3), 2u);
+}
+
+TEST_F(BareHart, CodeSharingACacheSlotAlternatesCorrectly) {
+  // 4096 slots of 4 bytes: code 16 KiB apart maps to the same slot.
+  constexpr u64 kFar = kCodeBase + 4096 * 4;
+  place({Inst{.op = Op::kAddi, .rd = isa::a3, .rs1 = isa::a3, .imm = 1},
+         Inst{.op = Op::kJal, .rd = 0, .imm = static_cast<i64>(kFar) -
+                                              static_cast<i64>(kCodeBase) - 4}});
+  place({Inst{.op = Op::kAddi, .rd = isa::a4, .rs1 = isa::a4, .imm = 5},
+         Inst{.op = Op::kJal, .rd = 0, .imm = static_cast<i64>(kCodeBase) -
+                                              static_cast<i64>(kFar) - 4}},
+        kFar);
+  run_ok(4 * 10);
+  EXPECT_EQ(hart_.reg(isa::a3), 10u);
+  EXPECT_EQ(hart_.reg(isa::a4), 50u);
+  EXPECT_EQ(hart_.pc(), kCodeBase);
+}
+
 }  // namespace
 }  // namespace sealpk::core

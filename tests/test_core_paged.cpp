@@ -6,7 +6,9 @@
 #include <tuple>
 
 #include "core/hart.h"
+#include "guest_test_util.h"
 #include "isa/program.h"
+#include "snapshot/snapshot.h"
 
 namespace sealpk::core {
 namespace {
@@ -309,6 +311,74 @@ TEST_F(MpkPagedFixture, NoWriteOnlyDomainsInMpk) {
   hart_.set_reg(isa::a0, kDataVa);
   place({Inst{.op = Op::kSd, .rs1 = isa::a0, .rs2 = isa::a1, .imm = 0}});
   EXPECT_EQ(hart_.step().cause, TrapCause::kStorePageFault);
+}
+
+// ---------------------------------------------------------------------------
+// Decoded-instruction cache under translation: the cache is keyed by
+// physical address, so aliases of one frame share code writes, and a
+// snapshot restore that brings different text runs that text.
+// ---------------------------------------------------------------------------
+
+TEST_F(PagedFixture, AliasedCodePagesSeeEachOthersWrites) {
+  constexpr u64 kAliasVa = kCodeVa + 0x10000;
+  const u64 frame = kCodePpn << mem::kPageShift;
+  map(kAliasVa, kCodePpn,
+      mem::pte::kV | mem::pte::kR | mem::pte::kX | mem::pte::kU);
+  map(kDataVa, kCodePpn,  // a writable view of the same frame
+      mem::pte::kV | mem::pte::kR | mem::pte::kW | mem::pte::kU);
+  const Inst before{.op = Op::kAddi, .rd = isa::a3, .rs1 = 0, .imm = 1};
+  const Inst after{.op = Op::kAddi, .rd = isa::a3, .rs1 = 0, .imm = 2};
+  mem_.write_u32(frame, isa::encode(before));
+  mem_.write_u32(frame + 4, isa::encode(Inst{
+                                .op = Op::kSw, .rs1 = isa::a0,
+                                .rs2 = isa::a1, .imm = 0}));
+  hart_.set_reg(isa::a0, kDataVa);
+  hart_.set_reg(isa::a1, isa::encode(after));
+
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a3), 1u);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);  // store through the data VA
+  hart_.set_pc(kAliasVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a3), 2u);
+  hart_.set_reg(isa::a3, 0);
+  hart_.set_pc(kCodeVa);
+  ASSERT_EQ(hart_.step().kind, StepKind::kOk);
+  EXPECT_EQ(hart_.reg(isa::a3), 2u);
+}
+
+// main returns 100 * step; the programs differ only in one immediate, so
+// their text has the same layout and the differing word sits at the same
+// physical address in both machines.
+isa::Program make_counting_program(i64 step) {
+  return testutil::make_main_program([step](isa::Program&, isa::Function& f) {
+    const isa::Label loop = f.new_label();
+    f.li(isa::t0, 100);
+    f.li(isa::a0, 0);
+    f.bind(loop);
+    f.addi(isa::a0, isa::a0, step);
+    f.addi(isa::t0, isa::t0, -1);
+    f.bnez(isa::t0, loop);
+  });
+}
+
+TEST(DecodedCacheRestore, RestoredTextRunsNotTheCachedText) {
+  sim::Machine warm{sim::MachineConfig{}};
+  const int pid = warm.load(make_counting_program(11).link());
+  warm.run(150);  // mid-loop: the step-11 addi is in the decoded cache
+
+  sim::Machine other{sim::MachineConfig{}};
+  ASSERT_EQ(other.load(make_counting_program(22).link()), pid);
+  other.run(150);
+  const std::vector<u8> mid = snapshot::save(other);
+  ASSERT_TRUE(other.run(1'000'000).completed);
+
+  snapshot::restore(warm, mid);
+  ASSERT_TRUE(warm.run(1'000'000).completed);
+  EXPECT_EQ(warm.exit_code(pid), 2200);
+  EXPECT_EQ(other.exit_code(pid), 2200);
+  EXPECT_EQ(snapshot::save(warm), snapshot::save(other));
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
-// Machine-level tests: run-loop behaviour, instruction budgets,
+// Machine-level tests: run-loop behaviour, instruction budgets, chunked
+// stepping versus per-step semantics,
 // multi-process isolation (separate address spaces, per-process SealReg /
 // PK-CAM state, pkey namespaces), and stats plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "guest_test_util.h"
+#include "snapshot/snapshot.h"
+#include "workloads/workload.h"
 
 namespace sealpk {
 namespace {
@@ -305,6 +309,241 @@ TEST(MachineStats, KernelCountsSyscalls) {
   EXPECT_EQ(stats.syscall_counts.at(os::sys::kReport), 3u);
   EXPECT_EQ(stats.syscall_counts.at(os::sys::kExit), 1u);
   EXPECT_GE(stats.syscalls, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Chunked run loop. Without an injector or recorder, Machine::run steps to
+// the next run-loop event in one Hart::run call; a recorder forces one step
+// per iteration. Both, and any split of the budget into run() calls, must
+// leave the machine in exactly the same state.
+// ---------------------------------------------------------------------------
+
+struct LoopResult {
+  std::vector<u8> snapshot;
+  std::vector<u8> checkpoint;
+  sim::Machine::RunLoopState runloop;
+  u64 instret = 0;
+  u64 cycles = 0;
+  u64 checkpoints = 0;
+  std::vector<i64> exit_codes;
+  size_t fault_records = 0;
+  u64 cam_refills_dropped = 0;
+  bool completed = false;
+};
+
+// Runs until the machine completes or `total` instructions retire. budgets
+// empty: one run() call; otherwise run() with each budget in turn, cycling.
+LoopResult run_loop_variant(const std::vector<isa::Image>& images,
+                            sim::MachineConfig config, bool traced, u64 total,
+                            const std::vector<u64>& budgets = {}) {
+  if (traced) {
+    config.trace.enabled = true;
+    config.trace.sample_interval = 97;
+  }
+  sim::Machine machine(config);
+  std::vector<int> pids;
+  for (const auto& image : images) pids.push_back(machine.load(image));
+  LoopResult r;
+  if (budgets.empty()) {
+    r.completed = machine.run(total).completed;
+  } else {
+    for (size_t i = 0; !r.completed && machine.hart().instret() < total;
+         ++i) {
+      const u64 left = total - machine.hart().instret();
+      r.completed =
+          machine.run(std::min(left, budgets[i % budgets.size()])).completed;
+    }
+  }
+  if (traced) {
+    EXPECT_NE(machine.recorder(), nullptr);
+  }
+  r.snapshot = snapshot::save(machine);
+  r.checkpoint = machine.checkpoint_blob();
+  r.runloop = machine.runloop();
+  r.instret = machine.hart().instret();
+  r.cycles = machine.hart().cycles();
+  r.checkpoints = machine.checkpoints_taken();
+  for (int pid : pids) r.exit_codes.push_back(machine.exit_code(pid));
+  r.fault_records = machine.kernel().faults().size();
+  r.cam_refills_dropped = machine.kernel().stats().cam_refills_dropped;
+  return r;
+}
+
+void expect_same_loop_result(const LoopResult& a, const LoopResult& b) {
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.instret, b.instret);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.exit_codes, b.exit_codes);
+  EXPECT_EQ(a.fault_records, b.fault_records);
+  EXPECT_EQ(a.cam_refills_dropped, b.cam_refills_dropped);
+  EXPECT_EQ(a.checkpoints, b.checkpoints);
+  EXPECT_EQ(a.runloop.since_switch, b.runloop.since_switch);
+  EXPECT_EQ(a.runloop.trap_streak, b.runloop.trap_streak);
+  EXPECT_EQ(a.runloop.last_trap_pc, b.runloop.last_trap_pc);
+  EXPECT_EQ(a.runloop.stall_streak, b.runloop.stall_streak);
+  EXPECT_EQ(a.runloop.next_audit, b.runloop.next_audit);
+  EXPECT_EQ(a.runloop.next_checkpoint, b.runloop.next_checkpoint);
+  EXPECT_TRUE(a.checkpoint == b.checkpoint) << "checkpoint blobs differ";
+  EXPECT_TRUE(a.snapshot == b.snapshot)
+      << "final snapshots differ: "
+      << (snapshot::diff(a.snapshot, b.snapshot).empty()
+              ? std::string("(no section diff)")
+              : snapshot::diff(a.snapshot, b.snapshot).front());
+}
+
+// Per-step (recorder attached), chunked, and chunked with odd budget splits.
+// The recorder only forces single steps of the same loop, so each caller
+// also pins a figure the per-step loop implies (a kill count, a counter
+// left alone) that a wrong chunk rule would change in both runs at once.
+LoopResult expect_chunking_invisible(const std::vector<isa::Image>& images,
+                                     const sim::MachineConfig& config,
+                                     u64 total = 50'000'000) {
+  const LoopResult stepped = run_loop_variant(images, config, true, total);
+  const LoopResult chunked = run_loop_variant(images, config, false, total);
+  const LoopResult split = run_loop_variant(images, config, false, total,
+                                            {1, 7, 333, 4099, 2, 65'537});
+  {
+    SCOPED_TRACE("chunked vs per-step");
+    expect_same_loop_result(stepped, chunked);
+  }
+  {
+    SCOPED_TRACE("split budgets vs per-step");
+    expect_same_loop_result(stepped, split);
+  }
+  return chunked;
+}
+
+isa::Image workload_image(const char* name) {
+  for (const auto& w : wl::all_workloads()) {
+    if (std::string(name) == w.name) return w.build(w.test_scale).link();
+  }
+  ADD_FAILURE() << "unknown workload " << name;
+  return {};
+}
+
+TEST(ChunkedRunLoop, PreemptedTenantsWithCheckpointsMatchPerStep) {
+  const isa::Image image = workload_image("qsort");
+  sim::MachineConfig config;
+  config.preempt_quantum = 1'000;
+  config.checkpoint_interval = 4'999;
+  config.audit_interval = 3'001;  // audits without an injector bound chunks
+  const LoopResult r = expect_chunking_invisible({image, image}, config);
+  EXPECT_TRUE(r.completed);
+  EXPECT_GT(r.checkpoints, 1u);
+  EXPECT_EQ(r.exit_codes, (std::vector<i64>{0, 0}));
+}
+
+TEST(ChunkedRunLoop, NoQuantumLeavesSinceSwitchAlone) {
+  const isa::Image image = workload_image("sha");
+  sim::MachineConfig config;
+  config.preempt_quantum = 0;
+  config.checkpoint_interval = 7'777;
+  const LoopResult r = expect_chunking_invisible({image}, config);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.exit_codes, (std::vector<i64>{0}));
+  // Stopped mid-run, not just after the exit trap (which zeroes it anyway).
+  const LoopResult mid = expect_chunking_invisible({image}, config, 20'011);
+  EXPECT_FALSE(mid.completed);
+  EXPECT_EQ(mid.runloop.since_switch, 0u);
+}
+
+// 17 permission-sealed keys thrash the 16-line PK-CAM, and the refill hook
+// drops every refill: after its set-up retires, the guest traps forever on
+// one WRPKR.
+Program make_cam_storm_program() {
+  Program prog;
+  rt::add_crt0(prog);
+  Function& f = prog.add_function("main");
+  f.addi(sp, sp, -16);
+  f.sd(ra, 0, sp);
+  for (int i = 0; i < 17; ++i) {
+    f.li(a0, 0);
+    f.li(a1, 0);
+    rt::syscall(f, os::sys::kPkeyAlloc);
+  }
+  f.call("trusted");  // unsealed first pass latches the range
+  for (int k = 1; k <= 17; ++k) {
+    f.li(a0, k);
+    rt::syscall(f, os::sys::kPkeyPermSeal);
+  }
+  f.call("trusted");
+  f.ld(ra, 0, sp);
+  f.addi(sp, sp, 16);
+  f.li(a0, 0);
+  f.ret();
+
+  Function& t = prog.add_function("trusted");
+  t.seal_start(0);
+  const Label loop = t.new_label(), done = t.new_label();
+  t.li(t0, 1);
+  t.bind(loop);
+  t.li(t1, 17);
+  t.blt(t1, t0, done);
+  t.rdpkr(t2, t0);
+  t.wrpkr(t0, t2);
+  t.addi(t0, t0, 1);
+  t.j(loop);
+  t.bind(done);
+  t.seal_end(0);
+  t.ret();
+  return prog;
+}
+
+sim::MachineConfig cam_storm_config() {
+  sim::MachineConfig config;
+  config.kernel.cam_refill_drop = [] { return true; };
+  return config;
+}
+
+TEST(ChunkedRunLoop, TrapStormAtOnePcMatchesPerStep) {
+  sim::MachineConfig config = cam_storm_config();
+  config.watchdog_trap_storm = 64;
+  config.preempt_quantum = 500;
+  const LoopResult r =
+      expect_chunking_invisible({make_cam_storm_program().link()}, config);
+  EXPECT_EQ(r.exit_codes, (std::vector<i64>{os::kExitTrapStorm}));
+  EXPECT_EQ(r.cam_refills_dropped, 64u);
+}
+
+TEST(ChunkedRunLoop, LivelockAfterRetiredPrefixMatchesPerStep) {
+  sim::MachineConfig config = cam_storm_config();
+  config.watchdog_trap_storm = 0;
+  config.watchdog_livelock = 300;
+  const LoopResult r =
+      expect_chunking_invisible({make_cam_storm_program().link()}, config);
+  EXPECT_EQ(r.exit_codes, (std::vector<i64>{os::kExitLivelock}));
+  // The stall count starts at the storm, not at an earlier syscall.
+  EXPECT_EQ(r.cam_refills_dropped, 300u);
+}
+
+// A fetch fault whose signal handler is a lone `ecall` (a7 = sigreturn,
+// a0 = the cause, so the return skips): every later fetch faults again, at
+// a new PC each time, and nothing retires. Only the livelock watchdog
+// stops it, and it counts from the first trap after the retired prefix.
+TEST(ChunkedRunLoop, MarchingFetchFaultsCountFromRetiredPrefix) {
+  auto prog = make_main_program([](Program& p, Function& f) {
+    f.la(a0, "sigreturn_now");
+    rt::syscall(f, os::sys::kSigaction);
+    f.li(a7, os::sys::kSigreturn);
+    f.li(t1, 37);
+    const Label spin = f.new_label();
+    f.bind(spin);
+    f.addi(t1, t1, -1);
+    f.bnez(t1, spin);
+    f.li(t0, 0x7000'0000);
+    f.jr(t0);
+
+    Function& h = p.add_function("sigreturn_now");
+    h.instrumentable = false;
+    h.ecall();
+  });
+  sim::MachineConfig config;
+  config.watchdog_livelock = 51;
+  config.preempt_quantum = 10'000;
+  const LoopResult r = expect_chunking_invisible({prog.link()}, config);
+  EXPECT_EQ(r.exit_codes, (std::vector<i64>{os::kExitLivelock}));
+  // Traps alternate fetch fault, handler ecall; the 51st is a fetch fault.
+  EXPECT_EQ(r.fault_records, 26u);
 }
 
 }  // namespace
