@@ -134,7 +134,8 @@ FunctionCfg build_function(const std::string& name, u64 start, u64 end,
   for (const Site& site : sites) {
     if (leaders.contains(site.pc) || cfg.blocks.empty()) {
       cfg.block_at[site.pc] = static_cast<u32>(cfg.blocks.size());
-      cfg.blocks.push_back(BasicBlock{.start = site.pc});
+      cfg.blocks.emplace_back();
+      cfg.blocks.back().start = site.pc;
     }
     cfg.blocks.back().insts.push_back(site);
   }

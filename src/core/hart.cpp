@@ -1,9 +1,31 @@
 #include "core/hart.h"
 
+#include <cstring>
+#include <type_traits>
+
 namespace sealpk::core {
 
 using isa::Inst;
 using isa::Op;
+
+namespace {
+
+// Paging levels selected by satp.MODE: 3 = Sv39, 4 = Sv48, 0 = bare.
+unsigned satp_levels(u64 satp) {
+  const u64 mode = csr::satp_mode(satp);
+  if (mode == csr::satp_mode(csr::kSatpModeSv39)) return mem::sv39::kLevels;
+  if (mode == csr::satp_mode(csr::kSatpModeSv48)) return mem::sv48::kLevels;
+  return 0;
+}
+
+// Unsigned host type of a kSize-byte guest access.
+template <unsigned kSize>
+using Word = std::conditional_t<
+    kSize == 1, u8,
+    std::conditional_t<kSize == 2, u16,
+                       std::conditional_t<kSize == 4, u32, u64>>>;
+
+}  // namespace
 
 const char* trap_cause_name(TrapCause cause) {
   switch (cause) {
@@ -45,11 +67,7 @@ void Hart::set_reg(unsigned idx, u64 value) {
 }
 
 unsigned Hart::paging_levels() const {
-  if (priv_ != Priv::kUser) return 0;
-  const u64 mode = csr::satp_mode(csrs_.satp);
-  if (mode == csr::satp_mode(csr::kSatpModeSv39)) return mem::sv39::kLevels;
-  if (mode == csr::satp_mode(csr::kSatpModeSv48)) return mem::sv48::kLevels;
-  return 0;
+  return priv_ == Priv::kUser ? satp_levels(csrs_.satp) : 0;
 }
 
 unsigned Hart::pkey_bits() const {
@@ -92,20 +110,28 @@ void Hart::flush_tlbs() {
 
 std::optional<u64> Hart::translate_debug(u64 vaddr,
                                          mem::Access access) const {
-  const u64 mode = csr::satp_mode(csrs_.satp);
-  unsigned levels;
-  if (mode == csr::satp_mode(csr::kSatpModeSv39)) {
-    levels = mem::sv39::kLevels;
-  } else if (mode == csr::satp_mode(csr::kSatpModeSv48)) {
-    levels = mem::sv48::kLevels;
-  } else {
-    return vaddr;  // bare
-  }
+  const unsigned levels = satp_levels(csrs_.satp);
+  if (levels == 0) return vaddr;  // bare
   const auto result =
       mem::walk(static_cast<const mem::PhysMem&>(mem_),
                 csr::satp_ppn(csrs_.satp), vaddr, access, levels);
   if (!result.ok) return std::nullopt;
   return (result.ppn << mem::kPageShift) | mem::sv39::page_offset(vaddr);
+}
+
+bool Hart::page_cache_hit(const PageCache& cache, u64 vaddr,
+                          const mem::Tlb& tlb) const {
+  return cache.vpage == vaddr >> mem::kPageShift && priv_ == Priv::kUser &&
+         cache.satp == csrs_.satp && cache.tlb_epoch == tlb.epoch() &&
+         cache.mem_generation == mem_.generation();
+}
+
+void Hart::fill_page_cache(PageCache* cache, u64 vaddr,
+                           const mem::TlbEntry& entry, const mem::Tlb& tlb) {
+  u8* host = mem_.host_page(entry.ppn << mem::kPageShift);
+  if (host == nullptr) return;  // an unwritten frame keeps the slow path
+  *cache = {vaddr >> mem::kPageShift, csrs_.satp, tlb.epoch(),
+            mem_.generation(), host, entry};
 }
 
 Hart::MemOutcome Hart::translate_fetch(u64 vaddr) {
@@ -154,16 +180,20 @@ Hart::MemOutcome Hart::translate_fetch(u64 vaddr) {
   out.ok = true;
   out.paddr =
       (entry->ppn << mem::kPageShift) | mem::sv39::page_offset(vaddr);
+  fill_page_cache(&code_page_, vaddr, *entry, itlb_);
   return out;
 }
 
-bool Hart::data_access_allowed(const mem::TlbEntry& entry,
-                               mem::Access access, bool* pkey_denied) {
-  *pkey_denied = false;
-  if (!entry.user) return false;
+// Effective permission of a data access through `entry`. A pkey denial
+// latches spkinfo and is published; a PTE denial clears spkinfo.
+bool Hart::data_access_allowed(const mem::TlbEntry& entry, u64 vaddr,
+                               mem::Access access) {
   const bool want_write = access == mem::Access::kStore;
-  const bool pte_ok = want_write ? entry.w : entry.r;
-  if (!pte_ok) return false;
+  const bool pte_ok = entry.user && (want_write ? entry.w : entry.r);
+  if (!pte_ok) {
+    csrs_.spkinfo = 0;
+    return false;
+  }
 
   // Effective permission = PTE permission AND pkey permission (Figure 2).
   bool denied;
@@ -175,7 +205,14 @@ bool Hart::data_access_allowed(const mem::TlbEntry& entry,
              (want_write && pkru_.write_disabled(entry.pkey));
   }
   if (denied) {
-    *pkey_denied = true;
+    ++stats_.pkey_denials;
+    // Hardware latches the denying pkey so the kernel can augment the
+    // fault report (paper §III-B.2).
+    csrs_.spkinfo = (u64{1} << 63) | entry.pkey;
+    if (recorder_ != nullptr) {
+      recorder_->emit(obs::EventKind::kPkeyDenial, instret_, cycles_,
+                      entry.pkey, vaddr, want_write ? 1 : 0);
+    }
     return false;
   }
   return true;
@@ -225,21 +262,7 @@ Hart::MemOutcome Hart::translate_data(u64 vaddr, mem::Access access) {
     entry = fresh;
   }
 
-  bool pkey_denied = false;
-  if (!data_access_allowed(*entry, access, &pkey_denied)) {
-    if (pkey_denied) {
-      ++stats_.pkey_denials;
-      // Hardware latches the denying pkey so the kernel can augment the
-      // fault report (paper §III-B.2).
-      csrs_.spkinfo = (u64{1} << 63) | entry->pkey;
-      if (recorder_ != nullptr) {
-        recorder_->emit(obs::EventKind::kPkeyDenial, instret_, cycles_,
-                        entry->pkey, vaddr,
-                        access == mem::Access::kStore ? 1 : 0);
-      }
-    } else {
-      csrs_.spkinfo = 0;
-    }
+  if (!data_access_allowed(*entry, vaddr, access)) {
     out.cause = fault;
     out.tval = vaddr;
     return out;
@@ -247,13 +270,23 @@ Hart::MemOutcome Hart::translate_data(u64 vaddr, mem::Access access) {
   out.ok = true;
   out.paddr =
       (entry->ppn << mem::kPageShift) | mem::sv39::page_offset(vaddr);
+  fill_page_cache(&data_page_, vaddr, *entry, dtlb_);
   return out;
 }
 
-bool Hart::fetch(u32* word, u64* paddr) {
+// A code-page hit stands for an ITLB hit on the same entry, which already
+// passed the X and U checks, so it only counts the hit.
+[[gnu::always_inline]] inline bool Hart::fetch(u32* word, u64* paddr) {
   if ((pc_ & 3) != 0) {
     raise(TrapCause::kInstAddrMisaligned, pc_);
     return false;
+  }
+  if (page_cache_hit(code_page_, pc_, itlb_)) {
+    itlb_.count_hit();
+    const u64 offset = mem::sv39::page_offset(pc_);
+    *paddr = (code_page_.entry.ppn << mem::kPageShift) | offset;
+    std::memcpy(word, code_page_.host + offset, sizeof *word);
+    return true;
   }
   const auto out = translate_fetch(pc_);
   if (!out.ok) {
@@ -265,61 +298,85 @@ bool Hart::fetch(u32* word, u64* paddr) {
   return true;
 }
 
-bool Hart::mem_load(u64 vaddr, unsigned size, bool sign_extend, u64* value) {
-  if ((vaddr & (size - 1)) != 0) {
+// A data-page hit stands for a DTLB hit on the cached entry; the
+// effective-permission check still runs, so PKR/PKRU writes apply to the
+// very next access. Aligned accesses never leave the page.
+template <unsigned kSize>
+bool Hart::mem_load(u64 vaddr, bool sign_extend, u64* value) {
+  if ((vaddr & (kSize - 1)) != 0) {
     raise(TrapCause::kLoadAddrMisaligned, vaddr);
     return false;
   }
-  const auto out = translate_data(vaddr, mem::Access::kLoad);
-  if (!out.ok) {
-    raise(out.cause, out.tval);
-    return false;
+  Word<kSize> raw = 0;
+  if (page_cache_hit(data_page_, vaddr, dtlb_)) {
+    dtlb_.count_hit();
+    if (!data_access_allowed(data_page_.entry, vaddr, mem::Access::kLoad)) {
+      raise(TrapCause::kLoadPageFault, vaddr);
+      return false;
+    }
+    std::memcpy(&raw, data_page_.host + mem::sv39::page_offset(vaddr),
+                kSize);
+  } else {
+    const auto out = translate_data(vaddr, mem::Access::kLoad);
+    if (!out.ok) {
+      raise(out.cause, out.tval);
+      return false;
+    }
+    if (!mem_.contains(out.paddr, kSize)) {
+      raise(TrapCause::kLoadAccessFault, vaddr);
+      return false;
+    }
+    if constexpr (kSize == 1) raw = mem_.read_u8(out.paddr);
+    if constexpr (kSize == 2) raw = mem_.read_u16(out.paddr);
+    if constexpr (kSize == 4) raw = mem_.read_u32(out.paddr);
+    if constexpr (kSize == 8) raw = mem_.read_u64(out.paddr);
   }
-  if (!mem_.contains(out.paddr, size)) {
-    raise(TrapCause::kLoadAccessFault, vaddr);
-    return false;
-  }
-  u64 raw = 0;
-  switch (size) {
-    case 1: raw = mem_.read_u8(out.paddr); break;
-    case 2: raw = mem_.read_u16(out.paddr); break;
-    case 4: raw = mem_.read_u32(out.paddr); break;
-    case 8: raw = mem_.read_u64(out.paddr); break;
-    default: SEALPK_CHECK(false);
-  }
-  *value = sign_extend ? static_cast<u64>(sext(raw, size * 8)) : raw;
+  *value = sign_extend ? static_cast<u64>(sext(raw, kSize * 8)) : raw;
   ++stats_.loads;
   cycles_ += config_.timing.mem_extra_cycles;
   return true;
 }
 
-bool Hart::mem_store(u64 vaddr, unsigned size, u64 value) {
-  if ((vaddr & (size - 1)) != 0) {
+// A store hits only a dirty entry; a clean one takes translate_data's
+// dirty walk, exactly as without the cache.
+template <unsigned kSize>
+bool Hart::mem_store(u64 vaddr, u64 value) {
+  if ((vaddr & (kSize - 1)) != 0) {
     raise(TrapCause::kStoreAddrMisaligned, vaddr);
     return false;
   }
-  const auto out = translate_data(vaddr, mem::Access::kStore);
-  if (!out.ok) {
-    raise(out.cause, out.tval);
-    return false;
-  }
-  if (!mem_.contains(out.paddr, size)) {
-    raise(TrapCause::kStoreAccessFault, vaddr);
-    return false;
-  }
-  switch (size) {
-    case 1: mem_.write_u8(out.paddr, static_cast<u8>(value)); break;
-    case 2: mem_.write_u16(out.paddr, static_cast<u16>(value)); break;
-    case 4: mem_.write_u32(out.paddr, static_cast<u32>(value)); break;
-    case 8: mem_.write_u64(out.paddr, value); break;
-    default: SEALPK_CHECK(false);
+  const auto raw = static_cast<Word<kSize>>(value);
+  if (page_cache_hit(data_page_, vaddr, dtlb_) && data_page_.entry.dirty) {
+    dtlb_.count_hit();
+    if (!data_access_allowed(data_page_.entry, vaddr, mem::Access::kStore)) {
+      raise(TrapCause::kStorePageFault, vaddr);
+      return false;
+    }
+    std::memcpy(data_page_.host + mem::sv39::page_offset(vaddr), &raw,
+                kSize);
+  } else {
+    const auto out = translate_data(vaddr, mem::Access::kStore);
+    if (!out.ok) {
+      raise(out.cause, out.tval);
+      return false;
+    }
+    if (!mem_.contains(out.paddr, kSize)) {
+      raise(TrapCause::kStoreAccessFault, vaddr);
+      return false;
+    }
+    if constexpr (kSize == 1) mem_.write_u8(out.paddr, raw);
+    if constexpr (kSize == 2) mem_.write_u16(out.paddr, raw);
+    if constexpr (kSize == 4) mem_.write_u32(out.paddr, raw);
+    if constexpr (kSize == 8) mem_.write_u64(out.paddr, raw);
   }
   ++stats_.stores;
   cycles_ += config_.timing.mem_extra_cycles;
   return true;
 }
 
-StepResult Hart::step() {
+// The step body, inlined into run() so the hot loop calls out only for
+// exec() and the slow paths.
+[[gnu::always_inline]] inline StepResult Hart::step_body() {
   trapped_ = false;
   next_pc_ = pc_ + 4;
   cycles_ += config_.timing.base_cycles;
@@ -348,36 +405,38 @@ StepResult Hart::step() {
   return result;
 }
 
+StepResult Hart::step() { return step_body(); }
+
 std::optional<StepResult> Hart::run(u64 max_steps) {
   for (u64 i = 0; i < max_steps; ++i) {
-    const StepResult r = step();
+    const StepResult r = step_body();
     if (r.kind == StepKind::kTrap) return r;
   }
   return std::nullopt;
 }
 
 bool Hart::exec(const Inst& inst) {
-  const u64 rs1 = reg(inst.rs1);
-  const u64 rs2 = reg(inst.rs2);
+  const u64 rs1 = regs_[inst.rs1];
+  const u64 rs2 = regs_[inst.rs2];
   const auto& t = config_.timing;
   u64 value = 0;
   switch (inst.op) {
     // --- upper immediate / control flow -----------------------------------
     case Op::kLui:
-      set_reg(inst.rd, static_cast<u64>(inst.imm));
+      write_rd(inst.rd, static_cast<u64>(inst.imm));
       break;
     case Op::kAuipc:
-      set_reg(inst.rd, pc_ + static_cast<u64>(inst.imm));
+      write_rd(inst.rd, pc_ + static_cast<u64>(inst.imm));
       break;
     case Op::kJal:
       if (inst.rd == isa::ra) ++stats_.calls;
-      set_reg(inst.rd, pc_ + 4);
+      write_rd(inst.rd, pc_ + 4);
       next_pc_ = pc_ + static_cast<u64>(inst.imm);
       break;
     case Op::kJalr: {
       if (inst.rd == isa::ra) ++stats_.calls;
       const u64 target = (rs1 + static_cast<u64>(inst.imm)) & ~u64{1};
-      set_reg(inst.rd, pc_ + 4);
+      write_rd(inst.rd, pc_ + 4);
       next_pc_ = target;
       break;
     }
@@ -404,167 +463,167 @@ bool Hart::exec(const Inst& inst) {
 
     // --- loads / stores -----------------------------------------------------
     case Op::kLb:
-      if (!mem_load(rs1 + inst.imm, 1, true, &value)) return false;
-      set_reg(inst.rd, value);
+      if (!mem_load<1>(rs1 + inst.imm, true, &value)) return false;
+      write_rd(inst.rd, value);
       break;
     case Op::kLh:
-      if (!mem_load(rs1 + inst.imm, 2, true, &value)) return false;
-      set_reg(inst.rd, value);
+      if (!mem_load<2>(rs1 + inst.imm, true, &value)) return false;
+      write_rd(inst.rd, value);
       break;
     case Op::kLw:
-      if (!mem_load(rs1 + inst.imm, 4, true, &value)) return false;
-      set_reg(inst.rd, value);
+      if (!mem_load<4>(rs1 + inst.imm, true, &value)) return false;
+      write_rd(inst.rd, value);
       break;
     case Op::kLd:
-      if (!mem_load(rs1 + inst.imm, 8, true, &value)) return false;
-      set_reg(inst.rd, value);
+      if (!mem_load<8>(rs1 + inst.imm, true, &value)) return false;
+      write_rd(inst.rd, value);
       break;
     case Op::kLbu:
-      if (!mem_load(rs1 + inst.imm, 1, false, &value)) return false;
-      set_reg(inst.rd, value);
+      if (!mem_load<1>(rs1 + inst.imm, false, &value)) return false;
+      write_rd(inst.rd, value);
       break;
     case Op::kLhu:
-      if (!mem_load(rs1 + inst.imm, 2, false, &value)) return false;
-      set_reg(inst.rd, value);
+      if (!mem_load<2>(rs1 + inst.imm, false, &value)) return false;
+      write_rd(inst.rd, value);
       break;
     case Op::kLwu:
-      if (!mem_load(rs1 + inst.imm, 4, false, &value)) return false;
-      set_reg(inst.rd, value);
+      if (!mem_load<4>(rs1 + inst.imm, false, &value)) return false;
+      write_rd(inst.rd, value);
       break;
     case Op::kSb:
-      return mem_store(rs1 + inst.imm, 1, rs2);
+      return mem_store<1>(rs1 + inst.imm, rs2);
     case Op::kSh:
-      return mem_store(rs1 + inst.imm, 2, rs2);
+      return mem_store<2>(rs1 + inst.imm, rs2);
     case Op::kSw:
-      return mem_store(rs1 + inst.imm, 4, rs2);
+      return mem_store<4>(rs1 + inst.imm, rs2);
     case Op::kSd:
-      return mem_store(rs1 + inst.imm, 8, rs2);
+      return mem_store<8>(rs1 + inst.imm, rs2);
 
     // --- integer ALU --------------------------------------------------------
-    case Op::kAddi: set_reg(inst.rd, rs1 + inst.imm); break;
+    case Op::kAddi: write_rd(inst.rd, rs1 + inst.imm); break;
     case Op::kSlti:
-      set_reg(inst.rd, static_cast<i64>(rs1) < inst.imm ? 1 : 0);
+      write_rd(inst.rd, static_cast<i64>(rs1) < inst.imm ? 1 : 0);
       break;
     case Op::kSltiu:
-      set_reg(inst.rd, rs1 < static_cast<u64>(inst.imm) ? 1 : 0);
+      write_rd(inst.rd, rs1 < static_cast<u64>(inst.imm) ? 1 : 0);
       break;
-    case Op::kXori: set_reg(inst.rd, rs1 ^ static_cast<u64>(inst.imm)); break;
-    case Op::kOri: set_reg(inst.rd, rs1 | static_cast<u64>(inst.imm)); break;
-    case Op::kAndi: set_reg(inst.rd, rs1 & static_cast<u64>(inst.imm)); break;
-    case Op::kSlli: set_reg(inst.rd, rs1 << inst.imm); break;
-    case Op::kSrli: set_reg(inst.rd, rs1 >> inst.imm); break;
+    case Op::kXori: write_rd(inst.rd, rs1 ^ static_cast<u64>(inst.imm)); break;
+    case Op::kOri: write_rd(inst.rd, rs1 | static_cast<u64>(inst.imm)); break;
+    case Op::kAndi: write_rd(inst.rd, rs1 & static_cast<u64>(inst.imm)); break;
+    case Op::kSlli: write_rd(inst.rd, rs1 << inst.imm); break;
+    case Op::kSrli: write_rd(inst.rd, rs1 >> inst.imm); break;
     case Op::kSrai:
-      set_reg(inst.rd, static_cast<u64>(static_cast<i64>(rs1) >> inst.imm));
+      write_rd(inst.rd, static_cast<u64>(static_cast<i64>(rs1) >> inst.imm));
       break;
     case Op::kAddiw:
-      set_reg(inst.rd, static_cast<u64>(sext(rs1 + inst.imm, 32)));
+      write_rd(inst.rd, static_cast<u64>(sext(rs1 + inst.imm, 32)));
       break;
     case Op::kSlliw:
-      set_reg(inst.rd, static_cast<u64>(sext(rs1 << inst.imm, 32)));
+      write_rd(inst.rd, static_cast<u64>(sext(rs1 << inst.imm, 32)));
       break;
     case Op::kSrliw:
-      set_reg(inst.rd,
+      write_rd(inst.rd,
               static_cast<u64>(sext(zext(rs1, 32) >> inst.imm, 32)));
       break;
     case Op::kSraiw:
-      set_reg(inst.rd, static_cast<u64>(
+      write_rd(inst.rd, static_cast<u64>(
                            static_cast<i64>(sext(rs1, 32)) >> inst.imm));
       break;
-    case Op::kAdd: set_reg(inst.rd, rs1 + rs2); break;
-    case Op::kSub: set_reg(inst.rd, rs1 - rs2); break;
-    case Op::kSll: set_reg(inst.rd, rs1 << (rs2 & 63)); break;
+    case Op::kAdd: write_rd(inst.rd, rs1 + rs2); break;
+    case Op::kSub: write_rd(inst.rd, rs1 - rs2); break;
+    case Op::kSll: write_rd(inst.rd, rs1 << (rs2 & 63)); break;
     case Op::kSlt:
-      set_reg(inst.rd,
+      write_rd(inst.rd,
               static_cast<i64>(rs1) < static_cast<i64>(rs2) ? 1 : 0);
       break;
-    case Op::kSltu: set_reg(inst.rd, rs1 < rs2 ? 1 : 0); break;
-    case Op::kXor: set_reg(inst.rd, rs1 ^ rs2); break;
-    case Op::kSrl: set_reg(inst.rd, rs1 >> (rs2 & 63)); break;
+    case Op::kSltu: write_rd(inst.rd, rs1 < rs2 ? 1 : 0); break;
+    case Op::kXor: write_rd(inst.rd, rs1 ^ rs2); break;
+    case Op::kSrl: write_rd(inst.rd, rs1 >> (rs2 & 63)); break;
     case Op::kSra:
-      set_reg(inst.rd,
+      write_rd(inst.rd,
               static_cast<u64>(static_cast<i64>(rs1) >> (rs2 & 63)));
       break;
-    case Op::kOr: set_reg(inst.rd, rs1 | rs2); break;
-    case Op::kAnd: set_reg(inst.rd, rs1 & rs2); break;
+    case Op::kOr: write_rd(inst.rd, rs1 | rs2); break;
+    case Op::kAnd: write_rd(inst.rd, rs1 & rs2); break;
     case Op::kAddw:
-      set_reg(inst.rd, static_cast<u64>(sext(rs1 + rs2, 32)));
+      write_rd(inst.rd, static_cast<u64>(sext(rs1 + rs2, 32)));
       break;
     case Op::kSubw:
-      set_reg(inst.rd, static_cast<u64>(sext(rs1 - rs2, 32)));
+      write_rd(inst.rd, static_cast<u64>(sext(rs1 - rs2, 32)));
       break;
     case Op::kSllw:
-      set_reg(inst.rd, static_cast<u64>(sext(rs1 << (rs2 & 31), 32)));
+      write_rd(inst.rd, static_cast<u64>(sext(rs1 << (rs2 & 31), 32)));
       break;
     case Op::kSrlw:
-      set_reg(inst.rd,
+      write_rd(inst.rd,
               static_cast<u64>(sext(zext(rs1, 32) >> (rs2 & 31), 32)));
       break;
     case Op::kSraw:
-      set_reg(inst.rd, static_cast<u64>(static_cast<i64>(sext(rs1, 32)) >>
+      write_rd(inst.rd, static_cast<u64>(static_cast<i64>(sext(rs1, 32)) >>
                                         (rs2 & 31)));
       break;
 
     // --- M extension ----------------------------------------------------------
     case Op::kMul:
       cycles_ += t.mul_cycles;
-      set_reg(inst.rd, rs1 * rs2);
+      write_rd(inst.rd, rs1 * rs2);
       break;
     case Op::kMulh: {
       cycles_ += t.mul_cycles;
       const __int128 prod = static_cast<__int128>(static_cast<i64>(rs1)) *
                             static_cast<__int128>(static_cast<i64>(rs2));
-      set_reg(inst.rd, static_cast<u64>(prod >> 64));
+      write_rd(inst.rd, static_cast<u64>(prod >> 64));
       break;
     }
     case Op::kMulhsu: {
       cycles_ += t.mul_cycles;
       const __int128 prod = static_cast<__int128>(static_cast<i64>(rs1)) *
                             static_cast<__int128>(rs2);
-      set_reg(inst.rd, static_cast<u64>(prod >> 64));
+      write_rd(inst.rd, static_cast<u64>(prod >> 64));
       break;
     }
     case Op::kMulhu: {
       cycles_ += t.mul_cycles;
       const unsigned __int128 prod = static_cast<unsigned __int128>(rs1) *
                                      static_cast<unsigned __int128>(rs2);
-      set_reg(inst.rd, static_cast<u64>(prod >> 64));
+      write_rd(inst.rd, static_cast<u64>(prod >> 64));
       break;
     }
     case Op::kDiv: {
       cycles_ += t.div_cycles;
       const i64 a = static_cast<i64>(rs1), b = static_cast<i64>(rs2);
       if (b == 0) {
-        set_reg(inst.rd, ~u64{0});
+        write_rd(inst.rd, ~u64{0});
       } else if (a == INT64_MIN && b == -1) {
-        set_reg(inst.rd, static_cast<u64>(INT64_MIN));
+        write_rd(inst.rd, static_cast<u64>(INT64_MIN));
       } else {
-        set_reg(inst.rd, static_cast<u64>(a / b));
+        write_rd(inst.rd, static_cast<u64>(a / b));
       }
       break;
     }
     case Op::kDivu:
       cycles_ += t.div_cycles;
-      set_reg(inst.rd, rs2 == 0 ? ~u64{0} : rs1 / rs2);
+      write_rd(inst.rd, rs2 == 0 ? ~u64{0} : rs1 / rs2);
       break;
     case Op::kRem: {
       cycles_ += t.div_cycles;
       const i64 a = static_cast<i64>(rs1), b = static_cast<i64>(rs2);
       if (b == 0) {
-        set_reg(inst.rd, rs1);
+        write_rd(inst.rd, rs1);
       } else if (a == INT64_MIN && b == -1) {
-        set_reg(inst.rd, 0);
+        write_rd(inst.rd, 0);
       } else {
-        set_reg(inst.rd, static_cast<u64>(a % b));
+        write_rd(inst.rd, static_cast<u64>(a % b));
       }
       break;
     }
     case Op::kRemu:
       cycles_ += t.div_cycles;
-      set_reg(inst.rd, rs2 == 0 ? rs1 : rs1 % rs2);
+      write_rd(inst.rd, rs2 == 0 ? rs1 : rs1 % rs2);
       break;
     case Op::kMulw:
       cycles_ += t.mul_cycles;
-      set_reg(inst.rd, static_cast<u64>(sext(rs1 * rs2, 32)));
+      write_rd(inst.rd, static_cast<u64>(sext(rs1 * rs2, 32)));
       break;
     case Op::kDivw: {
       cycles_ += t.div_cycles;
@@ -577,14 +636,14 @@ bool Hart::exec(const Inst& inst) {
       } else {
         q = a / b;
       }
-      set_reg(inst.rd, static_cast<u64>(static_cast<i64>(q)));
+      write_rd(inst.rd, static_cast<u64>(static_cast<i64>(q)));
       break;
     }
     case Op::kDivuw: {
       cycles_ += t.div_cycles;
       const u32 a = static_cast<u32>(rs1), b = static_cast<u32>(rs2);
       const u32 q = b == 0 ? ~u32{0} : a / b;
-      set_reg(inst.rd, static_cast<u64>(sext(q, 32)));
+      write_rd(inst.rd, static_cast<u64>(sext(q, 32)));
       break;
     }
     case Op::kRemw: {
@@ -598,14 +657,14 @@ bool Hart::exec(const Inst& inst) {
       } else {
         r = a % b;
       }
-      set_reg(inst.rd, static_cast<u64>(static_cast<i64>(r)));
+      write_rd(inst.rd, static_cast<u64>(static_cast<i64>(r)));
       break;
     }
     case Op::kRemuw: {
       cycles_ += t.div_cycles;
       const u32 a = static_cast<u32>(rs1), b = static_cast<u32>(rs2);
       const u32 r = b == 0 ? a : a % b;
-      set_reg(inst.rd, static_cast<u64>(sext(r, 32)));
+      write_rd(inst.rd, static_cast<u64>(sext(r, 32)));
       break;
     }
 
@@ -676,7 +735,11 @@ bool Hart::exec_system(const Inst& inst) {
       if (inst.rs1 == 0) {
         flush_tlbs();
       } else {
-        const u64 vpn = mem::sv39::vpn_of(reg(inst.rs1));
+        // TLB entries are keyed by the VPN width of satp's mode; a bare
+        // satp keeps the Sv39 width.
+        const unsigned levels = satp_levels(csrs_.satp);
+        const u64 vpn = mem::svxx::vpn_of(
+            regs_[inst.rs1], levels != 0 ? levels : mem::sv39::kLevels);
         dtlb_.flush_vpn(vpn);
         itlb_.flush_vpn(vpn);
       }
@@ -701,7 +764,7 @@ bool Hart::exec_csr(const Inst& inst) {
   }
   const bool is_imm = inst.op == Op::kCsrrwi || inst.op == Op::kCsrrsi ||
                       inst.op == Op::kCsrrci;
-  const u64 operand = is_imm ? static_cast<u64>(inst.imm) : reg(inst.rs1);
+  const u64 operand = is_imm ? static_cast<u64>(inst.imm) : regs_[inst.rs1];
   u64 next = old;
   bool do_write = true;
   switch (inst.op) {
@@ -726,7 +789,7 @@ bool Hart::exec_csr(const Inst& inst) {
     raise(TrapCause::kIllegalInst, inst.raw);
     return false;
   }
-  set_reg(inst.rd, old);
+  write_rd(inst.rd, old);
   return true;
 }
 
@@ -738,9 +801,9 @@ bool Hart::exec_custom(const Inst& inst) {
       if (!sealpk) break;
       cycles_ += t.rocc_cycles;
       ++stats_.rdpkr_count;
-      const u32 pkey = static_cast<u32>(reg(inst.rs1)) & (hw::kNumPkeys - 1);
+      const u32 pkey = static_cast<u32>(regs_[inst.rs1]) & (hw::kNumPkeys - 1);
       const u64 row_value = pkr_.read_row(hw::pkr_row_of(pkey));
-      set_reg(inst.rd, row_value);
+      write_rd(inst.rd, row_value);
       if (recorder_ != nullptr) {
         recorder_->emit(obs::EventKind::kRdpkr, instret_, cycles_, pkey,
                         row_value, 0);
@@ -750,7 +813,7 @@ bool Hart::exec_custom(const Inst& inst) {
     case Op::kWrpkr: {
       if (!sealpk) break;
       cycles_ += t.rocc_cycles;
-      const u32 pkey = static_cast<u32>(reg(inst.rs1)) & (hw::kNumPkeys - 1);
+      const u32 pkey = static_cast<u32>(regs_[inst.rs1]) & (hw::kNumPkeys - 1);
       const hw::SealCheck check = seal_unit_.check_wrpkr(pkey, pc_);
       if (check == hw::SealCheck::kViolation) {
         raise(TrapCause::kSealViolation, pkey);
@@ -762,7 +825,7 @@ bool Hart::exec_custom(const Inst& inst) {
       }
       ++stats_.wrpkr_count;
       const u32 row = hw::pkr_row_of(pkey);
-      u64 next = reg(inst.rs2);
+      u64 next = regs_[inst.rs2];
       // A row holds 32 keys. Hardware preserves the 2-bit fields of *other*
       // sealed keys in the row — otherwise a WRPKR naming an unsealed
       // neighbour could clobber a sealed key's permissions (a gap the paper
@@ -790,13 +853,13 @@ bool Hart::exec_custom(const Inst& inst) {
     case Op::kSpkRange:
       if (!sealpk || priv_ != Priv::kSupervisor) break;
       cycles_ += t.rocc_cycles;
-      csrs_.seal_start = reg(inst.rs1);
-      csrs_.seal_end = reg(inst.rs2);
+      csrs_.seal_start = regs_[inst.rs1];
+      csrs_.seal_end = regs_[inst.rs2];
       return true;
     case Op::kSpkSeal: {
       if (!sealpk || priv_ != Priv::kSupervisor) break;
       cycles_ += t.rocc_cycles;
-      const u32 pkey = static_cast<u32>(reg(inst.rs1)) & (hw::kNumPkeys - 1);
+      const u32 pkey = static_cast<u32>(regs_[inst.rs1]) & (hw::kNumPkeys - 1);
       if (csrs_.seal_start > csrs_.seal_end || seal_unit_.sealed(pkey)) {
         break;  // malformed range or double-seal: illegal instruction
       }
@@ -808,12 +871,12 @@ bool Hart::exec_custom(const Inst& inst) {
       if (sealpk) break;
       cycles_ += t.rocc_cycles;
       ++stats_.wrpkru_count;
-      pkru_.set(static_cast<u32>(reg(inst.rs1)));
+      pkru_.set(static_cast<u32>(regs_[inst.rs1]));
       return true;
     case Op::kRdpkru:
       if (sealpk) break;
       cycles_ += t.rocc_cycles;
-      set_reg(inst.rd, pkru_.value());
+      write_rd(inst.rd, pkru_.value());
       return true;
     default:
       break;

@@ -146,18 +146,45 @@ class Hart {
     u64 tval = 0;
   };
 
+  // One-entry cache of the last U-mode paged translation of one kind
+  // (fetch or data), with the host address of the frame; see DESIGN.md
+  // §17 "Page fast paths". A hit needs the same virtual page, satp, TLB
+  // epoch and PhysMem generation as the fill, which means the TLB lookup
+  // it skips would return `entry` again.
+  struct PageCache {
+    u64 vpage = ~u64{0};  // vaddr >> kPageShift; ~0 matches no address
+    u64 satp = 0;
+    u64 tlb_epoch = 0;
+    u64 mem_generation = 0;
+    u8* host = nullptr;   // PhysMem::host_page of the frame
+    mem::TlbEntry entry;  // what the TLB lookup returned at fill time
+  };
+
   // 0 = no translation (S-mode or bare); 3 = Sv39; 4 = Sv48.
   unsigned paging_levels() const;
   unsigned pkey_bits() const;
   void raise(TrapCause cause, u64 tval);
   MemOutcome translate_fetch(u64 vaddr);
   MemOutcome translate_data(u64 vaddr, mem::Access access);
-  bool data_access_allowed(const mem::TlbEntry& entry, mem::Access access,
-                           bool* pkey_denied);
+  bool data_access_allowed(const mem::TlbEntry& entry, u64 vaddr,
+                           mem::Access access);
+  bool page_cache_hit(const PageCache& cache, u64 vaddr,
+                      const mem::Tlb& tlb) const;
+  void fill_page_cache(PageCache* cache, u64 vaddr,
+                       const mem::TlbEntry& entry, const mem::Tlb& tlb);
 
+  StepResult step_body();
   bool fetch(u32* word, u64* paddr);
-  bool mem_load(u64 vaddr, unsigned size, bool sign_extend, u64* value);
-  bool mem_store(u64 vaddr, unsigned size, u64 value);
+  template <unsigned kSize>
+  bool mem_load(u64 vaddr, bool sign_extend, u64* value);
+  template <unsigned kSize>
+  bool mem_store(u64 vaddr, u64 value);
+  // The exec family reads regs_ directly and writes through write_rd.
+  // decode() only yields 5-bit register fields and x0 is never written, so
+  // regs_[0] stays zero and neither needs the public accessors' checks.
+  void write_rd(unsigned rd, u64 value) {
+    if (rd != 0) regs_[rd] = value;
+  }
   bool exec(const isa::Inst& inst);         // returns false if trapped
   bool exec_custom(const isa::Inst& inst);  // custom-0 extension
   bool exec_system(const isa::Inst& inst);
@@ -190,6 +217,9 @@ class Hart {
   // (Inst{} == decode(0)) nor invalidation on stores, loads or restores.
   static constexpr size_t kDecodedEntries = 4096;
   std::vector<isa::Inst> decoded_ = std::vector<isa::Inst>(kDecodedEntries);
+
+  PageCache code_page_;
+  PageCache data_page_;
 };
 
 }  // namespace sealpk::core

@@ -277,7 +277,8 @@ void write_matrix_json(std::ostream& os,
       os << "    {\"id\": " << cell << ", \"workload\": \""
          << json_escape(std::string(wl::suite_name(w.suite)) + "/" + w.name)
          << "\", \"variant\": \"" << json_escape(v.name) << "\"}"
-         << (++cell < total ? "," : "") << "\n";
+         << (cell + 1 < total ? "," : "") << "\n";
+      ++cell;
     }
   }
   os << "  ]\n}\n";

@@ -76,6 +76,18 @@ class PhysMem {
 
   size_t materialized_pages() const { return pages_.size(); }
 
+  // Host address of the page holding `addr` if that page is already
+  // materialised, else nullptr. Never materialises a page and never
+  // returns the shared zero page, so writes through the pointer land in
+  // guest memory. The pointer stays valid until generation() changes.
+  u8* host_page(u64 addr) {
+    Page* page = find_page(addr >> kPageShift);
+    return page == nullptr ? nullptr : page->data();
+  }
+
+  // Bumped by load_state, the only place pages are freed.
+  u64 generation() const { return generation_; }
+
   // Snapshot port. Pages are emitted in ascending index order and all-zero
   // pages are elided, so the encoding is canonical: two memories with equal
   // contents produce byte-identical streams regardless of materialisation
@@ -101,6 +113,7 @@ class PhysMem {
                                         << size << ", machine has " << size_);
     pages_.clear();
     cache_ = {};
+    ++generation_;
     const u64 count = r.get_u64();
     for (u64 i = 0; i < count; ++i) {
       const u64 index = r.get_u64();
@@ -123,7 +136,7 @@ class PhysMem {
   // of slots keeps both warm. Only existing pages are cached, never the
   // shared zero page, so a later write materialises a page exactly as an
   // uncached lookup would. Pages are only ever dropped by load_state,
-  // which clears the cache too.
+  // which clears the cache too and bumps generation().
   struct CacheSlot {
     u64 index = ~u64{0};
     Page* page = nullptr;
@@ -199,6 +212,7 @@ class PhysMem {
   u64 size_;
   std::unordered_map<u64, std::unique_ptr<Page>> pages_;
   mutable std::array<CacheSlot, kCacheSlots> cache_{};
+  u64 generation_ = 0;  // see generation()
 };
 
 }  // namespace sealpk::mem

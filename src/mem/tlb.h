@@ -72,10 +72,20 @@ class Tlb {
     return std::nullopt;
   }
 
+  // Counts a hit without scanning. Only for a caller that already knows
+  // lookup() would hit: it saw that VPN hit at the current epoch().
+  void count_hit() { ++stats_.hits; }
+
+  // Bumped by every mutator that can change what lookup() returns (insert,
+  // flush, flush_vpn, corrupt_slot, load_state). While the epoch is
+  // unchanged, a lookup of the same VPN returns the same entry.
+  u64 epoch() const { return epoch_; }
+
   // Inserts after a miss; replaces an existing mapping for the same VPN,
   // otherwise evicts round-robin (Rocket's TLB uses a pseudo-random/rr
   // policy; round-robin keeps the model deterministic).
   void insert(const TlbEntry& entry) {
+    ++epoch_;
     for (auto& slot : entries_) {
       if (slot.valid && slot.entry.vpn == entry.vpn) {
         slot.entry = entry;
@@ -95,12 +105,14 @@ class Tlb {
 
   // sfence.vma with rs1 = x0: global flush.
   void flush() {
+    ++epoch_;
     for (auto& slot : entries_) slot.valid = false;
     ++stats_.flushes;
   }
 
   // sfence.vma with rs1 != x0: single-VPN invalidation.
   void flush_vpn(u64 vpn) {
+    ++epoch_;
     for (auto& slot : entries_) {
       if (slot.valid && slot.entry.vpn == vpn) slot.valid = false;
     }
@@ -128,6 +140,7 @@ class Tlb {
   bool corrupt_slot(size_t i, u16 pkey_xor, u8 perm_xor, bool flip_dirty) {
     SEALPK_CHECK(i < entries_.size());
     if (!entries_[i].valid) return false;
+    ++epoch_;
     TlbEntry& e = entries_[i].entry;
     e.pkey ^= pkey_xor;
     if (perm_xor & 1) e.r = !e.r;
@@ -163,6 +176,7 @@ class Tlb {
     w.put_u64(stats_.evictions);
   }
   void load_state(ByteReader& r) {
+    ++epoch_;
     const u64 n = r.get_u64();
     SEALPK_CHECK_MSG(n == entries_.size(),
                      "TLB capacity mismatch: snapshot has "
@@ -194,6 +208,7 @@ class Tlb {
   std::vector<Slot> entries_;
   size_t next_victim_ = 0;
   size_t hint_ = 0;  // slot of the last lookup hit; see lookup()
+  u64 epoch_ = 0;    // see epoch()
   TlbStats stats_;
 };
 

@@ -105,6 +105,15 @@ void Metrics::observe(const Event& e) {
     case EventKind::kQuarantine:
       ++quarantines_;
       break;
+    // Vault and vkey events feed only the total event count.
+    case EventKind::kVaultIntent:
+    case EventKind::kVaultCommit:
+    case EventKind::kVaultUnseal:
+    case EventKind::kVaultDenied:
+    case EventKind::kVkeyMap:
+    case EventKind::kVkeyEvict:
+    case EventKind::kVkeySync:
+      break;
   }
 }
 

@@ -2,6 +2,7 @@
 // reserved bits, so SealPK works unchanged with a 4-level walk.
 #include <gtest/gtest.h>
 
+#include "core/hart.h"
 #include "guest_test_util.h"
 #include "mem/walker.h"
 
@@ -147,6 +148,69 @@ TEST(Sv48, WalkCostsOneExtraAccess) {
   const auto sv48 = testutil::run_guest(build(), sv48_machine());
   EXPECT_EQ(sv39.instructions, sv48.instructions);
   EXPECT_GT(sv48.cycles, sv39.cycles);
+}
+
+TEST(Sv48, SfenceVmaWithAddressFlushesTheFourLevelVpn) {
+  // sfence.vma rs1 must invalidate the entry keyed by the Sv48 VPN, which
+  // includes VA bits 47:39; an Sv39-width VPN would miss it and leave a
+  // stale translation behind.
+  mem::PhysMem mem(16 << 20);
+  core::Hart hart(mem);
+  constexpr u64 kRoot = 1;
+  u64 next_table = 2;
+  auto map = [&](u64 vaddr, u64 ppn, u64 flags) {
+    u64 table = kRoot;
+    for (int level = 3; level >= 1; --level) {
+      const u64 slot =
+          (table << mem::kPageShift) +
+          mem::svxx::vpn_slice(vaddr, static_cast<unsigned>(level)) * 8;
+      u64 entry = mem.read_u64(slot);
+      if (!mem::pte::valid(entry)) {
+        entry = mem::pte::make(next_table++, mem::pte::kV);
+        mem.write_u64(slot, entry);
+      }
+      table = mem::pte::ppn_of(entry);
+    }
+    mem.write_u64(
+        (table << mem::kPageShift) + mem::svxx::vpn_slice(vaddr, 0) * 8,
+        mem::pte::make(ppn, flags));
+  };
+  constexpr u64 kCodeVa = 0x10000, kCodePpn = 0x80;
+  constexpr u64 kDataVa = (u64{5} << 39) | 0x1234'5000;
+  constexpr u64 kFrameA = 0x90, kFrameB = 0x91;
+  constexpr u64 kKernelPc = 0x70000;  // S-mode runs untranslated
+  constexpr u64 kUserRw = mem::pte::kV | mem::pte::kR | mem::pte::kW |
+                          mem::pte::kU | mem::pte::kA | mem::pte::kD;
+  map(kCodeVa, kCodePpn,
+      mem::pte::kV | mem::pte::kR | mem::pte::kX | mem::pte::kU);
+  map(kDataVa, kFrameA, kUserRw);
+  mem.write_u64(kFrameA << mem::kPageShift, 5);
+  mem.write_u64(kFrameB << mem::kPageShift, 6);
+  const isa::Inst ld{.op = isa::Op::kLd, .rd = a2, .rs1 = a1};
+  mem.write_u32(kCodePpn << mem::kPageShift, isa::encode(ld));
+  mem.write_u32((kCodePpn << mem::kPageShift) + 4, isa::encode(ld));
+  mem.write_u32(kKernelPc,
+                isa::encode({.op = isa::Op::kSfenceVma, .rs1 = a1}));
+
+  hart.csrs().satp = core::csr::kSatpModeSv48 | kRoot;
+  hart.set_reg(a1, kDataVa);
+  hart.set_priv(core::Priv::kUser);
+  hart.set_pc(kCodeVa);
+  ASSERT_EQ(hart.step().kind, core::StepKind::kOk);
+  EXPECT_EQ(hart.reg(a2), 5u);
+
+  map(kDataVa, kFrameB, kUserRw);
+  hart.set_priv(core::Priv::kSupervisor);
+  hart.set_pc(kKernelPc);
+  ASSERT_EQ(hart.step().kind, core::StepKind::kOk);
+  EXPECT_FALSE(hart.dtlb()
+                   .peek(mem::svxx::vpn_of(kDataVa, mem::sv48::kLevels))
+                   .has_value());
+
+  hart.set_priv(core::Priv::kUser);
+  hart.set_pc(kCodeVa + 4);
+  ASSERT_EQ(hart.step().kind, core::StepKind::kOk);
+  EXPECT_EQ(hart.reg(a2), 6u);
 }
 
 }  // namespace

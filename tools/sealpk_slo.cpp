@@ -24,8 +24,9 @@
 //
 // Usage:
 //   sealpk-slo spans --threads=4 --selfcheck --out=BENCH_spans.json -q
-//   sealpk-slo check --spec=SLO.json --report=serve=serve.json \
+//   sealpk-slo check --spec=SLO.json --report=serve=serve.json
 //       --report=vkey=vkey.json --report=spans=BENCH_spans.json
+//   (one command line, wrapped here)
 #include <cstdio>
 #include <cstring>
 #include <fstream>
