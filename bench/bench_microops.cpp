@@ -13,12 +13,23 @@
 // guest instruction (host_ns_per_inst) on a straight-line ALU loop, a
 // load/store loop on one data page, and a loop that hops across more code
 // and data pages than the hart's page caches hold.
+//
+// The services layers, each in isolation: snapshot save and restore of a
+// mid-run vault machine (bytes/s), vpkey_set through the vkey table at 6x
+// the physical keys (ns per set), and the vault sweep's confidentiality
+// scan of one sparse 256 KiB mapping for 7 needles (bytes/s).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <vector>
 
+#include "common/rng.h"
+#include "mpk/vkey_table.h"
 #include "runtime/guest.h"
 #include "sim/machine.h"
+#include "snapshot/snapshot.h"
+#include "vault/program.h"
+#include "vault/sweep.h"
 
 using namespace sealpk;
 using isa::Function;
@@ -395,5 +406,112 @@ static void BM_HartPageHopping(benchmark::State& state) {
           }));
 }
 BENCHMARK(BM_HartPageHopping);
+
+// --- services layers ----------------------------------------------------------
+
+namespace {
+
+// The vault workload with the sweep's checkpoint cadence, stopped halfway.
+std::unique_ptr<sim::Machine> mid_run_vault() {
+  static const vault::BuiltVault built = vault::build_vault({});
+  sim::MachineConfig cfg;
+  cfg.checkpoint_interval = 2'000;
+  sim::Machine probe(cfg);
+  SEALPK_CHECK(probe.load(built.image) >= 0);
+  const u64 total = probe.run().instructions;
+  auto m = std::make_unique<sim::Machine>(cfg);
+  m->load(built.image);
+  m->run(total / 2);
+  SEALPK_CHECK(!m->kernel().all_exited());
+  return m;
+}
+
+// The kernel's side of the vkey table with nothing behind it: physical keys
+// 1..1023 as on SealPK, one page per rekey.
+class NullVkeyOps : public mpk::VkeyOps {
+ public:
+  i64 acquire_phys() override {
+    return next_ < 1024 ? next_++ : os::err::kNoSpc;
+  }
+  i64 rekey(u64, u64, u64, u32) override { return 1; }
+  void set_perm(u32, u8) override {}
+  void flush_tlb() override {}
+
+ private:
+  i64 next_ = 1;
+};
+
+}  // namespace
+
+static void BM_SnapshotSave(benchmark::State& state) {
+  const auto m = mid_run_vault();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::vector<u8> blob = snapshot::save(*m);
+    bytes += blob.size();
+    benchmark::DoNotOptimize(blob.data());
+  }
+  state.SetBytesProcessed(static_cast<i64>(bytes));
+}
+BENCHMARK(BM_SnapshotSave);
+
+static void BM_SnapshotRestore(benchmark::State& state) {
+  const std::vector<u8> blob = snapshot::save(*mid_run_vault());
+  sim::Machine target(snapshot::config_from(blob));
+  for (auto _ : state) snapshot::restore(target, blob);
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * blob.size()));
+}
+BENCHMARK(BM_SnapshotRestore);
+
+static void BM_VkeySetChurn(benchmark::State& state) {
+  // 6x the physical keys, each vkey owning one page group; every set picks
+  // a random vkey, so most map in by evicting the LRU mapping.
+  constexpr u64 kVkeys = 6 * 1023;
+  mpk::VkeyTable table({.mru_slots = 8, .lazy_sync = state.range(0) != 0});
+  NullVkeyOps ops;
+  std::vector<u64> vkeys;
+  for (u64 i = 0; i < kVkeys; ++i) {
+    const u64 vkey = static_cast<u64>(table.alloc(0, 0));
+    table.mprotect(ops, i << 12, 4096, 3, vkey);
+    vkeys.push_back(vkey);
+  }
+  Rng rng(6144);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        table.set(ops, vkeys[rng.below(kVkeys)], static_cast<u8>(rng.below(4))));
+  }
+  state.counters["ns_per_set"] = benchmark::Counter(
+      static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["evictions_per_set"] =
+      static_cast<double>(table.stats().evictions) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          1, state.iterations()));
+}
+BENCHMARK(BM_VkeySetChurn)->ArgName("lazy")->Arg(0)->Arg(1);
+
+static void BM_VaultConfidentialityScan(benchmark::State& state) {
+  // A 256 KiB stack: zero but for its two top pages, scanned for 7 16-byte
+  // needles that are absent, so every needle is searched in full.
+  constexpr size_t kLen = 256 * 1024;
+  std::vector<u8> buf(kLen);
+  Rng rng(7);
+  for (size_t i = kLen - 2 * 4096; i < kLen; i += 3) {
+    buf[i] = static_cast<u8>(rng.range(1, 255));
+  }
+  std::vector<std::vector<u8>> needles(7, std::vector<u8>(16));
+  for (auto& needle : needles) {
+    for (u8& b : needle) b = static_cast<u8>(rng.range(1, 255));
+  }
+  for (auto _ : state) {
+    const auto runs = vault::nonzero_page_runs(buf.data(), kLen);
+    for (const auto& needle : needles) {
+      benchmark::DoNotOptimize(
+          vault::find_needle(buf.data(), kLen, runs, needle));
+    }
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations() * kLen));
+}
+BENCHMARK(BM_VaultConfidentialityScan);
 
 BENCHMARK_MAIN();

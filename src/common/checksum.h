@@ -6,6 +6,7 @@
 // layer dependency-free.
 #pragma once
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -19,16 +20,33 @@ class Checksum64 {
   static constexpr u64 kPrime = 0x00000100000001B3ULL;
 
   void update(const u8* data, size_t len) {
-    for (size_t i = 0; i < len; ++i) {
-      state_ ^= data[i];
-      state_ *= kPrime;
+    size_t i = 0;
+    // A zero byte only multiplies by kPrime, so eight of them are one
+    // multiply by kPrime^8 (exact, mod 2^64). Snapshots are mostly zeros.
+    for (; i + 8 <= len; i += 8) {
+      u64 word;
+      std::memcpy(&word, data + i, sizeof(word));
+      if (word == 0) {
+        state_ *= kPrime8;
+        continue;
+      }
+      for (size_t j = i; j < i + 8; ++j) step(data[j]);
     }
+    for (; i < len; ++i) step(data[i]);
   }
   void update(const std::vector<u8>& data) { update(data.data(), data.size()); }
 
   u64 value() const { return state_; }
 
  private:
+  static constexpr u64 kPrime8 = kPrime * kPrime * kPrime * kPrime * kPrime *
+                                 kPrime * kPrime * kPrime;
+
+  void step(u8 byte) {
+    state_ ^= byte;
+    state_ *= kPrime;
+  }
+
   u64 state_ = kOffsetBasis;
 };
 

@@ -5,18 +5,34 @@
 // CheckError, which snapshot restore converts into a typed SnapshotError).
 // The encoding is fixed little-endian regardless of host order so snapshot
 // files are portable, and every multi-byte value goes through one pair of
-// primitives so the format has no padding or alignment holes.
+// primitives so the format has no padding or alignment holes. Those
+// primitives copy whole host words, which is the wire order on the
+// little-endian hosts the simulator supports (static_assert below).
 #pragma once
 
+#include <bit>
 #include <bitset>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/check.h"
 
 namespace sealpk {
+
+static_assert(std::endian::native == std::endian::little,
+              "ByteWriter/ByteReader copy host words as the little-endian "
+              "wire format");
+
+// std::bitset<N> as N/64 little-endian u64 words, bit i of word k being bit
+// 64k+i. Both mainstream standard libraries store exactly those words, word
+// 0 first, so a bitset is copied word-wise instead of bit by bit.
+template <size_t N>
+constexpr bool kBitsetIsWords = N % 64 == 0 &&
+                                sizeof(std::bitset<N>) == N / 8 &&
+                                std::is_trivially_copyable_v<std::bitset<N>>;
 
 class ByteWriter {
  public:
@@ -50,14 +66,14 @@ class ByteWriter {
 
   template <size_t N>
   void put_bitset(const std::bitset<N>& bits) {
-    static_assert(N % 64 == 0, "bitset size must pack into u64 words");
-    for (size_t word = 0; word < N / 64; ++word) {
-      u64 w = 0;
-      for (size_t i = 0; i < 64; ++i) {
-        if (bits[word * 64 + i]) w |= u64{1} << i;
-      }
-      put_u64(w);
-    }
+    static_assert(kBitsetIsWords<N>, "bitset must be whole u64 words");
+    put_bytes(reinterpret_cast<const u8*>(&bits), sizeof(bits));
+  }
+
+  // Overwrites a u64 written earlier, for a length known only afterwards.
+  void patch_u64(size_t at, u64 v) {
+    SEALPK_CHECK(at <= buf_.size() && sizeof(v) <= buf_.size() - at);
+    std::memcpy(buf_.data() + at, &v, sizeof(v));
   }
 
   size_t size() const { return buf_.size(); }
@@ -67,9 +83,7 @@ class ByteWriter {
  private:
   template <typename T>
   void put_le(T v) {
-    for (unsigned i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<u8>(v >> (8 * i)));
-    }
+    put_bytes(reinterpret_cast<const u8*>(&v), sizeof(T));
   }
 
   std::vector<u8> buf_;
@@ -101,6 +115,11 @@ class ByteReader {
     pos_ += len;
   }
 
+  void skip(u64 len) {
+    need(len);
+    pos_ += static_cast<size_t>(len);
+  }
+
   std::string get_str() {
     const u64 len = get_u64();
     need(len);
@@ -119,15 +138,25 @@ class ByteReader {
 
   template <size_t N>
   std::bitset<N> get_bitset() {
-    static_assert(N % 64 == 0, "bitset size must pack into u64 words");
+    static_assert(kBitsetIsWords<N>, "bitset must be whole u64 words");
     std::bitset<N> bits;
-    for (size_t word = 0; word < N / 64; ++word) {
-      const u64 w = get_u64();
-      for (size_t i = 0; i < 64; ++i) {
-        if ((w >> i) & 1) bits.set(word * 64 + i);
-      }
-    }
+    get_bytes(reinterpret_cast<u8*>(&bits), sizeof(bits));
     return bits;
+  }
+
+  // An element count for a decoder that is about to allocate that many
+  // elements. Each element takes at least `min_bytes` of the stream, so a
+  // count the rest of the stream cannot hold is rejected here, before a
+  // corrupt count can allocate anything.
+  u64 get_count(u64 min_bytes) {
+    const u64 at = pos_;
+    const u64 n = get_u64();
+    SEALPK_CHECK_MSG(min_bytes == 0 || n <= remaining() / min_bytes,
+                     "serialized count " << n << " at " << at << " needs "
+                                         << min_bytes
+                                         << " bytes per element, only "
+                                         << remaining() << " remain");
+    return n;
   }
 
   size_t remaining() const { return len_ - pos_; }
@@ -144,10 +173,8 @@ class ByteReader {
   template <typename T>
   T get_le() {
     need(sizeof(T));
-    T v{};
-    for (unsigned i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
-    }
+    T v;
+    std::memcpy(&v, data_ + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
   }

@@ -327,7 +327,8 @@ void FaultInjector::load_state(ByteReader& r) {
   rng_.set_state(r.get_u64());
   next_fire_ = r.get_u64();
   suppress_ = r.get_u64();
-  events_.resize(r.get_u64());
+  // kind, instret, detail0, detail1, resolution.
+  events_.resize(r.get_count(1 + 8 + 8 + 8 + 1));
   for (auto& event : events_) {
     event.kind = static_cast<FaultKind>(r.get_u8());
     event.instret = r.get_u64();

@@ -41,8 +41,10 @@
 #pragma once
 
 #include <algorithm>
+#include <iterator>
 #include <list>
 #include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bits.h"
@@ -149,9 +151,63 @@ enum class VkeySetOutcome : u8 {
   kMappedIn,     // unmapped: map-in (possibly after eviction/drain)
 };
 
-class VkeyTable {
+// Mapped vkeys in recency order (front = most recent), with an index from
+// vkey to its list node so that touching or removing one is O(1) however
+// many vkeys are mapped. Iteration order is the list order, which is what
+// save_state writes.
+class VkeyLru {
  public:
-  explicit VkeyTable(VkeyTableConfig config = {}) : config_(config) {}
+  VkeyLru() = default;
+  // Not copyable: the index holds iterators into this object's list.
+  VkeyLru(const VkeyLru&) = delete;
+  VkeyLru& operator=(const VkeyLru&) = delete;
+
+  size_t size() const { return order_.size(); }
+  bool empty() const { return order_.empty(); }
+  u64 back() const { return order_.back(); }
+  auto begin() const { return order_.begin(); }
+  auto end() const { return order_.end(); }
+  auto rbegin() const { return order_.rbegin(); }
+  auto rend() const { return order_.rend(); }
+  bool contains(u64 vkey) const { return pos_.count(vkey) != 0; }
+
+  void push_front(u64 vkey) {
+    SEALPK_CHECK(!contains(vkey));
+    order_.push_front(vkey);
+    pos_.emplace(vkey, order_.begin());
+  }
+  void push_back(u64 vkey) {
+    SEALPK_CHECK(!contains(vkey));
+    order_.push_back(vkey);
+    pos_.emplace(vkey, std::prev(order_.end()));
+  }
+  void touch(u64 vkey) {
+    const auto it = pos_.find(vkey);
+    SEALPK_CHECK(it != pos_.end());
+    order_.splice(order_.begin(), order_, it->second);
+  }
+  void remove(u64 vkey) {
+    const auto it = pos_.find(vkey);
+    SEALPK_CHECK(it != pos_.end());
+    order_.erase(it->second);
+    pos_.erase(it);
+  }
+  void clear() {
+    order_.clear();
+    pos_.clear();
+  }
+
+ private:
+  std::list<u64> order_;
+  std::unordered_map<u64, std::list<u64>::iterator> pos_;
+};
+
+// The table is parameterised on its LRU container only so that tests can
+// run it against a reference container; everything else uses VkeyTable.
+template <typename Lru>
+class BasicVkeyTable {
+ public:
+  explicit BasicVkeyTable(VkeyTableConfig config = {}) : config_(config) {}
 
   const VkeyTableConfig& config() const { return config_; }
   const VkeyStats& stats() const { return stats_; }
@@ -377,7 +433,7 @@ class VkeyTable {
     config_.lazy_sync = r.get_bool();
     next_vkey_ = r.get_u64();
     park_ = r.get_u32();
-    const u64 n = r.get_u64();
+    const u64 n = r.get_count(kEntryBytes);
     for (u64 i = 0; i < n; ++i) {
       const u64 vkey = r.get_u64();
       VkeyEntry e;
@@ -385,7 +441,7 @@ class VkeyTable {
       e.perm = r.get_u8();
       e.phys = r.get_u32();
       e.pages = r.get_u64();
-      e.groups.resize(r.get_u64());
+      e.groups.resize(r.get_count(kGroupBytes));
       for (VkeyGroup& g : e.groups) {
         g.addr = r.get_u64();
         g.len = r.get_u64();
@@ -393,15 +449,26 @@ class VkeyTable {
       }
       entries_.emplace(vkey, std::move(e));
     }
-    const u64 lru_n = r.get_u64();
-    for (u64 i = 0; i < lru_n; ++i) lru_.push_back(r.get_u64());
-    mru_.resize(r.get_u64());
+    // Every LRU member must be a distinct mapped vkey: touch/remove and
+    // pick_victim rely on it.
+    const u64 lru_n = r.get_count(sizeof(u64));
+    for (u64 i = 0; i < lru_n; ++i) {
+      const u64 vkey = r.get_u64();
+      const VkeyEntry* e = find(vkey);
+      SEALPK_CHECK_MSG(e != nullptr && e->state == VkeyState::kMapped,
+                       "vkey LRU names vkey " << vkey
+                                              << " which is not mapped");
+      SEALPK_CHECK_MSG(!lru_.contains(vkey),
+                       "vkey LRU repeats vkey " << vkey);
+      lru_.push_back(vkey);
+    }
+    mru_.resize(r.get_count(sizeof(u64)));
     for (u64& vkey : mru_) vkey = r.get_u64();
-    pool_.resize(r.get_u64());
+    pool_.resize(r.get_count(sizeof(u32)));
     for (u32& k : pool_) k = r.get_u32();
-    drain_queue_.resize(r.get_u64());
+    drain_queue_.resize(r.get_count(sizeof(u64)));
     for (u64& vkey : drain_queue_) vkey = r.get_u64();
-    acquired_.resize(r.get_u64());
+    acquired_.resize(r.get_count(sizeof(u32)));
     for (u32& k : acquired_) k = r.get_u32();
     stats_.allocs = r.get_u64();
     stats_.frees = r.get_u64();
@@ -551,19 +618,15 @@ class VkeyTable {
     ops.note_sync(batch_pages, n);
   }
 
+  // Smallest encodings of one entry (vkey, state, perm, phys, pages, group
+  // count) and of one group, for load_state's count checks.
+  static constexpr u64 kEntryBytes = 8 + 1 + 1 + 4 + 8 + 8;
+  static constexpr u64 kGroupBytes = 3 * 8;
+
   // --- LRU / MRU bookkeeping ----------------------------------------------
   void insert_lru(u64 vkey) { lru_.push_front(vkey); }
-  void touch_lru(u64 vkey) {
-    auto it = std::find(lru_.begin(), lru_.end(), vkey);
-    SEALPK_CHECK(it != lru_.end());
-    lru_.erase(it);
-    lru_.push_front(vkey);
-  }
-  void remove_lru(u64 vkey) {
-    auto it = std::find(lru_.begin(), lru_.end(), vkey);
-    SEALPK_CHECK(it != lru_.end());
-    lru_.erase(it);
-  }
+  void touch_lru(u64 vkey) { lru_.touch(vkey); }
+  void remove_lru(u64 vkey) { lru_.remove(vkey); }
   bool mru_contains(u64 vkey) const {
     return std::find(mru_.begin(), mru_.end(), vkey) != mru_.end();
   }
@@ -580,7 +643,7 @@ class VkeyTable {
 
   VkeyTableConfig config_;
   std::map<u64, VkeyEntry> entries_;  // ordered: canonical serialization
-  std::list<u64> lru_;                // mapped vkeys, front = most recent
+  Lru lru_;                           // mapped vkeys, front = most recent
   std::vector<u64> mru_;              // pinned cache, front = most recent
   std::vector<u32> pool_;             // free acquired physical keys (stack)
   std::vector<u64> drain_queue_;      // lazily evicted vkeys, FIFO
@@ -589,5 +652,7 @@ class VkeyTable {
   u64 next_vkey_ = kVkeyBase;
   VkeyStats stats_;
 };
+
+using VkeyTable = BasicVkeyTable<VkeyLru>;
 
 }  // namespace sealpk::mpk

@@ -72,7 +72,7 @@ class FrameAllocator {
     const u64 end = r.get_u64();
     SEALPK_CHECK_MSG(end == end_, "frame allocator range mismatch");
     allocated_ = r.get_u64();
-    free_.resize(r.get_u64());
+    free_.resize(r.get_count(sizeof(u64)));
     for (u64& ppn : free_) ppn = r.get_u64();
   }
 

@@ -8,9 +8,6 @@
 namespace sealpk::os {
 
 namespace {
-// Bottom of DRAM reserved for the resident kernel footprint; frames above
-// it are handed to processes and page tables.
-constexpr u64 kKernelReserve = 2 * 1024 * 1024;
 // Magic supervisor entry address (stvec). No guest code lives there: the
 // host run loop takes over whenever the hart lands in S-mode.
 constexpr u64 kStvec = 0x1000;
@@ -21,7 +18,7 @@ constexpr u64 kMaxWriteLen = 1 << 20;
 Kernel::Kernel(core::Hart& hart, KernelConfig config)
     : hart_(hart),
       config_(config),
-      frames_(kKernelReserve, hart.mem().size() - kKernelReserve) {
+      frames_(kReservedBytes, hart.mem().size() - kReservedBytes) {
   hart_.csrs().stvec = kStvec;
   hart_.set_priv(core::Priv::kSupervisor);
   // Keep a live per-thread software shadow of the PKR: every user-mode
@@ -1464,7 +1461,7 @@ void Kernel::load_state(ByteReader& r) {
       proc->keys->load_state(r);
     }
     proc->seal_hw = hw::SealUnit::load_snapshot(r);
-    proc->thread_tids.resize(r.get_u64());
+    proc->thread_tids.resize(r.get_count(sizeof(u32)));
     for (int& tid : proc->thread_tids) tid = static_cast<int>(r.get_u32());
     proc->exited = r.get_bool();
     proc->exit_code = r.get_i64();
@@ -1485,7 +1482,7 @@ void Kernel::load_state(ByteReader& r) {
     threads_.emplace(tid, std::move(th));
   }
 
-  run_queue_.resize(r.get_u64());
+  run_queue_.resize(r.get_count(sizeof(u32)));
   for (int& tid : run_queue_) tid = static_cast<int>(r.get_u32());
   current_tid_ = static_cast<int>(r.get_i64());
   next_pid_ = static_cast<int>(r.get_i64());
@@ -1493,7 +1490,8 @@ void Kernel::load_state(ByteReader& r) {
   frames_.load_state(r);
   admission_error_ = r.get_str();
 
-  faults_.resize(r.get_u64());
+  // pid, tid, cause, addr, pc, pkey_fault, pkey, delivered.
+  faults_.resize(r.get_count(4 + 4 + 1 + 8 + 8 + 1 + 4 + 1));
   for (auto& rec : faults_) {
     rec.pid = static_cast<int>(r.get_u32());
     rec.tid = static_cast<int>(r.get_u32());
@@ -1505,9 +1503,9 @@ void Kernel::load_state(ByteReader& r) {
     rec.delivered = r.get_bool();
   }
   console_ = r.get_str();
-  reports_.resize(r.get_u64());
+  reports_.resize(r.get_count(sizeof(u64)));
   for (u64& rep : reports_) rep = r.get_u64();
-  host_errors_.resize(r.get_u64());
+  host_errors_.resize(r.get_count(sizeof(u64)));  // length prefixes
   for (auto& err : host_errors_) err = r.get_str();
 
   stats_.syscalls = r.get_u64();

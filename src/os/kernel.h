@@ -161,6 +161,10 @@ class Kernel {
   // Which subsystem decided to kill a process (routes the kill counter).
   enum class KillOrigin : u8 { kMachineCheck, kWatchdog };
 
+  // Bottom of DRAM reserved for the resident kernel footprint; frames above
+  // it are handed to processes and page tables, so DRAM must be larger.
+  static constexpr u64 kReservedBytes = 2 * 1024 * 1024;
+
   Kernel(core::Hart& hart, KernelConfig config = {});
 
   // Creates a process from a linked image plus its main thread; the first

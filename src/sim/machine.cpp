@@ -36,7 +36,8 @@ void Machine::take_checkpoint() {
     // period. audit() is peek-only, so skipping changes no machine state.
     return;
   }
-  checkpoint_ = snapshot::save(*this);
+  checkpoint_ = snapshot::save_unsealed(*this);
+  checkpoint_sealed_ = false;
   checkpoint_injected_ =
       injector_ != nullptr ? injector_->lifetime_injected() : 0;
   ++checkpoints_;
@@ -45,6 +46,14 @@ void Machine::take_checkpoint() {
                     hart_.cycles(), obs::kNoPkey, checkpoints_,
                     checkpoint_.size());
   }
+}
+
+const std::vector<u8>& Machine::checkpoint_blob() {
+  if (!checkpoint_sealed_ && !checkpoint_.empty()) {
+    snapshot::seal(checkpoint_);
+    checkpoint_sealed_ = true;
+  }
+  return checkpoint_;
 }
 
 bool Machine::request_rollback() {
@@ -69,7 +78,7 @@ void Machine::perform_rollback() {
   rollback_pending_ = false;
   const u64 fired = injector_->lifetime_injected() - checkpoint_injected_;
   try {
-    snapshot::restore(*this, checkpoint_);
+    snapshot::restore(*this, checkpoint_blob());
   } catch (const std::exception& e) {
     // The checkpoint itself failed to restore (should not happen — it was
     // produced by save() on this very machine). The machine may now be torn;

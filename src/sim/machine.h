@@ -169,7 +169,10 @@ class Machine {
   u64 rollbacks() const { return rollbacks_; }
   u64 rollback_failures() const { return rollback_failures_; }
   bool has_checkpoint() const { return !checkpoint_.empty(); }
-  const std::vector<u8>& checkpoint_blob() const { return checkpoint_; }
+  // The last checkpoint as a sealed snapshot, byte-identical to what
+  // snapshot::save() returned when it was taken. Checkpoints are stored
+  // unsealed (most are replaced unread) and sealed here on first use.
+  const std::vector<u8>& checkpoint_blob();
 
  private:
   // The kernel's config is derived from ours: the CAM-refill fault hooks
@@ -212,6 +215,7 @@ class Machine {
   RunLoopState runloop_;
 
   std::vector<u8> checkpoint_;     // last known-good snapshot (empty = none)
+  bool checkpoint_sealed_ = false; // checkpoint_'s checksum is written
   u64 checkpoint_injected_ = 0;    // injector lifetime count at checkpoint
   u64 checkpoints_ = 0;
   u64 rollbacks_ = 0;

@@ -12,6 +12,10 @@ namespace sealpk::snapshot {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'P', 'K', 'S', 'N', 'A', 'P', '1'};
+// Header: magic | u32 version | u64 payload_len | u64 checksum.
+constexpr size_t kPayloadLenAt = sizeof(kMagic) + 4;
+constexpr size_t kChecksumAt = kPayloadLenAt + 8;
+constexpr size_t kHeader = kChecksumAt + 8;
 
 constexpr u32 fourcc(char a, char b, char c, char d) {
   return static_cast<u32>(static_cast<u8>(a)) |
@@ -141,6 +145,38 @@ sim::MachineConfig load_config(ByteReader& r, u32 version) {
   return cfg;
 }
 
+// config_from hands its result to a Machine constructor, so a decoded
+// config must describe a machine that can be built, without unbounded
+// allocation: a value no real config carries is refused here.
+constexpr u64 kMaxTlbEntries = 1 << 16;
+
+bool valid_rate(double rate) {
+  // schedule_next converts 1/rate to u64, which must not overflow.
+  return rate == 0.0 || (rate > 0.0 && rate <= 1.0 && 1.0 / rate < 0x1p64);
+}
+
+void check_buildable(const sim::MachineConfig& cfg) {
+  if (cfg.hart.flavor != core::IsaFlavor::kSealPk &&
+      cfg.hart.flavor != core::IsaFlavor::kIntelMpkCompat) {
+    fail("snapshot config names an unknown ISA flavour");
+  }
+  for (const size_t n : {cfg.hart.dtlb_entries, cfg.hart.itlb_entries}) {
+    if (n == 0 || n > kMaxTlbEntries) {
+      fail("snapshot config has a TLB of " + std::to_string(n) +
+           " entries");
+    }
+  }
+  if (cfg.mem_bytes % mem::kPageSize != 0 ||
+      cfg.mem_bytes <= os::Kernel::kReservedBytes) {
+    fail("snapshot config has DRAM of " + std::to_string(cfg.mem_bytes) +
+         " bytes");
+  }
+  if (!valid_rate(cfg.fault_plan.rate) ||
+      !valid_rate(cfg.fault_plan.cam_rate)) {
+    fail("snapshot config has a fault rate outside [0, 1]");
+  }
+}
+
 // --- hart --------------------------------------------------------------------
 
 void save_hart(ByteWriter& w, core::Hart& hart) {
@@ -220,10 +256,15 @@ void load_runloop(ByteReader& r, sim::Machine::RunLoopState& rl) {
 
 // --- section plumbing --------------------------------------------------------
 
-void append_section(ByteWriter& payload, u32 cc, ByteWriter&& body) {
-  payload.put_u32(cc);
-  payload.put_u64(body.size());
-  payload.put_bytes(body.buffer().data(), body.size());
+// Appends `fourcc | u64 len | body`, the body written in place by
+// `write_body` and its length patched in afterwards.
+template <typename WriteBody>
+void put_section(ByteWriter& out, u32 cc, WriteBody&& write_body) {
+  out.put_u32(cc);
+  const size_t len_at = out.size();
+  out.put_u64(0);
+  write_body(out);
+  out.patch_u64(len_at, out.size() - len_at - 8);
 }
 
 struct Section {
@@ -241,7 +282,6 @@ struct Section {
 // accordingly.
 std::vector<Section> parse(const std::vector<u8>& blob,
                            u32* version_out = nullptr) {
-  constexpr size_t kHeader = sizeof(kMagic) + 4 + 8 + 8;
   if (blob.size() < kHeader) fail("snapshot too short for header");
   ByteReader hdr(blob);
   char magic[8];
@@ -276,8 +316,7 @@ std::vector<Section> parse(const std::vector<u8>& blob,
     sec.len = r.get_u64();
     if (sec.len > r.remaining()) fail("section overruns payload");
     sec.data = payload + r.position();
-    std::vector<u8> skip(static_cast<size_t>(sec.len));
-    r.get_bytes(skip.data(), skip.size());
+    r.skip(sec.len);
     sections.push_back(sec);
   }
   return sections;
@@ -298,76 +337,57 @@ const Section& need(const std::vector<Section>& sections, u32 cc) {
 
 }  // namespace
 
-std::vector<u8> save(sim::Machine& machine) {
-  ByteWriter payload;
-  {
-    ByteWriter body;
-    save_config(body, machine.config());
-    append_section(payload, kSecConfig, std::move(body));
-  }
-  {
-    ByteWriter body;
-    save_hart(body, machine.hart());
-    append_section(payload, kSecHart, std::move(body));
-  }
-  {
-    ByteWriter body;
-    machine.hart().pkr().save_state(body);
-    append_section(payload, kSecPkr, std::move(body));
-  }
-  {
-    ByteWriter body;
-    machine.hart().seal_unit().save_state(body);
-    append_section(payload, kSecSeal, std::move(body));
-  }
-  {
-    ByteWriter body;
-    body.put_u32(machine.hart().pkru().value());
-    append_section(payload, kSecPkru, std::move(body));
-  }
-  {
-    ByteWriter body;
-    machine.hart().dtlb().save_state(body);
-    append_section(payload, kSecDtlb, std::move(body));
-  }
-  {
-    ByteWriter body;
-    machine.hart().itlb().save_state(body);
-    append_section(payload, kSecItlb, std::move(body));
-  }
-  {
-    ByteWriter body;
-    machine.mem().save_state(body);
-    append_section(payload, kSecMem, std::move(body));
-  }
-  {
-    ByteWriter body;
-    machine.kernel().save_state(body);
-    append_section(payload, kSecKernel, std::move(body));
-  }
-  {
-    ByteWriter body;
-    save_runloop(body, machine.runloop());
-    append_section(payload, kSecRunLoop, std::move(body));
-  }
-  {
-    ByteWriter body;
-    machine.kernel().save_vkey_state(body);
-    append_section(payload, kSecVkey, std::move(body));
-  }
-  if (machine.injector() != nullptr) {
-    ByteWriter body;
-    machine.injector()->save_state(body);
-    append_section(payload, kSecInjector, std::move(body));
-  }
-
+std::vector<u8> save_unsealed(sim::Machine& machine) {
   ByteWriter out;
   out.put_bytes(reinterpret_cast<const u8*>(kMagic), sizeof(kMagic));
   out.put_u32(kFormatVersion);
-  out.put_u64(payload.size());
-  out.put_u64(checksum64(payload.buffer()));
-  out.put_bytes(payload.buffer().data(), payload.size());
+  out.put_u64(0);  // payload_len, patched below
+  out.put_u64(0);  // checksum, written by seal()
+  put_section(out, kSecConfig,
+              [&](ByteWriter& w) { save_config(w, machine.config()); });
+  put_section(out, kSecHart,
+              [&](ByteWriter& w) { save_hart(w, machine.hart()); });
+  put_section(out, kSecPkr,
+              [&](ByteWriter& w) { machine.hart().pkr().save_state(w); });
+  put_section(out, kSecSeal, [&](ByteWriter& w) {
+    machine.hart().seal_unit().save_state(w);
+  });
+  put_section(out, kSecPkru, [&](ByteWriter& w) {
+    w.put_u32(machine.hart().pkru().value());
+  });
+  put_section(out, kSecDtlb,
+              [&](ByteWriter& w) { machine.hart().dtlb().save_state(w); });
+  put_section(out, kSecItlb,
+              [&](ByteWriter& w) { machine.hart().itlb().save_state(w); });
+  put_section(out, kSecMem,
+              [&](ByteWriter& w) { machine.mem().save_state(w); });
+  put_section(out, kSecKernel,
+              [&](ByteWriter& w) { machine.kernel().save_state(w); });
+  put_section(out, kSecRunLoop,
+              [&](ByteWriter& w) { save_runloop(w, machine.runloop()); });
+  put_section(out, kSecVkey, [&](ByteWriter& w) {
+    machine.kernel().save_vkey_state(w);
+  });
+  if (machine.injector() != nullptr) {
+    put_section(out, kSecInjector, [&](ByteWriter& w) {
+      machine.injector()->save_state(w);
+    });
+  }
+  out.patch_u64(kPayloadLenAt, out.size() - kHeader);
   return out.take();
+}
+
+void seal(std::vector<u8>& blob) {
+  if (blob.size() < kHeader) fail("snapshot too short for header");
+  // Host order is the little-endian wire order (common/serial.h).
+  const u64 sum = checksum64(blob.data() + kHeader, blob.size() - kHeader);
+  std::memcpy(blob.data() + kChecksumAt, &sum, sizeof(sum));
+}
+
+std::vector<u8> save(sim::Machine& machine) {
+  std::vector<u8> blob = save_unsealed(machine);
+  seal(blob);
+  return blob;
 }
 
 void restore(sim::Machine& machine, const std::vector<u8>& blob) {
@@ -469,7 +489,9 @@ sim::MachineConfig config_from(const std::vector<u8>& blob) {
   const std::vector<Section> sections = parse(blob, &version);
   try {
     ByteReader r = need(sections, kSecConfig).reader();
-    return load_config(r, version);
+    sim::MachineConfig cfg = load_config(r, version);
+    check_buildable(cfg);
+    return cfg;
   } catch (const SnapshotError&) {
     throw;
   } catch (const std::exception& e) {
@@ -480,7 +502,6 @@ sim::MachineConfig config_from(const std::vector<u8>& blob) {
 Info info(const std::vector<u8>& blob) {
   Info out;
   const std::vector<Section> sections = parse(blob);
-  constexpr size_t kHeader = sizeof(kMagic) + 4 + 8 + 8;
   ByteReader hdr(blob.data() + sizeof(kMagic), kHeader - sizeof(kMagic));
   out.version = hdr.get_u32();
   out.payload_len = hdr.get_u64();

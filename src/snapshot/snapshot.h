@@ -53,7 +53,19 @@ class SnapshotError : public std::runtime_error {
 
 // Serializes the machine's complete state. Non-const because component
 // accessors are non-const; the machine is not modified.
+// save(m) is exactly seal(save_unsealed(m)).
 std::vector<u8> save(sim::Machine& machine);
+
+// save() without the checksum: the header's checksum field is left 0, so
+// restore/info/diff reject the blob until seal() writes it. This lets a
+// caller that keeps most of its blobs unread (the machine's periodic
+// checkpoints) skip hashing them.
+std::vector<u8> save_unsealed(sim::Machine& machine);
+
+// Writes the FNV-1a checksum of the payload into the header. The result is
+// byte-identical to what save() returns. Throws SnapshotError if the blob is
+// shorter than a header.
+void seal(std::vector<u8>& blob);
 
 // Restores `blob` into `machine`, which must have been constructed with a
 // config byte-identical to the snapshot's (use config_from). Throws

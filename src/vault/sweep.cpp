@@ -1,6 +1,7 @@
 #include "vault/sweep.h"
 
 #include <algorithm>
+#include <cstring>
 #include <optional>
 #include <ostream>
 #include <set>
@@ -102,12 +103,12 @@ void check_confidentiality(const BuiltVault& built,
     if (len > kMaxScanVma) continue;
     std::vector<u8> buf(len);
     if (!aspace.copy_in(start, buf.data(), len)) continue;
+    const std::vector<ByteRun> runs = nonzero_page_runs(buf.data(), len);
     for (const std::vector<u8>& needle : needles) {
-      const auto it =
-          std::search(buf.begin(), buf.end(), needle.begin(), needle.end());
-      if (it != buf.end()) {
+      const size_t at = find_needle(buf.data(), len, runs, needle);
+      if (at != len) {
         fail("secret bytes outside vault at vaddr=" +
-             std::to_string(start + static_cast<u64>(it - buf.begin())));
+             std::to_string(start + at));
         return;
       }
     }
@@ -282,6 +283,49 @@ std::string compose_canonical(const SweepResult& r) {
 }
 
 }  // namespace
+
+std::vector<ByteRun> nonzero_page_runs(const u8* data, size_t len) {
+  static const u8 kZeroPage[mem::kPageSize] = {};
+  std::vector<ByteRun> runs;
+  for (size_t at = 0; at < len; at += mem::kPageSize) {
+    const size_t n = std::min<size_t>(mem::kPageSize, len - at);
+    if (std::memcmp(data + at, kZeroPage, n) == 0) continue;
+    if (!runs.empty() && runs.back().end == at) {
+      runs.back().end = at + n;
+    } else {
+      runs.push_back({at, at + n});
+    }
+  }
+  return runs;
+}
+
+size_t find_needle(const u8* data, size_t len,
+                   const std::vector<ByteRun>& runs,
+                   const std::vector<u8>& needle) {
+  const auto search = [&](size_t from, size_t to) {
+    return static_cast<size_t>(
+        std::search(data + from, data + to, needle.begin(), needle.end()) -
+        data);
+  };
+  if (std::all_of(needle.begin(), needle.end(),
+                  [](u8 b) { return b == 0; })) {
+    return search(0, len);
+  }
+  // A match holds one of the needle's non-zero bytes, so it starts at most
+  // n-1 bytes before that byte's run and ends at most n-1 bytes after it:
+  // it lies whole inside the run's window widened by n-1 on each side.
+  // Windows are searched in ascending order. Both their starts and their
+  // ends ascend, so a match below the first hit would lie inside an earlier
+  // window or inside the hit's own: the first hit is the lowest offset.
+  const size_t widen = needle.size() - 1;
+  for (const ByteRun& run : runs) {
+    const size_t from = run.start - std::min(run.start, widen);
+    const size_t to = std::min(len, run.end + widen);
+    const size_t at = search(from, to);
+    if (at != to) return at;
+  }
+  return len;
+}
 
 SweepResult run_sweep(const SweepConfig& cfg) {
   SweepResult r;

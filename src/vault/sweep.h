@@ -80,6 +80,27 @@ struct SweepResult {
 
 SweepResult run_sweep(const SweepConfig& cfg);
 
+// --- confidentiality scan (invariant (c); DESIGN.md §14) --------------------
+// A scanned mapping is mostly zero pages, so the scan first finds the byte
+// ranges [start, end) of its maximal runs of pages (4 KiB chunks from the
+// buffer start; the last one may be short) that hold a non-zero byte, in
+// ascending order.
+struct ByteRun {
+  size_t start = 0;
+  size_t end = 0;
+
+  bool operator==(const ByteRun&) const = default;
+};
+std::vector<ByteRun> nonzero_page_runs(const u8* data, size_t len);
+
+// The lowest offset at which `needle` occurs in data[0, len), or len when it
+// does not — the same answer as std::search over the whole buffer. `runs`
+// must be nonzero_page_runs(data, len). A needle with a non-zero byte is
+// only searched for near the runs; an all-zero needle searches everything.
+size_t find_needle(const u8* data, size_t len,
+                   const std::vector<ByteRun>& runs,
+                   const std::vector<u8>& needle);
+
 // Machine-readable verdict for `sealpk-vault sweep --json` (and the CI
 // artifact uploaded on failure).
 void write_sweep_json(std::ostream& os, const SweepConfig& cfg,

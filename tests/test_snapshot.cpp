@@ -4,6 +4,7 @@
 // rejection, and the committed golden-file format-compatibility check.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "guest_test_util.h"
 #include "passes/shadow_stack.h"
 #include "snapshot/snapshot.h"
+#include "snapshot_test_util.h"
 #include "workloads/workload.h"
 
 namespace sealpk {
@@ -65,6 +67,108 @@ TEST(Serial, ReaderRejectsTruncatedStream) {
   EXPECT_THROW(r.get_u8(), CheckError);
 }
 
+// Byte-at-a-time little-endian reference for the word-wise writer.
+std::vector<u8> ref_le(u64 v, unsigned bytes) {
+  std::vector<u8> out;
+  for (unsigned i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<u8>(v >> (8 * i)));
+  }
+  return out;
+}
+
+TEST(Serial, WordWritesMatchByteAtATimeReference) {
+  std::vector<u64> values = {0,          1,           0x80,
+                             0xFF,       0x8000,      0xFFFF,
+                             0x80000000, 0xFFFFFFFF,  u64{1} << 63,
+                             ~u64{0},    0x0123456789ABCDEFull,
+                             std::bit_cast<u64>(-0.0)};
+  Rng rng(2026);
+  for (int i = 0; i < 256; ++i) values.push_back(rng.next());
+  for (const u64 v : values) {
+    ByteWriter w;
+    w.put_u16(static_cast<u16>(v));
+    w.put_u32(static_cast<u32>(v));
+    w.put_u64(v);
+    w.put_i64(static_cast<i64>(v));
+    w.put_f64(std::bit_cast<double>(v));
+    std::vector<u8> want;
+    for (const unsigned bytes : {2u, 4u, 8u, 8u, 8u}) {
+      const std::vector<u8> part = ref_le(v, bytes);
+      want.insert(want.end(), part.begin(), part.end());
+    }
+    ASSERT_EQ(w.buffer(), want) << "value 0x" << std::hex << v;
+
+    ByteReader r(w.buffer());
+    EXPECT_EQ(r.get_u16(), static_cast<u16>(v));
+    EXPECT_EQ(r.get_u32(), static_cast<u32>(v));
+    EXPECT_EQ(r.get_u64(), v);
+    EXPECT_EQ(r.get_i64(), static_cast<i64>(v));
+    EXPECT_EQ(std::bit_cast<u64>(r.get_f64()), v);  // NaN payloads too
+    EXPECT_TRUE(r.done());
+  }
+}
+
+TEST(Serial, BitsetWordsMatchBitAtATimeReference) {
+  using Bits = std::bitset<1024>;
+  std::vector<Bits> patterns(6);
+  patterns[1].set();
+  for (size_t word = 0; word < 16; ++word) patterns[2].set(word * 64 + 63);
+  for (size_t i = 960; i < 1024; ++i) patterns[3].set(i);  // top word only
+  patterns[4].set(1023);
+  patterns[5].set(0);
+  Rng rng(77);
+  for (int i = 0; i < 16; ++i) {
+    Bits bits;
+    for (size_t b = 0; b < 1024; ++b) {
+      if (rng.chance(0.1 * (i % 10))) bits.set(b);
+    }
+    patterns.push_back(bits);
+  }
+  for (const Bits& bits : patterns) {
+    std::vector<u8> want;
+    for (size_t word = 0; word < 16; ++word) {
+      u64 w = 0;
+      for (size_t i = 0; i < 64; ++i) {
+        if (bits[word * 64 + i]) w |= u64{1} << i;
+      }
+      const std::vector<u8> part = ref_le(w, 8);
+      want.insert(want.end(), part.begin(), part.end());
+    }
+    ByteWriter w;
+    w.put_bitset(bits);
+    ASSERT_EQ(w.buffer(), want) << bits;
+    ByteReader r(w.buffer());
+    EXPECT_EQ(r.get_bitset<1024>(), bits);
+    EXPECT_TRUE(r.done());
+  }
+}
+
+TEST(Serial, CountTheStreamCannotHoldIsRejected) {
+  ByteWriter w;
+  w.put_u64(3);
+  for (u64 i = 0; i < 3; ++i) w.put_u64(i);
+  {
+    ByteReader r(w.buffer());
+    EXPECT_EQ(r.get_count(8), 3u);  // exactly fits
+  }
+  {
+    ByteReader r(w.buffer());
+    EXPECT_THROW(r.get_count(9), CheckError);
+  }
+  ByteWriter big;
+  big.put_u64(u64{1} << 28);
+  big.put_u64(0);
+  ByteReader r(big.buffer());
+  try {
+    r.get_count(8);
+    ADD_FAILURE() << "count 2^28 accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("count 268435456"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Rng, StateRoundTripResumesIdentically) {
   Rng a(1234);
   for (int i = 0; i < 100; ++i) a.next();
@@ -85,6 +189,37 @@ TEST(Checksum, MatchesKnownFnv1aVector) {
   Checksum64 inc;
   inc.update(&a, 1);
   EXPECT_EQ(inc.value(), 0xAF63DC4C8601EC8Cull);
+}
+
+TEST(Checksum, ZeroWordShortcutMatchesByteAtATime) {
+  const auto reference = [](const std::vector<u8>& bytes, size_t from,
+                            size_t len) {
+    u64 h = Checksum64::kOffsetBasis;
+    for (size_t i = from; i < from + len; ++i) {
+      h ^= bytes[i];
+      h *= Checksum64::kPrime;
+    }
+    return h;
+  };
+  Rng rng(64);
+  for (int iter = 0; iter < 300; ++iter) {
+    std::vector<u8> bytes(rng.range(1, 700));
+    // Sparse: zero runs of every length and alignment between the bytes.
+    for (u64 k = rng.below(12); k > 0; --k) {
+      bytes[rng.below(bytes.size())] = static_cast<u8>(rng.range(1, 255));
+    }
+    const size_t from = rng.below(std::min<size_t>(bytes.size(), 9));
+    const size_t len = bytes.size() - from;
+    ASSERT_EQ(checksum64(bytes.data() + from, len),
+              reference(bytes, from, len))
+        << "iter " << iter;
+    // Split updates continue the same state.
+    Checksum64 split;
+    const size_t cut = rng.below(len + 1);
+    split.update(bytes.data() + from, cut);
+    split.update(bytes.data() + from + cut, len - cut);
+    ASSERT_EQ(split.value(), reference(bytes, from, len)) << "iter " << iter;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -469,6 +604,114 @@ TEST(Rollback, CorruptionInFlightAtCheckpointTimeKeepsPreviousKnownGood) {
   EXPECT_EQ(machine.exit_code(pid), clean.exit_code);
   EXPECT_EQ(machine.kernel().console(), clean.console);
   EXPECT_EQ(machine.kernel().reports(), clean.reports);
+}
+
+// ---------------------------------------------------------------------------
+// Unsealed saves and lazily sealed checkpoints.
+// ---------------------------------------------------------------------------
+
+TEST(LazySeal, SaveIsSealOfSaveUnsealed) {
+  const auto m = testutil::mid_run_vault_machine();
+  ASSERT_NE(m, nullptr);
+  std::vector<u8> blob = snapshot::save_unsealed(*m);
+  EXPECT_THROW(snapshot::info(blob), snapshot::SnapshotError);
+  snapshot::seal(blob);
+  EXPECT_EQ(blob, snapshot::save(*m));
+  std::vector<u8> stub(5);
+  EXPECT_THROW(snapshot::seal(stub), snapshot::SnapshotError);
+}
+
+TEST(LazySeal, CheckpointBlobEqualsSaveAtTheCheckpointInstret) {
+  const auto m = testutil::mid_run_vault_machine();
+  ASSERT_NE(m, nullptr);
+  ASSERT_TRUE(m->has_checkpoint());
+  const std::vector<u8> blob = m->checkpoint_blob();
+  const snapshot::Info info = snapshot::info(blob);  // sealed: header valid
+  EXPECT_GT(info.instret, 0u);
+  EXPECT_LE(info.instret, testutil::kVaultMidRun);
+  EXPECT_EQ(m->checkpoint_blob(), blob);  // sealing happens once
+
+  // A second machine run to the same instret saves the same bytes. The
+  // checkpointing machine had already moved its schedule on when it saved.
+  sim::Machine straight(testutil::vault_config());
+  ASSERT_GE(straight.load(testutil::vault_image()), 0);
+  straight.run(info.instret);
+  ASSERT_EQ(straight.hart().instret(), info.instret);
+  straight.runloop().next_checkpoint =
+      info.instret + testutil::kVaultCheckpointInterval;
+  EXPECT_EQ(snapshot::save(straight), blob);
+
+  // And the blob restores and re-saves canonically.
+  sim::Machine restored(snapshot::config_from(blob));
+  snapshot::restore(restored, blob);
+  EXPECT_EQ(snapshot::save(restored), blob);
+}
+
+TEST(LazySeal, CheckpointEventCarriesTheSealedSize) {
+  sim::MachineConfig config = testutil::vault_config();
+  config.trace.enabled = true;
+  const auto m = testutil::mid_run_vault_machine(config);
+  ASSERT_NE(m, nullptr);
+  ASSERT_NE(m->recorder(), nullptr);
+  const obs::Event* last = nullptr;
+  for (const obs::Event& e : m->recorder()->events()) {
+    if (e.kind == obs::EventKind::kCheckpoint) last = &e;
+  }
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->arg0, m->checkpoints_taken());
+  const std::vector<u8>& blob = m->checkpoint_blob();
+  EXPECT_EQ(last->arg1, blob.size());
+  EXPECT_EQ(snapshot::info(blob).payload_len + testutil::kSnapshotHeader,
+            blob.size());
+}
+
+// ---------------------------------------------------------------------------
+// Bounded decoding: a corrupt count is refused before it allocates.
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotValidation, OverLongCountIsRejectedBeforeAllocating) {
+  const auto m = testutil::mid_run_vkey_machine();
+  ASSERT_NE(m, nullptr);
+  const mpk::VkeyTable* table = m->kernel().process(1).vkeys.get();
+  ASSERT_NE(table, nullptr);
+  ASSERT_FALSE(table->entries().empty());
+  std::vector<u8> blob = snapshot::save(*m);
+  const auto vkey = testutil::section_named(blob, "VKEY");
+  ASSERT_TRUE(vkey.has_value());
+  // VKEY body: process count, pid, has-table, then the table: mru_slots,
+  // lazy_sync, next_vkey, park key, entry count, and the first entry's
+  // vkey, state, perm, phys and pages ahead of its group count.
+  const size_t groups_at =
+      vkey->body + (8 + 4 + 1) + (4 + 1 + 8 + 4 + 8) + (8 + 1 + 1 + 4 + 8);
+  ASSERT_EQ(testutil::load_le64(blob, groups_at),
+            table->entries().begin()->second.groups.size());
+  testutil::store_le64(blob, groups_at, u64{1} << 28);
+  snapshot::seal(blob);
+
+  sim::Machine target(snapshot::config_from(blob));
+  try {
+    snapshot::restore(target, blob);
+    ADD_FAILURE() << "over-long group count restored";
+  } catch (const snapshot::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("count 268435456"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SnapshotValidation, ConfigFromRefusesUnbuildableMachines) {
+  const std::vector<u8> good = small_snapshot();
+  const auto cfg = testutil::section_named(good, "CFG");
+  ASSERT_TRUE(cfg.has_value());
+  // CFG body: flavour byte, then dtlb_entries.
+  std::vector<u8> bad = good;
+  testutil::store_le64(bad, cfg->body + 1, u64{1} << 40);
+  snapshot::seal(bad);
+  EXPECT_THROW(snapshot::config_from(bad), snapshot::SnapshotError);
+  bad = good;
+  bad[cfg->body] = 0x7F;
+  snapshot::seal(bad);
+  EXPECT_THROW(snapshot::config_from(bad), snapshot::SnapshotError);
 }
 
 // ---------------------------------------------------------------------------

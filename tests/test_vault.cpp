@@ -5,9 +5,11 @@
 // vault-fault detection, and a down-scaled crash-anywhere sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "fault/fault.h"
 #include "isa/program.h"
 #include "os/syscall_abi.h"
@@ -562,6 +564,117 @@ TEST(VaultWorkload, RunOncePrimitiveMatchesOracleAndTraces) {
     }
   }
   EXPECT_EQ(txns, commits);
+}
+
+// ---------------------------------------------------------------------------
+// Confidentiality scan: the zero-page-skipping search finds exactly what a
+// full std::search finds.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kPage = 4096;
+
+size_t full_search(const std::vector<u8>& buf, const std::vector<u8>& needle) {
+  return static_cast<size_t>(
+      std::search(buf.begin(), buf.end(), needle.begin(), needle.end()) -
+      buf.begin());
+}
+
+size_t scan(const std::vector<u8>& buf, const std::vector<u8>& needle) {
+  return vault::find_needle(buf.data(), buf.size(),
+                            vault::nonzero_page_runs(buf.data(), buf.size()),
+                            needle);
+}
+
+void put(std::vector<u8>& buf, size_t at, const std::vector<u8>& bytes) {
+  std::copy(bytes.begin(), bytes.end(), buf.begin() + static_cast<i64>(at));
+}
+
+TEST(VaultScan, RunsCoverExactlyTheNonZeroPages) {
+  std::vector<u8> buf(5 * kPage + 100);
+  buf[kPage + 7] = 1;
+  buf[2 * kPage] = 2;
+  buf[5 * kPage + 99] = 3;  // short last page
+  using Run = vault::ByteRun;
+  EXPECT_EQ(vault::nonzero_page_runs(buf.data(), buf.size()),
+            (std::vector<Run>{{kPage, 3 * kPage},
+                              {5 * kPage, 5 * kPage + 100}}));
+  // A prefix ending inside a page keeps that page's short chunk.
+  EXPECT_EQ(vault::nonzero_page_runs(buf.data(), 2 * kPage + 1),
+            (std::vector<Run>{{kPage, 2 * kPage + 1}}));
+  EXPECT_TRUE(vault::nonzero_page_runs(buf.data(), kPage).empty());
+}
+
+TEST(VaultScan, NeedleStraddlingAZeroPageIsFound) {
+  // Leading zeros in a zero page, tail in the next, non-zero page.
+  const std::vector<u8> lead = {0, 0, 0, 0, 0, 0xA1, 0xA2, 0xA3};
+  std::vector<u8> buf(4 * kPage);
+  put(buf, 2 * kPage - 5, lead);
+  ASSERT_EQ(full_search(buf, lead), 2 * kPage - 5);
+  EXPECT_EQ(scan(buf, lead), 2 * kPage - 5);
+
+  // Non-zero head in a non-zero page, trailing zeros in the next, zero page.
+  const std::vector<u8> trail = {0xB1, 0xB2, 0xB3, 0, 0, 0, 0, 0};
+  std::vector<u8> buf2(4 * kPage);
+  put(buf2, 2 * kPage - 3, trail);
+  ASSERT_EQ(full_search(buf2, trail), 2 * kPage - 3);
+  EXPECT_EQ(scan(buf2, trail), 2 * kPage - 3);
+}
+
+TEST(VaultScan, NeedleAtTheFirstAndLastByte) {
+  const std::vector<u8> needle = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  std::vector<u8> buf(3 * kPage + 17);  // not a page multiple
+  put(buf, buf.size() - needle.size(), needle);
+  EXPECT_EQ(scan(buf, needle), buf.size() - needle.size());
+  put(buf, 0, needle);
+  EXPECT_EQ(scan(buf, needle), 0u);
+  // A needle one byte longer than what is left never matches.
+  std::vector<u8> tail(buf.end() - 8, buf.end());
+  tail.push_back(0);
+  EXPECT_EQ(scan(buf, tail), full_search(buf, tail));
+}
+
+TEST(VaultScan, AllZeroNeedleSearchesTheWholeBuffer) {
+  const std::vector<u8> zeros(8, 0);
+  std::vector<u8> buf(2 * kPage + 9, 0xEE);
+  EXPECT_EQ(scan(buf, zeros), buf.size());  // no zero run at all
+  buf[kPage + 100] = 0;
+  std::fill(buf.begin() + kPage + 200, buf.begin() + kPage + 208, 0);
+  EXPECT_EQ(scan(buf, zeros), kPage + 200);
+  std::vector<u8> sparse(3 * kPage);
+  sparse[0] = 1;
+  EXPECT_EQ(scan(sparse, zeros), 1u);
+}
+
+TEST(VaultScan, MatchesStdSearchOnRandomSparseBuffers) {
+  Rng rng(20261017);
+  for (int iter = 0; iter < 400; ++iter) {
+    std::vector<u8> buf(rng.range(1, 9 * kPage));
+    // A few non-zero pages, each with a handful of bytes drawn from a small
+    // alphabet so needles recur.
+    const u64 dirty = rng.below(4);
+    for (u64 d = 0; d < dirty; ++d) {
+      const size_t page = rng.below((buf.size() + kPage - 1) / kPage);
+      for (u64 k = rng.range(1, 24); k > 0; --k) {
+        const size_t at = page * kPage + rng.below(kPage);
+        if (at < buf.size()) buf[at] = static_cast<u8>(rng.range(1, 3));
+      }
+    }
+    // Needles: copied from the buffer (a hit), or random over the alphabet
+    // including zeros.
+    for (int n = 0; n < 6; ++n) {
+      const size_t len = rng.range(8, 16);
+      std::vector<u8> needle(len);
+      if (n % 2 == 0 && buf.size() >= len) {
+        const size_t at = rng.below(buf.size() - len + 1);
+        std::copy(buf.begin() + static_cast<i64>(at),
+                  buf.begin() + static_cast<i64>(at + len), needle.begin());
+      } else {
+        for (u8& b : needle) b = static_cast<u8>(rng.below(3));
+      }
+      ASSERT_EQ(scan(buf, needle), full_search(buf, needle))
+          << "iter " << iter << " len " << buf.size();
+    }
+  }
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 // through the machine auditor.
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/serial.h"
 #include "fault/auditor.h"
 #include "fault/fault.h"
@@ -363,6 +367,186 @@ TEST(VkeyTable, SaveLoadRoundTripIsBitIdentical) {
   table.save_state(wa);
   restored.save_state(wb);
   EXPECT_EQ(wa.buffer(), wb.buffer());
+}
+
+// ---------------------------------------------------------------------------
+// The O(1) LRU index against the list search it replaced: same decisions,
+// same serialized bytes, op for op.
+// ---------------------------------------------------------------------------
+
+// The table's former LRU container: a list searched with std::find on every
+// touch and removal.
+class FindLru {
+ public:
+  size_t size() const { return order_.size(); }
+  bool empty() const { return order_.empty(); }
+  u64 back() const { return order_.back(); }
+  auto begin() const { return order_.begin(); }
+  auto end() const { return order_.end(); }
+  auto rbegin() const { return order_.rbegin(); }
+  auto rend() const { return order_.rend(); }
+  bool contains(u64 vkey) const {
+    return std::find(order_.begin(), order_.end(), vkey) != order_.end();
+  }
+  void push_front(u64 vkey) { order_.push_front(vkey); }
+  void push_back(u64 vkey) { order_.push_back(vkey); }
+  void touch(u64 vkey) {
+    remove(vkey);
+    order_.push_front(vkey);
+  }
+  void remove(u64 vkey) {
+    const auto it = std::find(order_.begin(), order_.end(), vkey);
+    SEALPK_CHECK(it != order_.end());
+    order_.erase(it);
+  }
+  void clear() { order_.clear(); }
+
+ private:
+  std::list<u64> order_;
+};
+
+template <typename Table>
+std::vector<u8> table_state(const Table& table) {
+  ByteWriter w;
+  table.save_state(w);
+  return w.take();
+}
+
+// A table plus the mock kernel it drives.
+template <typename Lru>
+struct Side {
+  Side(mpk::VkeyTableConfig config, u32 keys)
+      : table(std::make_unique<mpk::BasicVkeyTable<Lru>>(config)),
+        ops(keys) {}
+
+  // save_state -> load_state into a fresh table, as a snapshot restore does.
+  void round_trip() {
+    const std::vector<u8> bytes = table_state(*table);
+    table = std::make_unique<mpk::BasicVkeyTable<Lru>>();
+    ByteReader r(bytes);
+    table->load_state(r);
+    EXPECT_TRUE(r.done());
+  }
+
+  std::unique_ptr<mpk::BasicVkeyTable<Lru>> table;
+  MockOps ops;
+};
+
+void run_against_reference(u32 keys, u64 live_target, bool lazy, u64 seed) {
+  const mpk::VkeyTableConfig config{.mru_slots = 4, .lazy_sync = lazy};
+  Side<mpk::VkeyLru> fast(config, keys);
+  Side<FindLru> ref(config, keys);
+  Rng rng(seed);
+  std::vector<u64> live;
+  std::map<u64, u64> next_page;  // per-vkey group placement
+  constexpr int kOps = 2'500;
+  for (int op = 0; op < kOps; ++op) {
+    if (op == kOps / 2) {
+      fast.round_trip();
+      ref.round_trip();
+      ASSERT_EQ(table_state(*fast.table), table_state(*ref.table));
+    }
+    const u64 roll = rng.below(100);
+    i64 a = 0;
+    i64 b = 0;
+    if (live.empty() || (live.size() < live_target && roll < 30)) {
+      const u8 perm = static_cast<u8>(rng.below(4));
+      a = fast.table->alloc(0, perm);
+      b = ref.table->alloc(0, perm);
+      if (a > 0) live.push_back(static_cast<u64>(a));
+    } else {
+      const size_t pick = rng.below(live.size());
+      const u64 vkey = live[pick];
+      if (roll < 75) {
+        const u8 perm = static_cast<u8>(rng.below(4));
+        a = fast.table->set(fast.ops, vkey, perm);
+        b = ref.table->set(ref.ops, vkey, perm);
+      } else if (roll < 90) {
+        const u64 addr = (vkey << 20) + 4096 * next_page[vkey]++;
+        const u64 len = 4096 * rng.range(1, 3);
+        a = fast.table->mprotect(fast.ops, addr, len, 3, vkey);
+        b = ref.table->mprotect(ref.ops, addr, len, 3, vkey);
+      } else {
+        a = fast.table->free_vkey(fast.ops, vkey);
+        b = ref.table->free_vkey(ref.ops, vkey);
+        live[pick] = live.back();
+        live.pop_back();
+      }
+    }
+    ASSERT_EQ(a, b) << "op " << op;
+    ASSERT_EQ(table_state(*fast.table), table_state(*ref.table))
+        << "op " << op;
+  }
+  EXPECT_EQ(fast.ops.perm_writes, ref.ops.perm_writes);
+  EXPECT_EQ(fast.ops.evicts, ref.ops.evicts);
+  EXPECT_EQ(fast.ops.syncs, ref.ops.syncs);
+  EXPECT_EQ(fast.ops.flushes, ref.ops.flushes);
+  // The sequence really churned: keys ran out and mappings were evicted.
+  if (live_target > keys) {
+    EXPECT_GT(fast.table->stats().evictions, 0u);
+  }
+}
+
+TEST(VkeyLruIndex, MatchesListSearchReferenceEagerAndLazy) {
+  constexpr u32 kKeys = 16;
+  for (const bool lazy : {false, true}) {
+    for (u64 mult = 1; mult <= 6; ++mult) {
+      SCOPED_TRACE(::testing::Message()
+                   << (lazy ? "lazy" : "eager") << " x" << mult);
+      run_against_reference(kKeys, mult * kKeys, lazy, 100 * mult + lazy);
+    }
+  }
+}
+
+// A hand-built VKEY table stream: vkeys base+0 and base+1 mapped (keys 2
+// and 3), base+2 unmapped, with the given LRU list.
+std::vector<u8> table_stream(const std::vector<u64>& lru) {
+  ByteWriter w;
+  w.put_u32(8);                     // mru_slots
+  w.put_bool(false);                // lazy_sync
+  w.put_u64(mpk::kVkeyBase + 3);    // next_vkey
+  w.put_u32(1);                     // park key
+  w.put_u64(3);
+  for (u64 i = 0; i < 3; ++i) {
+    w.put_u64(mpk::kVkeyBase + i);
+    w.put_u8(static_cast<u8>(i < 2 ? mpk::VkeyState::kMapped
+                                   : mpk::VkeyState::kUnmapped));
+    w.put_u8(0);                      // perm
+    w.put_u32(i < 2 ? 2 + i : 0);     // phys
+    w.put_u64(0);                     // pages
+    w.put_u64(0);                     // groups
+  }
+  w.put_u64(lru.size());
+  for (const u64 vkey : lru) w.put_u64(vkey);
+  for (int list = 0; list < 4; ++list) w.put_u64(0);  // mru, pool, drain, acq
+  for (int stat = 0; stat < 12; ++stat) w.put_u64(0);
+  return w.take();
+}
+
+std::string load_error(const std::vector<u64>& lru) {
+  mpk::VkeyTable table;
+  const std::vector<u8> bytes = table_stream(lru);
+  ByteReader r(bytes);
+  try {
+    table.load_state(r);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  EXPECT_EQ(table_state(table), bytes);
+  return "";
+}
+
+TEST(VkeyLruIndex, LoadRejectsAnInconsistentLru) {
+  const u64 base = mpk::kVkeyBase;
+  EXPECT_EQ(load_error({base + 1, base}), "");
+  EXPECT_NE(load_error({base, base}).find("repeats vkey"), std::string::npos);
+  EXPECT_NE(load_error({base + 2}).find("not mapped"), std::string::npos);
+  EXPECT_NE(load_error({base + 9}).find("not mapped"), std::string::npos);
+  // A count the stream cannot hold never reaches the loop.
+  std::vector<u8> bytes = table_stream({base});
+  mpk::VkeyTable table;
+  ByteReader r(bytes.data(), bytes.size() - 12 * 8 - 4 * 8 - 8);
+  EXPECT_THROW(table.load_state(r), CheckError);
 }
 
 // ---------------------------------------------------------------------------
