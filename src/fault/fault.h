@@ -80,6 +80,12 @@ struct FaultPlan {
   bool has(FaultKind kind) const { return (kinds & kind_bit(kind)) != 0; }
 };
 
+// A rate (FaultPlan::rate or cam_rate) a machine can be built with.
+inline bool valid_rate(double rate) {
+  // schedule_next converts 1/rate to u64, which must not overflow.
+  return rate == 0.0 || (rate > 0.0 && rate <= 1.0 && 1.0 / rate < 0x1p64);
+}
+
 struct FaultEvent {
   FaultKind kind = FaultKind::kPkrBitFlip;
   u64 instret = 0;   // retirement count at injection time

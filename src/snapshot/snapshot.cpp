@@ -150,11 +150,6 @@ sim::MachineConfig load_config(ByteReader& r, u32 version) {
 // allocation: a value no real config carries is refused here.
 constexpr u64 kMaxTlbEntries = 1 << 16;
 
-bool valid_rate(double rate) {
-  // schedule_next converts 1/rate to u64, which must not overflow.
-  return rate == 0.0 || (rate > 0.0 && rate <= 1.0 && 1.0 / rate < 0x1p64);
-}
-
 void check_buildable(const sim::MachineConfig& cfg) {
   if (cfg.hart.flavor != core::IsaFlavor::kSealPk &&
       cfg.hart.flavor != core::IsaFlavor::kIntelMpkCompat) {
@@ -171,8 +166,8 @@ void check_buildable(const sim::MachineConfig& cfg) {
     fail("snapshot config has DRAM of " + std::to_string(cfg.mem_bytes) +
          " bytes");
   }
-  if (!valid_rate(cfg.fault_plan.rate) ||
-      !valid_rate(cfg.fault_plan.cam_rate)) {
+  if (!fault::valid_rate(cfg.fault_plan.rate) ||
+      !fault::valid_rate(cfg.fault_plan.cam_rate)) {
     fail("snapshot config has a fault rate outside [0, 1]");
   }
 }

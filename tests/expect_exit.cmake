@@ -1,0 +1,25 @@
+# Runs a command and fails unless it exits with exactly EXPECT. With
+# NO_FILE set, also fails if the command left that file behind.
+#
+#   cmake -DEXPECT=2 [-DNO_FILE=<path>] -P expect_exit.cmake <command> <args>...
+set(cmd "")
+set(seen_script FALSE)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(seen_script)
+    list(APPEND cmd "${CMAKE_ARGV${i}}")
+  elseif(CMAKE_ARGV${i} MATCHES "expect_exit\\.cmake$")
+    set(seen_script TRUE)
+  endif()
+endforeach()
+if(NO_FILE)
+  file(REMOVE "${NO_FILE}")
+endif()
+execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_QUIET
+                ERROR_VARIABLE err)
+if(NOT rc STREQUAL "${EXPECT}")
+  message(FATAL_ERROR "exit status ${rc}, expected ${EXPECT}: ${cmd}\n${err}")
+endif()
+if(NO_FILE AND EXISTS "${NO_FILE}")
+  message(FATAL_ERROR "${cmd} wrote ${NO_FILE}")
+endif()

@@ -39,16 +39,14 @@
 //   sealpk-chaos --list
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
+#include "common/json.h"
 #include "fleet/engine.h"
 #include "fleet/report.h"
-#include "passes/shadow_stack.h"
 #include "sim/machine.h"
 #include "workloads/workload.h"
 
@@ -57,53 +55,14 @@ using namespace sealpk;
 namespace {
 
 struct CliOptions {
-  bool all = false;
-  bool list = false;
+  cli::WorkloadPick workloads;
   bool quiet = false;
-  bool perm_seal = false;
-  bool rollback = false;
-  bool no_pkr_save = false;
   unsigned threads = 1;
-  u64 ckpt_interval = 0;  // 0 = default (when --rollback) or off
-  u64 max_rollbacks = 3;
   std::string json_path;
-  passes::ShadowStackKind ss = passes::ShadowStackKind::kNone;
-  std::vector<std::string> names;
+  cli::ShadowStack ss;
   fault::FaultPlan plan;
+  cli::Rollback rollback;
 };
-
-bool parse_ss_kind(const std::string& text, passes::ShadowStackKind* out) {
-  if (text == "none") *out = passes::ShadowStackKind::kNone;
-  else if (text == "inline") *out = passes::ShadowStackKind::kInline;
-  else if (text == "func") *out = passes::ShadowStackKind::kFunc;
-  else if (text == "sealpk-wr") *out = passes::ShadowStackKind::kSealPkWr;
-  else if (text == "sealpk-rdwr") *out = passes::ShadowStackKind::kSealPkRdWr;
-  else if (text == "mprotect") *out = passes::ShadowStackKind::kMprotect;
-  else return false;
-  return true;
-}
-
-// Comma-separated fault-kind mask: pkr,tlb,pte,cam-drop,cam-dup,trap,all.
-bool parse_kinds(const std::string& text, u32* out) {
-  u32 mask = 0;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item == "all") mask |= fault::kAllFaultKinds;
-    else if (item == "pkr") mask |= kind_bit(fault::FaultKind::kPkrBitFlip);
-    else if (item == "tlb") mask |= kind_bit(fault::FaultKind::kTlbCorrupt);
-    else if (item == "pte") mask |= kind_bit(fault::FaultKind::kPteCorrupt);
-    else if (item == "cam-drop")
-      mask |= kind_bit(fault::FaultKind::kCamDropRefill);
-    else if (item == "cam-dup")
-      mask |= kind_bit(fault::FaultKind::kCamDupRefill);
-    else if (item == "trap") mask |= kind_bit(fault::FaultKind::kSpuriousTrap);
-    else return false;
-  }
-  if (mask == 0) return false;
-  *out = mask;
-  return true;
-}
 
 const char* resolution_name(fault::FaultResolution r) {
   switch (r) {
@@ -115,74 +74,16 @@ const char* resolution_name(fault::FaultResolution r) {
   return "unknown";
 }
 
-// The one source of truth for fault-kind spellings: parse_kinds accepts
-// exactly these names, `--kinds` without an argument and `--help` print
-// them, so the list can never drift from the parser.
-constexpr const char* kKindNames[] = {"pkr",      "tlb",     "pte", "cam-drop",
-                                      "cam-dup", "trap",    "all"};
-
-void print_kind_names(std::FILE* out) {
-  std::fprintf(out, "fault kinds:");
-  for (const char* name : kKindNames) std::fprintf(out, " %s", name);
-  std::fprintf(out, "\n");
-}
-
-int print_usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: sealpk-chaos [--all | <workload>...] [--list] [-q] [--help]\n"
-      "                    [--threads=<n>]\n"
-      "                    [--chaos-seed=<n>] [--chaos-rate=<p>]\n"
-      "                    [--cam-rate=<p>] [--max-faults=<n>]\n"
-      "                    [--kinds=<kind>[,<kind>...]] [--kinds]\n"
-      "                    [--rollback] [--ckpt-interval=<n>]\n"
-      "                    [--max-rollbacks=<n>] [--no-pkr-save]\n"
-      "                    [--json=<path>]\n"
-      "                    [--ss=none|inline|func|sealpk-wr|sealpk-rdwr|"
-      "mprotect] [--seal]\n");
-  print_kind_names(out);
-  return out == stderr ? 2 : 0;
-}
-
-int usage() { return print_usage(stderr); }
-
 sim::MachineConfig base_config(const CliOptions& cli) {
   sim::MachineConfig config;
-  if (cli.no_pkr_save) config.kernel.save_pkr_on_switch = false;
-  if (cli.rollback || cli.ckpt_interval != 0) {
-    config.checkpoint_interval =
-        cli.ckpt_interval != 0 ? cli.ckpt_interval : 25'000;
-    config.max_rollbacks = cli.max_rollbacks;
-  }
+  cli.rollback.apply(&config);
   return config;
 }
 
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-bool write_json(const std::string& path, const CliOptions& cli,
+void write_json(const std::string& path, const CliOptions& cli,
                 const std::vector<fleet::JobResult>& results,
                 size_t failures, double elapsed_ms) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
+  std::ostringstream out;
   u64 total_faults = 0;
   for (const auto& r : results) total_faults += r.injected;
   out << "{\n";
@@ -191,10 +92,10 @@ bool write_json(const std::string& path, const CliOptions& cli,
       << ", \"cam_rate\": " << cli.plan.cam_rate
       << ", \"max_faults\": " << cli.plan.max_faults
       << ", \"kinds\": " << cli.plan.kinds << "},\n";
-  out << "  \"rollback\": " << (cli.rollback ? "true" : "false")
+  out << "  \"rollback\": " << (cli.rollback.on ? "true" : "false")
       << ", \"checkpoint_interval\": "
       << base_config(cli).checkpoint_interval
-      << ", \"max_rollbacks\": " << cli.max_rollbacks << ",\n";
+      << ", \"max_rollbacks\": " << cli.rollback.max_rollbacks << ",\n";
   char elapsed[64];
   std::snprintf(elapsed, sizeof(elapsed), "%.3f", elapsed_ms);
   out << "  \"threads\": " << cli.threads << ", \"elapsed_ms\": " << elapsed
@@ -205,10 +106,9 @@ bool write_json(const std::string& path, const CliOptions& cli,
   out << "  \"workloads\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const fleet::JobResult& r = results[i];
-    out << "    {\"label\": ";
-    json_escape(out, r.label);
-    out << ", \"ok\": " << (r.ok ? "true" : "false") << ", \"verdict\": ";
-    json_escape(out, r.verdict);
+    out << "    {\"label\": \"" << json_escape(r.label)
+        << "\", \"ok\": " << (r.ok ? "true" : "false") << ", \"verdict\": \""
+        << json_escape(r.verdict) << '"';
     char wall[64];
     std::snprintf(wall, sizeof(wall), "%.3f", r.wall_ms);
     out << ",\n     \"clean_exit\": " << r.clean_exit
@@ -234,96 +134,25 @@ bool write_json(const std::string& path, const CliOptions& cli,
     out << "]}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-  out.flush();
-  return static_cast<bool>(out);
+  cli::write_text(path, out.str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  CliOptions cli;
-  cli.plan.enabled = true;
-  cli.plan.seed = 7;
-  cli.plan.rate = 2e-5;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--all") {
-      cli.all = true;
-    } else if (arg == "--list") {
-      cli.list = true;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--seal") {
-      cli.perm_seal = true;
-    } else if (arg == "--rollback") {
-      cli.rollback = true;
-    } else if (arg == "--no-pkr-save") {
-      cli.no_pkr_save = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads = static_cast<unsigned>(
-          std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--ss=", 0) == 0) {
-      if (!parse_ss_kind(arg.substr(5), &cli.ss)) return usage();
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.plan.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.plan.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--cam-rate=", 0) == 0) {
-      cli.plan.cam_rate = std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--max-faults=", 0) == 0) {
-      cli.plan.max_faults = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg == "--kinds" || arg == "--kinds=") {
-      // Bare --kinds is a query, not an error: print the valid names.
-      print_kind_names(stdout);
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      return print_usage(stdout);
-    } else if (arg.rfind("--kinds=", 0) == 0) {
-      if (!parse_kinds(arg.substr(8), &cli.plan.kinds)) return usage();
-    } else if (arg.rfind("--ckpt-interval=", 0) == 0) {
-      cli.ckpt_interval = std::strtoull(arg.c_str() + 16, nullptr, 0);
-    } else if (arg.rfind("--max-rollbacks=", 0) == 0) {
-      cli.max_rollbacks = std::strtoull(arg.c_str() + 16, nullptr, 0);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json_path = arg.substr(7);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      cli.names.push_back(arg);
-    }
-  }
-
-  if (cli.list) {
-    for (const auto& w : wl::all_workloads()) {
-      std::printf("%-10s (%s)\n", w.name, wl::suite_name(w.suite));
-    }
-    return 0;
-  }
-  if (!cli.all && cli.names.empty()) return usage();
-
+int check_workloads(const CliOptions& cli,
+                    const std::vector<std::string>& names) {
   // One differential job per selected workload, drained by the fleet pool.
   std::vector<fleet::JobSpec> specs;
-  for (const auto& w : wl::all_workloads()) {
-    bool wanted = cli.all;
-    for (const auto& name : cli.names) {
-      if (name == w.name) wanted = true;
-    }
-    if (!wanted) continue;
+  for (const wl::Workload* w : cli.workloads.pick(names)) {
     fleet::JobSpec spec;
     spec.id = static_cast<u32>(specs.size());
-    spec.workload = &w;
-    spec.ss = cli.ss;
-    spec.perm_seal = cli.perm_seal;
-    spec.scale = w.test_scale;
+    spec.workload = w;
+    spec.ss = cli.ss.kind;
+    spec.perm_seal = cli.ss.seal;
+    spec.scale = w->test_scale;
     spec.budget = 400'000'000;
     spec.kind = fleet::JobKind::kChaosDiff;
     spec.config = base_config(cli);
     spec.config.fault_plan = cli.plan;
     specs.push_back(std::move(spec));
-  }
-  if (specs.empty()) {
-    std::fprintf(stderr, "no matching workload; try --list\n");
-    return 2;
   }
 
   fleet::ImageCache cache;
@@ -354,11 +183,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!cli.json_path.empty() &&
-      !write_json(cli.json_path, cli, results, failures, elapsed_ms)) {
-    std::fprintf(stderr, "cannot write JSON summary to %s\n",
-                 cli.json_path.c_str());
-    return 2;
+  if (!cli.json_path.empty()) {
+    write_json(cli.json_path, cli, results, failures, elapsed_ms);
   }
   if (!cli.quiet || failures != 0) {
     std::printf(
@@ -367,4 +193,42 @@ int main(int argc, char** argv) {
         failures);
   }
   return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  CliOptions cli;
+  cli.plan.enabled = true;
+  cli.plan.seed = 7;
+  cli.plan.rate = 2e-5;
+  cli::Tool tool{"sealpk-chaos", {"[--all | <workload>...] [options]"}};
+  tool.help_flag = true;
+  cli::add_workload_pick(tool, &cli.workloads);
+  tool.add(cli::threads(&cli.threads, "fleet workers"));
+  cli::FaultTargets plan = cli::plan_targets(&cli.plan);
+  plan.kinds = nullptr;
+  cli::add_fault_plan(tool, plan);
+  // Bare --kinds (or --kinds=) is a query, not an error: it prints the
+  // valid names.
+  cli::Flag kinds = cli::action(
+      "--kinds", "<kind,...>", cli::kinds_help().c_str(),
+      [&cli](const std::string& v) {
+        if (!v.empty()) {
+          cli.plan.kinds = cli::parse_kinds(v);
+          return;
+        }
+        std::printf("fault kinds: %s\n", cli::kind_names(" ").c_str());
+        throw cli::Exit{0};
+      });
+  kinds.arity = cli::Flag::Arity::kOptionalValue;
+  tool.add(kinds);
+  cli::add_rollback(tool, &cli.rollback);
+  tool.add(cli::value("--json", &cli.json_path, "<path>",
+                      "machine-readable summary"));
+  cli::add_shadow_stack(tool, &cli.ss);
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& names) {
+    return check_workloads(cli, names);
+  });
 }

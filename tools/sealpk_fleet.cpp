@@ -32,13 +32,11 @@
 //   sealpk-fleet sweep --scale=1 --threads=4 --selfcheck
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "fleet/engine.h"
 #include "fleet/report.h"
 
@@ -78,14 +76,10 @@ struct CliOptions {
   bool quiet = false;
   bool canonical = false;
   bool selfcheck = false;
-  bool json = false;  // bare --json: machine-readable output on stdout
-  std::string json_path;
+  cli::JsonSink json;  // bare --json: list writes the matrix to stdout
   // chaos plan / robustness knobs (only consulted with --chaos)
   fault::FaultPlan plan;
-  bool rollback = false;
-  bool no_pkr_save = false;
-  u64 ckpt_interval = 0;
-  u64 max_rollbacks = 3;
+  cli::Rollback rollback;
 };
 
 // Minimal glob: '*' any run, '?' any char; everything else literal.
@@ -107,51 +101,6 @@ bool any_glob(const std::vector<std::string>& pats, const std::string& text) {
     if (glob_match(p.c_str(), text.c_str())) return true;
   }
   return false;
-}
-
-std::vector<std::string> split_commas(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-bool parse_kinds(const std::string& text, u32* out) {
-  u32 mask = 0;
-  for (const std::string& item : split_commas(text)) {
-    if (item == "all") mask |= fault::kAllFaultKinds;
-    else if (item == "pkr") mask |= kind_bit(fault::FaultKind::kPkrBitFlip);
-    else if (item == "tlb") mask |= kind_bit(fault::FaultKind::kTlbCorrupt);
-    else if (item == "pte") mask |= kind_bit(fault::FaultKind::kPteCorrupt);
-    else if (item == "cam-drop")
-      mask |= kind_bit(fault::FaultKind::kCamDropRefill);
-    else if (item == "cam-dup")
-      mask |= kind_bit(fault::FaultKind::kCamDupRefill);
-    else if (item == "trap") mask |= kind_bit(fault::FaultKind::kSpuriousTrap);
-    else return false;
-  }
-  if (mask == 0) return false;
-  *out = mask;
-  return true;
-}
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sealpk-fleet <sweep | run <workload>... | diff <a> <b> | "
-      "list>\n"
-      "       [--threads=<n>] [--scale=<n>] [--budget=<n>] [-q]\n"
-      "       [--workloads=<glob,...>] [--variants=<glob,...>]\n"
-      "       [--json=<path>] [--canonical] [--selfcheck]\n"
-      "       [--chaos] [--chaos-seed=<n>] [--chaos-rate=<p>]\n"
-      "       [--cam-rate=<p>] [--max-faults=<n>] [--kinds=<k,...>]\n"
-      "       [--rollback] [--ckpt-interval=<n>] [--max-rollbacks=<n>]\n"
-      "       [--no-pkr-save] [--trace] [--trace-ring=<n>]\n"
-      "variants: none inline func sealpk-wr sealpk-rdwr mprotect sealed\n");
-  return 2;
 }
 
 // Builds the selected (workload x variant) job matrix in deterministic
@@ -184,12 +133,7 @@ std::vector<fleet::JobSpec> build_matrix(const CliOptions& cli) {
       if (cli.chaos) {
         spec.kind = fleet::JobKind::kChaosDiff;
         spec.config.fault_plan = cli.plan;
-        if (cli.no_pkr_save) spec.config.kernel.save_pkr_on_switch = false;
-        if (cli.rollback || cli.ckpt_interval != 0) {
-          spec.config.checkpoint_interval =
-              cli.ckpt_interval != 0 ? cli.ckpt_interval : 25'000;
-          spec.config.max_rollbacks = cli.max_rollbacks;
-        }
+        cli.rollback.apply(&spec.config);
       }
       if (cli.trace) {
         // Fan trace capture across the matrix: each job records its own
@@ -263,27 +207,16 @@ void print_summary(const SweepOutcome& sweep, unsigned threads) {
 
 int mode_diff(const std::vector<std::string>& names,
               const std::string& json_path) {
-  if (names.size() != 2) return usage();
-  std::string text[2];
-  for (int i = 0; i < 2; ++i) {
-    std::ifstream in(names[i]);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", names[i].c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    text[i] = buf.str();
-  }
+  if (names.size() != 2) throw cli::UsageError();
   std::ostringstream log;
-  const size_t diverging = fleet::diff_reports(text[0], text[1], log);
+  const size_t diverging = fleet::diff_reports(
+      cli::read_text(names[0]), cli::read_text(names[1]), log);
   // --json changes the output format, never the verdict: the exit code must
   // signal divergence identically in both modes (CI scripts key off it).
   if (!json_path.empty() &&
       !fleet::write_diff_report_file(json_path, names[0], names[1], diverging,
                                      log.str())) {
-    std::fprintf(stderr, "cannot write diff report %s\n", json_path.c_str());
-    return 2;
+    throw std::runtime_error("cannot write '" + json_path + "'");
   }
   if (diverging == 0) {
     if (json_path.empty()) {
@@ -298,90 +231,18 @@ int mode_diff(const std::vector<std::string>& names,
   return 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  CliOptions cli;
-  cli.plan.enabled = true;
-  cli.plan.seed = 7;
-  cli.plan.rate = 2e-5;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "sweep" || arg == "run" || arg == "diff" || arg == "list") {
-      if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--chaos") {
-      cli.chaos = true;
-    } else if (arg == "--trace") {
-      cli.trace = true;
-    } else if (arg.rfind("--trace-ring=", 0) == 0) {
-      cli.trace_ring = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg == "--canonical") {
-      cli.canonical = true;
-    } else if (arg == "--selfcheck") {
-      cli.selfcheck = true;
-    } else if (arg == "--rollback") {
-      cli.rollback = true;
-    } else if (arg == "--no-pkr-save") {
-      cli.no_pkr_save = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads = static_cast<unsigned>(
-          std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      cli.scale = std::strtoull(arg.c_str() + 8, nullptr, 0);
-    } else if (arg.rfind("--budget=", 0) == 0) {
-      cli.budget = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--workloads=", 0) == 0) {
-      cli.workloads = split_commas(arg.substr(12));
-    } else if (arg.rfind("--variants=", 0) == 0) {
-      cli.variants = split_commas(arg.substr(11));
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_path = arg.substr(7);
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.plan.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.plan.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--cam-rate=", 0) == 0) {
-      cli.plan.cam_rate = std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--max-faults=", 0) == 0) {
-      cli.plan.max_faults = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--kinds=", 0) == 0) {
-      if (!parse_kinds(arg.substr(8), &cli.plan.kinds)) return usage();
-    } else if (arg.rfind("--ckpt-interval=", 0) == 0) {
-      cli.ckpt_interval = std::strtoull(arg.c_str() + 16, nullptr, 0);
-    } else if (arg.rfind("--max-rollbacks=", 0) == 0) {
-      cli.max_rollbacks = std::strtoull(arg.c_str() + 16, nullptr, 0);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      cli.names.push_back(arg);
-    }
-  }
-  if (cli.mode.empty()) return usage();
-
+int run_mode(const CliOptions& cli) {
   if (cli.mode == "list") {
-    if (cli.json) {
+    if (cli.json.on) {
       // Machine-readable workload x variant matrix for the SLO gate and
       // CI asserts; exit-code parity with the plain listing (always 0).
       std::vector<fleet::MatrixVariant> variants;
       for (const VariantDef& v : kVariants) {
         variants.push_back({v.name, v.ss, v.perm_seal});
       }
-      if (cli.json_path.empty()) {
-        fleet::write_matrix_json(std::cout, variants);
-      } else {
-        std::ofstream out(cli.json_path);
-        if (!out) {
-          std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-          return 2;
-        }
-        fleet::write_matrix_json(out, variants);
-      }
+      std::ostringstream os;
+      fleet::write_matrix_json(os, variants);
+      cli.json.emit(os.str());
       return 0;
     }
     std::printf("workloads:\n");
@@ -392,8 +253,8 @@ int main(int argc, char** argv) {
     for (const VariantDef& v : kVariants) std::printf("  %s\n", v.name);
     return 0;
   }
-  if (cli.mode == "diff") return mode_diff(cli.names, cli.json_path);
-  if (cli.mode == "run" && cli.names.empty()) return usage();
+  if (cli.mode == "diff") return mode_diff(cli.names, cli.json.path);
+  if (cli.mode == "run" && cli.names.empty()) throw cli::UsageError();
 
   const std::vector<fleet::JobSpec> specs = build_matrix(cli);
   if (specs.empty()) {
@@ -407,21 +268,12 @@ int main(int argc, char** argv) {
     // Determinism oracle: the same matrix run serially must produce byte-
     // identical canonical records.
     const SweepOutcome serial = run_matrix(specs, 1, false);
-    size_t mismatches = 0;
+    std::string threaded_records, serial_records;
     for (size_t i = 0; i < specs.size(); ++i) {
-      const std::string a = fleet::canonical_record(sweep.results[i]);
-      const std::string b = fleet::canonical_record(serial.results[i]);
-      if (a != b) {
-        ++mismatches;
-        std::fprintf(stderr,
-                     "selfcheck: record %zu diverges\n  %u threads: %s\n"
-                     "  serial:    %s\n",
-                     i, cli.threads, a.c_str(), b.c_str());
-      }
+      threaded_records += fleet::canonical_record(sweep.results[i]) + "\n";
+      serial_records += fleet::canonical_record(serial.results[i]) + "\n";
     }
-    if (mismatches != 0) {
-      std::fprintf(stderr, "selfcheck FAILED: %zu diverging record(s)\n",
-                   mismatches);
+    if (!cli::records_match(threaded_records, serial_records, cli.threads)) {
       return 1;
     }
     if (!cli.quiet) {
@@ -435,14 +287,54 @@ int main(int argc, char** argv) {
   ropts.threads = cli.threads;
   ropts.elapsed_ms = sweep.elapsed_ms;
   ropts.canonical = cli.canonical;
-  if (!cli.json_path.empty() &&
-      !fleet::write_report_file(cli.json_path, sweep.results, ropts)) {
-    std::fprintf(stderr, "cannot write JSON report to %s\n",
-                 cli.json_path.c_str());
-    return 2;
+  if (!cli.json.path.empty() &&
+      !fleet::write_report_file(cli.json.path, sweep.results, ropts)) {
+    throw std::runtime_error("cannot write '" + cli.json.path + "'");
   }
 
   const fleet::Aggregate agg = fleet::aggregate(sweep.results);
   if (!cli.quiet || agg.failures != 0) print_summary(sweep, cli.threads);
   return agg.failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  CliOptions cli;
+  cli.plan.enabled = true;
+  cli.plan.seed = 7;
+  cli.plan.rate = 2e-5;
+  std::string variants_help = "variant globs; variants:";
+  for (const VariantDef& v : kVariants) {
+    variants_help += std::string(" ") + v.name;
+  }
+  cli::Tool tool{"sealpk-fleet",
+                 {"<sweep | run <workload>... | diff <a> <b> | list> "
+                  "[options]"}};
+  tool.add(cli::threads(&cli.threads, "worker threads (0 = one per core)"));
+  tool.add(cli::value("--scale", &cli.scale, "<n>",
+                      "workload scale (0 = each workload's bench scale)"));
+  tool.add(cli::value("--budget", &cli.budget, "<n>",
+                      "instruction budget per job"));
+  tool.add(cli::value("--workloads", &cli.workloads, "<glob,...>",
+                      "workload globs (name or suite/name)"));
+  tool.add(cli::value("--variants", &cli.variants, "<glob,...>",
+                      variants_help.c_str()));
+  tool.add(cli::json_sink(&cli.json, "JSON report (list: bare = stdout)"));
+  tool.add(cli::sw("--canonical", &cli.canonical,
+                   "omit the scheduling-dependent timing section"));
+  tool.add(cli::selfcheck(&cli.selfcheck));
+  tool.add(cli::sw("--chaos", &cli.chaos,
+                   "clean-vs-fault differential oracle per job"));
+  cli::add_fault_plan(tool, cli::plan_targets(&cli.plan));
+  cli::add_rollback(tool, &cli.rollback);
+  tool.add(cli::sw("--trace", &cli.trace, "record per-job event traces"));
+  tool.add(cli::value("--trace-ring", &cli.trace_ring, "<n>",
+                      "trace ring capacity per job"));
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
+    cli.mode = cli::take_mode(args, {"sweep", "run", "diff", "list"});
+    cli.names = args;
+    return run_mode(cli);
+  });
 }

@@ -19,12 +19,12 @@
 // or a self-test failed, 2 usage/IO errors, 3 exploration hit a budget
 // before closing the state space.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "model/explorer.h"
 #include "model/trace.h"
 
@@ -37,87 +37,10 @@ struct CliOptions {
   ModelConfig cfg;
   bool quiet = false;
   bool selfcheck = false;
-  bool json = false;
-  std::string json_path;  // empty: JSON goes to stdout
+  cli::JsonSink json;
   std::string ce_dir;     // counterexample traces land here when set
   std::vector<std::string> paths;
 };
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sealpk-model explore [--pkeys=N] [--pages=N] [--cam=N]\n"
-      "                            [--depth=N] [--max-states=N]\n"
-      "                            [--threads=N] [--max-ce=N]\n"
-      "                            [--mutation=<name>] [--ce-dir=<dir>]\n"
-      "                            [--selfcheck] [--json[=<path>]] [-q]\n"
-      "       sealpk-model repro <trace.json>... [-q]\n"
-      "       sealpk-model stats [--pkeys=N] [--pages=N] [--cam=N]\n"
-      "       sealpk-model mutations [--depth=N] [--max-states=N] [-q]\n");
-  return 2;
-}
-
-bool parse_unsigned(const std::string& text, u64* out) {
-  if (text.empty()) return false;
-  u64 v = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<u64>(c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-bool parse_cli(int argc, char** argv, CliOptions* cli) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    u64 v = 0;
-    if (arg == "-q" || arg == "--quiet") {
-      cli->quiet = true;
-    } else if (arg == "--selfcheck") {
-      cli->selfcheck = true;
-    } else if (arg == "--json") {
-      cli->json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli->json = true;
-      cli->json_path = arg.substr(7);
-      if (cli->json_path.empty()) return false;
-    } else if (arg.rfind("--ce-dir=", 0) == 0) {
-      cli->ce_dir = arg.substr(9);
-      if (cli->ce_dir.empty()) return false;
-    } else if (arg.rfind("--pkeys=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(8), &v)) return false;
-      cli->cfg.num_pkeys = static_cast<unsigned>(v);
-    } else if (arg.rfind("--pages=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(8), &v)) return false;
-      cli->cfg.num_pages = static_cast<unsigned>(v);
-    } else if (arg.rfind("--cam=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(6), &v)) return false;
-      cli->cfg.cam_entries = static_cast<unsigned>(v);
-    } else if (arg.rfind("--depth=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(8), &v)) return false;
-      cli->cfg.depth = v;
-    } else if (arg.rfind("--max-states=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(13), &v) || v == 0) return false;
-      cli->cfg.max_states = v;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(10), &v) || v == 0) return false;
-      cli->cfg.threads = static_cast<unsigned>(v);
-    } else if (arg.rfind("--max-ce=", 0) == 0) {
-      if (!parse_unsigned(arg.substr(9), &v) || v == 0) return false;
-      cli->cfg.max_counterexamples = v;
-    } else if (arg.rfind("--mutation=", 0) == 0) {
-      const auto m = parse_mutation(arg.substr(11));
-      if (!m.has_value()) return false;
-      cli->cfg.mutation = *m;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return false;
-    } else {
-      cli->paths.push_back(arg);
-    }
-  }
-  return true;
-}
 
 void print_counterexample(const Counterexample& ce, size_t index) {
   std::printf("counterexample %zu: %s%s%s\n", index, ce.kind.c_str(),
@@ -129,23 +52,18 @@ void print_counterexample(const Counterexample& ce, size_t index) {
   }
 }
 
-bool dump_counterexamples(const CliOptions& cli,
+void dump_counterexamples(const CliOptions& cli,
                           const std::vector<Counterexample>& ces) {
   for (size_t i = 0; i < ces.size(); ++i) {
     const Trace t = make_trace(cli.cfg, ces[i]);
-    std::ostringstream path;
-    path << cli.ce_dir << "/ce-" << i << ".json";
-    std::ofstream out(path.str());
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.str().c_str());
-      return false;
-    }
-    write_trace(out, t);
+    const std::string path = cli.ce_dir + "/ce-" + std::to_string(i) + ".json";
+    std::ostringstream os;
+    write_trace(os, t);
+    cli::write_text(path, os.str());
     if (!cli.quiet) {
-      std::printf("wrote %s\n", path.str().c_str());
+      std::printf("wrote %s\n", path.c_str());
     }
   }
-  return true;
 }
 
 void print_stats_json(std::ostream& os, const CliOptions& cli,
@@ -200,16 +118,10 @@ int cmd_explore(const CliOptions& cli) {
     }
   }
 
-  if (cli.json) {
-    std::ofstream file;
-    if (!cli.json_path.empty()) {
-      file.open(cli.json_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-        return 2;
-      }
-    }
-    print_stats_json(cli.json_path.empty() ? std::cout : file, cli, res);
+  if (cli.json.on) {
+    std::ostringstream os;
+    print_stats_json(os, cli, res);
+    cli.json.emit(os.str());
   } else if (!cli.quiet || !res.counterexamples.empty() ||
              res.stats.truncated) {
     std::printf(
@@ -228,26 +140,18 @@ int cmd_explore(const CliOptions& cli) {
       print_counterexample(res.counterexamples[i], i);
     }
   }
-  if (!cli.ce_dir.empty() && !res.counterexamples.empty()) {
-    if (!dump_counterexamples(cli, res.counterexamples)) return 2;
-  }
+  if (!cli.ce_dir.empty()) dump_counterexamples(cli, res.counterexamples);
   if (!res.counterexamples.empty()) return 1;
   return res.stats.truncated ? 3 : 0;
 }
 
 int cmd_repro(const CliOptions& cli) {
-  if (cli.paths.empty()) return usage();
+  if (cli.paths.empty()) throw cli::UsageError();
   int failures = 0;
   for (const auto& path : cli.paths) {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", path.c_str());
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
+    const std::string text = cli::read_text(path);
     std::string error;
-    const auto trace = parse_trace(buf.str(), &error);
+    const auto trace = parse_trace(text, &error);
     if (!trace.has_value()) {
       std::fprintf(stderr, "%s: parse error: %s\n", path.c_str(),
                    error.c_str());
@@ -255,7 +159,7 @@ int cmd_repro(const CliOptions& cli) {
     }
     // The serializer is canonical; a trace that does not round-trip
     // byte-for-byte was edited by hand and should be rewritten.
-    if (trace_to_json(*trace) != buf.str()) {
+    if (trace_to_json(*trace) != text) {
       std::fprintf(stderr, "%s: not in canonical form\n", path.c_str());
       ++failures;
       continue;
@@ -336,19 +240,47 @@ int cmd_mutations(const CliOptions& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
   CliOptions cli;
-  if (!parse_cli(argc, argv, &cli)) return usage();
-  try {
-    cli.cfg.validate();
+  ModelConfig& cfg = cli.cfg;
+  cli::Tool tool{"sealpk-model",
+                 {"explore [options]", "repro <trace.json>... [-q]",
+                  "stats [--pkeys=N] [--pages=N] [--cam=N]",
+                  "mutations [--depth=N] [--max-states=N] [-q]"}};
+  tool.add(cli::value("--pkeys", &cfg.num_pkeys, "<n>", "model pkeys"));
+  tool.add(cli::value("--pages", &cfg.num_pages, "<n>", "model pages"));
+  tool.add(cli::value("--cam", &cfg.cam_entries, "<n>", "PK-CAM entries"));
+  tool.add(cli::value("--depth", &cfg.depth, "<n>",
+                      "exploration depth bound (0 = to closure)"));
+  tool.add(cli::at_least("--max-states", &cfg.max_states, 1, "<n>",
+                         "state budget"));
+  tool.add(cli::at_least("--threads", &cfg.threads, 1u, "<n>",
+                         "explorer worker threads"));
+  tool.add(cli::at_least("--max-ce", &cfg.max_counterexamples, 1, "<n>",
+                         "counterexamples to keep"));
+  tool.add(cli::action("--mutation", "<name>", "break the machine or spec",
+                       [&cfg](const std::string& v) {
+                         const auto m = parse_mutation(v);
+                         if (!m.has_value()) throw cli::BadValue{};
+                         cfg.mutation = *m;
+                       }));
+  tool.add(cli::action("--ce-dir", "<dir>",
+                       "write counterexample traces here",
+                       [&cli](const std::string& v) {
+                         if (v.empty()) throw cli::BadValue{};
+                         cli.ce_dir = v;
+                       }));
+  tool.add(cli::selfcheck(&cli.selfcheck));
+  tool.add(cli::json_sink(&cli.json, "exploration stats as JSON (explore)"));
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
+    if (args.empty()) throw cli::UsageError();
+    const std::string cmd = args[0];
+    cli.paths.assign(args.begin() + 1, args.end());
+    cfg.validate();
     if (cmd == "explore") return cmd_explore(cli);
     if (cmd == "repro") return cmd_repro(cli);
     if (cmd == "stats") return cmd_stats(cli);
     if (cmd == "mutations") return cmd_mutations(cli);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sealpk-model: %s\n", e.what());
-    return 2;
-  }
-  return usage();
+    throw cli::UsageError();
+  });
 }

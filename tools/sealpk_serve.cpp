@@ -33,13 +33,11 @@
 //   sealpk-serve attack --all --threads=4 --json=redteam.json
 //   sealpk-serve run --chaos --chaos-seed=11 --chaos-rate=1e-4
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "fleet/engine.h"
 #include "obs/export.h"
 #include "serve/redteam.h"
@@ -50,7 +48,6 @@ using namespace sealpk;
 namespace {
 
 struct CliOptions {
-  std::string mode;
   std::string attack_name;
   bool all_attacks = false;
   unsigned threads = 1;
@@ -59,23 +56,6 @@ struct CliOptions {
   std::string trace_path;
   serve::ServeConfig cfg;
 };
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sealpk-serve run [options]\n"
-      "       sealpk-serve attack <name>|--all [options]\n"
-      "       sealpk-serve list\n"
-      "options:\n"
-      "  --primaries=<n> --requests=<n> --rounds=<n> --seed=<n>\n"
-      "  --budget=<instructions> --max-attempts=<n> --strike-limit=<n>\n"
-      "  --threads=<n>            worker pool for `attack --all`\n"
-      "  --chaos --chaos-seed=<n> --chaos-rate=<p> --max-faults=<n>\n"
-      "  --json=<path>            machine-readable report (array for --all)\n"
-      "  --trace-out=<path>       Perfetto JSON of the obs event stream\n"
-      "  -q                       suppress the per-run summary\n");
-  return 2;
-}
 
 void print_summary(const serve::ServeConfig& cfg, const serve::ServeResult& r,
                    const char* label) {
@@ -122,17 +102,10 @@ int verdict(const serve::ServeResult& r) {
   return 0;
 }
 
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return out.good();
-}
-
-bool export_trace(const serve::ServeResult& r, const std::string& path) {
+void export_trace(const serve::ServeResult& r, const std::string& path) {
   std::ostringstream os;
   obs::write_perfetto_json(r.trace, os);
-  return write_text_file(path, os.str());
+  cli::write_text(path, os.str());
 }
 
 int mode_list() {
@@ -164,15 +137,9 @@ int run_one(const CliOptions& cli) {
   if (!cli.json_path.empty()) {
     std::ostringstream os;
     serve::write_result_json(os, cfg, r);
-    if (!write_text_file(cli.json_path, os.str())) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-      return 2;
-    }
+    cli::write_text(cli.json_path, os.str());
   }
-  if (!cli.trace_path.empty() && !export_trace(r, cli.trace_path)) {
-    std::fprintf(stderr, "cannot write %s\n", cli.trace_path.c_str());
-    return 2;
-  }
+  if (!cli.trace_path.empty()) export_trace(r, cli.trace_path);
   return verdict(r);
 }
 
@@ -204,10 +171,7 @@ int run_all(const CliOptions& cli) {
       os << (i + 1 < registry.size() ? ",\n" : "\n");
     }
     os << "]\n";
-    if (!write_text_file(cli.json_path, os.str())) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-      return 2;
-    }
+    cli::write_text(cli.json_path, os.str());
   }
   if (!cli.quiet) {
     std::printf("%s: %zu attack(s), %s\n", "red team", registry.size(),
@@ -221,64 +185,42 @@ int run_all(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "run" || arg == "attack" || arg == "list") {
-      if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "--all") {
-      cli.all_attacks = true;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--chaos") {
-      cli.cfg.chaos.enabled = true;
-    } else if (arg.rfind("--primaries=", 0) == 0) {
-      cli.cfg.primaries =
-          static_cast<u32>(std::strtoul(arg.c_str() + 12, nullptr, 0));
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      cli.cfg.requests =
-          static_cast<u32>(std::strtoul(arg.c_str() + 11, nullptr, 0));
-    } else if (arg.rfind("--rounds=", 0) == 0) {
-      cli.cfg.rounds =
-          static_cast<u32>(std::strtoul(arg.c_str() + 9, nullptr, 0));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cli.cfg.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
-    } else if (arg.rfind("--budget=", 0) == 0) {
-      cli.cfg.request_budget = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--max-attempts=", 0) == 0) {
-      cli.cfg.max_attempts =
-          static_cast<u32>(std::strtoul(arg.c_str() + 15, nullptr, 0));
-    } else if (arg.rfind("--strike-limit=", 0) == 0) {
-      cli.cfg.strike_limit =
-          static_cast<u32>(std::strtoul(arg.c_str() + 15, nullptr, 0));
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.cfg.chaos.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.cfg.chaos.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--max-faults=", 0) == 0) {
-      cli.cfg.chaos.max_faults = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json_path = arg.substr(7);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      cli.trace_path = arg.substr(12);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else if (cli.mode == "attack" && cli.attack_name.empty()) {
-      cli.attack_name = arg;
-    } else {
-      return usage();
+  serve::ServeConfig& cfg = cli.cfg;
+  cli::Tool tool{"sealpk-serve",
+                 {"run [options]", "attack <name>|--all [options]", "list"}};
+  tool.add(cli::value("--primaries", &cfg.primaries, "<n>",
+                      "handler pairs (slots = 2 * primaries)"));
+  tool.add(cli::value("--requests", &cfg.requests, "<n>", "requests to serve"));
+  tool.add(cli::value("--rounds", &cfg.rounds, "<n>",
+                      "guest mixing rounds per request"));
+  tool.add(cli::value("--seed", &cfg.seed, "<n>", "request stream seed"));
+  tool.add(cli::value("--budget", &cfg.request_budget, "<instructions>",
+                      "per-attempt instruction budget"));
+  tool.add(cli::value("--max-attempts", &cfg.max_attempts, "<n>",
+                      "failed attempts before quarantining a request"));
+  tool.add(cli::value("--strike-limit", &cfg.strike_limit, "<n>",
+                      "failures before a slot is quarantined"));
+  tool.add(cli::sw("--all", &cli.all_attacks, "every registered attack"));
+  tool.add(cli::threads(&cli.threads, "worker pool for `attack --all`"));
+  tool.add(cli::sw("--chaos", &cfg.chaos.enabled, "compose fault injection"));
+  cli::add_fault_plan(tool, {&cfg.chaos.seed, &cfg.chaos.rate, nullptr,
+                             &cfg.chaos.max_faults, nullptr});
+  tool.add(cli::value("--json", &cli.json_path, "<path>",
+                      "machine-readable report (array for --all)"));
+  tool.add(cli::value("--trace-out", &cli.trace_path, "<path>",
+                      "Perfetto JSON of the obs event stream"));
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
+    const std::string mode = cli::take_mode(args, {"run", "attack", "list"});
+    if (mode == "attack" && args.size() == 1) {
+      cli.attack_name = args[0];
+    } else if (!args.empty()) {
+      throw cli::UsageError();
     }
-  }
-
-  if (cli.mode == "list") return mode_list();
-  if (cli.mode == "run") return run_one(cli);
-  if (cli.mode == "attack") {
+    if (mode == "list") return mode_list();
+    if (mode == "run") return run_one(cli);
     if (cli.all_attacks) return run_all(cli);
-    if (cli.attack_name.empty()) return usage();
+    if (cli.attack_name.empty()) throw cli::UsageError();
     return run_one(cli);
-  }
-  return usage();
+  });
 }

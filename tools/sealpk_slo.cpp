@@ -28,13 +28,12 @@
 //       --report=vkey=vkey.json --report=spans=BENCH_spans.json
 //   (one command line, wrapped here)
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/json_parse.h"
 #include "fleet/engine.h"
 #include "mpk/session.h"
@@ -49,41 +48,14 @@ using namespace sealpk;
 namespace {
 
 struct CliOptions {
-  std::string mode;
   std::string spec_path;
   std::vector<std::pair<std::string, std::string>> reports;  // name -> path
   std::string out_path;
-  bool json = false;
-  std::string json_path;
+  cli::JsonSink json;
   unsigned threads = 1;
   bool selfcheck = false;
   bool quiet = false;
 };
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sealpk-slo check --spec=<SLO.json> --report=<name>=<path>...\n"
-      "                        [--json[=<path>]] [-q]\n"
-      "       sealpk-slo spans [--threads=<n>] [--selfcheck]\n"
-      "                        [--out=<path>] [-q]\n");
-  return 2;
-}
-
-std::string read_text_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream os;
-  os << f.rdbuf();
-  return os.str();
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return out.good();
-}
 
 // --- spans benchmark --------------------------------------------------------
 
@@ -186,12 +158,7 @@ int mode_spans(const CliOptions& cli) {
   const std::string report = run_span_bench(cli.threads);
   if (cli.selfcheck) {
     // Determinism oracle: the serial re-run must be byte-identical.
-    const std::string serial = run_span_bench(1);
-    if (serial != report) {
-      std::fprintf(stderr,
-                   "selfcheck: span bench diverges between %u threads and "
-                   "serial\n",
-                   cli.threads);
+    if (!cli::records_match(report, run_span_bench(1), cli.threads)) {
       return 1;
     }
     if (!cli.quiet) {
@@ -201,10 +168,7 @@ int mode_spans(const CliOptions& cli) {
     }
   }
   if (!cli.out_path.empty()) {
-    if (!write_text_file(cli.out_path, report)) {
-      std::fprintf(stderr, "cannot write %s\n", cli.out_path.c_str());
-      return 2;
-    }
+    cli::write_text(cli.out_path, report);
     if (!cli.quiet) std::printf("%s: span bench\n", cli.out_path.c_str());
   } else if (!cli.quiet) {
     std::printf("%s", report.c_str());
@@ -215,34 +179,22 @@ int mode_spans(const CliOptions& cli) {
 // --- SLO gate ---------------------------------------------------------------
 
 int mode_check(const CliOptions& cli) {
-  if (cli.spec_path.empty() || cli.reports.empty()) return usage();
-  obs::SloSpec spec;
+  if (cli.spec_path.empty() || cli.reports.empty()) throw cli::UsageError();
+  const obs::SloSpec spec =
+      obs::parse_slo_spec(json_parse(cli::read_text(cli.spec_path)));
   std::map<std::string, JsonValue> reports;
-  try {
-    spec = obs::parse_slo_spec(json_parse(read_text_file(cli.spec_path)));
-    for (const auto& [name, path] : cli.reports) {
-      reports[name] = json_parse(read_text_file(path));
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sealpk-slo: %s\n", e.what());
-    return 2;
+  for (const auto& [name, path] : cli.reports) {
+    reports[name] = json_parse(cli::read_text(path));
   }
   const obs::SloVerdict verdict = obs::evaluate_slo(spec, reports);
   if (!cli.quiet) obs::write_slo_text(verdict, std::cout);
   // --json changes the output format, never the verdict: a breach exits
   // nonzero in JSON mode exactly as in plain mode (the contract the
   // WILL_FAIL ctest pair pins).
-  if (cli.json) {
-    if (cli.json_path.empty()) {
-      obs::write_slo_json(verdict, std::cout);
-    } else {
-      std::ostringstream os;
-      obs::write_slo_json(verdict, os);
-      if (!write_text_file(cli.json_path, os.str())) {
-        std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-        return 2;
-      }
-    }
+  if (cli.json.on) {
+    std::ostringstream os;
+    obs::write_slo_json(verdict, os);
+    cli.json.emit(os.str());
   }
   return verdict.pass ? 0 : 1;
 }
@@ -251,39 +203,32 @@ int mode_check(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "check" || arg == "spans") {
-      if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--selfcheck") {
-      cli.selfcheck = true;
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_path = arg.substr(7);
-    } else if (arg.rfind("--spec=", 0) == 0) {
-      cli.spec_path = arg.substr(7);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      cli.out_path = arg.substr(6);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--report=", 0) == 0) {
-      const std::string pair = arg.substr(9);
-      const size_t eq = pair.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == pair.size()) {
-        return usage();
-      }
-      cli.reports.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-    } else {
-      return usage();
-    }
-  }
-  if (cli.mode == "spans") return mode_spans(cli);
-  if (cli.mode == "check") return mode_check(cli);
-  return usage();
+  cli::Tool tool{"sealpk-slo",
+                 {"check --spec=<SLO.json> --report=<name>=<path>... "
+                  "[--json[=<path>]] [-q]",
+                  "spans [--threads=<n>] [--selfcheck] [--out=<path>] [-q]"}};
+  tool.add(cli::value("--spec", &cli.spec_path, "<path>",
+                      "SLO spec to evaluate (check)"));
+  tool.add(cli::action("--report", "<name>=<path>",
+                       "a report the spec names (check; repeatable)",
+                       [&cli](const std::string& v) {
+                         const size_t eq = v.find('=');
+                         if (eq == std::string::npos || eq == 0 ||
+                             eq + 1 == v.size()) {
+                           throw cli::BadValue{};
+                         }
+                         cli.reports.emplace_back(v.substr(0, eq),
+                                                  v.substr(eq + 1));
+                       }));
+  tool.add(cli::json_sink(&cli.json, "machine-readable verdict (check)"));
+  tool.add(cli::threads(&cli.threads, "fleet workers (spans)"));
+  tool.add(cli::selfcheck(&cli.selfcheck));
+  tool.add(cli::value("--out", &cli.out_path, "<path>",
+                      "write the span bench here (spans)"));
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
+    const std::string mode = cli::take_mode(args, {"check", "spans"});
+    if (!args.empty()) throw cli::UsageError();
+    return mode == "spans" ? mode_spans(cli) : mode_check(cli);
+  });
 }

@@ -30,97 +30,33 @@
 //
 // Exit status: 0 success, 1 oracle/check failure, 2 usage or I/O errors.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/json.h"
-#include "passes/shadow_stack.h"
 #include "sim/machine.h"
 #include "snapshot/snapshot.h"
-#include "workloads/workload.h"
 
 using namespace sealpk;
 
 namespace {
 
 struct CliOptions {
-  std::string command;
   std::vector<std::string> positional;
   std::string out;
-  u64 at = 0;
-  bool have_at = false;
-  i64 expect_exit = 0;
-  bool have_expect_exit = false;
+  std::optional<u64> at;
+  std::optional<i64> expect_exit;
   bool quiet = false;
-  bool perm_seal = false;
-  bool json = false;      // machine-readable info/diff output
-  std::string json_out;   // empty = stdout
-  passes::ShadowStackKind ss = passes::ShadowStackKind::kNone;
+  cli::JsonSink json;  // machine-readable info/diff output
+  cli::ShadowStack ss;
   fault::FaultPlan plan;  // disabled unless a --chaos-* flag appears
 };
 
-// --json changes the output format, never the verdict: callers still rely
-// on the exit code (same contract as sealpk-fleet diff --json).
-int emit_json(const CliOptions& cli, const std::string& text) {
-  if (cli.json_out.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return 0;
-  }
-  std::ofstream f(cli.json_out, std::ios::trunc);
-  if (!f) {
-    std::fprintf(stderr, "cannot open '%s'\n", cli.json_out.c_str());
-    return 2;
-  }
-  f << text;
-  return 0;
-}
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sealpk-snapshot save <workload> --at=<instret> [--out=<file>]\n"
-      "       sealpk-snapshot restore <file> [--expect-exit=<code>]\n"
-      "       sealpk-snapshot replay <workload> --at=<instret>\n"
-      "       sealpk-snapshot diff <a> <b> [--json[=<path>]]\n"
-      "       sealpk-snapshot info <file> [--json[=<path>]]\n"
-      "options: [-q] [--ss=none|inline|func|sealpk-wr|sealpk-rdwr|mprotect]\n"
-      "         [--seal] [--chaos-seed=<n>] [--chaos-rate=<p>]\n"
-      "         [--cam-rate=<p>] [--max-faults=<n>]\n");
-  return 2;
-}
-
-bool parse_ss_kind(const std::string& text, passes::ShadowStackKind* out) {
-  if (text == "none") *out = passes::ShadowStackKind::kNone;
-  else if (text == "inline") *out = passes::ShadowStackKind::kInline;
-  else if (text == "func") *out = passes::ShadowStackKind::kFunc;
-  else if (text == "sealpk-wr") *out = passes::ShadowStackKind::kSealPkWr;
-  else if (text == "sealpk-rdwr") *out = passes::ShadowStackKind::kSealPkRdWr;
-  else if (text == "mprotect") *out = passes::ShadowStackKind::kMprotect;
-  else return false;
-  return true;
-}
-
-const wl::Workload* find_workload(const std::string& name) {
-  for (const auto& w : wl::all_workloads()) {
-    if (name == w.name) return &w;
-  }
-  return nullptr;
-}
-
-isa::Image build_image(const wl::Workload& w, const CliOptions& cli) {
-  isa::Program prog = w.build(w.test_scale);
-  if (cli.ss != passes::ShadowStackKind::kNone) {
-    passes::ShadowStackOptions ss;
-    ss.kind = cli.ss;
-    ss.perm_seal = cli.perm_seal;
-    passes::apply_shadow_stack(prog, ss);
-  }
-  return prog.link();
+isa::Image build_image(const CliOptions& cli) {
+  return cli.ss.build(cli::find_workload(cli.positional[0])).link();
 }
 
 sim::MachineConfig make_config(const CliOptions& cli) {
@@ -130,18 +66,13 @@ sim::MachineConfig make_config(const CliOptions& cli) {
 }
 
 int cmd_save(const CliOptions& cli) {
-  const wl::Workload* w = find_workload(cli.positional[0]);
-  if (w == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s'\n", cli.positional[0].c_str());
-    return 2;
-  }
   sim::Machine machine(make_config(cli));
-  const int pid = machine.load(build_image(*w, cli));
+  const int pid = machine.load(build_image(cli));
   if (pid == sim::Machine::kLoadRefused) {
     std::fprintf(stderr, "workload refused by loader\n");
     return 1;
   }
-  machine.run(cli.at);
+  machine.run(*cli.at);
   const std::vector<u8> blob = snapshot::save(machine);
   const std::string out =
       cli.out.empty() ? cli.positional[0] + ".spksnap" : cli.out;
@@ -171,22 +102,17 @@ int cmd_restore(const CliOptions& cli) {
                 outcome.completed ? 1 : 0, static_cast<long long>(code));
     std::fputs(machine.kernel().console().c_str(), stdout);
   }
-  if (cli.have_expect_exit && code != cli.expect_exit) {
+  if (cli.expect_exit && code != *cli.expect_exit) {
     std::fprintf(stderr, "exit code %lld, expected %lld\n",
                  static_cast<long long>(code),
-                 static_cast<long long>(cli.expect_exit));
+                 static_cast<long long>(*cli.expect_exit));
     return 1;
   }
   return outcome.completed ? 0 : 1;
 }
 
 int cmd_replay(const CliOptions& cli) {
-  const wl::Workload* w = find_workload(cli.positional[0]);
-  if (w == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s'\n", cli.positional[0].c_str());
-    return 2;
-  }
-  const isa::Image image = build_image(*w, cli);
+  const isa::Image image = build_image(cli);
 
   // Reference: one uninterrupted run.
   sim::Machine straight(make_config(cli));
@@ -200,7 +126,7 @@ int cmd_replay(const CliOptions& cli) {
   // Candidate: same run, but torn down and resumed from a snapshot midway.
   sim::Machine first(make_config(cli));
   first.load(image);
-  first.run(cli.at);
+  first.run(*cli.at);
   const std::vector<u8> mid = snapshot::save(first);
 
   sim::Machine resumed(snapshot::config_from(mid));
@@ -213,14 +139,14 @@ int cmd_replay(const CliOptions& cli) {
       std::printf(
           "%s: bit-identical after save/restore at instret=%llu "
           "(%zu-byte final state)\n",
-          cli.positional[0].c_str(), static_cast<unsigned long long>(cli.at),
+          cli.positional[0].c_str(), static_cast<unsigned long long>(*cli.at),
           final_straight.size());
     }
     return 0;
   }
   std::printf("%s: FINAL STATE DIVERGED after restore at instret=%llu\n",
               cli.positional[0].c_str(),
-              static_cast<unsigned long long>(cli.at));
+              static_cast<unsigned long long>(*cli.at));
   for (const auto& line : snapshot::diff(final_straight, final_resumed)) {
     std::printf("  %s\n", line.c_str());
   }
@@ -231,7 +157,7 @@ int cmd_diff(const CliOptions& cli) {
   const std::vector<u8> a = snapshot::read_file(cli.positional[0]);
   const std::vector<u8> b = snapshot::read_file(cli.positional[1]);
   const std::vector<std::string> lines = snapshot::diff(a, b);
-  if (cli.json) {
+  if (cli.json.on) {
     std::ostringstream os;
     os << "{\"a\": \"" << json_escape(cli.positional[0]) << "\", \"b\": \""
        << json_escape(cli.positional[1])
@@ -241,8 +167,7 @@ int cmd_diff(const CliOptions& cli) {
       os << (i != 0 ? ", " : "") << "\"" << json_escape(lines[i]) << "\"";
     }
     os << "]}\n";
-    const int rc = emit_json(cli, os.str());
-    if (rc != 0) return rc;
+    cli.json.emit(os.str());
     return lines.empty() ? 0 : 1;
   }
   if (lines.empty()) {
@@ -256,7 +181,7 @@ int cmd_diff(const CliOptions& cli) {
 int cmd_info(const CliOptions& cli) {
   const std::vector<u8> blob = snapshot::read_file(cli.positional[0]);
   const snapshot::Info info = snapshot::info(blob);
-  if (cli.json) {
+  if (cli.json.on) {
     char checksum[32];
     std::snprintf(checksum, sizeof(checksum), "%016llx",
                   static_cast<unsigned long long>(info.checksum));
@@ -274,7 +199,8 @@ int cmd_info(const CliOptions& cli) {
          << "\", \"bytes\": " << info.sections[i].size << "}";
     }
     os << "]}\n";
-    return emit_json(cli, os.str());
+    cli.json.emit(os.str());
+    return 0;
   }
   std::printf("version   %u\n", info.version);
   std::printf("payload   %llu bytes, fnv1a64=%016llx (%s)\n",
@@ -296,64 +222,35 @@ int cmd_info(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--seal") {
-      cli.perm_seal = true;
-    } else if (arg.rfind("--ss=", 0) == 0) {
-      if (!parse_ss_kind(arg.substr(5), &cli.ss)) return usage();
-    } else if (arg.rfind("--at=", 0) == 0) {
-      cli.at = std::strtoull(arg.c_str() + 5, nullptr, 0);
-      cli.have_at = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      cli.out = arg.substr(6);
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_out = arg.substr(7);
-    } else if (arg.rfind("--expect-exit=", 0) == 0) {
-      cli.expect_exit = std::strtoll(arg.c_str() + 14, nullptr, 0);
-      cli.have_expect_exit = true;
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.plan.enabled = true;
-      cli.plan.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.plan.enabled = true;
-      cli.plan.rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--cam-rate=", 0) == 0) {
-      cli.plan.enabled = true;
-      cli.plan.cam_rate = std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--max-faults=", 0) == 0) {
-      cli.plan.max_faults = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else if (cli.command.empty()) {
-      cli.command = arg;
-    } else {
-      cli.positional.push_back(arg);
-    }
-  }
-
-  const size_t nargs = cli.positional.size();
-  try {
-    if (cli.command == "save" && nargs == 1 && cli.have_at) {
-      return cmd_save(cli);
-    }
-    if (cli.command == "restore" && nargs == 1) return cmd_restore(cli);
-    if (cli.command == "replay" && nargs == 1 && cli.have_at) {
-      return cmd_replay(cli);
-    }
-    if (cli.command == "diff" && nargs == 2) return cmd_diff(cli);
-    if (cli.command == "info" && nargs == 1) return cmd_info(cli);
-  } catch (const snapshot::SnapshotError& e) {
-    std::fprintf(stderr, "sealpk-snapshot: %s\n", e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sealpk-snapshot: unexpected error: %s\n", e.what());
-    return 2;
-  }
-  return usage();
+  cli::Tool tool{"sealpk-snapshot",
+                 {"save <workload> --at=<instret> [--out=<file>]",
+                  "restore <file> [--expect-exit=<code>]",
+                  "replay <workload> --at=<instret>",
+                  "diff <a> <b> [--json[=<path>]]",
+                  "info <file> [--json[=<path>]]"}};
+  tool.add(cli::value("--at", &cli.at, "<instret>",
+                      "retired-instruction point (save, replay)"));
+  tool.add(cli::value("--out", &cli.out, "<file>",
+                      "snapshot file (save; default <workload>.spksnap)"));
+  tool.add(cli::value("--expect-exit", &cli.expect_exit, "<code>",
+                      "required guest exit code (restore)"));
+  tool.add(cli::json_sink(&cli.json, "machine-readable view (info, diff)"));
+  cli::add_shadow_stack(tool, &cli.ss);
+  cli::FaultTargets plan = cli::plan_targets(&cli.plan);
+  plan.kinds = nullptr;
+  plan.enable = &cli.plan.enabled;
+  cli::add_fault_plan(tool, plan);
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
+    if (args.empty()) throw cli::UsageError();
+    const std::string command = args[0];
+    cli.positional.assign(args.begin() + 1, args.end());
+    const size_t nargs = cli.positional.size();
+    if (command == "save" && nargs == 1 && cli.at) return cmd_save(cli);
+    if (command == "restore" && nargs == 1) return cmd_restore(cli);
+    if (command == "replay" && nargs == 1 && cli.at) return cmd_replay(cli);
+    if (command == "diff" && nargs == 2) return cmd_diff(cli);
+    if (command == "info" && nargs == 1) return cmd_info(cli);
+    throw cli::UsageError();
+  });
 }

@@ -26,103 +26,47 @@
 //
 // Exit status: 0 success, 1 diff/check failure, 2 usage or I/O errors.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <stdexcept>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "common/json.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
-#include "passes/shadow_stack.h"
 #include "sim/machine.h"
-#include "workloads/workload.h"
 
 using namespace sealpk;
 
 namespace {
 
 struct CliOptions {
-  std::string command;
   std::vector<std::string> positional;
   std::string out;
-  bool json = false;  // --json[=path] (report mode: machine-readable)
-  std::string json_out;
+  cli::JsonSink json;  // report: --json[=path]; export/diff: --json=<path>
   std::string collapsed_out;
   bool timeline = false;
   u64 sample = 0;  // 0 = profiler off
   u64 ring = 0;    // 0 = unbounded capture
   bool quiet = false;
-  bool perm_seal = false;
-  passes::ShadowStackKind ss = passes::ShadowStackKind::kNone;
+  cli::ShadowStack ss;
 };
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sealpk-trace record <workload> [--out=<file>] [--sample=<n>]\n"
-      "                           [--ring=<n>]\n"
-      "       sealpk-trace report <file> [--json[=<file>]]\n"
-      "       sealpk-trace export <file> [--json=<file>] [--collapsed=<file>]\n"
-      "                           [--timeline]\n"
-      "       sealpk-trace diff <a> <b> [--json=<file>]\n"
-      "options: [-q] [--ss=none|inline|func|sealpk-wr|sealpk-rdwr|mprotect]\n"
-      "         [--seal]\n");
-  return 2;
-}
-
-bool parse_ss_kind(const std::string& text, passes::ShadowStackKind* out) {
-  if (text == "none") *out = passes::ShadowStackKind::kNone;
-  else if (text == "inline") *out = passes::ShadowStackKind::kInline;
-  else if (text == "func") *out = passes::ShadowStackKind::kFunc;
-  else if (text == "sealpk-wr") *out = passes::ShadowStackKind::kSealPkWr;
-  else if (text == "sealpk-rdwr") *out = passes::ShadowStackKind::kSealPkRdWr;
-  else if (text == "mprotect") *out = passes::ShadowStackKind::kMprotect;
-  else return false;
-  return true;
-}
-
-const wl::Workload* find_workload(const std::string& name) {
-  for (const auto& w : wl::all_workloads()) {
-    if (name == w.name) return &w;
-  }
-  return nullptr;
-}
-
-void write_file(const std::string& path, const std::vector<u8>& bytes) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw std::runtime_error("cannot open '" + path + "' for writing");
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!f) throw std::runtime_error("short write to '" + path + "'");
-}
-
-std::vector<u8> read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open '" + path + "'");
-  return std::vector<u8>(std::istreambuf_iterator<char>(f),
-                         std::istreambuf_iterator<char>());
-}
-
 obs::Trace load_trace(const std::string& path) {
-  return obs::parse(read_file(path));
+  return obs::parse(cli::read_bytes(path));
+}
+
+// Renders through `write` into the file at `path`.
+template <typename Write>
+void write_to(const std::string& path, Write write) {
+  std::ostringstream os;
+  write(os);
+  cli::write_text(path, os.str());
 }
 
 int cmd_record(const CliOptions& cli) {
-  const wl::Workload* w = find_workload(cli.positional[0]);
-  if (w == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s'\n", cli.positional[0].c_str());
-    return 2;
-  }
-  isa::Program prog = w->build(w->test_scale);
-  if (cli.ss != passes::ShadowStackKind::kNone) {
-    passes::ShadowStackOptions ss;
-    ss.kind = cli.ss;
-    ss.perm_seal = cli.perm_seal;
-    passes::apply_shadow_stack(prog, ss);
-  }
+  const isa::Program prog = cli.ss.build(cli::find_workload(cli.positional[0]));
 
   sim::MachineConfig config;
   config.trace.enabled = true;
@@ -142,7 +86,7 @@ int cmd_record(const CliOptions& cli) {
   const std::vector<u8> blob = machine.recorder()->serialize_blob();
   const std::string out =
       cli.out.empty() ? cli.positional[0] + ".spktrace" : cli.out;
-  write_file(out, blob);
+  cli::write_bytes(out, blob);
   if (!cli.quiet) {
     const obs::TraceSummary s =
         machine.recorder()->summary(machine.hart().cycles());
@@ -163,18 +107,14 @@ int cmd_report(const CliOptions& cli) {
   // ("sealpk-trace-report-v1": counters + per-pkey table + span
   // quantiles); exit-code parity with plain mode (both 0 on a loadable
   // blob — damage is caught by load_trace either way).
-  if (cli.json) {
-    if (cli.json_out.empty()) {
+  if (cli.json.on) {
+    if (cli.json.path.empty()) {
       obs::write_report_json(trace, std::cout);
       return 0;
     }
-    std::ofstream f(cli.json_out, std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", cli.json_out.c_str());
-      return 2;
-    }
-    obs::write_report_json(trace, f);
-    if (!cli.quiet) std::printf("%s: report json\n", cli.json_out.c_str());
+    write_to(cli.json.path,
+             [&](std::ostream& os) { obs::write_report_json(trace, os); });
+    if (!cli.quiet) std::printf("%s: report json\n", cli.json.path.c_str());
     return 0;
   }
   obs::write_report(trace, std::cout);
@@ -182,26 +122,18 @@ int cmd_report(const CliOptions& cli) {
 }
 
 int cmd_export(const CliOptions& cli) {
-  if (cli.json_out.empty() && cli.collapsed_out.empty() && !cli.timeline) {
-    return usage();
+  if (cli.json.path.empty() && cli.collapsed_out.empty() && !cli.timeline) {
+    throw cli::UsageError();
   }
   const obs::Trace trace = load_trace(cli.positional[0]);
-  if (!cli.json_out.empty()) {
-    std::ofstream f(cli.json_out, std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", cli.json_out.c_str());
-      return 2;
-    }
-    obs::write_perfetto_json(trace, f);
-    if (!cli.quiet) std::printf("%s: perfetto json\n", cli.json_out.c_str());
+  if (!cli.json.path.empty()) {
+    write_to(cli.json.path,
+             [&](std::ostream& os) { obs::write_perfetto_json(trace, os); });
+    if (!cli.quiet) std::printf("%s: perfetto json\n", cli.json.path.c_str());
   }
   if (!cli.collapsed_out.empty()) {
-    std::ofstream f(cli.collapsed_out, std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", cli.collapsed_out.c_str());
-      return 2;
-    }
-    obs::write_collapsed(trace, f);
+    write_to(cli.collapsed_out,
+             [&](std::ostream& os) { obs::write_collapsed(trace, os); });
     if (!cli.quiet) {
       std::printf("%s: collapsed stacks\n", cli.collapsed_out.c_str());
     }
@@ -217,16 +149,13 @@ int cmd_diff(const CliOptions& cli) {
   // --json changes the output format, never the verdict: structural
   // divergence exits nonzero in JSON mode exactly as in plain mode (the
   // same contract sealpk-fleet diff --json pins).
-  if (!cli.json_out.empty()) {
-    std::ofstream f(cli.json_out, std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "cannot open '%s'\n", cli.json_out.c_str());
-      return 2;
-    }
-    f << "{\"a\": \"" << json_escape(cli.positional[0]) << "\", \"b\": \""
-      << json_escape(cli.positional[1])
-      << "\", \"identical\": " << (delta.empty() ? "true" : "false")
-      << ", \"delta\": \"" << json_escape(delta) << "\"}\n";
+  if (!cli.json.path.empty()) {
+    cli::write_text(cli.json.path,
+                    "{\"a\": \"" + json_escape(cli.positional[0]) +
+                        "\", \"b\": \"" + json_escape(cli.positional[1]) +
+                        "\", \"identical\": " +
+                        (delta.empty() ? "true" : "false") +
+                        ", \"delta\": \"" + json_escape(delta) + "\"}\n");
     return delta.empty() ? 0 : 1;
   }
   if (delta.empty()) {
@@ -241,47 +170,37 @@ int cmd_diff(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--seal") {
-      cli.perm_seal = true;
-    } else if (arg == "--timeline") {
-      cli.timeline = true;
-    } else if (arg.rfind("--ss=", 0) == 0) {
-      if (!parse_ss_kind(arg.substr(5), &cli.ss)) return usage();
-    } else if (arg.rfind("--out=", 0) == 0) {
-      cli.out = arg.substr(6);
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_out = arg.substr(7);
-    } else if (arg.rfind("--collapsed=", 0) == 0) {
-      cli.collapsed_out = arg.substr(12);
-    } else if (arg.rfind("--sample=", 0) == 0) {
-      cli.sample = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--ring=", 0) == 0) {
-      cli.ring = std::strtoull(arg.c_str() + 7, nullptr, 0);
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else if (cli.command.empty()) {
-      cli.command = arg;
-    } else {
-      cli.positional.push_back(arg);
-    }
-  }
-
-  const size_t nargs = cli.positional.size();
-  try {
-    if (cli.command == "record" && nargs == 1) return cmd_record(cli);
-    if (cli.command == "report" && nargs == 1) return cmd_report(cli);
-    if (cli.command == "export" && nargs == 1) return cmd_export(cli);
-    if (cli.command == "diff" && nargs == 2) return cmd_diff(cli);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "sealpk-trace: %s\n", e.what());
-    return 2;
-  }
-  return usage();
+  cli::Tool tool{"sealpk-trace",
+                 {"record <workload> [--out=<file>] [--sample=<n>] "
+                  "[--ring=<n>]",
+                  "report <file> [--json[=<file>]]",
+                  "export <file> [--json=<file>] [--collapsed=<file>] "
+                  "[--timeline]",
+                  "diff <a> <b> [--json=<file>]"}};
+  tool.add(cli::value("--out", &cli.out, "<file>",
+                      "trace blob (record; default <workload>.spktrace)"));
+  tool.add(cli::value("--sample", &cli.sample, "<n>",
+                      "PC sample every n instructions (record; 0 = off)"));
+  tool.add(cli::value("--ring", &cli.ring, "<n>",
+                      "keep the last n events (record; 0 = all)"));
+  tool.add(cli::json_sink(&cli.json,
+                          "report: JSON report; export: Perfetto JSON; "
+                          "diff: JSON verdict"));
+  tool.add(cli::value("--collapsed", &cli.collapsed_out, "<file>",
+                      "folded stacks for flamegraph.pl (export)"));
+  tool.add(cli::sw("--timeline", &cli.timeline,
+                   "print the event timeline (export)"));
+  cli::add_shadow_stack(tool, &cli.ss);
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
+    if (args.empty()) throw cli::UsageError();
+    const std::string command = args[0];
+    cli.positional.assign(args.begin() + 1, args.end());
+    const size_t nargs = cli.positional.size();
+    if (command == "record" && nargs == 1) return cmd_record(cli);
+    if (command == "report" && nargs == 1) return cmd_report(cli);
+    if (command == "export" && nargs == 1) return cmd_export(cli);
+    if (command == "diff" && nargs == 2) return cmd_diff(cli);
+    throw cli::UsageError();
+  });
 }

@@ -29,12 +29,10 @@
 //   sealpk-vault sweep --threads=4 --selfcheck --json=vault_sweep.json
 //   sealpk-vault sweep --chaos --chaos-seed=7 --threads=4
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 
-#include "sim/machine.h"
+#include "cli.h"
 #include "vault/run.h"
 #include "vault/sweep.h"
 
@@ -43,40 +41,11 @@ using namespace sealpk;
 namespace {
 
 struct CliOptions {
-  std::string mode;
   bool quiet = false;
   bool selfcheck = false;
   std::string json_path;
   vault::SweepConfig cfg;
 };
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sealpk-vault run [options]\n"
-      "       sealpk-vault sweep [options]\n"
-      "options:\n"
-      "  --slots=<n> --slot-size=<bytes> --seals=<n> --reseals=<n>\n"
-      "  --unseals=<n> --seed=<n>\n"
-      "  --points=<n>             minimum sampled crash points (sweep)\n"
-      "  --stride=<n>             uniform samples across the run (sweep)\n"
-      "  --threads=<n>            fleet workers for the sweep\n"
-      "  --rollback-every=<n>     checkpoint-resume every Nth point\n"
-      "  --checkpoint-interval=<instructions>\n"
-      "  --chaos --chaos-runs=<n> --chaos-seed=<n> --chaos-rate=<p>\n"
-      "  --chaos-max-faults=<n>\n"
-      "  --selfcheck              serial re-run must match byte-for-byte\n"
-      "  --json=<path>            machine-readable sweep verdict\n"
-      "  -q                       suppress the canonical report\n");
-  return 2;
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return out.good();
-}
 
 int mode_run(const CliOptions& cli) {
   const vault::VaultRunResult r = vault::run_vault_once(cli.cfg.spec);
@@ -109,10 +78,7 @@ int mode_sweep(const CliOptions& cli) {
     vault::SweepConfig serial = cli.cfg;
     serial.threads = 1;
     const vault::SweepResult again = vault::run_sweep(serial);
-    if (again.canonical != r.canonical) {
-      std::fprintf(stderr,
-                   "selfcheck: serial sweep diverged from %u-thread sweep\n",
-                   cli.cfg.threads);
+    if (!cli::records_match(r.canonical, again.canonical, cli.cfg.threads)) {
       rc = 1;
     } else if (!cli.quiet) {
       std::printf("selfcheck: serial re-run byte-identical\n");
@@ -121,10 +87,7 @@ int mode_sweep(const CliOptions& cli) {
   if (!cli.json_path.empty()) {
     std::ostringstream os;
     vault::write_sweep_json(os, cli.cfg, r);
-    if (!write_text_file(cli.json_path, os.str())) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-      return 2;
-    }
+    cli::write_text(cli.json_path, os.str());
   }
   return rc;
 }
@@ -133,59 +96,45 @@ int mode_sweep(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "run" || arg == "sweep") {
-      if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--selfcheck") {
-      cli.selfcheck = true;
-    } else if (arg == "--chaos") {
-      cli.cfg.chaos = true;
-    } else if (arg.rfind("--slots=", 0) == 0) {
-      cli.cfg.spec.n_slots = std::strtoull(arg.c_str() + 8, nullptr, 0);
-    } else if (arg.rfind("--slot-size=", 0) == 0) {
-      cli.cfg.spec.slot_size = std::strtoull(arg.c_str() + 12, nullptr, 0);
-    } else if (arg.rfind("--seals=", 0) == 0) {
-      cli.cfg.spec.seals =
-          static_cast<u32>(std::strtoul(arg.c_str() + 8, nullptr, 0));
-    } else if (arg.rfind("--reseals=", 0) == 0) {
-      cli.cfg.spec.reseals =
-          static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--unseals=", 0) == 0) {
-      cli.cfg.spec.unseals =
-          static_cast<u32>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cli.cfg.spec.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
-    } else if (arg.rfind("--points=", 0) == 0) {
-      cli.cfg.min_points = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--stride=", 0) == 0) {
-      cli.cfg.stride_points = std::strtoull(arg.c_str() + 9, nullptr, 0);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.cfg.threads =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--rollback-every=", 0) == 0) {
-      cli.cfg.rollback_every = std::strtoull(arg.c_str() + 17, nullptr, 0);
-    } else if (arg.rfind("--checkpoint-interval=", 0) == 0) {
-      cli.cfg.checkpoint_interval =
-          std::strtoull(arg.c_str() + 22, nullptr, 0);
-    } else if (arg.rfind("--chaos-runs=", 0) == 0) {
-      cli.cfg.chaos_runs = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-seed=", 0) == 0) {
-      cli.cfg.chaos_seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-    } else if (arg.rfind("--chaos-rate=", 0) == 0) {
-      cli.cfg.chaos_rate = std::strtod(arg.c_str() + 13, nullptr);
-    } else if (arg.rfind("--chaos-max-faults=", 0) == 0) {
-      cli.cfg.chaos_max_faults = std::strtoull(arg.c_str() + 19, nullptr, 0);
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json_path = arg.substr(7);
-    } else {
-      return usage();
-    }
-  }
-  if (cli.mode == "run") return mode_run(cli);
-  if (cli.mode == "sweep") return mode_sweep(cli);
-  return usage();
+  vault::SweepConfig& cfg = cli.cfg;
+  cli::Tool tool{"sealpk-vault", {"run [options]", "sweep [options]"}};
+  tool.add(cli::value("--slots", &cfg.spec.n_slots, "<n>", "vault slots"));
+  tool.add(cli::value("--slot-size", &cfg.spec.slot_size, "<bytes>",
+                      "bytes per slot"));
+  tool.add(cli::value("--seals", &cfg.spec.seals, "<n>", "seal operations"));
+  tool.add(cli::value("--reseals", &cfg.spec.reseals, "<n>",
+                      "reseal operations"));
+  tool.add(cli::value("--unseals", &cfg.spec.unseals, "<n>",
+                      "unseal operations"));
+  tool.add(cli::value("--seed", &cfg.spec.seed, "<n>", "payload seed"));
+  tool.add(cli::value("--points", &cfg.min_points, "<n>",
+                      "minimum sampled crash points (sweep)"));
+  tool.add(cli::value("--stride", &cfg.stride_points, "<n>",
+                      "uniform samples across the run (sweep)"));
+  tool.add(cli::threads(&cfg.threads, "fleet workers for the sweep"));
+  tool.add(cli::value("--rollback-every", &cfg.rollback_every, "<n>",
+                      "checkpoint-resume every Nth point"));
+  tool.add(cli::value("--checkpoint-interval", &cfg.checkpoint_interval,
+                      "<instructions>", "instructions between checkpoints"));
+  tool.add(cli::sw("--chaos", &cfg.chaos, "seeded vault-record bit flips"));
+  tool.add(cli::value("--chaos-runs", &cfg.chaos_runs, "<n>",
+                      "chaos runs (sweep)"));
+  tool.add(cli::value("--chaos-seed", &cfg.chaos_seed, "<n>",
+                      "first chaos seed"));
+  tool.add(cli::action("--chaos-rate", "<p>",
+                       "per-instruction fault probability, in [0, 1]",
+                       [&cfg](const std::string& v) {
+                         cfg.chaos_rate = cli::parse_rate(v);
+                       }));
+  tool.add(cli::value("--chaos-max-faults", &cfg.chaos_max_faults, "<n>",
+                      "fault budget per chaos run"));
+  tool.add(cli::selfcheck(&cli.selfcheck));
+  tool.add(cli::value("--json", &cli.json_path, "<path>",
+                      "machine-readable sweep verdict"));
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
+    const std::string mode = cli::take_mode(args, {"run", "sweep"});
+    if (!args.empty()) throw cli::UsageError();
+    return mode == "run" ? mode_run(cli) : mode_sweep(cli);
+  });
 }

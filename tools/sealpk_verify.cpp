@@ -15,13 +15,13 @@
 //   sealpk-verify --all --json=out.json      # ... written to a file
 //   sealpk-verify --list                     # list known workload names
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/verifier.h"
+#include "cli.h"
 #include "passes/shadow_stack.h"
 #include "workloads/workload.h"
 
@@ -30,38 +30,12 @@ using namespace sealpk;
 namespace {
 
 struct CliOptions {
-  bool all = false;
-  bool list = false;
+  cli::WorkloadPick workloads;
   bool quiet = false;
-  bool perm_seal = false;
-  bool json = false;
-  std::string json_path;  // empty: JSON goes to stdout
-  passes::ShadowStackKind ss = passes::ShadowStackKind::kNone;
-  std::vector<std::string> names;
+  cli::JsonSink json;
+  cli::ShadowStack ss;
   analysis::VerifyOptions verify;
 };
-
-bool parse_ss_kind(const std::string& text, passes::ShadowStackKind* out) {
-  if (text == "none") *out = passes::ShadowStackKind::kNone;
-  else if (text == "inline") *out = passes::ShadowStackKind::kInline;
-  else if (text == "func") *out = passes::ShadowStackKind::kFunc;
-  else if (text == "sealpk-wr") *out = passes::ShadowStackKind::kSealPkWr;
-  else if (text == "sealpk-rdwr") *out = passes::ShadowStackKind::kSealPkRdWr;
-  else if (text == "mprotect") *out = passes::ShadowStackKind::kMprotect;
-  else return false;
-  return true;
-}
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sealpk-verify [--all | <workload>...] [--list] [-q]\n"
-      "                     [--ss=none|inline|func|sealpk-wr|sealpk-rdwr|"
-      "mprotect]\n"
-      "                     [--seal] [--trust=<function>]...\n"
-      "                     [--json[=<path>]]\n");
-  return 2;
-}
 
 struct Verified {
   std::string label;
@@ -69,70 +43,20 @@ struct Verified {
 };
 
 Verified verify_one(const wl::Workload& w, const CliOptions& cli) {
-  isa::Program prog = w.build(w.test_scale);
+  const isa::Program prog = cli.ss.build(w);
   std::string label = std::string(wl::suite_name(w.suite)) + "/" + w.name;
-  if (cli.ss != passes::ShadowStackKind::kNone) {
-    passes::ShadowStackOptions ss;
-    ss.kind = cli.ss;
-    ss.perm_seal = cli.perm_seal;
-    passes::apply_shadow_stack(prog, ss);
-    label += std::string(" [") + passes::shadow_stack_kind_name(cli.ss) +
-             (cli.perm_seal ? ", perm-sealed]" : "]");
+  if (cli.ss.kind != passes::ShadowStackKind::kNone) {
+    label += std::string(" [") + passes::shadow_stack_kind_name(cli.ss.kind) +
+             (cli.ss.seal ? ", perm-sealed]" : "]");
   }
   return {label, analysis::verify_program(prog, cli.verify)};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--all") {
-      cli.all = true;
-    } else if (arg == "--list") {
-      cli.list = true;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--seal") {
-      cli.perm_seal = true;
-    } else if (arg.rfind("--ss=", 0) == 0) {
-      if (!parse_ss_kind(arg.substr(5), &cli.ss)) return usage();
-    } else if (arg.rfind("--trust=", 0) == 0) {
-      cli.verify.trusted_gates.insert(arg.substr(8));
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json = true;
-      cli.json_path = arg.substr(7);
-      if (cli.json_path.empty()) return usage();
-    } else if (!arg.empty() && arg[0] == '-') {
-      return usage();
-    } else {
-      cli.names.push_back(arg);
-    }
-  }
-
-  if (cli.list) {
-    for (const auto& w : wl::all_workloads()) {
-      std::printf("%-10s (%s)\n", w.name, wl::suite_name(w.suite));
-    }
-    return 0;
-  }
-  if (!cli.all && cli.names.empty()) return usage();
-
+int verify_workloads(const CliOptions& cli,
+                     const std::vector<std::string>& names) {
   std::vector<Verified> results;
-  for (const auto& w : wl::all_workloads()) {
-    bool wanted = cli.all;
-    for (const auto& name : cli.names) {
-      if (name == w.name) wanted = true;
-    }
-    if (!wanted) continue;
-    results.push_back(verify_one(w, cli));
-  }
-  if (results.empty()) {
-    std::fprintf(stderr, "no matching workload; try --list\n");
-    return 2;
+  for (const wl::Workload* w : cli.workloads.pick(names)) {
+    results.push_back(verify_one(*w, cli));
   }
 
   size_t errors = 0;
@@ -140,16 +64,8 @@ int main(int argc, char** argv) {
     errors += v.report.count(analysis::Severity::kError);
   }
 
-  if (cli.json) {
-    std::ofstream file;
-    if (!cli.json_path.empty()) {
-      file.open(cli.json_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-        return 2;
-      }
-    }
-    std::ostream& os = cli.json_path.empty() ? std::cout : file;
+  if (cli.json.on) {
+    std::ostringstream os;
     os << "{\n  \"schema\": \"sealpk-verify-v1\",\n"
        << "  \"inspected\": " << results.size() << ",\n"
        << "  \"errors\": " << errors << ",\n"
@@ -159,6 +75,7 @@ int main(int argc, char** argv) {
       os << (i + 1 < results.size() ? ",\n" : "\n");
     }
     os << "  ]\n}\n";
+    cli.json.emit(os.str());
   } else {
     for (const auto& v : results) {
       if (!cli.quiet || !v.report.clean()) {
@@ -171,4 +88,23 @@ int main(int argc, char** argv) {
     }
   }
   return errors == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  CliOptions cli;
+  cli::Tool tool{"sealpk-verify", {"[--all | <workload>...] [options]"}};
+  cli::add_workload_pick(tool, &cli.workloads);
+  cli::add_shadow_stack(tool, &cli.ss);
+  tool.add(cli::action("--trust", "<function>",
+                       "treat the function as a trusted gate (repeatable)",
+                       [&cli](const std::string& v) {
+                         cli.verify.trusted_gates.insert(v);
+                       }));
+  tool.add(cli::json_sink(&cli.json, "machine-readable findings"));
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& names) {
+    return verify_workloads(cli, names);
+  });
 }

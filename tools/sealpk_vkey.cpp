@@ -25,11 +25,10 @@
 //   sealpk-vkey run --sessions=512 --raw
 //   sealpk-vkey sweep --threads=4 --selfcheck --json=BENCH_keychurn.json
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "mpk/session.h"
 
 using namespace sealpk;
@@ -37,59 +36,18 @@ using namespace sealpk;
 namespace {
 
 struct CliOptions {
-  std::string mode;
   bool quiet = false;
   bool selfcheck = false;
   std::string json_path;
   mpk::SessionConfig cfg;
-  bool ops_set = false;
+  std::optional<u64> ops;
   std::vector<u64> scales = {256, 768, 2048, 6144};
   unsigned threads = 0;
 };
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: sealpk-vkey run [options]\n"
-      "       sealpk-vkey sweep [options]\n"
-      "options:\n"
-      "  --sessions=<n>           live session domains (run)\n"
-      "  --ops=<n>                churn operations after ramp (run;\n"
-      "                           default 2*sessions)\n"
-      "  --seed=<n>               churn schedule seed\n"
-      "  --mru=<n>                per-process MRU pin slots\n"
-      "  --lazy                   lazy drain-queue sync policy\n"
-      "  --raw                    physical pkeys (sessions <= 768)\n"
-      "  --max-instr=<n>          instruction budget per run\n"
-      "  --scales=<a,b,...>       session scales for the sweep\n"
-      "  --threads=<n>            fleet workers for the sweep\n"
-      "  --selfcheck              serial re-run must match byte-for-byte\n"
-      "  --json=<path>            machine-readable sweep report\n"
-      "  -q                       suppress the canonical records\n");
-  return 2;
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text;
-  return out.good();
-}
-
-std::vector<u64> parse_scales(const char* s) {
-  std::vector<u64> scales;
-  while (*s != '\0') {
-    char* end = nullptr;
-    scales.push_back(std::strtoull(s, &end, 0));
-    if (end == s) return {};
-    s = *end == ',' ? end + 1 : end;
-  }
-  return scales;
-}
-
 int mode_run(const CliOptions& cli) {
   mpk::SessionConfig cfg = cli.cfg;
-  if (!cli.ops_set) cfg.ops = 2 * cfg.sessions;
+  cfg.ops = cli.ops.value_or(2 * cfg.sessions);
   if (cfg.raw && cfg.sessions > mpk::kRawSessionCap) {
     std::fprintf(stderr, "--raw needs --sessions <= %llu\n",
                  static_cast<unsigned long long>(mpk::kRawSessionCap));
@@ -110,7 +68,6 @@ int mode_run(const CliOptions& cli) {
 }
 
 int mode_sweep(const CliOptions& cli) {
-  if (cli.scales.empty()) return usage();
   const std::vector<mpk::ChurnCell> cells =
       mpk::run_churn_sweep(cli.scales, cli.cfg.seed, cli.threads);
   const std::string records = mpk::sweep_records(cells);
@@ -123,18 +80,15 @@ int mode_sweep(const CliOptions& cli) {
   if (cli.selfcheck) {
     const std::vector<mpk::ChurnCell> serial =
         mpk::run_churn_sweep(cli.scales, cli.cfg.seed, 1);
-    if (mpk::sweep_records(serial) != records) {
-      std::fprintf(stderr, "selfcheck: serial sweep diverged\n");
+    if (!cli::records_match(records, mpk::sweep_records(serial),
+                            cli.threads)) {
       rc = 1;
     } else if (!cli.quiet) {
       std::printf("selfcheck: serial re-run byte-identical\n");
     }
   }
   if (!cli.json_path.empty()) {
-    if (!write_text_file(cli.json_path, mpk::churn_json(cells))) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_path.c_str());
-      return 2;
-    }
+    cli::write_text(cli.json_path, mpk::churn_json(cells));
   }
   return rc;
 }
@@ -143,44 +97,36 @@ int mode_sweep(const CliOptions& cli) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "run" || arg == "sweep") {
-      if (!cli.mode.empty()) return usage();
-      cli.mode = arg;
-    } else if (arg == "-q" || arg == "--quiet") {
-      cli.quiet = true;
-    } else if (arg == "--selfcheck") {
-      cli.selfcheck = true;
-    } else if (arg == "--lazy") {
-      cli.cfg.lazy_sync = true;
-    } else if (arg == "--raw") {
-      cli.cfg.raw = true;
-    } else if (arg.rfind("--sessions=", 0) == 0) {
-      cli.cfg.sessions = std::strtoull(arg.c_str() + 11, nullptr, 0);
-    } else if (arg.rfind("--ops=", 0) == 0) {
-      cli.cfg.ops = std::strtoull(arg.c_str() + 6, nullptr, 0);
-      cli.ops_set = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      cli.cfg.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
-    } else if (arg.rfind("--mru=", 0) == 0) {
-      cli.cfg.mru_slots =
-          static_cast<u32>(std::strtoul(arg.c_str() + 6, nullptr, 0));
-    } else if (arg.rfind("--max-instr=", 0) == 0) {
-      cli.cfg.max_instructions = std::strtoull(arg.c_str() + 12, nullptr, 0);
-    } else if (arg.rfind("--scales=", 0) == 0) {
-      cli.scales = parse_scales(arg.c_str() + 9);
-      if (cli.scales.empty()) return usage();
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cli.threads =
-          static_cast<unsigned>(std::strtoul(arg.c_str() + 10, nullptr, 0));
-    } else if (arg.rfind("--json=", 0) == 0) {
-      cli.json_path = arg.substr(7);
-    } else {
-      return usage();
-    }
-  }
-  if (cli.mode == "run") return mode_run(cli);
-  if (cli.mode == "sweep") return mode_sweep(cli);
-  return usage();
+  mpk::SessionConfig& cfg = cli.cfg;
+  cli::Tool tool{"sealpk-vkey", {"run [options]", "sweep [options]"}};
+  tool.add(cli::at_least("--sessions", &cfg.sessions, 1, "<n>",
+                         "live session domains (run)"));
+  tool.add(cli::value("--ops", &cli.ops, "<n>",
+                      "churn operations after ramp (run; default "
+                      "2*sessions)"));
+  tool.add(cli::value("--seed", &cfg.seed, "<n>", "churn schedule seed"));
+  tool.add(cli::value("--mru", &cfg.mru_slots, "<n>",
+                      "per-process MRU pin slots"));
+  tool.add(cli::sw("--lazy", &cfg.lazy_sync, "lazy drain-queue sync policy"));
+  tool.add(cli::sw("--raw", &cfg.raw, "physical pkeys (sessions <= 768)"));
+  tool.add(cli::value("--max-instr", &cfg.max_instructions, "<n>",
+                      "instruction budget per run"));
+  tool.add(cli::action("--scales", "<a,b,...>",
+                       "session scales for the sweep (each >= 1)",
+                       [&cli](const std::string& v) {
+                         cli.scales = cli::parse<std::vector<u64>>(v);
+                         for (const u64 s : cli.scales) {
+                           if (s == 0) throw cli::BadValue{};
+                         }
+                       }));
+  tool.add(cli::threads(&cli.threads, "fleet workers for the sweep"));
+  tool.add(cli::selfcheck(&cli.selfcheck));
+  tool.add(cli::value("--json", &cli.json_path, "<path>",
+                      "machine-readable sweep report"));
+  tool.add(cli::quiet(&cli.quiet));
+  return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
+    const std::string mode = cli::take_mode(args, {"run", "sweep"});
+    if (!args.empty()) throw cli::UsageError();
+    return mode == "run" ? mode_run(cli) : mode_sweep(cli);
+  });
 }
