@@ -1,22 +1,18 @@
 // Domain-count scaling (paper §I / §III-A): SealPK's 1024 native keys vs.
-// Intel MPK's 16, and the cost of scaling past the physical limit with a
-// libmpk-style software virtualisation layer (the paper's §VI comparison:
-// virtualisation works but pays PTE-rewrite storms on eviction).
+// Intel MPK's 16, and the cost of scaling past the physical limit with
+// key virtualization (the paper's §VI libmpk comparison: virtualization
+// works but pays PTE rewrites and TLB shootdowns on eviction).
 //
 // Part 1: allocate-to-failure on real machines of both flavours.
-// Part 2: modelled cost per domain *use* (permission update) as the live
-//         domain count grows, for MPK+libmpk (15 physical keys) vs.
-//         SealPK+libmpk (1023 physical keys) under a uniform-random
-//         working-set sweep.
-// Part 3: the real in-kernel virtualization layer (src/mpk/vkey_table.h)
-//         under the session-server workload — guest runs whose PTE
-//         rewrites and shootdowns happen through the live page tables,
+// Part 2: the in-kernel virtualization layer (src/mpk/vkey_table.h) under
+//         the session-server workload on both flavours — guest runs whose
+//         PTE rewrites and shootdowns happen through the live page tables,
 //         eager vs lazy sync vs the raw-pkey baseline where it fits.
+//
+// Exits 1 if a Part 1 count is off or any Part 2 run fails its checksum.
 #include <cstdio>
 
-#include "common/rng.h"
 #include "mpk/session.h"
-#include "mpk/virt.h"
 #include "runtime/guest.h"
 #include "sim/machine.h"
 
@@ -55,87 +51,60 @@ u64 alloc_to_failure(core::IsaFlavor flavor) {
 }  // namespace
 
 int main() {
+  bool ok = true;
   std::printf("Part 1: pkey_alloc until exhaustion (real guest run)\n");
+  const u64 sealpk_keys = alloc_to_failure(core::IsaFlavor::kSealPk);
+  const u64 mpk_keys = alloc_to_failure(core::IsaFlavor::kIntelMpkCompat);
+  ok &= sealpk_keys == 1023 && mpk_keys == 15;
   std::printf("  SealPK flavour:    %llu usable keys (paper: 1024 incl. "
               "the default key)\n",
-              static_cast<unsigned long long>(
-                  alloc_to_failure(core::IsaFlavor::kSealPk)));
+              static_cast<unsigned long long>(sealpk_keys));
   std::printf("  Intel-MPK flavour: %llu usable keys (paper: 16 incl. the "
               "default key)\n\n",
-              static_cast<unsigned long long>(
-                  alloc_to_failure(core::IsaFlavor::kIntelMpkCompat)));
+              static_cast<unsigned long long>(mpk_keys));
 
   std::printf(
-      "Part 2: avg modelled cycles per domain permission update under a\n"
-      "uniform working set of D domains (4 pages each, 20k uses),\n"
-      "libmpk-style virtualisation over each flavour's physical keys\n\n");
-  std::printf("%10s %22s %22s %12s\n", "domains", "MPK+virt (cyc/use)",
-              "SealPK+virt (cyc/use)", "MPK evict%");
-  const core::TimingModel timing;
-  for (const u64 domains : {8u, 15u, 16u, 32u, 64u, 256u, 1023u, 1024u,
-                            2048u, 4096u}) {
-    mpk::KeyVirtualizer mpk_virt(15, timing);
-    mpk::KeyVirtualizer sealpk_virt(1023, timing);
-    for (u64 d = 0; d < domains; ++d) {
-      mpk_virt.create_domain(4);
-      sealpk_virt.create_domain(4);
-    }
-    Rng rng(domains * 7919 + 1);
-    constexpr u64 kUses = 20'000;
-    for (u64 i = 0; i < kUses; ++i) {
-      const u64 d = rng.below(domains);
-      mpk_virt.use(d);
-      sealpk_virt.use(d);
-    }
-    const double mpk_avg =
-        static_cast<double>(mpk_virt.stats().cycles) / kUses;
-    const double sealpk_avg =
-        static_cast<double>(sealpk_virt.stats().cycles) / kUses;
-    const double evict_pct =
-        100.0 * static_cast<double>(mpk_virt.stats().evictions) / kUses;
-    std::printf("%10llu %22.1f %22.1f %11.1f%%\n",
-                static_cast<unsigned long long>(domains), mpk_avg,
-                sealpk_avg, evict_pct);
-  }
-  std::printf(
-      "\nShape: Intel MPK + virtualisation falls off a cliff past 15 live\n"
-      "domains (every miss re-keys two domains' pages); SealPK stays at\n"
-      "native cost until 1023 and only then pays the same virtualisation\n"
-      "tax — the paper's 64x headroom claim.\n");
-
-  std::printf(
-      "\nPart 3: in-kernel vkey virtualization, session-server guest runs\n"
+      "Part 2: in-kernel vkey virtualization, session-server guest runs\n"
       "(one domain per session, seeded connect/touch/disconnect churn;\n"
       "PTE rewrites and shootdowns through the live page tables)\n\n");
   std::printf("%10s %11s %12s %10s %10s %10s %12s\n", "sessions", "mode",
               "churn/sec", "evictions", "revivals", "flushes", "cyc/op");
-  for (const u64 sessions : {512u, 1024u, 2048u, 4096u}) {
-    for (int mode = 0; mode < 3; ++mode) {
-      mpk::SessionConfig cfg;
-      cfg.sessions = sessions;
-      cfg.ops = 2 * sessions;
-      cfg.raw = mode == 0;
-      cfg.lazy_sync = mode == 2;
-      if (cfg.raw && sessions > mpk::kRawSessionCap) continue;
-      const mpk::SessionResult r = mpk::run_session_server(cfg);
-      const char* name = cfg.raw ? "raw" : cfg.lazy_sync ? "virt-lazy"
-                                                         : "virt-eager";
-      std::printf("%10llu %11s %12llu %10llu %10llu %10llu %12.1f %s\n",
-                  static_cast<unsigned long long>(sessions), name,
-                  static_cast<unsigned long long>(r.churn_per_sec()),
-                  static_cast<unsigned long long>(r.vstats.evictions),
-                  static_cast<unsigned long long>(r.vstats.revivals),
-                  static_cast<unsigned long long>(r.vstats.tlb_flushes),
-                  static_cast<double>(r.cycles) /
-                      static_cast<double>(r.churn_ops),
-                  r.ok() ? "" : "FAILED");
+  for (const u64 sessions : {8u, 16u, 64u, 512u, 1024u, 2048u, 4096u}) {
+    for (const core::IsaFlavor flavor :
+         {core::IsaFlavor::kSealPk, core::IsaFlavor::kIntelMpkCompat}) {
+      for (int mode = 0; mode < 3; ++mode) {
+        mpk::SessionConfig cfg;
+        cfg.flavor = flavor;
+        cfg.sessions = sessions;
+        cfg.ops = 2 * sessions;
+        cfg.raw = mode == 0;
+        cfg.lazy_sync = mode == 2;
+        if (cfg.raw && (flavor != core::IsaFlavor::kSealPk ||
+                        sessions > mpk::kRawSessionCap)) {
+          continue;
+        }
+        const mpk::SessionResult r = mpk::run_session_server(cfg);
+        ok &= r.ok();
+        std::printf("%10llu %11s %12llu %10llu %10llu %10llu %12.1f %s\n",
+                    static_cast<unsigned long long>(sessions),
+                    mpk::session_mode(cfg),
+                    static_cast<unsigned long long>(r.churn_per_sec()),
+                    static_cast<unsigned long long>(r.vstats.evictions),
+                    static_cast<unsigned long long>(r.vstats.revivals),
+                    static_cast<unsigned long long>(r.vstats.tlb_flushes),
+                    static_cast<double>(r.cycles) /
+                        static_cast<double>(r.churn_ops),
+                    r.ok() ? "" : "FAILED");
+      }
     }
   }
   std::printf(
-      "\nShape: below 1023 sessions virtualization matches raw within the\n"
-      "bookkeeping tax (no evictions). Past the physical budget the miss\n"
-      "path re-keys pages; lazy sync amortizes shootdowns over drain\n"
-      "batches and revives recently evicted domains for free, closing\n"
-      "part of the gap the eager policy pays per eviction.\n");
-  return 0;
+      "\nShape: both flavours run the same vkey table; only the physical\n"
+      "budget differs. MPK (14 keys after the park key) starts evicting\n"
+      "at 16 sessions and sits at ~640-650 cyc/op eager from 512 on; SealPK\n"
+      "stays at ~508 cyc/op, with no evictions, until 1023 and climbs only\n"
+      "past that. The eviction cliff is ~1.2-1.3x per churn op, not orders of\n"
+      "magnitude: the vkey bookkeeping itself (~2.3x raw pkeys) costs more.\n"
+      "Lazy sync trims ~4-5%% on either flavour by batching shootdowns.\n");
+  return ok ? 0 : 1;
 }

@@ -5,40 +5,31 @@
 
 #include "fleet/engine.h"
 #include "hw/pkr.h"
-#include "hw/pkru.h"
-#include "mpk/key_manager.h"
-#include "mpk/virt.h"
 #include "sim/machine.h"
 #include "workloads/workload.h"
 
 namespace sealpk::mpk {
 
-// The 16-physical-key MPK flavour exists alongside SealPK throughout the
-// tree; the virtualization layer itself is SealPK-only (see syscall_abi.h),
-// which the pins below keep honest (they anchored virt.cpp before this TU
-// absorbed it).
-static_assert(hw::kNumPkeys == 1024);
-static_assert(hw::kMpkNumPkeys == 16);
-
-namespace {
-
-const char* mode_name(const SessionConfig& cfg) {
+const char* session_mode(const SessionConfig& cfg) {
+  if (cfg.flavor != core::IsaFlavor::kSealPk) {
+    return cfg.lazy_sync ? "mpk-lazy" : "mpk-eager";
+  }
   if (cfg.raw) return "raw";
   return cfg.lazy_sync ? "virt-lazy" : "virt-eager";
 }
 
-}  // namespace
-
 SessionResult run_session_server(const SessionConfig& cfg) {
-  SEALPK_CHECK_MSG(!cfg.raw || cfg.sessions <= kRawSessionCap,
-                   "raw mode needs sessions <= " << kRawSessionCap);
+  SEALPK_CHECK_MSG(!cfg.raw || (cfg.flavor == core::IsaFlavor::kSealPk &&
+                                 cfg.sessions <= kRawSessionCap),
+                   "raw mode needs the SealPK flavour and sessions <= "
+                       << kRawSessionCap);
   const wl::SessionShape shape{.sessions = cfg.sessions,
                                .ops = cfg.ops,
                                .seed = cfg.seed,
                                .raw = cfg.raw};
 
   sim::MachineConfig mc;
-  mc.hart.flavor = core::IsaFlavor::kSealPk;
+  mc.hart.flavor = cfg.flavor;
   mc.kernel.vkey_mru_slots = cfg.mru_slots;
   mc.kernel.vkey_lazy_sync = cfg.lazy_sync;
   mc.trace.enabled = cfg.trace;
@@ -90,7 +81,7 @@ std::string session_record(const SessionConfig& cfg,
                            const SessionResult& r) {
   std::ostringstream os;
   const VkeyStats& v = r.vstats;
-  os << "mode=" << mode_name(cfg) << " sessions=" << cfg.sessions
+  os << "mode=" << session_mode(cfg) << " sessions=" << cfg.sessions
      << " ops=" << cfg.ops << " seed=" << cfg.seed << " mru=" << cfg.mru_slots
      << " ok=" << (r.ok() ? 1 : 0) << " checksum=" << r.checksum
      << " live=" << r.live << " mapped=" << r.mapped
@@ -151,7 +142,7 @@ std::string churn_json(const std::vector<ChurnCell>& cells) {
     const SessionConfig& cfg = cells[i].cfg;
     const SessionResult& r = cells[i].result;
     const VkeyStats& v = r.vstats;
-    os << "    {\"mode\": \"" << mode_name(cfg) << "\""
+    os << "    {\"mode\": \"" << session_mode(cfg) << "\""
        << ", \"sessions\": " << cfg.sessions << ", \"ops\": " << cfg.ops
        << ", \"seed\": " << cfg.seed << ", \"mru_slots\": " << cfg.mru_slots
        << ", \"ok\": " << (r.ok() ? "true" : "false")

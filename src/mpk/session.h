@@ -2,7 +2,9 @@
 // key-churn benchmark behind BENCH_keychurn.json and the sealpk-vkey CLI.
 //
 // One run builds the guest for a SessionConfig, executes it on a private
-// Machine and folds the result into an integer-only canonical record:
+// Machine of either ISA flavour (SessionConfig::flavor: SealPK's 1023
+// usable keys or Intel MPK's 15, both under the same in-kernel vkey table)
+// and folds the result into an integer-only canonical record:
 // guest checksum (verified against the host golden), the vkey table's churn
 // counters, and a throughput headline — churn operations (alloc + free +
 // mprotect + open/close) per second at the board's nominal 50 MHz, derived
@@ -34,12 +36,13 @@ inline constexpr u64 kSessionNominalHz = 50'000'000;
 inline constexpr u64 kRawSessionCap = 768;
 
 struct SessionConfig {
+  core::IsaFlavor flavor = core::IsaFlavor::kSealPk;
   u64 sessions = 1024;
   u64 ops = 2048;
   u64 seed = 0x5EED0F5EA1ULL;  // wl::kWorkloadSeed
   u32 mru_slots = 8;
   bool lazy_sync = false;  // eager park vs drain queue (vkey_lazy_sync)
-  bool raw = false;        // physical pkeys; requires sessions <= cap
+  bool raw = false;        // physical pkeys; SealPK only, sessions <= cap
   u64 max_instructions = 4'000'000'000ULL;
   // Keep an obs event trace of the run (vkey map/evict/sync events feed
   // the span layer, DESIGN.md §16). Tracing never perturbs the machine,
@@ -72,6 +75,10 @@ struct SessionResult {
 };
 
 SessionResult run_session_server(const SessionConfig& cfg);
+
+// "raw", "virt-eager" or "virt-lazy" on SealPK; "mpk-eager" or "mpk-lazy"
+// on the MPK flavour.
+const char* session_mode(const SessionConfig& cfg);
 
 // One integer-only line; byte-identical across host thread counts.
 std::string session_record(const SessionConfig& cfg, const SessionResult& r);

@@ -1,14 +1,14 @@
 // In-kernel pkey virtualization (ROADMAP item 3; DESIGN.md §15): unbounded
 // virtual protection keys multiplexed onto the physical key space.
 //
-// Where KeyVirtualizer (virt.h) is a host-side *cost model* of libmpk, this
-// table is the real thing, run by the kernel under the vpkey syscalls: a
-// per-process map of virtual keys (ids are monotonic and never reused, so
-// the space is unbounded) onto physical pkeys drawn from the process's
-// SealPkKeyManager. Using an unmapped vkey evicts the least-recently-used
-// mapping and re-keys pages through the *live page tables* — every PTE
-// rewrite and TLB shootdown happens for real via the VkeyOps port the
-// kernel passes in, not as modelled cycles.
+// The kernel runs this table under the vpkey syscalls: a per-process map
+// of virtual keys (ids are monotonic and never reused, so the space is
+// unbounded) onto physical pkeys drawn from the process's key manager —
+// 1023 usable keys on SealPK, 15 on the Intel-MPK flavour (the libmpk
+// setting the paper compares against in §VI). Using an unmapped vkey
+// evicts the least-recently-used mapping and re-keys pages through the
+// *live page tables* — every PTE rewrite and TLB shootdown happens for
+// real via the VkeyOps port the kernel passes in, not as modelled cycles.
 //
 // Mechanics (each is a measured axis of the key-churn benchmarks):
 //   - Parking: pages of an unmapped vkey are re-keyed to one reserved

@@ -790,35 +790,9 @@ void Kernel::do_syscall() {
     case sys::kVpkeySet:
       ret = sys_vpkey_set(a0, a1);
       break;
-    case sys::kMark: {
-      MarkRecord m;
-      m.kind = a0;
-      m.arg0 = a1;
-      m.arg1 = a2;
-      m.pkey = static_cast<u32>(a3);
-      m.tid = current_tid_;
-      m.instret = hart_.instret();
-      m.cycles = hart_.cycles();
-      marks_.push_back(m);
-      obs::EventKind kind = obs::EventKind::kRequestDisposition;
-      switch (a0) {
-        case mark::kGateEnter: kind = obs::EventKind::kGateEnter; break;
-        case mark::kGateExit: kind = obs::EventKind::kGateExit; break;
-        case mark::kDisposition:
-          kind = obs::EventKind::kRequestDisposition;
-          break;
-        case mark::kQuarantine: kind = obs::EventKind::kQuarantine; break;
-        case mark::kVaultIntent: kind = obs::EventKind::kVaultIntent; break;
-        case mark::kVaultCommit: kind = obs::EventKind::kVaultCommit; break;
-        case mark::kVaultUnseal: kind = obs::EventKind::kVaultUnseal; break;
-        case mark::kVaultDenied: kind = obs::EventKind::kVaultDenied; break;
-        default:
-          ret = err::kInval;
-          break;
-      }
-      if (ret == 0) emit(kind, static_cast<u32>(a3), a1, a2);
+    case sys::kMark:
+      ret = record_mark(a0, a1, a2, static_cast<u32>(a3));
       break;
-    }
     case sys::kSigaction:
       current_process().signal_handler = a0;
       break;
@@ -858,9 +832,7 @@ i64 Kernel::sys_write(u64 fd, u64 buf, u64 len) {
   return static_cast<i64>(len);
 }
 
-// --- sealed-storage vault (src/vault, DESIGN.md §14) -------------------------
-
-void Kernel::vault_mark(u64 kind, u64 arg0, u64 arg1, u32 pkey) {
+i64 Kernel::record_mark(u64 kind, u64 arg0, u64 arg1, u32 pkey) {
   MarkRecord m;
   m.kind = kind;
   m.arg0 = arg0;
@@ -870,14 +842,23 @@ void Kernel::vault_mark(u64 kind, u64 arg0, u64 arg1, u32 pkey) {
   m.instret = hart_.instret();
   m.cycles = hart_.cycles();
   marks_.push_back(m);
-  obs::EventKind ek = obs::EventKind::kVaultDenied;
+  obs::EventKind ek;
   switch (kind) {
+    case mark::kGateEnter: ek = obs::EventKind::kGateEnter; break;
+    case mark::kGateExit: ek = obs::EventKind::kGateExit; break;
+    case mark::kDisposition: ek = obs::EventKind::kRequestDisposition; break;
+    case mark::kQuarantine: ek = obs::EventKind::kQuarantine; break;
+    case mark::kVaultIntent: ek = obs::EventKind::kVaultIntent; break;
     case mark::kVaultCommit: ek = obs::EventKind::kVaultCommit; break;
     case mark::kVaultUnseal: ek = obs::EventKind::kVaultUnseal; break;
-    default: break;
+    case mark::kVaultDenied: ek = obs::EventKind::kVaultDenied; break;
+    default: return err::kInval;
   }
   emit(ek, pkey, arg0, arg1);
+  return 0;
 }
+
+// --- sealed-storage vault (src/vault, DESIGN.md §14) -------------------------
 
 i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
   if (hart_.config().flavor != core::IsaFlavor::kSealPk) return err::kNoSys;
@@ -937,8 +918,8 @@ i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
   if (hart_.pkr().peek_perm(static_cast<u32>(geo->owner_pkey)) !=
       pkeyperm::kRw) {
     ++vault_stats_.denials;
-    vault_mark(mark::kVaultDenied, intent.id, static_cast<u64>(-err::kAcces),
-               vk);
+    record_mark(mark::kVaultDenied, intent.id, static_cast<u64>(-err::kAcces),
+                vk);
     return err::kAcces;
   }
 
@@ -988,7 +969,7 @@ i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
   } else {
     ++vault_stats_.seals;
   }
-  vault_mark(mark::kVaultCommit, intent.id, intent.seq, vk);
+  record_mark(mark::kVaultCommit, intent.id, intent.seq, vk);
   return 0;
 }
 
@@ -1013,7 +994,7 @@ i64 Kernel::sys_vault_unseal(u64 vault_base, u64 id, u64 dst) {
   if (hart_.pkr().peek_perm(static_cast<u32>(geo->owner_pkey)) !=
       pkeyperm::kRw) {
     ++vault_stats_.denials;
-    vault_mark(mark::kVaultDenied, id, static_cast<u64>(-err::kAcces), vk);
+    record_mark(mark::kVaultDenied, id, static_cast<u64>(-err::kAcces), vk);
     return err::kAcces;
   }
 
@@ -1064,7 +1045,7 @@ i64 Kernel::sys_vault_unseal(u64 vault_base, u64 id, u64 dst) {
   }
   hart_.add_cycles(best.len);  // copy_to_user cost
   ++vault_stats_.unseals;
-  vault_mark(mark::kVaultUnseal, id, best.len, vk);
+  record_mark(mark::kVaultUnseal, id, best.len, vk);
   return static_cast<i64>(best.len);
 }
 
@@ -1266,7 +1247,6 @@ mpk::VkeyTable& Kernel::ensure_vkeys(Process& proc) {
 }
 
 i64 Kernel::sys_vpkey_alloc(u64 flags, u64 init_perm) {
-  if (hart_.config().flavor != core::IsaFlavor::kSealPk) return err::kNoSys;
   hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
   // Pure metadata: the physical binding happens at first vpkey_set.
   return ensure_vkeys(current_process()).alloc(flags,
@@ -1274,7 +1254,6 @@ i64 Kernel::sys_vpkey_alloc(u64 flags, u64 init_perm) {
 }
 
 i64 Kernel::sys_vpkey_free(u64 vkey) {
-  if (hart_.config().flavor != core::IsaFlavor::kSealPk) return err::kNoSys;
   Process& proc = current_process();
   if (!proc.vkeys) return err::kInval;
   hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
@@ -1283,7 +1262,6 @@ i64 Kernel::sys_vpkey_free(u64 vkey) {
 }
 
 i64 Kernel::sys_vpkey_mprotect(u64 addr, u64 len, u64 prot, u64 vkey) {
-  if (hart_.config().flavor != core::IsaFlavor::kSealPk) return err::kNoSys;
   Process& proc = current_process();
   if (!proc.vkeys) return err::kInval;
   VkeyKernelOps ops(*this);
@@ -1291,7 +1269,6 @@ i64 Kernel::sys_vpkey_mprotect(u64 addr, u64 len, u64 prot, u64 vkey) {
 }
 
 i64 Kernel::sys_vpkey_set(u64 vkey, u64 perm) {
-  if (hart_.config().flavor != core::IsaFlavor::kSealPk) return err::kNoSys;
   Process& proc = current_process();
   if (!proc.vkeys) return err::kInval;
   VkeyKernelOps ops(*this);

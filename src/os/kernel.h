@@ -309,8 +309,11 @@ class Kernel {
   // the unseal path re-verifies the payload checksum before serving it.
   i64 sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal);
   i64 sys_vault_unseal(u64 vault_base, u64 id, u64 dst);
-  // Kernel-authored vault mark + trace event (ground truth for the sweep).
-  void vault_mark(u64 kind, u64 arg0, u64 arg1, u32 pkey);
+  // Appends a MarkRecord and mirrors it into the event trace. Serves
+  // sys::kMark and the kernel-authored vault marks (ground truth for the
+  // crash sweep). An unknown kind is still logged but emits no event and
+  // returns EINVAL.
+  i64 record_mark(u64 kind, u64 arg0, u64 arg1, u32 pkey);
   i64 sys_clone(u64 entry, u64 stack_top, u64 arg);
   void sys_exit(i64 code);
   // Returns true if the fault was delivered to a registered guest handler.

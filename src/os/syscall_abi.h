@@ -52,8 +52,8 @@ constexpr u64 kVaultReseal = 314;  // vault_reseal(vault_base, intent_off)
 // Virtualized protection keys (src/mpk/vkey_table.h, DESIGN.md §15): an
 // unbounded per-process virtual key space multiplexed onto the physical
 // pkeys, beside (not replacing) the raw pkey ABI above. Virtual key ids
-// start at mpk::kVkeyBase so the two namespaces can never alias. SealPK
-// flavour only; the MPK flavour answers ENOSYS.
+// start at mpk::kVkeyBase so the two namespaces can never alias. Both
+// flavours serve them, each over its own physical key space.
 constexpr u64 kVpkeyAlloc = 320;     // vpkey_alloc(flags, init_perm)
 constexpr u64 kVpkeyFree = 321;      // vpkey_free(vkey)
 constexpr u64 kVpkeyMprotect = 322;  // vpkey_mprotect(addr, len, prot, vkey)

@@ -1,11 +1,9 @@
-// Coverage for the supporting libraries: the Table-I area model, the
-// libmpk-style virtualiser, and the guest runtime helpers.
+// Coverage for the supporting libraries: the Table-I area model and the
+// guest runtime helpers.
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "guest_test_util.h"
 #include "hwcost/fpga_model.h"
-#include "mpk/virt.h"
 #include "workloads/build_util.h"
 
 namespace sealpk {
@@ -58,67 +56,6 @@ TEST(HwCost, ScalesMonotonicallyWithStructures) {
   EXPECT_LT(s.luts_mem, b.luts_mem);
   EXPECT_LT(s.ffs, b.ffs);
   EXPECT_LT(s.luts_logic, b.luts_logic);
-}
-
-// ---------------------------------------------------------------------------
-// mpk::KeyVirtualizer — the libmpk-style scaling model.
-// ---------------------------------------------------------------------------
-
-TEST(Virtualizer, HitsAreCheapWithinPhysicalBudget) {
-  mpk::KeyVirtualizer virt(15, core::TimingModel{});
-  for (int d = 0; d < 10; ++d) virt.create_domain(4);
-  for (int i = 0; i < 1000; ++i) virt.use(static_cast<u64>(i % 10));
-  EXPECT_EQ(virt.stats().evictions, 0u);
-  EXPECT_EQ(virt.stats().hits, 1000u - 10u);  // first touch of each misses
-}
-
-TEST(Virtualizer, EvictsLruAndPaysPteRewrites) {
-  mpk::KeyVirtualizer virt(2, core::TimingModel{});
-  for (int d = 0; d < 3; ++d) virt.create_domain(5);
-  virt.use(0);
-  virt.use(1);
-  const u64 before = virt.stats().cycles;
-  virt.use(2);  // evicts domain 0 (LRU): 5 + 5 pages of PTE rewrites
-  EXPECT_EQ(virt.stats().evictions, 1u);
-  EXPECT_EQ(virt.stats().pte_rewrites, 10u);
-  EXPECT_GT(virt.stats().cycles - before,
-            10 * core::TimingModel{}.pte_update_cycles);
-  // Domain 1 was touched more recently than 0, so it survived.
-  EXPECT_EQ(virt.use(1), core::TimingModel{}.rocc_cycles +
-                             core::TimingModel{}.base_cycles);
-}
-
-TEST(Virtualizer, LruOrderRespectsTouches) {
-  mpk::KeyVirtualizer virt(2, core::TimingModel{});
-  for (int d = 0; d < 3; ++d) virt.create_domain(1);
-  virt.use(0);
-  virt.use(1);
-  virt.use(0);  // refresh 0: now 1 is the LRU
-  virt.use(2);  // must evict 1
-  EXPECT_EQ(virt.stats().evictions, 1u);
-  const u64 cheap = core::TimingModel{}.rocc_cycles +
-                    core::TimingModel{}.base_cycles;
-  EXPECT_EQ(virt.use(0), cheap);  // still mapped
-  EXPECT_GT(virt.use(1), cheap);  // was evicted
-}
-
-TEST(Virtualizer, SealPkBudgetDefersTheCliff) {
-  const core::TimingModel timing;
-  mpk::KeyVirtualizer mpk_virt(15, timing);
-  mpk::KeyVirtualizer sealpk_virt(1023, timing);
-  for (int d = 0; d < 200; ++d) {
-    mpk_virt.create_domain(4);
-    sealpk_virt.create_domain(4);
-  }
-  Rng rng(5);
-  for (int i = 0; i < 5000; ++i) {
-    const u64 d = rng.below(200);
-    mpk_virt.use(d);
-    sealpk_virt.use(d);
-  }
-  EXPECT_GT(mpk_virt.stats().evictions, 1000u);
-  EXPECT_EQ(sealpk_virt.stats().evictions, 0u);
-  EXPECT_GT(mpk_virt.stats().cycles, 20 * sealpk_virt.stats().cycles);
 }
 
 // ---------------------------------------------------------------------------

@@ -73,6 +73,34 @@ TEST(KernelBasics, UnknownSyscallReturnsEnosys) {
   EXPECT_EQ(run_guest(prog).exit_code, 38);
 }
 
+TEST(KernelBasics, MarkLogsUnknownKindsButTracesOnlyKnownOnes) {
+  auto prog = make_main_program([](Program&, Function& f) {
+    for (const u64 kind : {os::mark::kGateEnter, u64{99}}) {
+      f.li(a0, static_cast<i64>(kind));
+      f.li(a1, 7);
+      f.li(a2, 8);
+      f.li(a3, static_cast<i64>(obs::kNoPkey));
+      rt::syscall(f, os::sys::kMark);
+      rt::syscall(f, os::sys::kReport);
+    }
+    f.li(a0, 0);
+  });
+  sim::MachineConfig cfg;
+  cfg.trace.enabled = true;
+  sim::Machine machine(cfg);
+  machine.load(prog.link());
+  ASSERT_TRUE(machine.run(1'000'000).completed);
+  EXPECT_EQ(machine.kernel().reports(),
+            (std::vector<u64>{0, static_cast<u64>(os::err::kInval)}));
+  ASSERT_EQ(machine.kernel().marks().size(), 2u);
+  EXPECT_EQ(machine.kernel().marks()[1].kind, 99u);
+  u64 marked = 0;
+  for (const obs::Event& e : machine.recorder()->events()) {
+    marked += e.arg0 == 7 && e.arg1 == 8;
+  }
+  EXPECT_EQ(marked, 1u);  // the gate-enter event only
+}
+
 TEST(KernelBasics, MmapGrantsUsableMemory) {
   auto prog = make_main_program([](Program&, Function& f) {
     f.li(a0, 0);

@@ -1,6 +1,6 @@
-// Pkey virtualization (src/mpk, DESIGN.md §15): the KeyVirtualizer cost
-// model, the in-kernel VkeyTable (policy exercised against a mock side-
-// effect port), the vpkey guest syscall ABI, the session-server workload,
+// Pkey virtualization (src/mpk, DESIGN.md §15): the in-kernel VkeyTable
+// (policy exercised against a mock side-effect port), the vpkey guest
+// syscall ABI and the session-server workload on both ISA flavours,
 // snapshot round-trips of the vkey table, and corruption detect + repair
 // through the machine auditor.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "fault/fault.h"
 #include "guest_test_util.h"
 #include "mpk/session.h"
-#include "mpk/virt.h"
 #include "obs/span.h"
 #include "mpk/vkey_table.h"
 #include "snapshot/snapshot.h"
@@ -27,67 +26,6 @@ namespace sealpk {
 namespace {
 
 using namespace isa;
-
-// ---------------------------------------------------------------------------
-// KeyVirtualizer — the host-side libmpk cost model (bench_domain_scaling
-// Part 2 rests on these semantics).
-// ---------------------------------------------------------------------------
-
-TEST(KeyVirtualizer, HitsWhileKeysAreFreeNeverEvict) {
-  const core::TimingModel timing;
-  mpk::KeyVirtualizer virt(3, timing);
-  for (int i = 0; i < 3; ++i) virt.create_domain(4);
-  for (u64 d = 0; d < 3; ++d) virt.use(d);   // all misses, all free keys
-  for (u64 d = 0; d < 3; ++d) virt.use(d);   // all hits
-  EXPECT_EQ(virt.stats().uses, 6u);
-  EXPECT_EQ(virt.stats().hits, 3u);
-  EXPECT_EQ(virt.stats().evictions, 0u);
-  EXPECT_EQ(virt.stats().pte_rewrites, 0u);
-}
-
-TEST(KeyVirtualizer, EvictsTheLeastRecentlyUsedDomain) {
-  const core::TimingModel timing;
-  mpk::KeyVirtualizer virt(2, timing);
-  for (int i = 0; i < 3; ++i) virt.create_domain(1);
-  virt.use(0);
-  virt.use(1);
-  virt.use(0);  // LRU order now: 0 (recent), 1 (stale)
-  virt.use(2);  // must evict 1, not 0
-  EXPECT_EQ(virt.stats().evictions, 1u);
-  const u64 hits_before = virt.stats().hits;
-  virt.use(0);  // still mapped: a hit
-  EXPECT_EQ(virt.stats().hits, hits_before + 1);
-  virt.use(1);  // was evicted: a miss that evicts again
-  EXPECT_EQ(virt.stats().evictions, 2u);
-}
-
-TEST(KeyVirtualizer, EvictionReKeysBothDomainsPages) {
-  const core::TimingModel timing;
-  mpk::KeyVirtualizer virt(1, timing);
-  virt.create_domain(3);
-  virt.create_domain(5);
-  virt.use(0);  // free key: no PTE traffic
-  EXPECT_EQ(virt.stats().pte_rewrites, 0u);
-  virt.use(1);  // evicts 0: rewrites 3 (victim) + 5 (incoming) pages
-  EXPECT_EQ(virt.stats().pte_rewrites, 8u);
-  virt.use(0);  // evicts 1: same pair again
-  EXPECT_EQ(virt.stats().pte_rewrites, 16u);
-}
-
-TEST(KeyVirtualizer, CycleCostSeparatesHitsFromEvictions) {
-  const core::TimingModel timing;
-  mpk::KeyVirtualizer virt(1, timing);
-  virt.create_domain(4);
-  virt.create_domain(4);
-  const u64 miss_cost = virt.use(0);  // free key: dispatch, no PTE storm
-  const u64 hit_cost = virt.use(0);
-  const u64 evict_cost = virt.use(1);
-  EXPECT_EQ(hit_cost, timing.rocc_cycles + timing.base_cycles);
-  EXPECT_EQ(miss_cost, hit_cost + timing.syscall_dispatch_cycles);
-  EXPECT_EQ(evict_cost, miss_cost + 8 * timing.pte_update_cycles +
-                            timing.tlb_flush_cycles);
-  EXPECT_EQ(virt.stats().cycles, miss_cost + hit_cost + evict_cost);
-}
 
 // ---------------------------------------------------------------------------
 // VkeyTable — policy vs a recording mock of the kernel's side-effect port.
@@ -553,11 +491,19 @@ TEST(VkeyLruIndex, LoadRejectsAnInconsistentLru) {
 // The vpkey syscall ABI, driven from real guest code.
 // ---------------------------------------------------------------------------
 
-sim::MachineConfig sealpk_config() {
+sim::MachineConfig flavor_config(core::IsaFlavor flavor) {
   sim::MachineConfig config;
-  config.hart.flavor = core::IsaFlavor::kSealPk;
+  config.hart.flavor = flavor;
   return config;
 }
+
+sim::MachineConfig sealpk_config() {
+  return flavor_config(core::IsaFlavor::kSealPk);
+}
+
+// The vpkey ABI and the session server run on both ISA flavours.
+constexpr core::IsaFlavor kFlavors[] = {core::IsaFlavor::kSealPk,
+                                        core::IsaFlavor::kIntelMpkCompat};
 
 // Body: mmap a page, alloc a vkey, protect the page, open, write 0x77,
 // read it back and report, then leave the domain `final_perm`.
@@ -610,32 +556,38 @@ isa::Program vkey_guest(u64 final_perm, Extra&& extra) {
 }
 
 TEST(VpkeySyscalls, AllocProtectSetRoundTrip) {
-  const auto run = testutil::run_guest(
-      vkey_guest(os::pkeyperm::kNone, [](isa::Function&) {}),
-      sealpk_config());
-  ASSERT_TRUE(run.outcome.completed);
-  EXPECT_TRUE(run.faults.empty());
-  EXPECT_EQ(run.exit_code, 0);
-  ASSERT_EQ(run.reports.size(), 1u);
-  EXPECT_EQ(run.reports[0], 0x77u);
+  for (const core::IsaFlavor flavor : kFlavors) {
+    SCOPED_TRACE(static_cast<int>(flavor));
+    const auto run = testutil::run_guest(
+        vkey_guest(os::pkeyperm::kNone, [](isa::Function&) {}),
+        flavor_config(flavor));
+    ASSERT_TRUE(run.outcome.completed);
+    EXPECT_TRUE(run.faults.empty());
+    EXPECT_EQ(run.exit_code, 0);
+    ASSERT_EQ(run.reports.size(), 1u);
+    EXPECT_EQ(run.reports[0], 0x77u);
+  }
 }
 
 TEST(VpkeySyscalls, ClosedDomainStoreFaults) {
   // After vpkey_set(kNone) the store must raise an augmented pkey fault —
   // the virtual domain really is backed by a live physical key.
-  const auto run = testutil::run_guest(
-      vkey_guest(os::pkeyperm::kNone,
-                 [](isa::Function& f) {
-                   f.ld(t0, 0, sp);
-                   f.li(t1, 0x88);
-                   f.sd(t1, 0, t0);  // domain closed: faults
-                 }),
-      sealpk_config());
-  ASSERT_TRUE(run.outcome.completed);
-  ASSERT_FALSE(run.faults.empty());
-  EXPECT_EQ(run.faults[0].cause, core::TrapCause::kStorePageFault);
-  EXPECT_TRUE(run.faults[0].pkey_fault);
-  EXPECT_NE(run.exit_code, 0);
+  for (const core::IsaFlavor flavor : kFlavors) {
+    SCOPED_TRACE(static_cast<int>(flavor));
+    const auto run = testutil::run_guest(
+        vkey_guest(os::pkeyperm::kNone,
+                   [](isa::Function& f) {
+                     f.ld(t0, 0, sp);
+                     f.li(t1, 0x88);
+                     f.sd(t1, 0, t0);  // domain closed: faults
+                   }),
+        flavor_config(flavor));
+    ASSERT_TRUE(run.outcome.completed);
+    ASSERT_FALSE(run.faults.empty());
+    EXPECT_EQ(run.faults[0].cause, core::TrapCause::kStorePageFault);
+    EXPECT_TRUE(run.faults[0].pkey_fault);
+    EXPECT_NE(run.exit_code, 0);
+  }
 }
 
 TEST(VpkeySyscalls, BadArgumentsReturnEinval) {
@@ -661,26 +613,6 @@ TEST(VpkeySyscalls, BadArgumentsReturnEinval) {
   EXPECT_EQ(run.reports[1], static_cast<u64>(os::err::kInval));
 }
 
-TEST(VpkeySyscalls, EnosysOnTheMpkFlavor) {
-  // The vpkey ABI is SealPK-only; the 16-key Intel-MPK compat flavour must
-  // refuse it the way a kernel without the extension would.
-  sim::MachineConfig config;
-  config.hart.flavor = core::IsaFlavor::kIntelMpkCompat;
-  const auto run = testutil::run_guest(
-      testutil::make_main_program([](isa::Program&, isa::Function& f) {
-        f.li(a0, 0);
-        f.li(a1, 0);
-        rt::syscall(f, os::sys::kVpkeyAlloc);
-        rt::syscall(f, os::sys::kReport);
-        f.li(a0, 0);
-      }),
-      config);
-  ASSERT_TRUE(run.outcome.completed);
-  EXPECT_EQ(run.exit_code, 0);
-  ASSERT_EQ(run.reports.size(), 1u);
-  EXPECT_EQ(run.reports[0], static_cast<u64>(os::err::kNoSys));
-}
-
 // ---------------------------------------------------------------------------
 // The session-server workload and its driver.
 // ---------------------------------------------------------------------------
@@ -701,34 +633,50 @@ TEST(SessionServer, SmallScaleMatchesGolden) {
 
 TEST(SessionServer, RawAndVirtualizedChecksumsAgree) {
   // Virtualization transparency: the same churn schedule must produce the
-  // same checksum on physical pkeys, eager vkeys and lazy vkeys.
-  mpk::SessionConfig virt;
-  virt.sessions = 96;
-  virt.ops = 192;
-  mpk::SessionConfig raw = virt;
+  // same checksum on physical pkeys and on eager and lazy vkeys over
+  // either flavour's physical keys (96 sessions overcommit MPK's 15).
+  mpk::SessionConfig raw;
+  raw.sessions = 96;
+  raw.ops = 192;
   raw.raw = true;
-  mpk::SessionConfig lazy = virt;
-  lazy.lazy_sync = true;
-  const mpk::SessionResult rv = mpk::run_session_server(virt);
   const mpk::SessionResult rr = mpk::run_session_server(raw);
-  const mpk::SessionResult rl = mpk::run_session_server(lazy);
-  ASSERT_TRUE(rv.ok() && rr.ok() && rl.ok());
-  EXPECT_EQ(rv.checksum, rr.checksum);
-  EXPECT_EQ(rv.checksum, rl.checksum);
+  ASSERT_TRUE(rr.ok());
+  for (const core::IsaFlavor flavor : kFlavors) {
+    for (const bool lazy : {false, true}) {
+      mpk::SessionConfig cfg = raw;
+      cfg.raw = false;
+      cfg.flavor = flavor;
+      cfg.lazy_sync = lazy;
+      const mpk::SessionResult r = mpk::run_session_server(cfg);
+      ASSERT_TRUE(r.ok()) << mpk::session_record(cfg, r);
+      EXPECT_EQ(r.checksum, rr.checksum) << mpk::session_mode(cfg);
+    }
+  }
 }
 
 TEST(SessionServer, SurvivesKeySpaceExhaustion) {
-  // More live domains than the 1023 usable physical keys: the LRU layer
-  // must churn mappings (evictions > 0) while every session keeps working.
-  mpk::SessionConfig cfg;
-  cfg.sessions = 1536;
-  cfg.ops = 1024;
-  const mpk::SessionResult r = mpk::run_session_server(cfg);
-  ASSERT_TRUE(r.ok()) << mpk::session_record(cfg, r);
-  EXPECT_EQ(r.live, 1536u);
-  EXPECT_LE(r.mapped, 1022u);  // 1023 usable minus the park key
-  EXPECT_GT(r.vstats.evictions, 0u);
-  EXPECT_GT(r.vstats.pte_rekeys, 0u);
+  // More live domains than the usable physical keys (1023 on SealPK, 15 on
+  // MPK): the LRU layer must churn mappings (evictions > 0) while every
+  // session keeps working.
+  struct Case {
+    core::IsaFlavor flavor;
+    u64 sessions;
+    u64 ops;
+    u64 max_mapped;  // usable keys minus the park key
+  };
+  for (const Case& c : {Case{core::IsaFlavor::kSealPk, 1536, 1024, 1022},
+                        Case{core::IsaFlavor::kIntelMpkCompat, 64, 128, 14}}) {
+    mpk::SessionConfig cfg;
+    cfg.flavor = c.flavor;
+    cfg.sessions = c.sessions;
+    cfg.ops = c.ops;
+    const mpk::SessionResult r = mpk::run_session_server(cfg);
+    ASSERT_TRUE(r.ok()) << mpk::session_record(cfg, r);
+    EXPECT_EQ(r.live, c.sessions);
+    EXPECT_LE(r.mapped, c.max_mapped);
+    EXPECT_GT(r.vstats.evictions, 0u);
+    EXPECT_GT(r.vstats.pte_rekeys, 0u);
+  }
 }
 
 TEST(SessionServer, CanonicalRecordsAreDeterministic) {
@@ -758,33 +706,37 @@ TEST(SessionServer, SweepIsThreadCountIndependent) {
 
 TEST(VkeySnapshot, MidRunRoundTripIsBitIdenticalAndResumes) {
   const wl::SessionShape shape{.sessions = 256, .ops = 512};
-  sim::Machine machine(sealpk_config());
-  const int pid = machine.load(wl::build_session_prog(shape).link());
-  ASSERT_GE(pid, 0);
-  machine.run(30'000);  // mid-run: live vkey table with mapped entries
-  ASSERT_FALSE(machine.kernel().all_exited());
-  ASSERT_NE(machine.kernel().process(pid).vkeys, nullptr);
+  for (const core::IsaFlavor flavor : kFlavors) {
+    SCOPED_TRACE(static_cast<int>(flavor));
+    sim::Machine machine(flavor_config(flavor));
+    const int pid = machine.load(wl::build_session_prog(shape).link());
+    ASSERT_GE(pid, 0);
+    machine.run(30'000);  // mid-run: live vkey table with mapped entries
+    ASSERT_FALSE(machine.kernel().all_exited());
+    ASSERT_NE(machine.kernel().process(pid).vkeys, nullptr);
 
-  const std::vector<u8> a = snapshot::save(machine);
-  const snapshot::Info info = snapshot::info(a);
-  EXPECT_EQ(info.version, snapshot::kFormatVersion);
-  bool saw_vkey = false;
-  for (const auto& s : info.sections) saw_vkey |= s.name == "VKEY";
-  EXPECT_TRUE(saw_vkey);
+    const std::vector<u8> a = snapshot::save(machine);
+    const snapshot::Info info = snapshot::info(a);
+    EXPECT_EQ(info.version, snapshot::kFormatVersion);
+    bool saw_vkey = false;
+    for (const auto& s : info.sections) saw_vkey |= s.name == "VKEY";
+    EXPECT_TRUE(saw_vkey);
 
-  sim::Machine restored(snapshot::config_from(a));
-  snapshot::restore(restored, a);
-  EXPECT_EQ(snapshot::save(restored), a);
+    sim::Machine restored(snapshot::config_from(a));
+    EXPECT_EQ(restored.config().hart.flavor, flavor);
+    snapshot::restore(restored, a);
+    EXPECT_EQ(snapshot::save(restored), a);
 
-  // Both halves finish with the golden checksum.
-  ASSERT_TRUE(machine.run(400'000'000).completed);
-  ASSERT_TRUE(restored.run(400'000'000).completed);
-  EXPECT_EQ(machine.exit_code(pid), 0);
-  EXPECT_EQ(restored.exit_code(pid), 0);
-  const u64 golden = wl::golden_session_sum(shape);
-  ASSERT_EQ(machine.kernel().reports().size(), 1u);
-  EXPECT_EQ(machine.kernel().reports()[0], golden);
-  EXPECT_EQ(restored.kernel().reports(), machine.kernel().reports());
+    // Both halves finish with the golden checksum.
+    ASSERT_TRUE(machine.run(400'000'000).completed);
+    ASSERT_TRUE(restored.run(400'000'000).completed);
+    EXPECT_EQ(machine.exit_code(pid), 0);
+    EXPECT_EQ(restored.exit_code(pid), 0);
+    const u64 golden = wl::golden_session_sum(shape);
+    ASSERT_EQ(machine.kernel().reports().size(), 1u);
+    EXPECT_EQ(machine.kernel().reports()[0], golden);
+    EXPECT_EQ(restored.kernel().reports(), machine.kernel().reports());
+  }
 }
 
 TEST(VkeySnapshot, PolicyKnobsTravelInTheConfigTail) {
