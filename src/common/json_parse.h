@@ -2,7 +2,8 @@
 // repo's own hand-streamed reports (the SLO gate reads sealpk-serve /
 // sealpk-vkey / sealpk-fleet JSON and its own spec). Full JSON value
 // model; objects keep member order so downstream rendering stays
-// deterministic. Throws std::runtime_error with a byte offset on damage.
+// deterministic. Throws std::runtime_error with a byte offset on damage,
+// including nesting deeper than 64 levels.
 //
 // Numbers are held as doubles, which is exact for the integer magnitudes
 // our reports emit (< 2^53); the SLO rule engine compares in doubles.
@@ -88,8 +89,17 @@ class JsonParser {
   JsonValue value() {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // Each level recurses on the host stack; refuse hostile nesting
+        // before it overflows.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        JsonValue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.type = JsonValue::Type::kString;
@@ -233,8 +243,12 @@ class JsonParser {
     return v;
   }
 
+  // Our deepest document (BENCH_spans.json) nests 5 levels.
+  static constexpr int kMaxDepth = 64;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace detail

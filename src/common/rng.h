@@ -6,9 +6,19 @@
 
 namespace sealpk {
 
+// splitmix64 finalizer: the Rng seed scrambler, and the deterministic
+// payload/checksum stream of the serve and vault guests (emitted in guest
+// code by rt::emit_mix).
+inline u64 mix64(u64 x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
-  explicit Rng(u64 seed = 0x5ea1b0c5u) : state_(splitmix(seed + 1)) {}
+  explicit Rng(u64 seed = 0x5ea1b0c5u) : state_(mix64(seed + 1)) {}
 
   u64 next() {
     u64 x = state_;
@@ -36,13 +46,6 @@ class Rng {
   void set_state(u64 state) { state_ = state; }
 
  private:
-  static u64 splitmix(u64 x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-  }
-
   u64 state_;
 };
 

@@ -1,10 +1,11 @@
 #include "model/trace.h"
 
-#include <cctype>
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
 #include "common/json.h"
+#include "common/json_parse.h"
 
 namespace sealpk::model {
 
@@ -96,211 +97,20 @@ void write_trace(std::ostream& os, const Trace& trace) {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON parser (objects, arrays, strings, integers, booleans) — just
-// enough for the trace schema, with position-reporting errors.
+// Trace schema over the shared JSON reader (common/json_parse.h).
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  i64 number = 0;
-  std::string text;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool parse(JsonValue* out, std::string* error) {
-    try {
-      *out = value();
-      skip_ws();
-      expect(pos_ == text_.size(), "trailing garbage");
-      return true;
-    } catch (const std::runtime_error& e) {
-      if (error != nullptr) *error = e.what();
-      return false;
-    }
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    std::ostringstream os;
-    os << what << " at offset " << pos_;
-    throw std::runtime_error(os.str());
-  }
-  void expect(bool ok, const char* what) {
-    if (!ok) fail(what);
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-  char peek() {
-    expect(pos_ < text_.size(), "unexpected end of input");
-    return text_[pos_];
-  }
-  char take() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-  void literal(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p) {
-      expect(pos_ < text_.size() && text_[pos_] == *p, "bad literal");
-      ++pos_;
-    }
-  }
-
-  JsonValue value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string_value();
-    if (c == 't' || c == 'f') return boolean();
-    if (c == '-' || (std::isdigit(static_cast<unsigned char>(c)) != 0)) {
-      return number();
-    }
-    fail("unexpected character");
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    take();  // '{'
-    skip_ws();
-    if (peek() == '}') {
-      take();
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      expect(peek() == '"', "expected object key");
-      std::string key = parse_string();
-      skip_ws();
-      expect(take() == ':', "expected ':'");
-      v.fields.emplace_back(std::move(key), value());
-      skip_ws();
-      const char c = take();
-      if (c == '}') return v;
-      expect(c == ',', "expected ',' or '}'");
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    take();  // '['
-    skip_ws();
-    if (peek() == ']') {
-      take();
-      return v;
-    }
-    while (true) {
-      v.items.push_back(value());
-      skip_ws();
-      const char c = take();
-      if (c == ']') return v;
-      expect(c == ',', "expected ',' or ']'");
-    }
-  }
-
-  JsonValue string_value() {
-    JsonValue v;
-    v.type = JsonValue::Type::kString;
-    v.text = parse_string();
-    return v;
-  }
-
-  std::string parse_string() {
-    expect(take() == '"', "expected string");
-    std::string out;
-    while (true) {
-      char c = take();
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      c = take();
-      switch (c) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = take();
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          expect(code < 0x80, "non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.type = JsonValue::Type::kBool;
-    if (peek() == 't') {
-      literal("true");
-      v.boolean = true;
-    } else {
-      literal("false");
-    }
-    return v;
-  }
-
-  JsonValue number() {
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    const size_t start = pos_;
-    if (peek() == '-') take();
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    expect(pos_ > start + (text_[start] == '-' ? 1 : 0), "expected digits");
-    v.number = std::stoll(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
 bool get_uint(const JsonValue& obj, const char* key, u64 max, u64* out,
               std::string* error) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::kNumber || v->number < 0 ||
-      static_cast<u64>(v->number) > max) {
+  // The reader holds numbers as doubles: accept only integral values in
+  // [0, max] before casting (the negated range test also rejects NaN and
+  // infinities, whose conversion to u64 is undefined).
+  if (v == nullptr || !v->is_number() ||
+      !(v->number >= 0.0 && v->number <= static_cast<double>(max)) ||
+      v->number != std::trunc(v->number)) {
     *error = std::string("missing or invalid field \"") + key + "\"";
     return false;
   }
@@ -311,16 +121,16 @@ bool get_uint(const JsonValue& obj, const char* key, u64 max, u64* out,
 bool get_string(const JsonValue& obj, const char* key, std::string* out,
                 std::string* error) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->type != JsonValue::Type::kString) {
+  if (v == nullptr || !v->is_string()) {
     *error = std::string("missing or invalid field \"") + key + "\"";
     return false;
   }
-  *out = v->text;
+  *out = v->str;
   return true;
 }
 
 bool parse_op(const JsonValue& node, Op* op, std::string* error) {
-  if (node.type != JsonValue::Type::kObject) {
+  if (!node.is_object()) {
     *error = "op is not an object";
     return false;
   }
@@ -386,8 +196,13 @@ std::optional<Trace> parse_trace(const std::string& text,
   std::string local;
   if (error == nullptr) error = &local;
   JsonValue root;
-  if (!JsonParser(text).parse(&root, error)) return std::nullopt;
-  if (root.type != JsonValue::Type::kObject) {
+  try {
+    root = json_parse(text);
+  } catch (const std::runtime_error& e) {
+    *error = e.what();
+    return std::nullopt;
+  }
+  if (!root.is_object()) {
     *error = "trace is not a JSON object";
     return std::nullopt;
   }
@@ -417,7 +232,7 @@ std::optional<Trace> parse_trace(const std::string& text,
   t.mutation = *parsed;
 
   const JsonValue* expect = root.find("expect");
-  if (expect == nullptr || expect->type != JsonValue::Type::kObject) {
+  if (expect == nullptr || !expect->is_object()) {
     *error = "missing \"expect\" object";
     return std::nullopt;
   }
@@ -431,7 +246,7 @@ std::optional<Trace> parse_trace(const std::string& text,
   }
 
   const JsonValue* ops = root.find("ops");
-  if (ops == nullptr || ops->type != JsonValue::Type::kArray) {
+  if (ops == nullptr || !ops->is_array()) {
     *error = "missing \"ops\" array";
     return std::nullopt;
   }

@@ -860,36 +860,46 @@ i64 Kernel::record_mark(u64 kind, u64 arg0, u64 arg1, u32 pkey) {
 
 // --- sealed-storage vault (src/vault, DESIGN.md §14) -------------------------
 
-i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
+i64 Kernel::open_vault(u64 vault_base, vault::Geometry* geo) {
   if (hart_.config().flavor != core::IsaFlavor::kSealPk) return err::kNoSys;
   hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
   AddressSpace& as = current_aspace();
   u8 sb[vault::kSuperblockSize];
   if (!as.copy_in(vault_base, sb, vault::kSuperblockSize)) return err::kFault;
-  const std::optional<vault::Geometry> geo =
+  const std::optional<vault::Geometry> parsed =
       vault::parse_superblock(sb, vault::kSuperblockSize);
-  if (!geo) return err::kInval;
+  if (!parsed) return err::kInval;
   const Vma* vma = as.find_vma(vault_base);
-  if (vma == nullptr || vma->pkey != geo->vault_pkey ||
-      vault_base + geo->total_len() > vma->end) {
+  if (vma == nullptr || vma->pkey != parsed->vault_pkey ||
+      vault_base + parsed->total_len() > vma->end) {
     return err::kInval;
   }
-  const u32 vk = static_cast<u32>(geo->vault_pkey);
   // The vault domain itself must be fully sealed before the kernel will
-  // notarise anything into it: an unsealed "vault" offers no guarantee the
-  // guest can't rewrite history behind the journal's back.
+  // notarise anything into it or serve anything out of it: an unsealed
+  // "vault" offers no guarantee the guest can't rewrite history behind the
+  // journal's back.
+  const u32 vk = static_cast<u32>(parsed->vault_pkey);
   if (!current_keys().domain_sealed(vk) || !current_keys().pages_sealed(vk)) {
     return err::kPerm;
   }
+  *geo = *parsed;
+  return 0;
+}
+
+i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
+  vault::Geometry geo;
+  if (const i64 rc = open_vault(vault_base, &geo); rc != 0) return rc;
+  AddressSpace& as = current_aspace();
+  const u32 vk = static_cast<u32>(geo.vault_pkey);
 
   // Intent records live at even journal indices; the kernel owns the odd
   // slot right after each one.
-  if (intent_off < geo->journal_off ||
-      (intent_off - geo->journal_off) % vault::kRecordSize != 0) {
+  if (intent_off < geo.journal_off ||
+      (intent_off - geo.journal_off) % vault::kRecordSize != 0) {
     return err::kInval;
   }
-  const u64 index = (intent_off - geo->journal_off) / vault::kRecordSize;
-  if ((index % 2) != 0 || index + 1 >= geo->journal_cap) return err::kInval;
+  const u64 index = (intent_off - geo.journal_off) / vault::kRecordSize;
+  if ((index % 2) != 0 || index + 1 >= geo.journal_cap) return err::kInval;
 
   u8 rb[vault::kRecordSize];
   if (!as.copy_in(vault_base + intent_off, rb, vault::kRecordSize)) {
@@ -907,15 +917,15 @@ i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
                              : vault::kRecordIntentSeal)) {
     return err::kInval;
   }
-  if (intent.slot >= geo->n_slots || intent.len == 0 ||
-      intent.len > geo->slot_size || (intent.len % 8) != 0) {
+  if (intent.slot >= geo.n_slots || intent.len == 0 ||
+      intent.len > geo.slot_size || (intent.len % 8) != 0) {
     return err::kInval;
   }
 
   // Ownership gate: the caller's *live* PKR must grant read+write on the
   // vault's owner domain. A handler running with the owner key closed (or
   // a foreign process) is refused and the refusal is notarised.
-  if (hart_.pkr().peek_perm(static_cast<u32>(geo->owner_pkey)) !=
+  if (hart_.pkr().peek_perm(static_cast<u32>(geo.owner_pkey)) !=
       pkeyperm::kRw) {
     ++vault_stats_.denials;
     record_mark(mark::kVaultDenied, intent.id, static_cast<u64>(-err::kAcces),
@@ -923,7 +933,7 @@ i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
     return err::kAcces;
   }
 
-  std::vector<u8> region(geo->total_len());
+  std::vector<u8> region(geo.total_len());
   if (!as.copy_in(vault_base, region.data(), region.size())) {
     return err::kFault;
   }
@@ -945,13 +955,13 @@ i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
   }
   // The kernel's half of the record pair must still be virgin.
   const vault::Record existing =
-      vault::parse_record(region.data() + geo->record_off(index + 1));
+      vault::parse_record(region.data() + geo.record_off(index + 1));
   if (existing.present) return err::kBusy;
 
   // The payload must already be fully in place and match the intent's
   // checksum — the commit record is the durability point, so nothing may
   // be outstanding once it exists.
-  if (checksum64(region.data() + geo->slot_off(intent.slot), intent.len) !=
+  if (checksum64(region.data() + geo.slot_off(intent.slot), intent.len) !=
       intent.payload_fnv) {
     ++vault_stats_.corruption_detected;
     return err::kBadMsg;
@@ -960,7 +970,7 @@ i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
   const std::vector<u8> commit =
       vault::record_bytes(vault::kRecordCommit, intent.id, intent.slot,
                           intent.len, intent.seq, intent.payload_fnv);
-  if (!as.copy_out(vault_base + geo->record_off(index + 1), commit.data(),
+  if (!as.copy_out(vault_base + geo.record_off(index + 1), commit.data(),
                    commit.size())) {
     return err::kFault;
   }
@@ -974,31 +984,18 @@ i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
 }
 
 i64 Kernel::sys_vault_unseal(u64 vault_base, u64 id, u64 dst) {
-  if (hart_.config().flavor != core::IsaFlavor::kSealPk) return err::kNoSys;
-  hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
+  vault::Geometry geo;
+  if (const i64 rc = open_vault(vault_base, &geo); rc != 0) return rc;
   AddressSpace& as = current_aspace();
-  u8 sb[vault::kSuperblockSize];
-  if (!as.copy_in(vault_base, sb, vault::kSuperblockSize)) return err::kFault;
-  const std::optional<vault::Geometry> geo =
-      vault::parse_superblock(sb, vault::kSuperblockSize);
-  if (!geo) return err::kInval;
-  const Vma* vma = as.find_vma(vault_base);
-  if (vma == nullptr || vma->pkey != geo->vault_pkey ||
-      vault_base + geo->total_len() > vma->end) {
-    return err::kInval;
-  }
-  const u32 vk = static_cast<u32>(geo->vault_pkey);
-  if (!current_keys().domain_sealed(vk) || !current_keys().pages_sealed(vk)) {
-    return err::kPerm;
-  }
-  if (hart_.pkr().peek_perm(static_cast<u32>(geo->owner_pkey)) !=
+  const u32 vk = static_cast<u32>(geo.vault_pkey);
+  if (hart_.pkr().peek_perm(static_cast<u32>(geo.owner_pkey)) !=
       pkeyperm::kRw) {
     ++vault_stats_.denials;
     record_mark(mark::kVaultDenied, id, static_cast<u64>(-err::kAcces), vk);
     return err::kAcces;
   }
 
-  std::vector<u8> region(geo->total_len());
+  std::vector<u8> region(geo.total_len());
   if (!as.copy_in(vault_base, region.data(), region.size())) {
     return err::kFault;
   }
@@ -1007,11 +1004,11 @@ i64 Kernel::sys_vault_unseal(u64 vault_base, u64 id, u64 dst) {
   // so a checksum failure is reported as corruption, not as "absent").
   bool found = false;
   vault::Record best;
-  for (u64 i = 1; i < geo->journal_cap; i += 2) {
+  for (u64 i = 1; i < geo.journal_cap; i += 2) {
     const vault::Record r =
-        vault::parse_record(region.data() + geo->record_off(i));
+        vault::parse_record(region.data() + geo.record_off(i));
     if (!r.present || !r.valid || r.type != vault::kRecordCommit) continue;
-    if (r.id != id || r.slot >= geo->n_slots || r.len > geo->slot_size) {
+    if (r.id != id || r.slot >= geo.n_slots || r.len > geo.slot_size) {
       continue;
     }
     if (!found || r.seq >= best.seq) {
@@ -1020,7 +1017,7 @@ i64 Kernel::sys_vault_unseal(u64 vault_base, u64 id, u64 dst) {
     }
   }
   if (!found) return err::kInval;
-  if (checksum64(region.data() + geo->slot_off(best.slot), best.len) !=
+  if (checksum64(region.data() + geo.slot_off(best.slot), best.len) !=
       best.payload_fnv) {
     // Detected before serving: a corrupted committed payload is never
     // handed out.
@@ -1035,12 +1032,12 @@ i64 Kernel::sys_vault_unseal(u64 vault_base, u64 id, u64 dst) {
   for (u64 page = first; page < dst + best.len; page += mem::kPageSize) {
     const std::optional<u32> pkey = as.page_pkey(page);
     if (!pkey.has_value()) return err::kFault;
-    if (*pkey != geo->owner_pkey ||
+    if (*pkey != geo.owner_pkey ||
         (hart_.pkr().peek_perm(*pkey) & 0b01) != 0) {
       return err::kAcces;
     }
   }
-  if (!as.copy_out(dst, region.data() + geo->slot_off(best.slot), best.len)) {
+  if (!as.copy_out(dst, region.data() + geo.slot_off(best.slot), best.len)) {
     return err::kFault;
   }
   hart_.add_cycles(best.len);  // copy_to_user cost
@@ -1092,25 +1089,30 @@ i64 Kernel::sys_mprotect(u64 addr, u64 len, u64 prot) {
   return pages;
 }
 
-i64 Kernel::sys_pkey_mprotect(u64 addr, u64 len, u64 prot, u64 pkey) {
+i64 Kernel::retag_pages(u64 addr, u64 len, u64 prot, u32 pkey) {
   const auto& t = hart_.timing();
   KeyManager& keys = current_keys();
-  if (!keys.assignable(static_cast<u32>(pkey))) return err::kInval;
   const i64 pages = current_aspace().protect_pkey(
-      addr, len, prot, static_cast<u32>(pkey),
+      addr, len, prot, pkey,
       [&keys](u32 k) { return keys.domain_sealed(k); },
       [&keys](u32 k) { return keys.pages_sealed(k); }, page_delta_hook());
   hart_.add_cycles(t.vma_lookup_cycles);
   if (pages >= 0) {
-    hart_.add_cycles(static_cast<u64>(pages) * t.pte_update_cycles +
-                     t.tlb_flush_cycles);
+    hart_.add_cycles(static_cast<u64>(pages) * t.pte_update_cycles);
     stats_.pte_pages_updated += static_cast<u64>(pages);
-    hart_.flush_tlbs();
-    emit(obs::EventKind::kPkeyMprotect, static_cast<u32>(pkey), addr,
-         static_cast<u64>(pages));
-    return 0;
   }
   return pages;
+}
+
+i64 Kernel::sys_pkey_mprotect(u64 addr, u64 len, u64 prot, u64 pkey) {
+  if (!current_keys().assignable(static_cast<u32>(pkey))) return err::kInval;
+  const i64 pages = retag_pages(addr, len, prot, static_cast<u32>(pkey));
+  if (pages < 0) return pages;
+  hart_.add_cycles(hart_.timing().tlb_flush_cycles);
+  hart_.flush_tlbs();
+  emit(obs::EventKind::kPkeyMprotect, static_cast<u32>(pkey), addr,
+       static_cast<u64>(pages));
+  return 0;
 }
 
 i64 Kernel::sys_pkey_alloc(u64 flags, u64 init_perm) {
@@ -1201,19 +1203,7 @@ struct VkeyKernelOps final : mpk::VkeyOps {
   }
 
   i64 rekey(u64 addr, u64 len, u64 prot, u32 pkey) override {
-    KeyManager& keys = k.current_keys();
-    const i64 pages = k.current_aspace().protect_pkey(
-        addr, len, prot, pkey,
-        [&keys](u32 key) { return keys.domain_sealed(key); },
-        [&keys](u32 key) { return keys.pages_sealed(key); },
-        k.page_delta_hook());
-    k.hart_.add_cycles(k.hart_.timing().vma_lookup_cycles);
-    if (pages >= 0) {
-      k.hart_.add_cycles(static_cast<u64>(pages) *
-                         k.hart_.timing().pte_update_cycles);
-      k.stats_.pte_pages_updated += static_cast<u64>(pages);
-    }
-    return pages;
+    return k.retag_pages(addr, len, prot, pkey);
   }
 
   void set_perm(u32 pkey, u8 perm) override { k.set_hw_pkey_perm(pkey, perm); }

@@ -21,6 +21,10 @@
 #include "os/process.h"
 #include "os/syscall_abi.h"
 
+namespace sealpk::vault {
+struct Geometry;
+}  // namespace sealpk::vault
+
 namespace sealpk::os {
 
 // Pre-admission hook consulted by load_process: return false (optionally
@@ -289,6 +293,11 @@ class Kernel {
   i64 sys_munmap(u64 addr, u64 len);
   i64 sys_mprotect(u64 addr, u64 len, u64 prot);
   i64 sys_pkey_mprotect(u64 addr, u64 len, u64 prot, u64 pkey);
+  // pkey_mprotect's page work without its TLB flush: retags [addr,
+  // addr+len) to pkey, charges the VMA lookup and per-page PTE updates.
+  // Returns the page count or an errno. Shared by sys_pkey_mprotect and
+  // the vkey table's rekey (which batches its flushes).
+  i64 retag_pages(u64 addr, u64 len, u64 prot, u32 pkey);
   i64 sys_pkey_alloc(u64 flags, u64 init_perm);
   i64 sys_pkey_free(u64 pkey);
   i64 sys_pkey_seal(u64 pkey, u64 seal_domain, u64 seal_page);
@@ -308,6 +317,10 @@ class Kernel {
   // matching commit record in this one trap, so commits are host-atomic;
   // the unseal path re-verifies the payload checksum before serving it.
   i64 sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal);
+  // Shared opening of both vault syscalls: flavour gate, bookkeeping
+  // charge, superblock read, VMA/pkey/extent check and the vault domain's
+  // seal check. Returns 0 with *geo set, or the errno to return.
+  i64 open_vault(u64 vault_base, vault::Geometry* geo);
   i64 sys_vault_unseal(u64 vault_base, u64 id, u64 dst);
   // Appends a MarkRecord and mirrors it into the event trace. Serves
   // sys::kMark and the kernel-authored vault marks (ground truth for the

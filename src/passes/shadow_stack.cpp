@@ -17,12 +17,6 @@ bool uses_pkeys(ShadowStackKind kind) {
          kind == ShadowStackKind::kSealPkRdWr;
 }
 
-// Emits the inline abort sequence (return-address mismatch detected).
-void emit_abort(Function& f, i64 code) {
-  f.li(a0, code);
-  rt::syscall(f, os::sys::kExit);
-}
-
 // Builds the shared pop/verify helper: expects the function's return
 // address in t5; aborts on mismatch with the shadow copy.
 void add_pop_helper(Program& prog, const ShadowStackOptions& opts) {
@@ -32,7 +26,7 @@ void add_pop_helper(Program& prog, const ShadowStackOptions& opts) {
   f.addi(s10, s10, -8);
   f.ld(t6, 0, s10);
   f.beq(t6, t5, ok);
-  emit_abort(f, opts.abort_code);
+  rt::emit_exit(f, opts.abort_code);
   f.bind(ok);
   f.ret();
 }
@@ -241,7 +235,7 @@ void append_epilogue(Function& target, std::vector<Item>& out,
     branch.label = ok;
     out.push_back(branch);
     Function abort_scratch(target.name() + "$abort");
-    emit_abort(abort_scratch, opts.abort_code);
+    rt::emit_exit(abort_scratch, opts.abort_code);
     out.insert(out.end(), abort_scratch.items().begin(),
                abort_scratch.items().end());
     Item bind;

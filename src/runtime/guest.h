@@ -27,6 +27,32 @@ inline isa::Function& emit_exit(isa::Function& f) {
   return syscall(f, os::sys::kExit);
 }
 
+// Emits `li a0, code` + exit.
+inline isa::Function& emit_exit(isa::Function& f, i64 code) {
+  f.li(isa::a0, code);
+  return emit_exit(f);
+}
+
+// Emits the splitmix64 finalizer (the host-side sealpk::mix64 in
+// common/rng.h) on register v, clobbering tmp1/tmp2. Inline, no call:
+// handlers must not depend on ra surviving, the serve monitor must not
+// depend on the stack, and the vault payload never touches memory before
+// its store into the write-only slot.
+inline void emit_mix(isa::Function& f, u8 v, u8 tmp1, u8 tmp2) {
+  f.li(tmp1, static_cast<i64>(0x9E3779B97F4A7C15ULL));
+  f.add(v, v, tmp1);
+  f.srli(tmp2, v, 30);
+  f.xor_(v, v, tmp2);
+  f.li(tmp1, static_cast<i64>(0xBF58476D1CE4E5B9ULL));
+  f.mul(v, v, tmp1);
+  f.srli(tmp2, v, 27);
+  f.xor_(v, v, tmp2);
+  f.li(tmp1, static_cast<i64>(0x94D049BB133111EBULL));
+  f.mul(v, v, tmp1);
+  f.srli(tmp2, v, 31);
+  f.xor_(v, v, tmp2);
+}
+
 // Adds `_start`: calls `main_fn`, then exit(a0). Returns the crt0 function
 // so instrumentation passes can prepend their setup.
 isa::Function& add_crt0(isa::Program& prog,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
 #include "os/syscall_abi.h"
 #include "runtime/guest.h"
 #include "vault/format.h"
@@ -39,13 +40,13 @@ vault::Geometry serve_vault_geometry(u32 slots) {
   return g;
 }
 
-u64 vault_secret_key(u64 seed) { return vault::mix64(seed ^ kVaultSecretSalt); }
+u64 vault_secret_key(u64 seed) { return mix64(seed ^ kVaultSecretSalt); }
 
 std::vector<u8> vault_secret_bytes(u64 seed) {
   std::vector<u8> out(kVaultSlotLen, 0);
   const u64 key = vault_secret_key(seed);
   for (u64 j = 0; j < kVaultSlotLen / 8; ++j) {
-    vault::store_u64(&out[j * 8], vault::mix64(key + j));
+    vault::store_u64(&out[j * 8], mix64(key + j));
   }
   return out;
 }
@@ -73,28 +74,6 @@ u64 row_monitor_open(u32 slots) {
 }
 u64 row_handler_open(u32 slots, u32 slot) {
   return row_all_closed(slots) & ~(u64{0b11} << (2 * (2 + slot)));
-}
-
-// splitmix64 finalizer, inline (no call: handlers must not depend on ra
-// surviving, the monitor must not depend on the stack).
-void emit_mix(Function& f, u8 v, u8 tmp1, u8 tmp2) {
-  f.li(tmp1, static_cast<i64>(0x9E3779B97F4A7C15ULL));
-  f.add(v, v, tmp1);
-  f.srli(tmp2, v, 30);
-  f.xor_(v, v, tmp2);
-  f.li(tmp1, static_cast<i64>(0xBF58476D1CE4E5B9ULL));
-  f.mul(v, v, tmp1);
-  f.srli(tmp2, v, 27);
-  f.xor_(v, v, tmp2);
-  f.li(tmp1, static_cast<i64>(0x94D049BB133111EBULL));
-  f.mul(v, v, tmp1);
-  f.srli(tmp2, v, 31);
-  f.xor_(v, v, tmp2);
-}
-
-void emit_exit(Function& f, i64 code) {
-  f.li(a0, code);
-  rt::syscall(f, os::sys::kExit);
 }
 
 // mark(kind, arg0, arg1, pkey); preserves everything but a0.
@@ -391,7 +370,7 @@ void add_handler(Program& p, u32 slot, const WorkloadSpec& spec) {
   const Label loop = h.new_label();
   h.bind(loop);
   h.xor_(a0, a0, t2);
-  emit_mix(h, a0, t3, t4);
+  rt::emit_mix(h, a0, t3, t4);
   h.sd(a0, 0, t0);  // round-trip through this domain's tagged scratch
   h.ld(a0, 0, t0);
   h.addi(t1, t1, -1);
@@ -434,7 +413,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
     const Label ok = f.new_label();
     f.li(t1, kMonitorPkey);
     f.beq(a0, t1, ok);
-    emit_exit(f, kExitBadPkey);
+    rt::emit_exit(f, kExitBadPkey);
     f.bind(ok);
   }
   for (u32 k = 0; k < slots; ++k) {
@@ -444,7 +423,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
     const Label ok = f.new_label();
     f.li(t1, static_cast<i64>(2 + k));
     f.beq(a0, t1, ok);
-    emit_exit(f, kExitBadPkey);
+    rt::emit_exit(f, kExitBadPkey);
     f.bind(ok);
   }
   // Tag the pages.
@@ -457,7 +436,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitBadPkey);
+    rt::emit_exit(f, kExitBadPkey);
     f.bind(ok);
   }
   for (u32 k = 0; k < slots; ++k) {
@@ -469,7 +448,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
     rt::syscall(f, os::sys::kPkeyMprotect);
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitBadPkey);
+    rt::emit_exit(f, kExitBadPkey);
     f.bind(ok);
   }
   // Monitor page contents: canary + zeroed counters/slots.
@@ -498,7 +477,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
     rt::syscall(f, os::sys::kPkeyPermSeal);
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitSealFailed);
+    rt::emit_exit(f, kExitSealFailed);
     f.bind(ok);
   }
   // The monitor key's range spans every gate: region markers bracket them.
@@ -509,7 +488,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitSealFailed);
+    rt::emit_exit(f, kExitSealFailed);
     f.bind(ok);
   }
   // --- the monitor's sealed side-vault (the durability red team's target).
@@ -536,7 +515,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
     const Label ok = f.new_label();
     f.li(t1, static_cast<i64>(vault_pkey_for(slots)));
     f.beq(a0, t1, ok);
-    emit_exit(f, kExitVaultSetup);
+    rt::emit_exit(f, kExitVaultSetup);
     f.bind(ok);
   }
   f.la(a0, "__vault_base");
@@ -548,7 +527,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitVaultSetup);
+    rt::emit_exit(f, kExitVaultSetup);
     f.bind(ok);
   }
   // Seal the vault domain and its pages, then perm-seal the key over the
@@ -560,7 +539,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitVaultSetup);
+    rt::emit_exit(f, kExitVaultSetup);
     f.bind(ok);
   }
   f.call("__vault_latch");
@@ -569,7 +548,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitVaultSetup);
+    rt::emit_exit(f, kExitVaultSetup);
     f.bind(ok);
   }
   // Intent record into journal slot 0, then the secret bundle generated in
@@ -592,7 +571,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
     const Label loop = f.new_label();
     f.bind(loop);
     f.add(t4, t0, t2);
-    emit_mix(f, t4, t5, t6);
+    rt::emit_mix(f, t4, t5, t6);
     f.slli(t5, t2, 3);
     f.add(t5, t1, t5);
     f.sd(t4, 0, t5);
@@ -606,7 +585,7 @@ void add_init(Program& p, const WorkloadSpec& spec) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitVaultSetup);
+    rt::emit_exit(f, kExitVaultSetup);
     f.bind(ok);
   }
   f.la(t0, "__poison");
@@ -652,7 +631,7 @@ void add_main(Program& p) {
   f.la(t0, "__seed");
   f.ld(a0, 0, t0);
   f.xor_(a0, a0, t5);
-  emit_mix(f, a0, a1, a2);
+  rt::emit_mix(f, a0, a1, a2);
   f.la(a1, "__gate_table");
   f.slli(a2, t4, 3);
   f.add(a1, a1, a2);
@@ -717,20 +696,10 @@ void add_main(Program& p) {
   f.la(t0, "__probe_success");
   f.ld(a0, 0, t0);
   rt::syscall(f, os::sys::kReport);
-  emit_exit(f, 0);  // exits the whole process (probe thread included)
+  rt::emit_exit(f, 0);  // exits the whole process (probe thread included)
 }
 
 }  // namespace
-
-u64 mix64(u64 x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
 
 u64 payload_for(u64 seed, u32 index) { return mix64(seed ^ index); }
 

@@ -71,8 +71,7 @@ struct BuiltServer {
   std::vector<u32> slot_pkeys;  // slot -> pkey (2 + slot)
 };
 
-// Host-side model of the guest checksum arithmetic (splitmix64 finalizer).
-u64 mix64(u64 x);
+// Host-side model of the guest checksum arithmetic (sealpk::mix64 rounds).
 u64 payload_for(u64 seed, u32 index);
 u64 checksum_for(u64 seed, u32 index, u32 slot, u32 rounds);
 

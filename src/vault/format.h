@@ -55,15 +55,6 @@ inline u64 load_u64(const u8* p) {
 
 inline void store_u64(u8* p, u64 v) { std::memcpy(p, &v, sizeof(v)); }
 
-// Deterministic payload generator shared by the host-side oracle and the
-// guest emitter (splitmix64 finalizer — same shape src/serve uses).
-inline u64 mix64(u64 x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 // ---------------------------------------------------------------------------
 // Superblock.
 // ---------------------------------------------------------------------------

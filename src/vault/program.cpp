@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/rng.h"
 #include "os/syscall_abi.h"
 #include "runtime/guest.h"
 
@@ -16,28 +17,6 @@ constexpr u64 kPageSize = 4096;
 
 std::string intent_name(u64 r) {
   return "__vault_intent_" + std::to_string(r);
-}
-
-// splitmix64 finalizer, inline — mirrors serve's emit_mix so the payload
-// stream never touches memory until the store into the vault slot itself.
-void emit_mix(Function& f, u8 v, u8 tmp1, u8 tmp2) {
-  f.li(tmp1, static_cast<i64>(0x9E3779B97F4A7C15ULL));
-  f.add(v, v, tmp1);
-  f.srli(tmp2, v, 30);
-  f.xor_(v, v, tmp2);
-  f.li(tmp1, static_cast<i64>(0xBF58476D1CE4E5B9ULL));
-  f.mul(v, v, tmp1);
-  f.srli(tmp2, v, 27);
-  f.xor_(v, v, tmp2);
-  f.li(tmp1, static_cast<i64>(0x94D049BB133111EBULL));
-  f.mul(v, v, tmp1);
-  f.srli(tmp2, v, 31);
-  f.xor_(v, v, tmp2);
-}
-
-void emit_exit(Function& f, i64 code) {
-  f.li(a0, code);
-  rt::syscall(f, os::sys::kExit);
 }
 
 // Seal / reseal operation: intent mark, word-by-word intent record (the
@@ -75,7 +54,7 @@ void emit_seal_op(Function& f, const Geometry& geo, const VaultOp& op,
   const Label loop = f.new_label();
   f.bind(loop);
   f.add(t4, t0, t2);
-  emit_mix(f, t4, t5, t6);
+  rt::emit_mix(f, t4, t5, t6);
   f.slli(t5, t2, 3);
   f.add(t5, t1, t5);
   f.sd(t4, 0, t5);
@@ -89,7 +68,7 @@ void emit_seal_op(Function& f, const Geometry& geo, const VaultOp& op,
                                           : os::sys::kVaultReseal);
   const Label ok = f.new_label();
   f.beqz(a0, ok);
-  emit_exit(f, kExitSealFailed);
+  rt::emit_exit(f, kExitSealFailed);
   f.bind(ok);
 }
 
@@ -106,7 +85,7 @@ void emit_unseal_op(Function& f, const VaultOp& op, u64 seed) {
   const Label len_ok = f.new_label();
   f.li(t0, static_cast<i64>(op.len));
   f.beq(a0, t0, len_ok);
-  emit_exit(f, kExitUnsealFailed);
+  rt::emit_exit(f, kExitUnsealFailed);
   f.bind(len_ok);
 
   f.la(t1, "__reveal_base");
@@ -118,7 +97,7 @@ void emit_unseal_op(Function& f, const VaultOp& op, u64 seed) {
               after = f.new_label();
   f.bind(vloop);
   f.add(t4, t0, t2);
-  emit_mix(f, t4, t5, t6);
+  rt::emit_mix(f, t4, t5, t6);
   f.slli(t5, t2, 3);
   f.add(t5, t1, t5);
   f.ld(t6, 0, t5);
@@ -136,7 +115,7 @@ void emit_unseal_op(Function& f, const VaultOp& op, u64 seed) {
   f.blt(t2, t3, zloop);
   f.j(after);
   f.bind(fail);
-  emit_exit(f, kExitRevealMismatch);
+  rt::emit_exit(f, kExitRevealMismatch);
   f.bind(after);
 }
 
@@ -176,7 +155,7 @@ void add_init(Program& p, u64 region_len) {
     const Label ok = f.new_label();
     f.li(t1, kOwnerPkey);
     f.beq(a0, t1, ok);
-    emit_exit(f, kExitBadPkey);
+    rt::emit_exit(f, kExitBadPkey);
     f.bind(ok);
   }
   f.li(a0, 0);
@@ -186,7 +165,7 @@ void add_init(Program& p, u64 region_len) {
     const Label ok = f.new_label();
     f.li(t1, kVaultPkey);
     f.beq(a0, t1, ok);
-    emit_exit(f, kExitBadPkey);
+    rt::emit_exit(f, kExitBadPkey);
     f.bind(ok);
   }
 
@@ -200,7 +179,7 @@ void add_init(Program& p, u64 region_len) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitBadPkey);
+    rt::emit_exit(f, kExitBadPkey);
     f.bind(ok);
   }
   f.la(a0, "__vault_base");
@@ -212,7 +191,7 @@ void add_init(Program& p, u64 region_len) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitBadPkey);
+    rt::emit_exit(f, kExitBadPkey);
     f.bind(ok);
   }
 
@@ -225,7 +204,7 @@ void add_init(Program& p, u64 region_len) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitSealFailed);
+    rt::emit_exit(f, kExitSealFailed);
     f.bind(ok);
   }
   f.call("__vault_latch");
@@ -234,7 +213,7 @@ void add_init(Program& p, u64 region_len) {
   {
     const Label ok = f.new_label();
     f.beqz(a0, ok);
-    emit_exit(f, kExitSealFailed);
+    rt::emit_exit(f, kExitSealFailed);
     f.bind(ok);
   }
   f.mv(ra, s0);
@@ -329,7 +308,7 @@ BuiltVault build_vault(const VaultSpec& spec) {
   }
   f.li(a0, static_cast<i64>(built.ops.size()));
   rt::syscall(f, os::sys::kReport);
-  emit_exit(f, 0);
+  rt::emit_exit(f, 0);
   add_init(p, region_len);
 
   p.add_zero("__vault_base", 8);

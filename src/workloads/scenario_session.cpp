@@ -62,8 +62,7 @@ isa::Program build_session(const SessionShape& p) {
     Function& f = prog.add_function("sess_fail");
     f.li(a0, 0x5E55DEAD);
     rt::syscall(f, os::sys::kReport);
-    f.li(a0, 1);
-    rt::syscall(f, os::sys::kExit);
+    rt::emit_exit(f, 1);
     f.ret();  // unreachable
   }
 

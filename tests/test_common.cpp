@@ -138,6 +138,22 @@ TEST(JsonParse, HandlesEscapesAndRejectsMalformedInput) {
   EXPECT_THROW(json_parse("[1, 2,]"), std::runtime_error);
   EXPECT_THROW(json_parse("{\"a\": 1} trailing"), std::runtime_error);
   EXPECT_THROW(json_parse(""), std::runtime_error);
+  // Nesting is bounded at 64 levels: hostile depth is a parse error, not a
+  // host stack overflow.
+  EXPECT_TRUE(json_parse(std::string(64, '[') + std::string(64, ']'))
+                  .is_array());
+  try {
+    json_parse(std::string(65, '[') + std::string(65, ']'));
+    ADD_FAILURE() << "65 levels parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("json parse error at byte 64"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(json_parse(std::string(200'000, '[')), std::runtime_error);
+  std::string deep_object;
+  for (int i = 0; i < 200'000; ++i) deep_object += "{\"a\": ";
+  EXPECT_THROW(json_parse(deep_object), std::runtime_error);
 }
 
 }  // namespace

@@ -368,6 +368,29 @@ TEST(ModelTraces, ParserRejectsMalformedDocuments) {
       " \"\"}, \"ops\": [{\"op\": \"frobnicate\"}]}";
   EXPECT_FALSE(parse_trace(bad_op, &error).has_value());
   EXPECT_NE(error.find("frobnicate"), std::string::npos);
+  // Hostile depth is a parse error from the shared reader.
+  EXPECT_FALSE(parse_trace(std::string(200'000, '['), &error).has_value());
+  EXPECT_NE(error.find("json parse error"), std::string::npos) << error;
+  // Numbers are read as doubles; an integer field takes only integral
+  // values in range, and a refusal is an error, never an exception.
+  const auto with_pkeys = [](const std::string& pkeys) {
+    return "{\"schema\": \"sealpk-model-trace-v1\", \"pkeys\": " + pkeys +
+           ", \"pages\": 2, \"cam\": 2, \"mutation\": \"none\", \"expect\":"
+           " {\"kind\": \"clean\", \"invariant\": \"\", \"op_index\": 0,"
+           " \"message\": \"\"}, \"ops\": []}";
+  };
+  for (const char* pkeys :
+       {"99999999999999999999999", "33", "-1", "2.5", "1e999", "-1e999"}) {
+    error.clear();
+    EXPECT_FALSE(parse_trace(with_pkeys(pkeys), &error).has_value()) << pkeys;
+    EXPECT_EQ(error, "missing or invalid field \"pkeys\"") << pkeys;
+  }
+  // An integral spelling parses; the canonical rewrite differs from it, so
+  // `sealpk-model repro` still refuses such a file as non-canonical.
+  const auto two = parse_trace(with_pkeys("2.0"), &error);
+  ASSERT_TRUE(two.has_value()) << error;
+  EXPECT_EQ(two->num_pkeys, 2u);
+  EXPECT_NE(trace_to_json(*two), with_pkeys("2.0"));
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "fleet/engine.h"
 #include "obs/event.h"
 #include "serve/program.h"
@@ -426,7 +427,10 @@ TEST(ServeModel, ChecksumIsDeterministicAndSlotSensitive) {
   EXPECT_NE(serve::checksum_for(1, 0, 0, 8), serve::checksum_for(1, 0, 1, 8));
   EXPECT_NE(serve::checksum_for(1, 0, 0, 8), serve::checksum_for(1, 1, 0, 8));
   EXPECT_NE(serve::checksum_for(1, 0, 0, 8), serve::checksum_for(2, 0, 0, 8));
-  EXPECT_NE(serve::mix64(3), 3u);
+  // The one splitmix64 finalizer (common/rng.h): first output of the
+  // reference splitmix64 stream seeded with 0.
+  EXPECT_EQ(mix64(0), 0xE220A8397B1DCDAFULL);
+  EXPECT_NE(mix64(3), 3u);
 }
 
 TEST(ServeModel, DispositionNamesAreCanonical) {
