@@ -10,8 +10,8 @@
 #include "common/rng.h"
 #include "hw/donky.h"
 #include "hw/seal_unit.h"
+#include "fleet/report.h"
 #include "hwcost/fpga_model.h"
-#include "sim/fig5.h"
 
 using namespace sealpk;
 
@@ -73,11 +73,9 @@ void perm_seal_cost() {
       machine.load(prog.link());
       return machine.run().cycles;
     };
-    const double plain =
-        100.0 * (static_cast<double>(run_variant(false)) - base) / base;
-    const double sealed =
-        100.0 * (static_cast<double>(run_variant(true)) - base) / base;
-    std::printf("%24s %15.2f%% %15.2f%%\n", w->name, plain, sealed);
+    std::printf("%24s %15.2f%% %15.2f%%\n", w->name,
+                fleet::overhead_pct(run_variant(false), base),
+                fleet::overhead_pct(run_variant(true), base));
   }
   std::printf("  (steady-state cost: one seal.start latch instruction per call "
               "plus a parallel CAM hit per WRPKR — one to two points)\n\n");
@@ -157,10 +155,8 @@ void leaf_skip() {
       return machine.run().cycles;
     };
     std::printf("%24s %17.2f%% %17.2f%%\n", w->name,
-                100.0 * (static_cast<double>(run_variant(false)) - base) /
-                    base,
-                100.0 * (static_cast<double>(run_variant(true)) - base) /
-                    base);
+                fleet::overhead_pct(run_variant(false), base),
+                fleet::overhead_pct(run_variant(true), base));
   }
   std::printf("  (leaf-heavy workloads save most of the overhead — at the "
               "cost of leaving leaf frames unguarded)\n");
@@ -185,18 +181,10 @@ void tlb_sweep() {
       return machine.run().cycles;
     };
     const u64 base = run_variant(passes::ShadowStackKind::kNone);
-    const double rdwr =
-        100.0 *
-        (static_cast<double>(run_variant(
-             passes::ShadowStackKind::kSealPkRdWr)) -
-         base) /
-        base;
-    const double mprot =
-        100.0 *
-        (static_cast<double>(run_variant(
-             passes::ShadowStackKind::kMprotect)) -
-         base) /
-        base;
+    const double rdwr = fleet::overhead_pct(
+        run_variant(passes::ShadowStackKind::kSealPkRdWr), base);
+    const double mprot = fleet::overhead_pct(
+        run_variant(passes::ShadowStackKind::kMprotect), base);
     std::printf("%14zu %17.2f%% %17.2f%%\n", entries, rdwr, mprot);
   }
   std::printf("  (mprotect's cost here is dominated by the kernel path + "

@@ -156,10 +156,10 @@ void execute_chaos_diff(const JobSpec& spec, const isa::Image& image,
     return;
   }
 
-  // The differential oracle (same logic and strings as sealpk-chaos ran
-  // serially): the chaos run must be bit-identical to the clean run, or
-  // every divergence must be explained by a recorded recovery or a
-  // distinct-exit-code kill — and no fault event may be left unaccounted.
+  // The differential oracle: the chaos run must be bit-identical to the
+  // clean run, or every divergence must be explained by a recorded recovery
+  // or a distinct-exit-code kill — and no fault event may be left
+  // unaccounted.
   const bool identical = chaos.completed == clean.completed &&
                          chaos.exit_code == clean.exit_code &&
                          chaos.console == clean.console &&

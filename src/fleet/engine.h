@@ -50,8 +50,8 @@ std::vector<JobResult> run_jobs(const std::vector<JobSpec>& specs,
                                 ImageCache& cache,
                                 const FleetOptions& opts = {});
 
-// The oracle verdict strings kChaosDiff produces (shared with sealpk-chaos
-// output and its tests).
+// The oracle verdict strings kChaosDiff produces (shared with
+// `sealpk-fleet --chaos` output and its tests).
 namespace verdicts {
 inline constexpr char kCleanIncomplete[] = "FAIL: clean run did not complete";
 inline constexpr char kUnaccounted[] = "FAIL: unaccounted fault events";

@@ -28,6 +28,26 @@ Aggregate aggregate(const std::vector<JobResult>& results) {
   return agg;
 }
 
+std::vector<JobSpec> figure5_jobs(u64 scale) {
+  std::vector<JobSpec> specs;
+  for (const wl::Workload& w : wl::all_workloads()) {
+    for (size_t v = 0; v < kFig5Variants; ++v) {
+      JobSpec spec;
+      spec.id = static_cast<u32>(specs.size());
+      spec.workload = &w;
+      spec.ss = kVariants[v].ss;
+      spec.scale = scale != 0 ? scale : w.bench_scale;
+      specs.push_back(std::move(spec));
+    }
+  }
+  return specs;
+}
+
+double overhead_pct(u64 cycles, u64 base_cycles) {
+  const double base = static_cast<double>(base_cycles);
+  return 100.0 * (static_cast<double>(cycles) - base) / base;
+}
+
 double gmean_overhead(const std::vector<JobResult>& results, wl::Suite suite,
                       passes::ShadowStackKind ss, bool perm_seal) {
   double log_sum = 0;
@@ -49,17 +69,25 @@ double gmean_overhead(const std::vector<JobResult>& results, wl::Suite suite,
       }
     }
     if (base == nullptr || base->cycles == 0) continue;
-    const double overhead =
-        100.0 *
-        (static_cast<double>(v.cycles) - static_cast<double>(base->cycles)) /
-        static_cast<double>(base->cycles);
-    // Same floor as sim::suite_gmean_overhead: a single near-zero bar must
-    // not zero the mean (the paper's log-scale plot has the same clamp).
-    log_sum += std::log(std::max(overhead, 0.01));
+    log_sum += std::log(std::max(overhead_pct(v.cycles, base->cycles), 0.01));
     ++count;
   }
   if (count == 0) return -1.0;
   return std::exp(log_sum / count);
+}
+
+double mprotect_speedup(const std::vector<JobResult>& results) {
+  double log_sum = 0;
+  for (const wl::Suite suite : {wl::Suite::kSpec2000, wl::Suite::kSpec2006,
+                                wl::Suite::kMiBench}) {
+    const double mprot =
+        gmean_overhead(results, suite, kVariants[kMprotectIdx].ss);
+    const double rdwr =
+        gmean_overhead(results, suite, kVariants[kSealPkRdWrIdx].ss);
+    if (mprot < 0 || rdwr < 0) return -1.0;
+    log_sum += std::log(mprot / rdwr);
+  }
+  return std::exp(log_sum / 3.0);
 }
 
 namespace {
@@ -238,8 +266,7 @@ bool write_diff_report_file(const std::string& path, const std::string& a_name,
   return out.good();
 }
 
-void write_matrix_json(std::ostream& os,
-                       const std::vector<MatrixVariant>& variants) {
+void write_matrix_json(std::ostream& os) {
   const auto& workloads = wl::all_workloads();
   const auto& scenarios = wl::scenario_workloads();
   os << "{\n  \"schema\": \"sealpk-fleet-matrix-v1\",\n"
@@ -262,18 +289,19 @@ void write_matrix_json(std::ostream& os,
        << (i + 1 < scenarios.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"variants\": [\n";
-  for (size_t i = 0; i < variants.size(); ++i) {
-    const MatrixVariant& v = variants[i];
+  const size_t variants = std::size(kVariants);
+  for (size_t i = 0; i < variants; ++i) {
+    const Variant& v = kVariants[i];
     os << "    {\"name\": \"" << json_escape(v.name) << "\", \"ss\": \""
        << passes::shadow_stack_kind_name(v.ss)
        << "\", \"perm_seal\": " << (v.perm_seal ? "true" : "false") << "}"
-       << (i + 1 < variants.size() ? "," : "") << "\n";
+       << (i + 1 < variants ? "," : "") << "\n";
   }
   os << "  ],\n  \"cells\": [\n";
-  const size_t total = workloads.size() * variants.size();
+  const size_t total = workloads.size() * variants;
   size_t cell = 0;
   for (const wl::Workload& w : workloads) {
-    for (const MatrixVariant& v : variants) {
+    for (const Variant& v : kVariants) {
       os << "    {\"id\": " << cell << ", \"workload\": \""
          << json_escape(std::string(wl::suite_name(w.suite)) + "/" + w.name)
          << "\", \"variant\": \"" << json_escape(v.name) << "\"}"

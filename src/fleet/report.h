@@ -32,13 +32,54 @@ struct Aggregate {
 
 Aggregate aggregate(const std::vector<JobResult>& results);
 
-// Geometric mean of per-workload overhead (percent, vs the kNone baseline
-// job for the same workload among `results`) across the suite — the same
-// math as sim::suite_gmean_overhead, including the 0.01% clamp. Returns a
-// negative value when the suite has no (baseline, variant) pair, so callers
-// can skip rather than divide by nothing.
+// One entry of the instrumentation axis, as the CLI and the reports spell
+// it ("sealed" = sealpk-wr with the WRPKR permission seal applied).
+struct Variant {
+  const char* name;
+  passes::ShadowStackKind ss;
+  bool perm_seal;
+};
+
+// The 7-variant axis of the evaluation matrix. The first kFig5Variants
+// entries are Figure 5's columns in legend order: the baseline, then
+// Inline, Func, SealPK-WR, SealPK-RD+WR and mprotect.
+inline constexpr Variant kVariants[] = {
+    {"none", passes::ShadowStackKind::kNone, false},
+    {"inline", passes::ShadowStackKind::kInline, false},
+    {"func", passes::ShadowStackKind::kFunc, false},
+    {"sealpk-wr", passes::ShadowStackKind::kSealPkWr, false},
+    {"sealpk-rdwr", passes::ShadowStackKind::kSealPkRdWr, false},
+    {"mprotect", passes::ShadowStackKind::kMprotect, false},
+    {"sealed", passes::ShadowStackKind::kSealPkWr, true},
+};
+inline constexpr size_t kFig5Variants = 6;
+inline constexpr size_t kSealPkRdWrIdx = 4;
+inline constexpr size_t kMprotectIdx = 5;
+static_assert(kVariants[kSealPkRdWrIdx].ss ==
+                  passes::ShadowStackKind::kSealPkRdWr &&
+              kVariants[kMprotectIdx].ss == passes::ShadowStackKind::kMprotect);
+
+// One kRun job per (workload, Figure-5 variant) cell, workload-major:
+// job i is workload i / kFig5Variants under kVariants[i % kFig5Variants].
+// scale 0 = each workload's bench scale.
+std::vector<JobSpec> figure5_jobs(u64 scale);
+
+// Percent overhead of `cycles` over `base_cycles`.
+double overhead_pct(u64 cycles, u64 base_cycles);
+
+// Geometric mean of per-workload overhead (vs the kNone baseline job for
+// the same workload among `results`) across the suite. Overheads below
+// 0.01% are clamped so one near-zero bar cannot zero the mean (the paper's
+// log-scale plot has the same floor). Returns a negative value when the
+// suite has no (baseline, variant) pair, so callers can skip rather than
+// divide by nothing.
 double gmean_overhead(const std::vector<JobResult>& results, wl::Suite suite,
                       passes::ShadowStackKind ss, bool perm_seal = false);
+
+// The paper's headline: geomean over the three suites of (mprotect
+// overhead / SealPK-RD+WR overhead), "~88x faster". Negative when a suite
+// lacks either variant.
+double mprotect_speedup(const std::vector<JobResult>& results);
 
 struct ReportOptions {
   unsigned threads = 1;
@@ -55,20 +96,12 @@ bool write_report_file(const std::string& path,
                        const std::vector<JobResult>& results,
                        const ReportOptions& opts);
 
-// One entry of the instrumentation axis as the CLI spells it (the table
-// itself lives with the CLI; callers pass it in).
-struct MatrixVariant {
-  std::string name;
-  passes::ShadowStackKind ss = passes::ShadowStackKind::kNone;
-  bool perm_seal = false;
-};
-
 // Machine-readable workload x variant matrix ("sealpk-fleet-matrix-v1"):
-// every Figure-5 workload, every variant, and the full cell cross product
-// — so the SLO gate and CI asserts can enumerate cells without scraping
-// `sealpk-fleet list` text. Deterministic (list order x table order).
-void write_matrix_json(std::ostream& os,
-                       const std::vector<MatrixVariant>& variants);
+// every Figure-5 workload, every kVariants entry, and the full cell cross
+// product — so the SLO gate and CI asserts can enumerate cells without
+// scraping `sealpk-fleet list` text. Deterministic (list order x table
+// order).
+void write_matrix_json(std::ostream& os);
 
 // Compares the canonical "records" arrays of two report texts. Returns the
 // number of diverging records (0 = byte-identical record sets); mismatch

@@ -40,7 +40,10 @@ std::string string_field(const JsonValue& obj, const std::string& key,
 // non-integers with %.6g (never in committed artifacts, only verdicts).
 std::string render(double v) {
   char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v))) {
+  // The cast is defined only for values in [-2^63, 2^63); NaN and +-inf
+  // fail the range test too.
+  if (v >= -0x1p63 && v < 0x1p63 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof(buf), "%.6g", v);

@@ -3,27 +3,50 @@
 // pain, and the order of magnitude of the headline speedup.
 #include <gtest/gtest.h>
 
-#include "sim/fig5.h"
+#include "fleet/engine.h"
+#include "fleet/report.h"
 
 namespace sealpk {
 namespace {
 
-// One shared run for all shape assertions (scale 1 ~= a second).
-const std::vector<sim::Fig5Row>& rows() {
-  static const std::vector<sim::Fig5Row> kRows = sim::run_figure5(1);
-  return kRows;
+constexpr size_t kCols = fleet::kFig5Variants;
+
+// One shared run for all shape assertions (scale 1 ~= a second), laid out
+// as fleet::figure5_jobs: kCols consecutive cells per workload, baseline
+// first.
+const std::vector<fleet::JobResult>& cells() {
+  static const std::vector<fleet::JobResult> kCells = [] {
+    fleet::ImageCache cache;
+    std::vector<fleet::JobResult> rs =
+        fleet::run_jobs(fleet::figure5_jobs(1), cache);
+    for (const fleet::JobResult& r : rs) {
+      SEALPK_CHECK_MSG(r.ok, r.label << ": " << r.verdict);
+    }
+    return rs;
+  }();
+  return kCells;
+}
+
+// Overhead of Figure-5 variant `v` (kVariants index) for the workload whose
+// baseline cell is `base`.
+double overhead(size_t base, size_t v) {
+  return fleet::overhead_pct(cells()[base + v].cycles, cells()[base].cycles);
+}
+
+double gmean(wl::Suite suite, size_t v) {
+  return fleet::gmean_overhead(cells(), suite, fleet::kVariants[v].ss);
 }
 
 TEST(Fig5Shape, EveryWorkloadHasPositiveOverheadOrdering) {
-  for (const auto& row : rows()) {
+  for (size_t i = 0; i < cells().size(); i += kCols) {
+    const char* name = cells()[i].workload->name;
     // Inline < Func < SealPK-WR < SealPK-RD+WR << mprotect, per benchmark.
-    for (size_t v = 1; v < sim::kNumFig5Variants; ++v) {
-      EXPECT_LT(row.overhead_pct(v - 1), row.overhead_pct(v))
-          << row.workload->name << " variant " << v;
+    for (size_t v = 2; v < kCols; ++v) {
+      EXPECT_LT(overhead(i, v - 1), overhead(i, v)) << name << " variant " << v;
     }
-    EXPECT_GT(row.overhead_pct(sim::kMprotectIdx),
-              8 * row.overhead_pct(sim::kSealPkRdWrIdx))
-        << row.workload->name;
+    EXPECT_GT(overhead(i, fleet::kMprotectIdx),
+              8 * overhead(i, fleet::kSealPkRdWrIdx))
+        << name;
   }
 }
 
@@ -32,14 +55,9 @@ TEST(Fig5Shape, SuiteGmeansTrackThePaper) {
   // 2875.62 / 1982.70 / 320.21 for SPEC2000 / SPEC2006 / MiBench. At the
   // reduced test scale the values shift, so assert generous brackets that
   // still pin who-wins-where.
-  const double rdwr2000 =
-      sim::suite_gmean_overhead(rows(), wl::Suite::kSpec2000,
-                                sim::kSealPkRdWrIdx);
-  const double rdwr2006 =
-      sim::suite_gmean_overhead(rows(), wl::Suite::kSpec2006,
-                                sim::kSealPkRdWrIdx);
-  const double rdwrMib = sim::suite_gmean_overhead(
-      rows(), wl::Suite::kMiBench, sim::kSealPkRdWrIdx);
+  const double rdwr2000 = gmean(wl::Suite::kSpec2000, fleet::kSealPkRdWrIdx);
+  const double rdwr2006 = gmean(wl::Suite::kSpec2006, fleet::kSealPkRdWrIdx);
+  const double rdwrMib = gmean(wl::Suite::kMiBench, fleet::kSealPkRdWrIdx);
   EXPECT_GT(rdwr2000, 8.0);
   EXPECT_LT(rdwr2000, 45.0);
   EXPECT_GT(rdwr2006, 5.0);
@@ -47,12 +65,9 @@ TEST(Fig5Shape, SuiteGmeansTrackThePaper) {
   EXPECT_GT(rdwrMib, 3.0);
   EXPECT_LT(rdwrMib, 20.0);
 
-  const double mp2000 = sim::suite_gmean_overhead(
-      rows(), wl::Suite::kSpec2000, sim::kMprotectIdx);
-  const double mp2006 = sim::suite_gmean_overhead(
-      rows(), wl::Suite::kSpec2006, sim::kMprotectIdx);
-  const double mpMib = sim::suite_gmean_overhead(
-      rows(), wl::Suite::kMiBench, sim::kMprotectIdx);
+  const double mp2000 = gmean(wl::Suite::kSpec2000, fleet::kMprotectIdx);
+  const double mp2006 = gmean(wl::Suite::kSpec2006, fleet::kMprotectIdx);
+  const double mpMib = gmean(wl::Suite::kMiBench, fleet::kMprotectIdx);
   // Suite ordering of mprotect pain: SPEC2000 > SPEC2006 > MiBench.
   EXPECT_GT(mp2000, mp2006);
   EXPECT_GT(mp2006, mpMib);
@@ -63,7 +78,7 @@ TEST(Fig5Shape, SuiteGmeansTrackThePaper) {
 TEST(Fig5Shape, HeadlineSpeedupNearPaper) {
   // Paper: "on average ~88x faster than ... mprotect". Assert the same
   // order of magnitude (x10 either way would be a broken model).
-  const double factor = sim::mprotect_speedup_factor(rows());
+  const double factor = fleet::mprotect_speedup(cells());
   EXPECT_GT(factor, 40.0);
   EXPECT_LT(factor, 220.0);
 }
@@ -71,11 +86,11 @@ TEST(Fig5Shape, HeadlineSpeedupNearPaper) {
 TEST(Fig5Shape, InstrumentationNeverChangesInstructionCountsWildly) {
   // SealPK variants add prologue/epilogue work only: instruction-count
   // inflation must stay well below the mprotect variant's cycle inflation.
-  for (const auto& row : rows()) {
-    const double base = static_cast<double>(row.baseline_cycles);
+  for (size_t i = 0; i < cells().size(); i += kCols) {
+    const double base = static_cast<double>(cells()[i].cycles);
     const double rdwr =
-        static_cast<double>(row.variants[sim::kSealPkRdWrIdx].cycles);
-    EXPECT_LT(rdwr / base, 3.0) << row.workload->name;
+        static_cast<double>(cells()[i + fleet::kSealPkRdWrIdx].cycles);
+    EXPECT_LT(rdwr / base, 3.0) << cells()[i].workload->name;
   }
 }
 

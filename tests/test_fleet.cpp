@@ -2,14 +2,14 @@
 // canonical records byte-identical for any thread count), image-cache
 // sharing (one build per distinct workload x variant x scale), per-job
 // timeout / crash containment (a failing job harms only itself), and
-// aggregation (fleet suite geomeans == the serial Figure-5 math).
+// aggregation (a fleet job == the serial reference run below).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 
 #include "fleet/engine.h"
 #include "fleet/report.h"
-#include "sim/fig5.h"
 
 namespace sealpk {
 namespace {
@@ -28,6 +28,47 @@ fleet::JobSpec run_spec(u32 id, const wl::Workload& w,
   spec.ss = ss;
   spec.scale = scale;
   return spec;
+}
+
+struct VariantResult {
+  passes::ShadowStackKind kind;
+  u64 cycles = 0;
+  u64 instructions = 0;
+  u64 calls = 0;          // jal/jalr-with-ra retired
+  u64 pages_mapped = 0;   // resident set at exit
+};
+
+// The serial reference for one (workload, variant) cell: a fresh machine,
+// checksum verified against the golden model (throws CheckError on
+// mismatch). scale defaults to the workload's bench_scale.
+VariantResult run_cell(const wl::Workload& workload,
+                       passes::ShadowStackKind kind,
+                       std::optional<u64> scale_opt = std::nullopt) {
+  const u64 scale = scale_opt.value_or(workload.bench_scale);
+  isa::Program prog = workload.build(scale);
+  passes::ShadowStackOptions opts;
+  opts.kind = kind;
+  passes::apply_shadow_stack(prog, opts);
+
+  sim::Machine machine{sim::MachineConfig{}};
+  const int pid = machine.load(prog.link());
+  const sim::RunOutcome outcome = machine.run(8'000'000'000ULL);
+  SEALPK_CHECK_MSG(outcome.completed,
+                   workload.name << " did not finish under "
+                                 << passes::shadow_stack_kind_name(kind));
+  SEALPK_CHECK_MSG(machine.exit_code(pid) == 0,
+                   workload.name << " exited "
+                                 << machine.exit_code(pid) << " under "
+                                 << passes::shadow_stack_kind_name(kind));
+  const auto& reports = machine.kernel().reports();
+  SEALPK_CHECK_MSG(reports.size() == 1 &&
+                       reports[0] == workload.golden(scale),
+                   workload.name << " checksum mismatch under "
+                                 << passes::shadow_stack_kind_name(kind));
+  VariantResult result{kind, outcome.cycles, outcome.instructions,
+                       machine.hart().stats().calls,
+                       machine.kernel().process(pid).aspace->pages_mapped()};
+  return result;
 }
 
 std::vector<std::string> records_of(const std::vector<fleet::JobResult>& rs) {
@@ -233,13 +274,13 @@ TEST(Fleet, MachineCheckKillOnlyFailsItsOwnJob) {
 // --- aggregation ------------------------------------------------------------
 
 TEST(Fleet, CellResultsMatchTheSerialReference) {
-  // A fleet job must reproduce sim::run_cell (the pre-fleet serial driver)
+  // A fleet job must reproduce run_cell (the pre-fleet serial driver)
   // bit-for-bit: same cycles, instructions, calls and resident set.
   const wl::Workload& qsort = named("qsort", wl::Suite::kMiBench);
   for (const auto kind : {passes::ShadowStackKind::kNone,
                           passes::ShadowStackKind::kSealPkRdWr,
                           passes::ShadowStackKind::kMprotect}) {
-    const sim::VariantResult serial = sim::run_cell(qsort, kind, 1);
+    const VariantResult serial = run_cell(qsort, kind, 1);
     fleet::ImageCache cache;
     const auto results =
         fleet::run_jobs({run_spec(0, qsort, kind)}, cache, {});
@@ -249,60 +290,6 @@ TEST(Fleet, CellResultsMatchTheSerialReference) {
     EXPECT_EQ(results[0].calls, serial.calls);
     EXPECT_EQ(results[0].pages_mapped, serial.pages_mapped);
   }
-}
-
-TEST(Fleet, SuiteGeomeansMatchTheFig5Math) {
-  // MiBench x (baseline + the five Figure-5 variants) through the pool,
-  // then: fleet::gmean_overhead == sim::suite_gmean_overhead on rows
-  // assembled from the very same results.
-  std::vector<fleet::JobSpec> specs;
-  for (const auto& w : wl::all_workloads()) {
-    if (w.suite != wl::Suite::kMiBench) continue;
-    specs.push_back(
-        run_spec(static_cast<u32>(specs.size()), w,
-                 passes::ShadowStackKind::kNone));
-    for (const auto kind : sim::kFig5Variants) {
-      specs.push_back(run_spec(static_cast<u32>(specs.size()), w, kind));
-    }
-  }
-  fleet::ImageCache cache;
-  fleet::FleetOptions opts;
-  opts.threads = 4;
-  const auto results = fleet::run_jobs(specs, cache, opts);
-
-  std::vector<sim::Fig5Row> rows;
-  size_t idx = 0;
-  for (const auto& w : wl::all_workloads()) {
-    if (w.suite != wl::Suite::kMiBench) continue;
-    sim::Fig5Row row;
-    row.workload = &w;
-    for (size_t v = 0; v <= sim::kNumFig5Variants; ++v, ++idx) {
-      const fleet::JobResult& r = results[idx];
-      ASSERT_TRUE(r.ok) << r.label << ": " << r.verdict;
-      sim::VariantResult cell{r.ss, r.cycles, r.instructions, r.calls,
-                              r.pages_mapped};
-      if (v == 0) {
-        row.baseline = cell;
-        row.baseline_cycles = cell.cycles;
-      } else {
-        row.variants.push_back(cell);
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-
-  for (size_t v = 0; v < sim::kNumFig5Variants; ++v) {
-    const double from_fig5 =
-        sim::suite_gmean_overhead(rows, wl::Suite::kMiBench, v);
-    const double from_fleet = fleet::gmean_overhead(
-        results, wl::Suite::kMiBench, sim::kFig5Variants[v]);
-    EXPECT_DOUBLE_EQ(from_fig5, from_fleet)
-        << passes::shadow_stack_kind_name(sim::kFig5Variants[v]);
-  }
-  // No baseline pair for a suite that was not run.
-  EXPECT_LT(fleet::gmean_overhead(results, wl::Suite::kSpec2000,
-                                  passes::ShadowStackKind::kMprotect),
-            0.0);
 }
 
 // --- reports ----------------------------------------------------------------
@@ -398,6 +385,14 @@ TEST(Fleet, AggregateSumsAcrossJobs) {
   EXPECT_EQ(agg.instructions,
             results[0].instructions + results[1].instructions);
   EXPECT_EQ(agg.cycles, results[0].cycles + results[1].cycles);
+  // No (baseline, variant) pair: the geomean and the headline are negative.
+  EXPECT_LT(fleet::gmean_overhead(results, wl::Suite::kMiBench,
+                                  passes::ShadowStackKind::kMprotect),
+            0.0);
+  EXPECT_LT(fleet::gmean_overhead(results, wl::Suite::kSpec2000,
+                                  passes::ShadowStackKind::kMprotect),
+            0.0);
+  EXPECT_LT(fleet::mprotect_speedup(results), 0.0);
 }
 
 TEST(Fleet, LoadRefusalIsAFailedJobNotACrash) {

@@ -180,9 +180,29 @@ TEST_F(JsonFuzz, KeychurnReport) {
 }
 
 TEST_F(JsonFuzz, SpansReport) {
-  const Tally t =
-      fuzz(read_file(kSourceDir / "BENCH_spans.json"), "spans", 0x150f0003);
+  const std::string text = read_file(kSourceDir / "BENCH_spans.json");
+  const Tally t = fuzz(text, "spans", 0x150f0003);
   EXPECT_GT(t.slo_checked, 0u);
+
+  // A breached ceiling on a value outside long long's range (1e999 parses
+  // as inf) renders in the verdict without an out-of-range cast.
+  const std::string p99 = "\"p99\": 10496";
+  std::string huge = text;
+  ASSERT_NE(huge.find(p99), std::string::npos);
+  huge.replace(huge.find(p99), p99.size(), "\"p99\": 1e999");
+  std::map<std::string, JsonValue> reports = reports_;
+  reports["spans"] = json_parse(huge);
+  const obs::SloVerdict verdict = obs::evaluate_slo(spec_, reports);
+  EXPECT_FALSE(verdict.pass);
+  bool breached = false;
+  for (const obs::RuleVerdict& r : verdict.rules) {
+    if (r.name != "spans-serve-request-p99-ceiling") continue;
+    breached = true;
+    EXPECT_FALSE(r.pass);
+    EXPECT_NE(r.detail.find("value inf > ceiling 16384"), std::string::npos)
+        << r.detail;
+  }
+  EXPECT_TRUE(breached);
 }
 
 TEST_F(JsonFuzz, ModelTraces) {

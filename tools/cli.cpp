@@ -115,7 +115,6 @@ std::string Tool::usage() const {
                              : "\n" + std::string(28, ' ');
     out += line + f.help + "\n";
   }
-  if (help_flag) out += "  -h, --help                print this usage\n";
   return out;
 }
 
@@ -126,10 +125,6 @@ std::vector<std::string> Tool::parse(int argc, char** argv) const {
     if (arg.empty() || arg[0] != '-') {
       args.push_back(arg);
       continue;
-    }
-    if (help_flag && (arg == "--help" || arg == "-h")) {
-      std::fputs(usage().c_str(), stdout);
-      throw Exit{0};
     }
     const size_t eq = arg.find('=');
     const std::string name = arg.substr(0, eq);

@@ -133,7 +133,6 @@ struct Tool {
   std::string name;                   // "sealpk-vkey"
   std::vector<std::string> synopsis;  // usage lines after the tool name
   std::vector<Flag> flags;
-  bool help_flag = false;             // --help / -h print the usage, exit 0
 
   void add(Flag flag) { flags.push_back(std::move(flag)); }
   std::string usage() const;

@@ -14,8 +14,13 @@
 //                         exit 1 when any record differs
 //   list                  print workloads and variant names
 //
-// --chaos turns every job into the clean-vs-fault differential oracle of
-// sealpk-chaos (two machines per job, fault plan from the --chaos-* flags).
+// --chaos turns every job into the clean-vs-fault differential oracle (two
+// machines per job, fault plan from the --chaos-* flags): the chaos run's
+// guest-visible output must equal the clean run's, or the machine must
+// record a recovery or kill the process with a distinct robustness exit
+// code; every injected fault must be resolved and no host exception may
+// escape Machine::run. --rollback adds checkpoints and snapshot-rollback
+// recovery, so otherwise-fatal machine checks finish with clean output.
 // --json writes the aggregated report; with --canonical the scheduling-
 // dependent "timing" section is omitted so reports from different thread
 // counts are byte-comparable (that is what `diff` checks). --selfcheck runs
@@ -29,6 +34,7 @@
 //   sealpk-fleet sweep --variants='sealpk-*' --workloads='MiBench/*'
 //   sealpk-fleet run qsort sha --variants=none,mprotect --threads=4
 //   sealpk-fleet sweep --chaos --chaos-seed=7 --chaos-rate=2e-5 --threads=0
+//   sealpk-fleet sweep --chaos --variants=sealed --scale=1 --cam-rate=0.3
 //   sealpk-fleet sweep --scale=1 --threads=4 --selfcheck
 #include <chrono>
 #include <cstdio>
@@ -43,24 +49,6 @@
 using namespace sealpk;
 
 namespace {
-
-struct VariantDef {
-  const char* name;
-  passes::ShadowStackKind ss;
-  bool perm_seal;
-};
-
-// The 7-variant instrumentation axis of the evaluation matrix ("sealed" =
-// sealpk-wr with the WRPKR permission-seal applied).
-constexpr VariantDef kVariants[] = {
-    {"none", passes::ShadowStackKind::kNone, false},
-    {"inline", passes::ShadowStackKind::kInline, false},
-    {"func", passes::ShadowStackKind::kFunc, false},
-    {"sealpk-wr", passes::ShadowStackKind::kSealPkWr, false},
-    {"sealpk-rdwr", passes::ShadowStackKind::kSealPkRdWr, false},
-    {"mprotect", passes::ShadowStackKind::kMprotect, false},
-    {"sealed", passes::ShadowStackKind::kSealPkWr, true},
-};
 
 struct CliOptions {
   std::string mode;
@@ -121,7 +109,7 @@ std::vector<fleet::JobSpec> build_matrix(const CliOptions& cli) {
         !any_glob(cli.workloads, w.name)) {
       continue;
     }
-    for (const VariantDef& v : kVariants) {
+    for (const fleet::Variant& v : fleet::kVariants) {
       if (!cli.variants.empty() && !any_glob(cli.variants, v.name)) continue;
       fleet::JobSpec spec;
       spec.id = static_cast<u32>(specs.size());
@@ -176,6 +164,10 @@ SweepOutcome run_matrix(const std::vector<fleet::JobSpec>& specs,
 }
 
 void print_summary(const SweepOutcome& sweep, unsigned threads) {
+  // Failed jobs are named even under -q, in job-id order.
+  for (const fleet::JobResult& r : sweep.results) {
+    if (!r.ok) std::printf("%-42s %s\n", r.label.c_str(), r.verdict.c_str());
+  }
   const fleet::Aggregate agg = fleet::aggregate(sweep.results);
   std::printf(
       "%llu job(s): %llu ok, %llu failed; %llu image build(s); "
@@ -190,7 +182,7 @@ void print_summary(const SweepOutcome& sweep, unsigned threads) {
   bool header = false;
   for (const wl::Suite suite : {wl::Suite::kSpec2000, wl::Suite::kSpec2006,
                                 wl::Suite::kMiBench}) {
-    for (const VariantDef& v : kVariants) {
+    for (const fleet::Variant& v : fleet::kVariants) {
       if (v.ss == passes::ShadowStackKind::kNone) continue;
       const double g = fleet::gmean_overhead(sweep.results, suite, v.ss,
                                              v.perm_seal);
@@ -236,12 +228,8 @@ int run_mode(const CliOptions& cli) {
     if (cli.json.on) {
       // Machine-readable workload x variant matrix for the SLO gate and
       // CI asserts; exit-code parity with the plain listing (always 0).
-      std::vector<fleet::MatrixVariant> variants;
-      for (const VariantDef& v : kVariants) {
-        variants.push_back({v.name, v.ss, v.perm_seal});
-      }
       std::ostringstream os;
-      fleet::write_matrix_json(os, variants);
+      fleet::write_matrix_json(os);
       cli.json.emit(os.str());
       return 0;
     }
@@ -250,7 +238,9 @@ int run_mode(const CliOptions& cli) {
       std::printf("  %s/%s\n", wl::suite_name(w.suite), w.name);
     }
     std::printf("variants:\n");
-    for (const VariantDef& v : kVariants) std::printf("  %s\n", v.name);
+    for (const fleet::Variant& v : fleet::kVariants) {
+      std::printf("  %s\n", v.name);
+    }
     return 0;
   }
   if (cli.mode == "diff") return mode_diff(cli.names, cli.json.path);
@@ -305,7 +295,7 @@ int main(int argc, char** argv) {
   cli.plan.seed = 7;
   cli.plan.rate = 2e-5;
   std::string variants_help = "variant globs; variants:";
-  for (const VariantDef& v : kVariants) {
+  for (const fleet::Variant& v : fleet::kVariants) {
     variants_help += std::string(" ") + v.name;
   }
   cli::Tool tool{"sealpk-fleet",

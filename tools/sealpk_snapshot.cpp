@@ -20,10 +20,10 @@
 //       Header, checksum and section table of a snapshot file.
 //
 // info and diff accept --json[=<path>] for a machine-readable view (the
-// same contract as the chaos/fleet/verify/serve tools): the flag changes
+// same contract as the fleet/verify/serve tools): the flag changes
 // the output format only, never the exit code.
 //
-// Workload construction accepts the same shaping flags as sealpk-chaos
+// Workload construction accepts the same shaping flags as sealpk-verify
 // (--ss=, --seal) plus a fault plan (--chaos-seed/--chaos-rate/--cam-rate/
 // --max-faults), so replay can prove determinism *under fault injection*:
 // the injector's RNG stream and event log travel inside the snapshot.
