@@ -11,22 +11,12 @@ namespace sealpk::analysis {
 
 namespace {
 
-const std::set<u64>& known_syscalls() {
-  using namespace os::sys;
-  static const std::set<u64> kKnown = {
-      kWrite,    kExit,      kSchedYield, kSigaction,    kSigreturn,
-      kGetTid,   kClone,     kMunmap,     kMmap,         kMprotect,
-      kPkeyMprotect, kPkeyAlloc, kPkeyFree, kPkeySeal, kPkeyPermSeal,
-      kReport,   kMark,      kVaultSeal,  kVaultUnseal,  kVaultReseal};
-  return kKnown;
-}
-
 bool is_instrumentation_fn(const std::string& name) {
   return name.rfind("__ss_", 0) == 0 || name == "_start";
 }
 
 // The two-instruction sequences the kInline shadow-stack variant plants in
-// every instrumented function; tolerated when allow_inline_push_pop is set.
+// every instrumented function; the reserved-register lint tolerates them.
 bool is_inline_push_pop(const isa::Inst& inst) {
   switch (inst.op) {
     case isa::Op::kSd:  // sd ra, 0(s10)
@@ -87,7 +77,7 @@ class Verifier {
         if (opts_.check_reserved_regs && !reserved_ok) {
           check_reserved_regs(func, site);
         }
-        if (opts_.check_syscalls && site.inst.op == isa::Op::kEcall) {
+        if (site.inst.op == isa::Op::kEcall) {
           check_syscall(func, site, dataflow);
         }
       }
@@ -185,7 +175,7 @@ class Verifier {
   // (3b) s10/s11 are reserved for the shadow-stack runtime (guest.h ABI).
   void check_reserved_regs(const FunctionCfg& func, const Site& site) {
     const isa::Inst& inst = site.inst;
-    if (opts_.allow_inline_push_pop && is_inline_push_pop(inst)) return;
+    if (is_inline_push_pop(inst)) return;
     const bool writes_reserved = inst.rd == isa::s10 || inst.rd == isa::s11;
     const bool mem_through_reserved =
         (isa::is_store(inst.op) || isa::is_load(inst.op)) &&
@@ -202,7 +192,7 @@ class Verifier {
     const RegState* state = dataflow.state_before(site.pc);
     const AbsVal nr = state != nullptr ? state->get(isa::a7) : AbsVal::top();
     if (nr.is_const()) {
-      if (!known_syscalls().contains(nr.value)) {
+      if (!os::sys::served(nr.value)) {
         std::ostringstream msg;
         msg << "ecall with unknown syscall number " << nr.value
             << " (kernel returns ENOSYS)";

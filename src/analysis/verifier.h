@@ -54,13 +54,10 @@ struct VerifyOptions {
   // as Check::kGateEscape (error), even inside trusted-named functions.
   std::vector<std::pair<u64, u64>> gate_regions;
 
-  // Structural lints (all on by default).
+  // Structural lints (on by default). Ecall numbers are always checked
+  // against the kernel's served list (os::sys::kServed).
   bool check_reserved_regs = true;   // s10/s11 discipline
-  bool check_syscalls = true;        // ecall numbers against the kernel ABI
   bool flag_unresolved_syscalls = true;  // info when a7 cannot be resolved
-  // Tolerate the exact inline shadow-stack push/pop sequences the kInline
-  // pass plants in every instrumented function.
-  bool allow_inline_push_pop = true;
 };
 
 // Inspects a linked image. This is the loader-gate entry point.
@@ -70,8 +67,7 @@ Report verify_image(const isa::Image& image, const VerifyOptions& opts = {});
 Report verify_program(const isa::Program& prog, const VerifyOptions& opts = {},
                       const isa::LinkOptions& link_opts = {});
 
-// Loader-gate policy for sim::Machine (and, via KernelConfig's
-// admission_gate hook, any direct os::Kernel embedder).
+// Loader-gate policy for sim::Machine::load.
 enum class LoadVerifyPolicy : u8 {
   kOff,      // legacy behaviour: admit anything
   kWarn,     // verify, keep the report, admit regardless

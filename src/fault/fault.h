@@ -5,8 +5,8 @@
 // DTLB's pkey/permission fields, the PTE pkey bits in DRAM, the PK-CAM
 // refill handshake, and the trap logic itself (spurious machine checks).
 // Every injection is recorded as a typed FaultEvent; the kernel's recovery
-// paths and the MachineAuditor later mark events recovered, killed, or
-// masked-benign, so a run can prove that no injected fault went
+// paths and its consistency audit (os/audit.h) later mark events recovered,
+// killed, or masked-benign, so a run can prove that no injected fault went
 // unaccounted.
 //
 // Resolution bookkeeping is kind-granular: a scrub/flush/repair action

@@ -126,7 +126,7 @@ class Tlb {
   }
 
   // --- fault-model ports ---------------------------------------------------
-  // Slot-indexed peek for the machine auditor (no stats side effects).
+  // Slot-indexed peek for the kernel's audit (no stats side effects).
   const TlbEntry* peek_slot(size_t i) const {
     SEALPK_CHECK(i < entries_.size());
     return entries_[i].valid ? &entries_[i].entry : nullptr;

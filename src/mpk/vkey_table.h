@@ -339,9 +339,9 @@ class BasicVkeyTable {
     return 0;
   }
 
-  // --- audit / repair ports (MachineAuditor, fault injector) --------------
+  // --- audit / repair ports (Kernel::audit, fault injector) ---------------
   // Mutable entry access for the fault injector's table-corruption kind and
-  // the auditor's repair path. Policy state (LRU, pool, drain queue) stays
+  // the audit's repair path. Policy state (LRU, pool, drain queue) stays
   // private; repair goes through force_phys/rebuild_pool below.
   VkeyEntry* find(u64 vkey) {
     auto it = entries_.find(vkey);
@@ -352,7 +352,7 @@ class BasicVkeyTable {
     return it == entries_.end() ? nullptr : &it->second;
   }
 
-  // Overwrites a vkey's recorded physical key (auditor repair: the leaf
+  // Overwrites a vkey's recorded physical key (audit repair: the leaf
   // PTEs are the ground truth a corrupted table field is rebuilt from).
   void force_phys(u64 vkey, u32 phys) {
     VkeyEntry* e = find(vkey);

@@ -297,6 +297,13 @@ std::optional<u64> AddressSpace::leaf_pte(u64 vaddr) const {
   return entry;
 }
 
+u64 AddressSpace::prescribed_pte(const Vma& vma, u64 entry) const {
+  const u64 ad = entry & (mem::pte::kA | mem::pte::kD);
+  return mem::pte::make(mem::pte::ppn_of(entry),
+                        leaf_flags_for_prot(vma.prot) | ad, vma.pkey,
+                        pkey_bits_);
+}
+
 bool AddressSpace::repair_page(u64 vaddr) {
   const Vma* vma = find_vma(vaddr);
   if (vma == nullptr) return false;
@@ -304,11 +311,7 @@ bool AddressSpace::repair_page(u64 vaddr) {
   if (slot == 0) return false;
   const u64 entry = mem_.read_u64(slot);
   if (!mem::pte::valid(entry)) return false;
-  const u64 ad = entry & (mem::pte::kA | mem::pte::kD);
-  const u64 want =
-      mem::pte::make(mem::pte::ppn_of(entry),
-                     leaf_flags_for_prot(vma->prot) | ad, vma->pkey,
-                     pkey_bits_);
+  const u64 want = prescribed_pte(*vma, entry);
   if (want == entry) return false;
   mem_.write_u64(slot, want);
   return true;

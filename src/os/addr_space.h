@@ -84,14 +84,14 @@ class AddressSpace {
   // flip or inspect the raw PTE word in DRAM.
   u64 leaf_pte_addr(u64 vaddr) const { return lookup_pte_slot(vaddr); }
 
-  // The leaf PTE bits `prot` should produce (V|U plus R/W/X with the
-  // W-implies-R fixup). Exposed so the auditor can recompute a PTE's
-  // expected permission bits from the owning VMA.
-  static u64 leaf_flags_for_prot(u64 prot);
+  // The leaf PTE `vma` prescribes for one of its pages currently holding
+  // `entry`: the VMA's permission bits and pkey, with the entry's PPN and
+  // A/D bits (the hardware walker sets those) kept.
+  u64 prescribed_pte(const Vma& vma, u64 entry) const;
 
-  // Recovery port: rewrite the leaf PTE for `vaddr` from the owning VMA
-  // (the software source of truth), preserving the PPN and the A/D bits.
-  // Returns true only when the stored PTE actually changed.
+  // Recovery port: rewrite the leaf PTE for `vaddr` to prescribed_pte of
+  // the owning VMA (the software source of truth). Returns true only when
+  // the stored PTE actually changed.
   bool repair_page(u64 vaddr);
 
   // Kernel copy helpers (loader, write(2), fault reporting).
@@ -103,6 +103,9 @@ class AddressSpace {
  private:
   u64 pte_slot_addr(u64 vaddr, bool create);  // phys addr of leaf PTE slot
   u64 lookup_pte_slot(u64 vaddr) const;       // 0 if tables absent
+  // The leaf PTE bits `prot` should produce (V|U plus R/W/X with the
+  // W-implies-R fixup).
+  static u64 leaf_flags_for_prot(u64 prot);
   void write_leaf(u64 vaddr, u64 pte);
   // Splits any VMA straddling `addr` so that `addr` becomes a boundary.
   void split_at(u64 addr);

@@ -62,12 +62,6 @@ PkeyPageDelta Kernel::page_delta_hook() {
 
 int Kernel::load_process(const isa::Image& image) {
   admission_error_.clear();
-  if (config_.admission_gate) {
-    if (!config_.admission_gate(image, &admission_error_)) {
-      if (admission_error_.empty()) admission_error_ = "admission gate refused";
-      return kLoadRefused;
-    }
-  }
   const int pid = next_pid_;
   auto proc = std::make_unique<Process>();
   proc->pid = pid;
@@ -381,76 +375,6 @@ void Kernel::handle_page_fault(core::TrapCause cause) {
   sys_exit(-static_cast<i64>(cause));
 }
 
-// Inspects the machine state behind a page fault and repairs anything that
-// disagrees with the kernel's software truth. Only fires when the owning
-// VMA actually grants the attempted access — otherwise the fault is
-// architecturally correct and must surface to the guest. In clean runs
-// nothing ever mismatches, so the checks below are read-only and the
-// outcome is always kNone.
-Kernel::Recovery Kernel::try_fault_recovery(const FaultRecord& rec) {
-  if (!has_current_thread()) return Recovery::kNone;
-  AddressSpace& as = current_aspace();
-  const Vma* vma = as.find_vma(rec.addr);
-  if (vma == nullptr) return Recovery::kNone;
-  const bool want_exec = rec.cause == core::TrapCause::kInstPageFault;
-  const bool want_write = rec.cause == core::TrapCause::kStorePageFault;
-  const u64 need =
-      want_exec ? prot::kExec : (want_write ? prot::kWrite : prot::kRead);
-  if ((vma->prot & need) == 0) return Recovery::kNone;
-
-  bool changed = false;
-  // 1. Leaf PTE vs. VMA (a flipped pkey or permission bit in DRAM).
-  if (as.repair_page(rec.addr)) {
-    ++stats_.pte_repairs;
-    hart_.add_cycles(hart_.timing().pte_update_cycles);
-    changed = true;
-  }
-  // 2. Cached translation vs. the (now repaired) live PTE.
-  const auto leaf = as.leaf_pte(rec.addr);
-  if (leaf.has_value()) {
-    const u64 vpn = mem::svxx::vpn_of(rec.addr, as.levels());
-    const auto cached =
-        want_exec ? hart_.itlb().peek(vpn) : hart_.dtlb().peek(vpn);
-    if (cached.has_value()) {
-      const u64 pte = *leaf;
-      const bool same =
-          cached->ppn == mem::pte::ppn_of(pte) &&
-          cached->r == ((pte & mem::pte::kR) != 0) &&
-          cached->w == ((pte & mem::pte::kW) != 0) &&
-          cached->x == ((pte & mem::pte::kX) != 0) &&
-          cached->user == ((pte & mem::pte::kU) != 0) &&
-          (want_exec ||
-           cached->pkey == mem::pte::pkey_of(pte, as.pkey_bits())) &&
-          // The TLB's dirty bit may legitimately lag behind the PTE's D
-          // (a flush-then-load refill), never the other way around.
-          !(cached->dirty && (pte & mem::pte::kD) == 0);
-      if (!same) {
-        recover_tlb_flush();
-        changed = true;
-      }
-    }
-  }
-  // 3. On a pkey denial, the PKR row itself may be corrupt.
-  if (rec.pkey_fault &&
-      hart_.config().flavor == core::IsaFlavor::kSealPk) {
-    const u32 row = hw::pkr_row_of(rec.pkey);
-    if (config_.save_pkr_on_switch) {
-      const u64 shadow = thread(current_tid_).ctx.pkr[row];
-      if (!hart_.pkr().parity_ok(row) ||
-          hart_.pkr().peek_row(row) != shadow) {
-        hart_.pkr().scrub_row(row, shadow);
-        ++stats_.pkr_scrubs;
-        changed = true;
-      }
-    } else if (!hart_.pkr().parity_ok(row)) {
-      // No trustworthy shadow to scrub from: unrecoverable corruption.
-      kill_current(kExitMachineCheck, KillOrigin::kMachineCheck);
-      return Recovery::kKilled;
-    }
-  }
-  return changed ? Recovery::kRecovered : Recovery::kNone;
-}
-
 void Kernel::fatal_fault(core::TrapCause cause) {
   hart_.add_cycles(hart_.timing().fault_handler_cycles);
   FaultRecord rec;
@@ -532,160 +456,12 @@ void Kernel::handle_cam_miss() {
   hart_.seal_unit().refill(pkey, range->start, range->end);
   if (config_.cam_refill_dup && config_.cam_refill_dup()) {
     // Injected duplicate: the entry lands a second time in the FIFO slot,
-    // wasting a CAM line until the auditor dedups it.
+    // wasting a CAM line until the audit dedups it.
     ++stats_.cam_refills_duplicated;
     hart_.seal_unit().refill_duplicate(pkey, range->start, range->end);
   }
   // Re-execute the faulting WRPKR.
   return_to_user(hart_.csrs().sepc);
-}
-
-void Kernel::handle_machine_check() {
-  ++stats_.machine_checks;
-  hart_.add_cycles(hart_.timing().fault_handler_cycles);
-  if (!has_current_thread()) return;
-  const u64 resume = hart_.csrs().sepc;
-  bool unrecoverable = false;
-  scrub_pkr_from_shadow(&unrecoverable);
-  if (unrecoverable) {
-    kill_current(kExitMachineCheck, KillOrigin::kMachineCheck);
-    return;
-  }
-  // Whatever raised the check may have left stale translations behind;
-  // flush-and-rewalk restores TLB/PTE coherence wholesale.
-  recover_tlb_flush();
-  return_to_user(resume);
-}
-
-u64 Kernel::scrub_pkr_from_shadow(bool* unrecoverable) {
-  if (unrecoverable != nullptr) *unrecoverable = false;
-  if (hart_.config().flavor != core::IsaFlavor::kSealPk) return 0;
-  // Without PKR save/restore on switch the per-thread shadow does not track
-  // the shared hardware rows, so it is not a valid scrub source.
-  const bool trusted = config_.save_pkr_on_switch && has_current_thread();
-  u64 scrubbed = 0;
-  for (u32 row = 0; row < hw::kPkrRows; ++row) {
-    const bool parity_bad = !hart_.pkr().parity_ok(row);
-    if (trusted) {
-      const u64 shadow = thread(current_tid_).ctx.pkr[row];
-      if (parity_bad || hart_.pkr().peek_row(row) != shadow) {
-        hart_.pkr().scrub_row(row, shadow);
-        hart_.add_cycles(hart_.timing().pkr_row_swap_cycles);
-        ++stats_.pkr_scrubs;
-        ++scrubbed;
-      }
-    } else if (parity_bad && unrecoverable != nullptr) {
-      *unrecoverable = true;
-    }
-  }
-  return scrubbed;
-}
-
-void Kernel::recover_tlb_flush() {
-  hart_.flush_tlbs();
-  hart_.add_cycles(hart_.timing().tlb_flush_cycles);
-  ++stats_.tlb_flush_recoveries;
-}
-
-u64 Kernel::repair_ptes(int pid) {
-  if (!has_process(pid)) return 0;
-  Process& proc = process(pid);
-  u64 repaired = 0;
-  std::vector<u64> pages;
-  for (const auto& [start, vma] : proc.aspace->vmas()) {
-    for (u64 page = vma.start; page < vma.end; page += mem::kPageSize) {
-      pages.push_back(page);
-    }
-  }
-  for (const u64 page : pages) {
-    if (proc.aspace->repair_page(page)) ++repaired;
-  }
-  if (repaired > 0) {
-    stats_.pte_repairs += repaired;
-    hart_.add_cycles(repaired * hart_.timing().pte_update_cycles);
-    // Drop any cached copies of the bad translations.
-    if (has_current_thread() && thread(current_tid_).pid == pid) {
-      recover_tlb_flush();
-    }
-  }
-  return repaired;
-}
-
-u64 Kernel::reconcile_key_counters(int pid) {
-  if (!has_process(pid)) return 0;
-  if (hart_.config().flavor != core::IsaFlavor::kSealPk) return 0;
-  Process& proc = process(pid);
-  // Recompute the true per-pkey page counts from the VMAs (the counters'
-  // source of truth) and force the key manager to match.
-  std::map<u32, u64> actual;
-  for (const auto& [start, vma] : proc.aspace->vmas()) {
-    actual[vma.pkey] += vma.pages();
-  }
-  u64 fixed = 0;
-  for (u32 k = 0; k < proc.keys->num_keys(); ++k) {
-    const auto it = actual.find(k);
-    const u64 want = it == actual.end() ? 0 : it->second;
-    if (proc.keys->page_count(k) != want) {
-      proc.keys->reconcile_page_count(k, want);
-      ++fixed;
-    }
-  }
-  stats_.key_counter_repairs += fixed;
-  return fixed;
-}
-
-u64 Kernel::scrub_run_queue() {
-  const size_t before = run_queue_.size();
-  run_queue_.erase(
-      std::remove_if(run_queue_.begin(), run_queue_.end(),
-                     [this](int tid) {
-                       return !has_thread(tid) || thread(tid).exited;
-                     }),
-      run_queue_.end());
-  const u64 removed = before - run_queue_.size();
-  stats_.run_queue_scrubs += removed;
-  return removed;
-}
-
-u64 Kernel::dedup_cam() {
-  auto& unit = hart_.seal_unit();
-  u64 dropped = 0;
-  for (size_t i = 0; i < hw::kPkCamEntries; ++i) {
-    const auto* entry = unit.cam_slot(i);
-    if (entry != nullptr && unit.cam_count_of(entry->pkey) > 1) {
-      dropped += unit.drop_duplicates(entry->pkey);
-    }
-  }
-  stats_.cam_dedups += dropped;
-  return dropped;
-}
-
-u64 Kernel::repair_vkeys(int pid) {
-  Process& proc = process(pid);
-  if (!proc.vkeys) return 0;
-  const AddressSpace& as = *proc.aspace;
-  // The PTEs (kept coherent with the VMAs by protect_pkey) are the ground
-  // truth: a vkey's pages stay keyed to its physical key until freed or
-  // drained, so the first page of any group names the key the table should
-  // be recording.
-  std::vector<std::pair<u64, u32>> fixes;
-  for (const auto& [vkey, entry] : proc.vkeys->entries()) {
-    if (entry.state == mpk::VkeyState::kUnmapped || entry.groups.empty()) {
-      continue;
-    }
-    const auto leaf = as.leaf_pte(entry.groups.front().addr);
-    if (!leaf.has_value() || !mem::pte::valid(*leaf)) continue;
-    const u32 truth = mem::pte::pkey_of(*leaf, as.pkey_bits());
-    if (truth != entry.phys) fixes.emplace_back(vkey, truth);
-  }
-  for (const auto& [vkey, truth] : fixes) {
-    proc.vkeys->force_phys(vkey, truth);
-  }
-  if (!fixes.empty()) {
-    proc.vkeys->rebuild_pool();
-    stats_.vkey_repairs += fixes.size();
-  }
-  return fixes.size();
 }
 
 void Kernel::kill_current(i64 code, KillOrigin origin) {

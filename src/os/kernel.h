@@ -12,12 +12,15 @@
 
 #include <functional>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/hart.h"
 #include "isa/program.h"
 #include "obs/recorder.h"
+#include "os/audit.h"
 #include "os/process.h"
 #include "os/syscall_abi.h"
 
@@ -27,12 +30,6 @@ struct Geometry;
 
 namespace sealpk::os {
 
-// Pre-admission hook consulted by load_process: return false (optionally
-// filling *reason) to refuse the image. sim::Machine installs the static
-// SealPK verifier here; embedders can plug in their own policy.
-using AdmissionGate =
-    std::function<bool(const isa::Image& image, std::string* reason)>;
-
 struct KernelConfig {
   // §III-B.2 footnote: maintaining PKR across context switches costs < 1 %.
   // The context-switch bench toggles this to measure exactly that.
@@ -41,8 +38,6 @@ struct KernelConfig {
   // Sv48 instead of Sv39 (paper footnote 1: the Sv48 PTE has the same 10
   // reserved bits, so the pkey field is unchanged; only the walk deepens).
   bool sv48 = false;
-  // Optional static-verification gate; empty = admit everything.
-  AdmissionGate admission_gate;
   // Pkey virtualization (src/mpk/vkey_table.h, DESIGN.md §15): size of the
   // per-process MRU key cache (vpkey_set hits skip the bookkeeping path and
   // the cached vkeys are exempt from eviction), and the eviction sync
@@ -64,7 +59,7 @@ struct KernelConfig {
   // checkpoint instead), so the kill is suppressed. Unset or returning
   // false keeps the existing kill-the-process behaviour. kill_current is
   // the single choke point every unrecoverable-corruption path funnels
-  // through (auditor escalation, page-fault recovery, the machine-check
+  // through (audit escalation, page-fault recovery, the machine-check
   // handler, and host-error containment), so this one hook covers them all.
   std::function<bool()> machine_check_escalation;
 };
@@ -135,11 +130,11 @@ struct KernelStats {
   u64 machine_checks = 0;          // modelled machine-check traps taken
   u64 machine_check_kills = 0;     // processes killed as unrecoverable
   u64 watchdog_kills = 0;          // trap-storm / livelock kills
-  u64 audit_runs = 0;              // MachineAuditor invocations
-  u64 audit_findings = 0;          // invariant violations the auditor saw
+  u64 audit_runs = 0;              // Kernel::audit_and_recover calls
+  u64 audit_findings = 0;          // invariant violations those audits saw
   u64 host_errors_contained = 0;   // host exceptions converted to kills
 
-  // Vkey-table fields rebuilt from the PTE ground truth by the auditor.
+  // Vkey-table fields rebuilt from the PTE ground truth by the audit.
   // NOT serialized (the KERN byte layout is frozen by the v1 golden blob;
   // a resumed run recounts from its restore point, like VaultStats).
   u64 vkey_repairs = 0;
@@ -173,10 +168,10 @@ class Kernel {
 
   // Creates a process from a linked image plus its main thread; the first
   // loaded process is scheduled onto the hart immediately. Returns the pid,
-  // or kLoadRefused when the admission gate rejects the image *or* a
-  // mid-load failure occurs (segment map/copy failure, frame exhaustion,
-  // stack map failure) — the reason is kept in admission_error() and any
-  // partially-mapped memory is released.
+  // or kLoadRefused when a mid-load failure occurs (segment map/copy
+  // failure, frame exhaustion, stack map failure) — the reason is kept in
+  // admission_error() and any partially-mapped memory is released. Static
+  // verification happens before this, in sim::Machine::load.
   static constexpr int kLoadRefused = -1;
   int load_process(const isa::Image& image);
   const std::string& admission_error() const { return admission_error_; }
@@ -224,37 +219,20 @@ class Kernel {
   const VaultStats& vault_stats() const { return vault_stats_; }
   const KernelConfig& config() const { return config_; }
 
-  // --- fault recovery (used by the machine-check handler, the spurious-
-  // --- fault path and the MachineAuditor) ---------------------------------
-  // Rewrites PKR rows whose parity is bad or whose content disagrees with
-  // the current thread's live software shadow. Returns rows scrubbed. When
-  // the shadow is untrustworthy (save_pkr_on_switch off) a parity error
-  // cannot be repaired and *unrecoverable is set instead.
-  u64 scrub_pkr_from_shadow(bool* unrecoverable = nullptr);
-  // Flush-and-rewalk: drop both TLBs so stale entries re-walk the live
-  // page tables. Counted as a recovery (unlike the plain sfence path).
-  void recover_tlb_flush();
-  // Rewrites every leaf PTE of `pid` from its owning VMA (the software
-  // source of truth). Returns pages repaired.
-  u64 repair_ptes(int pid);
-  // Recomputes per-pkey page counts from the VMAs and forces the key
-  // manager's counters to match. Returns counters fixed.
-  u64 reconcile_key_counters(int pid);
-  // Drops dead or unknown tids from the run queue. Returns entries removed.
-  u64 scrub_run_queue();
-  // Invalidates duplicate PK-CAM lines. Returns entries dropped.
-  u64 dedup_cam();
-  // Rewrites every live vkey-table entry of `pid` whose recorded physical
-  // key disagrees with the PTE ground truth of its pages, then rebuilds the
-  // table's free pool. Returns entries repaired (counted as vkey_repairs).
-  u64 repair_vkeys(int pid);
+  // --- consistency audit (os/audit.h) -------------------------------------
+  // Detection only: cross-checks the hardware state against the kernel's
+  // software truth through peek-style accessors, so it never perturbs
+  // statistics or architectural state — safe in bit-identity-sensitive
+  // clean runs.
+  AuditReport audit() const;
+  // audit() plus repair of whatever it found, counted into audit_runs /
+  // audit_findings and the matching recovery counters. A PKR parity error
+  // with no trustworthy shadow kills the current process as a machine
+  // check.
+  AuditReport audit_and_recover();
   // Kills the current process with `code` (no-op without a current thread).
   void kill_current(i64 code, KillOrigin origin);
 
-  void note_audit(u64 findings) {
-    ++stats_.audit_runs;
-    stats_.audit_findings += findings;
-  }
   void note_host_error(const std::string& what) {
     ++stats_.host_errors_contained;
     host_errors_.push_back(what);
@@ -341,6 +319,27 @@ class Kernel {
   // Outcome of the spurious-fault repair attempt inside handle_page_fault.
   enum class Recovery : u8 { kNone, kRecovered, kKilled };
   Recovery try_fault_recovery(const FaultRecord& rec);
+
+  // Invariant predicates and repairs (os/audit.cpp). The PKR shadow is
+  // trustworthy only while the kernel swaps PKR per thread and one runs.
+  bool pkr_shadow_trusted() const;
+  // Which PKR check `row` fails, if any (parity before shadow).
+  std::optional<AuditCheck> pkr_row_fault(u32 row) const;
+  // Whether run-queue entry `tid` is valid given the entries before it
+  // (`seen` collects them).
+  bool queued_tid_ok(int tid, std::set<int>& seen) const;
+  void audit_pkr(AuditReport& report) const;
+  void audit_tlbs(AuditReport& report) const;
+  void audit_cam(AuditReport& report) const;
+  void audit_processes(AuditReport& report) const;  // PTEs + key counters
+  void audit_scheduler(AuditReport& report) const;
+  void audit_vkeys(AuditReport& report) const;
+  // Scrubs the PKR rows named by `report`'s PKR findings from the shadow;
+  // kills the current process and returns false when there is none.
+  bool recover_pkr(const AuditReport& report);
+  // Flush-and-rewalk: drop both TLBs so stale entries re-walk the live
+  // page tables. Counted as a recovery (unlike the plain sfence path).
+  void recover_tlb_flush();
 
   void install_drained_hook(SealPkKeyManager& keys, int pid);
 

@@ -44,7 +44,7 @@ class KeyManager {
   virtual void page_delta(u32 pkey, i64 pages) = 0;
   virtual u64 page_count(u32 /*pkey*/) const { return 0; }
   // Recovery port: force a counter to the recomputed truth after detected
-  // drift (the MachineAuditor's bitmap/counter cross-check). Flavours with
+  // drift (the kernel audit's bitmap/counter cross-check). Flavours with
   // no counts ignore it.
   virtual void reconcile_page_count(u32 /*pkey*/, u64 /*pages*/) {}
 

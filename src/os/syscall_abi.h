@@ -58,6 +58,20 @@ constexpr u64 kVpkeyAlloc = 320;     // vpkey_alloc(flags, init_perm)
 constexpr u64 kVpkeyFree = 321;      // vpkey_free(vkey)
 constexpr u64 kVpkeyMprotect = 322;  // vpkey_mprotect(addr, len, prot, vkey)
 constexpr u64 kVpkeySet = 323;       // vpkey_set(vkey, perm)
+
+// Every number the kernel serves; any other returns ENOSYS. The static
+// verifier checks ecall numbers against this list.
+constexpr u64 kServed[] = {
+    kWrite, kExit, kSchedYield, kSigaction, kSigreturn, kGetTid, kClone,
+    kMunmap, kMmap, kMprotect, kPkeyMprotect, kPkeyAlloc, kPkeyFree,
+    kPkeySeal, kPkeyPermSeal, kReport, kMark, kVaultSeal, kVaultUnseal,
+    kVaultReseal, kVpkeyAlloc, kVpkeyFree, kVpkeyMprotect, kVpkeySet};
+constexpr bool served(u64 nr) {
+  for (const u64 served_nr : kServed) {
+    if (served_nr == nr) return true;
+  }
+  return false;
+}
 }  // namespace sys
 
 // Mark kinds for sys::kMark, mapped 1:1 onto the serve-plane event kinds.

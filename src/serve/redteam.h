@@ -3,7 +3,7 @@
 // Every attack is a deliberately hostile plugin body (or fault plan)
 // registered together with the layer that is REQUIRED to catch it — the
 // static verifier's admission gate, the hardware seal/permission checks,
-// the gate's own monotonic PKR check, the MachineAuditor, or the request
+// the gate's own monotonic PKR check, the kernel's audit, or the request
 // plane's per-request instruction budget. tests/test_serve.cpp asserts,
 // per attack, that the declared catcher fired, that the monitor canary was
 // never reached, and that the server kept serving.
@@ -41,7 +41,7 @@ enum class Catcher : u8 {
   kVerifier,  // sealpk-verify admission gate (load refused)
   kHardware,  // seal/permission check -> delivered fault, attempt poisoned
   kGate,      // the gate's own post-exit monotonic RDPKR check
-  kAuditor,   // MachineAuditor scrub / machine-check kill
+  kAuditor,   // kernel audit scrub / machine-check kill
   kWatchdog,  // per-request instruction budget (request-plane timeout)
   kVault,     // the kernel's vault ownership gate (denial notarised)
 };

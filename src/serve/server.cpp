@@ -75,7 +75,7 @@ sim::MachineConfig machine_config(const ServeConfig& cfg,
     mc.fault_plan.max_faults =
         cfg.chaos.enabled ? cfg.chaos.max_faults : 6;
     // PKR upsets only: exactly the state the gates' monotonic checks and
-    // the auditor's shadow scrub are contractually responsible for.
+    // the kernel audit's shadow scrub are contractually responsible for.
     mc.fault_plan.kinds = fault::kind_bit(fault::FaultKind::kPkrBitFlip);
   }
   if (cfg.trace) {

@@ -30,7 +30,7 @@ void Machine::take_checkpoint() {
   // deadline: a machine restored from this checkpoint re-checkpoints at the
   // same instret as the uninterrupted run would.
   runloop_.next_checkpoint = hart_.instret() + config_.checkpoint_interval;
-  if (injector_ != nullptr && !auditor_->audit().clean()) {
+  if (injector_ != nullptr && !kernel_.audit().clean()) {
     // Latent corruption in flight — freezing it would make the "known-good"
     // checkpoint anything but. Keep the previous one and try again next
     // period. audit() is peek-only, so skipping changes no machine state.
@@ -147,7 +147,7 @@ RunOutcome Machine::run(u64 max_instructions) {
     if (done >= max_instructions) break;
     try {
       if (hart_.instret() >= runloop_.next_audit) {
-        auditor_->audit_and_recover();
+        kernel_.audit_and_recover();
         if (faults) {
           injector_->note_recoveries(kernel_.stats());
           injector_->note_vault_detections(
@@ -269,7 +269,7 @@ RunOutcome Machine::run(u64 max_instructions) {
     // from here — there is nothing left to re-execute.
     in_final_ = true;
     try {
-      auditor_->audit_and_recover();
+      kernel_.audit_and_recover();
       injector_->note_recoveries(kernel_.stats());
       injector_->note_vault_detections(
           kernel_.vault_stats().corruption_detected);

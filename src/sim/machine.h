@@ -4,12 +4,13 @@
 //
 // Robustness layer: the machine optionally carries a seeded FaultInjector
 // (MachineConfig::fault_plan) that corrupts PKR/TLB/PTE/CAM state while the
-// guest runs, a MachineAuditor that cross-checks hardware state against the
-// kernel's software truth every `audit_interval` instructions, and a
-// run-loop watchdog that converts same-PC trap storms and zero-retirement
-// livelock into process kills with distinct exit codes. Host exceptions
-// (CheckError etc.) never escape run(): they are contained as modelled
-// machine checks against the offending process.
+// guest runs, calls the kernel's consistency audit (os/audit.h), which
+// cross-checks hardware state against the kernel's software truth, every
+// `audit_interval` instructions, and has a run-loop watchdog that converts
+// same-PC trap storms and zero-retirement livelock into process kills with
+// distinct exit codes. Host exceptions (CheckError etc.) never escape run():
+// they are contained as modelled machine checks against the offending
+// process.
 #pragma once
 
 #include <limits>
@@ -18,7 +19,6 @@
 
 #include "analysis/verifier.h"
 #include "core/hart.h"
-#include "fault/auditor.h"
 #include "fault/fault.h"
 #include "isa/program.h"
 #include "mem/phys_mem.h"
@@ -43,7 +43,7 @@ struct MachineConfig {
   // --- robustness ----------------------------------------------------------
   // Seeded fault injection (disabled by default: fault_plan.enabled).
   fault::FaultPlan fault_plan;
-  // MachineAuditor cadence in retired instructions. 0 = automatic: audit
+  // Kernel::audit_and_recover cadence in retired instructions. 0 = automatic: audit
   // every kDefaultAuditInterval instructions when fault injection is on,
   // never otherwise (keeping injection-disabled runs byte-identical).
   u64 audit_interval = 0;
@@ -92,7 +92,6 @@ class Machine {
     if (config_.fault_plan.enabled) {
       injector_ = std::make_unique<fault::FaultInjector>(config_.fault_plan);
     }
-    auditor_ = std::make_unique<fault::MachineAuditor>(hart_, kernel_);
     if (config_.trace.enabled) {
       recorder_ = std::make_unique<obs::Recorder>(config_.trace);
       hart_.set_recorder(recorder_.get());
@@ -102,7 +101,7 @@ class Machine {
   }
 
   // Loads a linked image as a new process; returns the pid, or kLoadRefused
-  // when the verify policy (or the kernel's own admission gate) rejects it.
+  // when the verify policy rejects it or the kernel's load fails.
   static constexpr int kLoadRefused = os::Kernel::kLoadRefused;
   int load(const isa::Image& image);
 
@@ -120,7 +119,6 @@ class Machine {
 
   // nullptr when fault injection is disabled.
   fault::FaultInjector* injector() { return injector_.get(); }
-  fault::MachineAuditor& auditor() { return *auditor_; }
 
   // nullptr when tracing is disabled (MachineConfig::trace.enabled).
   obs::Recorder* recorder() { return recorder_.get(); }
@@ -209,7 +207,6 @@ class Machine {
   core::Hart hart_;
   os::Kernel kernel_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<fault::MachineAuditor> auditor_;
   std::unique_ptr<obs::Recorder> recorder_;
   analysis::Report verify_report_;
   RunLoopState runloop_;

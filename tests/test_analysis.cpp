@@ -598,17 +598,6 @@ TEST(LoaderGate, OffSkipsVerificationEntirely) {
   EXPECT_TRUE(machine.verify_report().clean());  // never populated
 }
 
-TEST(LoaderGate, KernelAdmissionGateHookRefuses) {
-  sim::MachineConfig config;
-  config.kernel.admission_gate = [](const isa::Image&, std::string* reason) {
-    *reason = "policy says no";
-    return false;
-  };
-  sim::Machine machine(config);
-  EXPECT_EQ(machine.load(gadget_program().link()), sim::Machine::kLoadRefused);
-  EXPECT_EQ(machine.kernel().admission_error(), "policy says no");
-}
-
 TEST(LoaderGate, EnforceAcceptsSealedShadowStackWorkload) {
   // The full pipeline: instrument, link, verify, admit, run to completion.
   const wl::Workload* w = wl::find_workload(wl::Suite::kMiBench, "qsort");

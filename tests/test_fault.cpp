@@ -1,7 +1,8 @@
-// Robustness: fault injection, the machine auditor, recovery paths, the
-// run-loop watchdog, load-time refusal and host-exception containment.
+// Robustness: fault injection, the kernel's consistency audit, recovery
+// paths, the run-loop watchdog, load-time refusal and host-exception
+// containment.
 //
-// The planted-inconsistency tests are the auditor's acceptance gate: every
+// The planted-inconsistency tests are the audit's acceptance gate: every
 // category of corruption the injector can produce must be detected by one
 // audit pass and repaired by audit_and_recover, after which the guest must
 // still run to a clean exit.
@@ -9,10 +10,10 @@
 
 #include <memory>
 
-#include "fault/auditor.h"
 #include "fault/fault.h"
 #include "guest_test_util.h"
 #include "mem/pte.h"
+#include "os/audit.h"
 #include "workloads/workload.h"
 
 namespace sealpk {
@@ -41,7 +42,7 @@ class AuditTest : public ::testing::Test {
     EXPECT_EQ(machine_->exit_code(pid_), expect_exit);
   }
 
-  fault::MachineAuditor& auditor() { return machine_->auditor(); }
+  os::Kernel& kernel() { return machine_->kernel(); }
 
   std::unique_ptr<sim::Machine> machine_;
   int pid_ = -1;
@@ -49,20 +50,20 @@ class AuditTest : public ::testing::Test {
 
 TEST_F(AuditTest, CleanMachineAuditsClean) {
   start();
-  const auto report = auditor().audit();
+  const auto report = kernel().audit();
   EXPECT_TRUE(report.clean())
       << report.findings.size() << " findings, first: "
-      << fault::audit_check_name(report.findings[0].check);
+      << os::audit_check_name(report.findings[0].check);
   finish();
 }
 
 TEST_F(AuditTest, PkrParityDetectsPlantedBitFlip) {
   start();
   machine_->hart().pkr().corrupt_bit(3, 17);
-  const auto report = auditor().audit();
-  EXPECT_EQ(report.count(fault::AuditCheck::kPkrParity), 1u);
-  auditor().audit_and_recover();
-  EXPECT_TRUE(auditor().audit().clean());
+  const auto report = kernel().audit();
+  EXPECT_EQ(report.count(os::AuditCheck::kPkrParity), 1u);
+  kernel().audit_and_recover();
+  EXPECT_TRUE(kernel().audit().clean());
   EXPECT_GE(machine_->kernel().stats().pkr_scrubs, 1u);
   finish();
 }
@@ -74,11 +75,11 @@ TEST_F(AuditTest, PkrShadowCatchesEvenWeightCorruption) {
   machine_->hart().pkr().corrupt_bit(2, 5);
   machine_->hart().pkr().corrupt_bit(2, 9);
   ASSERT_TRUE(machine_->hart().pkr().parity_ok(2));
-  const auto report = auditor().audit();
-  EXPECT_EQ(report.count(fault::AuditCheck::kPkrParity), 0u);
-  EXPECT_EQ(report.count(fault::AuditCheck::kPkrShadow), 1u);
-  auditor().audit_and_recover();
-  EXPECT_TRUE(auditor().audit().clean());
+  const auto report = kernel().audit();
+  EXPECT_EQ(report.count(os::AuditCheck::kPkrParity), 0u);
+  EXPECT_EQ(report.count(os::AuditCheck::kPkrShadow), 1u);
+  kernel().audit_and_recover();
+  EXPECT_TRUE(kernel().audit().clean());
   finish();
 }
 
@@ -95,10 +96,10 @@ TEST_F(AuditTest, TlbAuditDetectsCorruptEntry) {
   ASSERT_LT(slot, dtlb.capacity()) << "warmup left the DTLB empty";
   ASSERT_TRUE(dtlb.corrupt_slot(slot, /*pkey_xor=*/1, /*perm_xor=*/0,
                                 /*flip_dirty=*/false));
-  const auto report = auditor().audit();
-  EXPECT_GE(report.count(fault::AuditCheck::kTlbCoherence), 1u);
-  auditor().audit_and_recover();
-  EXPECT_TRUE(auditor().audit().clean());  // flush emptied the TLBs
+  const auto report = kernel().audit();
+  EXPECT_GE(report.count(os::AuditCheck::kTlbCoherence), 1u);
+  kernel().audit_and_recover();
+  EXPECT_TRUE(kernel().audit().clean());  // flush emptied the TLBs
   EXPECT_GE(machine_->kernel().stats().tlb_flush_recoveries, 1u);
   finish();
 }
@@ -113,10 +114,10 @@ TEST_F(AuditTest, PteAuditDetectsPkeyFieldFlip) {
   machine_->mem().write_u64(
       slot, machine_->mem().read_u64(slot) ^
                 (u64{1} << mem::pte::kPkeyShift));
-  const auto report = auditor().audit();
-  EXPECT_GE(report.count(fault::AuditCheck::kPteVsVma), 1u);
-  auditor().audit_and_recover();
-  EXPECT_TRUE(auditor().audit().clean());
+  const auto report = kernel().audit();
+  EXPECT_GE(report.count(os::AuditCheck::kPteVsVma), 1u);
+  kernel().audit_and_recover();
+  EXPECT_TRUE(kernel().audit().clean());
   EXPECT_GE(machine_->kernel().stats().pte_repairs, 1u);
   finish();
 }
@@ -124,10 +125,10 @@ TEST_F(AuditTest, PteAuditDetectsPkeyFieldFlip) {
 TEST_F(AuditTest, KeyCounterAuditDetectsDrift) {
   start();
   machine_->kernel().process(pid_).keys->page_delta(0, 5);  // plant drift
-  const auto report = auditor().audit();
-  EXPECT_EQ(report.count(fault::AuditCheck::kKeyCounters), 1u);
-  auditor().audit_and_recover();
-  EXPECT_TRUE(auditor().audit().clean());
+  const auto report = kernel().audit();
+  EXPECT_EQ(report.count(os::AuditCheck::kKeyCounters), 1u);
+  kernel().audit_and_recover();
+  EXPECT_TRUE(kernel().audit().clean());
   EXPECT_GE(machine_->kernel().stats().key_counter_repairs, 1u);
   finish();
 }
@@ -138,23 +139,35 @@ TEST_F(AuditTest, CamAuditDetectsDuplicateLines) {
   unit.refill(4, 0x1000, 0x2000);
   unit.refill_duplicate(4, 0x1000, 0x2000);
   ASSERT_EQ(unit.cam_count_of(4), 2u);
-  const auto report = auditor().audit();
-  EXPECT_EQ(report.count(fault::AuditCheck::kCamDuplicates), 1u);
-  auditor().audit_and_recover();
+  const auto report = kernel().audit();
+  EXPECT_EQ(report.count(os::AuditCheck::kCamDuplicates), 1u);
+  kernel().audit_and_recover();
   EXPECT_EQ(unit.cam_count_of(4), 1u);
-  EXPECT_TRUE(auditor().audit().clean());
+  EXPECT_TRUE(kernel().audit().clean());
   finish();
 }
 
 TEST_F(AuditTest, SchedulerAuditDetectsBogusTid) {
-  start();
-  machine_->kernel().run_queue_for_test().push_back(999);
-  const auto report = auditor().audit();
-  EXPECT_EQ(report.count(fault::AuditCheck::kScheduler), 1u);
-  auditor().audit_and_recover();
-  EXPECT_TRUE(auditor().audit().clean());
-  EXPECT_GE(machine_->kernel().stats().run_queue_scrubs, 1u);
-  finish();
+  // One bad run-queue entry each: an unknown tid, the running thread, and a
+  // live queued thread (a second process's) queued a second time.
+  for (const int plant : {0, 1, 2}) {
+    SCOPED_TRACE(plant);
+    start();
+    std::vector<int>& queue = kernel().run_queue_for_test();
+    if (plant == 0) queue.push_back(999);
+    if (plant == 1) queue.push_back(kernel().current_tid());
+    if (plant == 2) {
+      ASSERT_GE(machine_->load(wl::build_sha(1).link()), 0);
+      ASSERT_EQ(queue.size(), 1u);
+      queue.push_back(queue.front());
+    }
+    const auto report = kernel().audit();
+    EXPECT_EQ(report.count(os::AuditCheck::kScheduler), 1u);
+    kernel().audit_and_recover();
+    EXPECT_TRUE(kernel().audit().clean());
+    EXPECT_EQ(kernel().stats().run_queue_scrubs, 1u);
+    finish();
+  }
 }
 
 // The acceptance gate: one audit pass must see every planted inconsistency
@@ -181,14 +194,14 @@ TEST_F(AuditTest, OneAuditDetectsEveryPlantedInconsistency) {
   machine_->hart().seal_unit().refill_duplicate(9, 0x1000, 0x2000);
   machine_->kernel().run_queue_for_test().push_back(777);
 
-  const auto report = auditor().audit_and_recover();
-  EXPECT_GE(report.count(fault::AuditCheck::kPkrParity), 1u);
-  EXPECT_GE(report.count(fault::AuditCheck::kTlbCoherence), 1u);
-  EXPECT_GE(report.count(fault::AuditCheck::kPteVsVma), 1u);
-  EXPECT_GE(report.count(fault::AuditCheck::kKeyCounters), 1u);
-  EXPECT_GE(report.count(fault::AuditCheck::kCamDuplicates), 1u);
-  EXPECT_GE(report.count(fault::AuditCheck::kScheduler), 1u);
-  EXPECT_TRUE(auditor().audit().clean());
+  const auto report = kernel().audit_and_recover();
+  EXPECT_GE(report.count(os::AuditCheck::kPkrParity), 1u);
+  EXPECT_GE(report.count(os::AuditCheck::kTlbCoherence), 1u);
+  EXPECT_GE(report.count(os::AuditCheck::kPteVsVma), 1u);
+  EXPECT_GE(report.count(os::AuditCheck::kKeyCounters), 1u);
+  EXPECT_GE(report.count(os::AuditCheck::kCamDuplicates), 1u);
+  EXPECT_GE(report.count(os::AuditCheck::kScheduler), 1u);
+  EXPECT_TRUE(kernel().audit().clean());
   finish();
 }
 

@@ -2,7 +2,7 @@
 // (policy exercised against a mock side-effect port), the vpkey guest
 // syscall ABI and the session-server workload on both ISA flavours,
 // snapshot round-trips of the vkey table, and corruption detect + repair
-// through the machine auditor.
+// through the kernel's consistency audit.
 #include <gtest/gtest.h>
 
 #include <list>
@@ -13,12 +13,12 @@
 
 #include "common/rng.h"
 #include "common/serial.h"
-#include "fault/auditor.h"
 #include "fault/fault.h"
 #include "guest_test_util.h"
 #include "mpk/session.h"
 #include "obs/span.h"
 #include "mpk/vkey_table.h"
+#include "os/audit.h"
 #include "snapshot/snapshot.h"
 #include "workloads/workload.h"
 
@@ -260,7 +260,7 @@ TEST(VkeyTable, PhysicalKeysStayExclusiveUnderChurn) {
     ASSERT_GE(table.set(ops, vkeys.back(), 1), 0);
   }
   // Exclusivity: no two live mappings share a physical key, none uses the
-  // park key (the auditor's kVkeyCoherence invariant, checked table-side).
+  // park key (the audit's kVkeyCoherence invariant, checked table-side).
   std::vector<u32> seen = {table.park_key()};
   for (const auto& [vkey, e] : table.entries()) {
     if (e.state == mpk::VkeyState::kUnmapped) continue;
@@ -631,6 +631,17 @@ TEST(SessionServer, SmallScaleMatchesGolden) {
   EXPECT_EQ(r.reconnects + r.touches, cfg.ops);
 }
 
+// The vpkey syscalls are on the kernel's served list, so the static
+// verifier admits the session server under the strict loader gate.
+TEST(SessionServer, LoadsUnderTheEnforcingVerifier) {
+  sim::MachineConfig config = sealpk_config();
+  config.verify_policy = analysis::LoadVerifyPolicy::kEnforce;
+  sim::Machine machine(config);
+  const wl::SessionShape shape{.sessions = 64, .ops = 128};
+  EXPECT_GE(machine.load(wl::build_session_prog(shape).link()), 0);
+  EXPECT_EQ(machine.verify_report().count(analysis::Severity::kError), 0u);
+}
+
 TEST(SessionServer, RawAndVirtualizedChecksumsAgree) {
   // Virtualization transparency: the same churn schedule must produce the
   // same checksum on physical pkeys and on eager and lazy vkeys over
@@ -754,7 +765,7 @@ TEST(VkeySnapshot, PolicyKnobsTravelInTheConfigTail) {
 }
 
 // ---------------------------------------------------------------------------
-// Corruption: the injector's vkey fault kind, auditor detection and repair.
+// Corruption: the injector's vkey fault kind, audit detection and repair.
 // ---------------------------------------------------------------------------
 
 TEST(VkeyFault, PlantedCorruptionIsDetectedRepairedAndTheGuestFinishes) {
@@ -780,10 +791,10 @@ TEST(VkeyFault, PlantedCorruptionIsDetectedRepairedAndTheGuestFinishes) {
   ASSERT_NE(victim, 0u);
   table->force_phys(victim, good_phys ^ 0x155);
 
-  const auto report = machine.auditor().audit();
-  EXPECT_GE(report.count(fault::AuditCheck::kVkeyCoherence), 1u);
-  machine.auditor().audit_and_recover();
-  EXPECT_TRUE(machine.auditor().audit().clean());
+  const auto report = machine.kernel().audit();
+  EXPECT_GE(report.count(os::AuditCheck::kVkeyCoherence), 1u);
+  machine.kernel().audit_and_recover();
+  EXPECT_TRUE(machine.kernel().audit().clean());
   EXPECT_GE(machine.kernel().stats().vkey_repairs, 1u);
   EXPECT_EQ(table->find(victim)->phys, good_phys);  // PTEs are ground truth
 
