@@ -305,41 +305,24 @@ u64 FaultInjector::outstanding() const {
   return n;
 }
 
-void FaultInjector::save_state(ByteWriter& w) const {
-  w.put_u64(rng_.state());
-  w.put_u64(next_fire_);
-  w.put_u64(suppress_);
-  w.put_u64(events_.size());
-  for (const auto& event : events_) {
-    w.put_u8(static_cast<u8>(event.kind));
-    w.put_u64(event.instret);
-    w.put_u64(event.detail0);
-    w.put_u64(event.detail1);
-    w.put_u8(static_cast<u8>(event.resolution));
-  }
-  w.put_u64(seen_pkr_scrubs_);
-  w.put_u64(seen_tlb_flushes_);
-  w.put_u64(seen_pte_repairs_);
-  w.put_u64(seen_cam_dedups_);
+template <typename Io, typename Self>
+void FaultInjector::fields(Io& io, Self& self) {
+  u64 rng = self.rng_.state();
+  io.fields(rng, self.next_fire_, self.suppress_);
+  if constexpr (Io::kLoading) self.rng_.set_state(rng);
+  // kind, instret, detail0, detail1, resolution.
+  io.seq(self.events_, 1 + 8 + 8 + 8 + 1, [&](auto& event) {
+    io.fields(as<u8>(event.kind), event.instret, event.detail0,
+              event.detail1, as<u8>(event.resolution));
+  });
+  io.fields(self.seen_pkr_scrubs_, self.seen_tlb_flushes_,
+            self.seen_pte_repairs_, self.seen_cam_dedups_);
 }
 
+void FaultInjector::save_state(ByteWriter& w) const { fields(w, *this); }
+
 void FaultInjector::load_state(ByteReader& r) {
-  rng_.set_state(r.get_u64());
-  next_fire_ = r.get_u64();
-  suppress_ = r.get_u64();
-  // kind, instret, detail0, detail1, resolution.
-  events_.resize(r.get_count(1 + 8 + 8 + 8 + 1));
-  for (auto& event : events_) {
-    event.kind = static_cast<FaultKind>(r.get_u8());
-    event.instret = r.get_u64();
-    event.detail0 = r.get_u64();
-    event.detail1 = r.get_u64();
-    event.resolution = static_cast<FaultResolution>(r.get_u8());
-  }
-  seen_pkr_scrubs_ = r.get_u64();
-  seen_tlb_flushes_ = r.get_u64();
-  seen_pte_repairs_ = r.get_u64();
-  seen_cam_dedups_ = r.get_u64();
+  fields(r, *this);
   // Deliberately NOT restored: across a rollback the lifetime count keeps
   // every firing of the doomed attempt, so max_faults stays a hard budget.
   // A fresh restore (new injector) starts from the recorded history.

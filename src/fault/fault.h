@@ -154,6 +154,9 @@ class FaultInjector {
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
  private:
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self);
+
   bool budget_left() const {
     return plan_.max_faults == 0 || lifetime_injected_ < plan_.max_faults;
   }

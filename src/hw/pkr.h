@@ -144,23 +144,17 @@ class Pkr {
   // Snapshot port. Unlike restore(), this carries the parity bits verbatim:
   // a checkpoint taken while a row is corrupt must reproduce the stale
   // parity, not launder it by recomputing.
-  void save_state(ByteWriter& w) const {
-    for (u64 row : rows_) w.put_u64(row);
-    for (bool p : parity_) w.put_bool(p);
-    w.put_u64(stats_.row_reads);
-    w.put_u64(stats_.row_writes);
-    w.put_u64(stats_.perm_lookups);
-  }
-  void load_state(ByteReader& r) {
-    for (u64& row : rows_) row = r.get_u64();
-    for (u32 i = 0; i < kPkrRows; ++i) parity_[i] = r.get_bool();
-    stats_.row_reads = r.get_u64();
-    stats_.row_writes = r.get_u64();
-    stats_.perm_lookups = r.get_u64();
-  }
+  void save_state(ByteWriter& w) const { fields(w, *this); }
+  void load_state(ByteReader& r) { fields(r, *this); }
 
  private:
   static bool row_parity(u64 value) { return (std::popcount(value) & 1) != 0; }
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self) {
+    io.fields(self.rows_, self.parity_, self.stats_.row_reads,
+              self.stats_.row_writes, self.stats_.perm_lookups);
+  }
 
   Snapshot rows_{};
   std::array<bool, kPkrRows> parity_{};

@@ -196,27 +196,21 @@ class SealUnit {
   // (src/snapshot via the kernel's per-process seal images) and save_state
   // below emit this same byte layout; keeping it in one place means the two
   // can never drift.
-  static void save_snapshot(ByteWriter& w, const Snapshot& s) {
-    w.put_bitset(s.seal_reg);
+  template <typename Io, typename S>
+  static void snapshot_fields(Io& io, S& s) {
+    io.field(s.seal_reg);
     for (unsigned i = 0; i < kPkCamEntries; ++i) {
-      w.put_u16(s.cam_entries[i].pkey);
-      w.put_u64(s.cam_entries[i].addr_start);
-      w.put_u64(s.cam_entries[i].addr_end);
-      w.put_bool(s.cam_valid[i]);
+      auto& e = s.cam_entries[i];
+      io.fields(e.pkey, e.addr_start, e.addr_end, s.cam_valid[i]);
     }
-    w.put_u32(s.fifo_next);
+    io.field(s.fifo_next);
   }
-
+  static void save_snapshot(ByteWriter& w, const Snapshot& s) {
+    snapshot_fields(w, s);
+  }
   static Snapshot load_snapshot(ByteReader& r) {
     Snapshot s;
-    s.seal_reg = r.get_bitset<kNumPkeys>();
-    for (unsigned i = 0; i < kPkCamEntries; ++i) {
-      s.cam_entries[i].pkey = r.get_u16();
-      s.cam_entries[i].addr_start = r.get_u64();
-      s.cam_entries[i].addr_end = r.get_u64();
-      s.cam_valid[i] = r.get_bool();
-    }
-    s.fifo_next = r.get_u32();
+    snapshot_fields(r, s);
     return s;
   }
 
@@ -251,24 +245,20 @@ class SealUnit {
 
   // Snapshot port: everything save()/restore() covers plus the stats, so a
   // resumed run's counters match an uninterrupted one.
-  void save_state(ByteWriter& w) const {
-    save_snapshot(w, canonical_state());
-    w.put_u64(stats_.checks);
-    w.put_u64(stats_.cam_hits);
-    w.put_u64(stats_.cam_misses);
-    w.put_u64(stats_.violations);
-    w.put_u64(stats_.refills);
-  }
-  void load_state(ByteReader& r) {
-    restore(load_snapshot(r));
-    stats_.checks = r.get_u64();
-    stats_.cam_hits = r.get_u64();
-    stats_.cam_misses = r.get_u64();
-    stats_.violations = r.get_u64();
-    stats_.refills = r.get_u64();
-  }
+  void save_state(ByteWriter& w) const { fields(w, *this); }
+  void load_state(ByteReader& r) { fields(r, *this); }
 
  private:
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self) {
+    Snapshot s = self.canonical_state();
+    snapshot_fields(io, s);
+    if constexpr (Io::kLoading) self.restore(s);
+    auto& st = self.stats_;
+    io.fields(st.checks, st.cam_hits, st.cam_misses, st.violations,
+              st.refills);
+  }
+
   struct Slot {
     CamEntry entry;
     bool valid = false;

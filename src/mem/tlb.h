@@ -156,51 +156,32 @@ class Tlb {
 
   // Snapshot port: slots verbatim (including any injector-corrupted entry),
   // the round-robin cursor, and the stats.
-  void save_state(ByteWriter& w) const {
-    w.put_u64(entries_.size());
-    for (const auto& slot : entries_) {
-      w.put_u64(slot.entry.vpn);
-      w.put_u64(slot.entry.ppn);
-      w.put_bool(slot.entry.r);
-      w.put_bool(slot.entry.w);
-      w.put_bool(slot.entry.x);
-      w.put_bool(slot.entry.user);
-      w.put_bool(slot.entry.dirty);
-      w.put_u16(slot.entry.pkey);
-      w.put_bool(slot.valid);
-    }
-    w.put_u64(next_victim_);
-    w.put_u64(stats_.hits);
-    w.put_u64(stats_.misses);
-    w.put_u64(stats_.flushes);
-    w.put_u64(stats_.evictions);
-  }
+  void save_state(ByteWriter& w) const { fields(w, *this); }
   void load_state(ByteReader& r) {
     ++epoch_;
-    const u64 n = r.get_u64();
-    SEALPK_CHECK_MSG(n == entries_.size(),
-                     "TLB capacity mismatch: snapshot has "
-                         << n << " slots, machine has " << entries_.size());
-    for (auto& slot : entries_) {
-      slot.entry.vpn = r.get_u64();
-      slot.entry.ppn = r.get_u64();
-      slot.entry.r = r.get_bool();
-      slot.entry.w = r.get_bool();
-      slot.entry.x = r.get_bool();
-      slot.entry.user = r.get_bool();
-      slot.entry.dirty = r.get_bool();
-      slot.entry.pkey = r.get_u16();
-      slot.valid = r.get_bool();
-    }
-    next_victim_ = static_cast<size_t>(r.get_u64());
+    fields(r, *this);
     hint_ = 0;  // a blob may hold duplicate VPNs; slot 0 is never shadowed
-    stats_.hits = r.get_u64();
-    stats_.misses = r.get_u64();
-    stats_.flushes = r.get_u64();
-    stats_.evictions = r.get_u64();
   }
 
  private:
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self) {
+    u64 slots = self.entries_.size();
+    io.field(slots);
+    SEALPK_CHECK_MSG(slots == self.entries_.size(),
+                     "TLB capacity mismatch: snapshot has "
+                         << slots << " slots, machine has "
+                         << self.entries_.size());
+    for (auto& slot : self.entries_) {
+      auto& e = slot.entry;
+      io.fields(e.vpn, e.ppn, e.r, e.w, e.x, e.user, e.dirty, e.pkey,
+                slot.valid);
+    }
+    auto& st = self.stats_;
+    io.fields(self.next_victim_, st.hits, st.misses, st.flushes,
+              st.evictions);
+  }
+
   struct Slot {
     TlbEntry entry;
     bool valid = false;

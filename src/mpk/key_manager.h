@@ -53,12 +53,8 @@ class MpkKeyManager : public os::KeyManager {
     // Linux's MPK support keeps no per-key page counts.
   }
 
-  void save_state(ByteWriter& w) const override {
-    w.put_u64(alloc_.to_ullong());
-  }
-  void load_state(ByteReader& r) override {
-    alloc_ = std::bitset<hw::kMpkNumPkeys>(r.get_u64());
-  }
+  void save_state(ByteWriter& w) const override { w.field(as<u64>(alloc_)); }
+  void load_state(ByteReader& r) override { r.field(as<u64>(alloc_)); }
 
  private:
   std::bitset<hw::kMpkNumPkeys> alloc_;

@@ -379,110 +379,8 @@ class BasicVkeyTable {
   }
 
   // --- snapshot port (VKEY section, format v2) ----------------------------
-  void save_state(ByteWriter& w) const {
-    w.put_u32(config_.mru_slots);
-    w.put_bool(config_.lazy_sync);
-    w.put_u64(next_vkey_);
-    w.put_u32(park_);
-    w.put_u64(entries_.size());
-    for (const auto& [vkey, e] : entries_) {
-      w.put_u64(vkey);
-      w.put_u8(static_cast<u8>(e.state));
-      w.put_u8(e.perm);
-      w.put_u32(e.phys);
-      w.put_u64(e.pages);
-      w.put_u64(e.groups.size());
-      for (const VkeyGroup& g : e.groups) {
-        w.put_u64(g.addr);
-        w.put_u64(g.len);
-        w.put_u64(g.prot);
-      }
-    }
-    w.put_u64(lru_.size());
-    for (const u64 vkey : lru_) w.put_u64(vkey);
-    w.put_u64(mru_.size());
-    for (const u64 vkey : mru_) w.put_u64(vkey);
-    w.put_u64(pool_.size());
-    for (const u32 k : pool_) w.put_u32(k);
-    w.put_u64(drain_queue_.size());
-    for (const u64 vkey : drain_queue_) w.put_u64(vkey);
-    w.put_u64(acquired_.size());
-    for (const u32 k : acquired_) w.put_u32(k);
-    w.put_u64(stats_.allocs);
-    w.put_u64(stats_.frees);
-    w.put_u64(stats_.sets);
-    w.put_u64(stats_.mprotects);
-    w.put_u64(stats_.map_ins);
-    w.put_u64(stats_.revivals);
-    w.put_u64(stats_.mru_hits);
-    w.put_u64(stats_.evictions);
-    w.put_u64(stats_.drains);
-    w.put_u64(stats_.drain_flushes);
-    w.put_u64(stats_.pte_rekeys);
-    w.put_u64(stats_.tlb_flushes);
-  }
-
-  void load_state(ByteReader& r) {
-    entries_.clear();
-    lru_.clear();
-    mru_.clear();
-    pool_.clear();
-    drain_queue_.clear();
-    acquired_.clear();
-    config_.mru_slots = r.get_u32();
-    config_.lazy_sync = r.get_bool();
-    next_vkey_ = r.get_u64();
-    park_ = r.get_u32();
-    const u64 n = r.get_count(kEntryBytes);
-    for (u64 i = 0; i < n; ++i) {
-      const u64 vkey = r.get_u64();
-      VkeyEntry e;
-      e.state = static_cast<VkeyState>(r.get_u8());
-      e.perm = r.get_u8();
-      e.phys = r.get_u32();
-      e.pages = r.get_u64();
-      e.groups.resize(r.get_count(kGroupBytes));
-      for (VkeyGroup& g : e.groups) {
-        g.addr = r.get_u64();
-        g.len = r.get_u64();
-        g.prot = r.get_u64();
-      }
-      entries_.emplace(vkey, std::move(e));
-    }
-    // Every LRU member must be a distinct mapped vkey: touch/remove and
-    // pick_victim rely on it.
-    const u64 lru_n = r.get_count(sizeof(u64));
-    for (u64 i = 0; i < lru_n; ++i) {
-      const u64 vkey = r.get_u64();
-      const VkeyEntry* e = find(vkey);
-      SEALPK_CHECK_MSG(e != nullptr && e->state == VkeyState::kMapped,
-                       "vkey LRU names vkey " << vkey
-                                              << " which is not mapped");
-      SEALPK_CHECK_MSG(!lru_.contains(vkey),
-                       "vkey LRU repeats vkey " << vkey);
-      lru_.push_back(vkey);
-    }
-    mru_.resize(r.get_count(sizeof(u64)));
-    for (u64& vkey : mru_) vkey = r.get_u64();
-    pool_.resize(r.get_count(sizeof(u32)));
-    for (u32& k : pool_) k = r.get_u32();
-    drain_queue_.resize(r.get_count(sizeof(u64)));
-    for (u64& vkey : drain_queue_) vkey = r.get_u64();
-    acquired_.resize(r.get_count(sizeof(u32)));
-    for (u32& k : acquired_) k = r.get_u32();
-    stats_.allocs = r.get_u64();
-    stats_.frees = r.get_u64();
-    stats_.sets = r.get_u64();
-    stats_.mprotects = r.get_u64();
-    stats_.map_ins = r.get_u64();
-    stats_.revivals = r.get_u64();
-    stats_.mru_hits = r.get_u64();
-    stats_.evictions = r.get_u64();
-    stats_.drains = r.get_u64();
-    stats_.drain_flushes = r.get_u64();
-    stats_.pte_rekeys = r.get_u64();
-    stats_.tlb_flushes = r.get_u64();
-  }
+  void save_state(ByteWriter& w) const { fields(w, *this); }
+  void load_state(ByteReader& r) { fields(r, *this); }
 
  private:
   void flush(VkeyOps& ops) {
@@ -622,6 +520,38 @@ class BasicVkeyTable {
   // count) and of one group, for load_state's count checks.
   static constexpr u64 kEntryBytes = 8 + 1 + 1 + 4 + 8 + 8;
   static constexpr u64 kGroupBytes = 3 * 8;
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self) {
+    io.fields(self.config_.mru_slots, self.config_.lazy_sync,
+              self.next_vkey_, self.park_);
+    io.keyed(self.entries_, kEntryBytes, [&](auto& vkey, auto& e) {
+      io.fields(vkey, as<u8>(e.state), e.perm, e.phys, e.pages);
+      io.seq(e.groups, kGroupBytes,
+             [&](auto& g) { io.fields(g.addr, g.len, g.prot); });
+    });
+    // Every LRU member must be a distinct mapped vkey: touch/remove and
+    // pick_victim rely on it.
+    io.seq(self.lru_, sizeof(u64), [&](auto& vkey) {
+      io.field(vkey);
+      if constexpr (Io::kLoading) {
+        const VkeyEntry* e = self.find(vkey);
+        SEALPK_CHECK_MSG(e != nullptr && e->state == VkeyState::kMapped,
+                         "vkey LRU names vkey " << vkey
+                                                << " which is not mapped");
+        SEALPK_CHECK_MSG(!self.lru_.contains(vkey),
+                         "vkey LRU repeats vkey " << vkey);
+      }
+    });
+    io.seq(self.mru_, sizeof(u64));
+    io.seq(self.pool_, sizeof(u32));
+    io.seq(self.drain_queue_, sizeof(u64));
+    io.seq(self.acquired_, sizeof(u32));
+    auto& st = self.stats_;
+    io.fields(st.allocs, st.frees, st.sets, st.mprotects, st.map_ins,
+              st.revivals, st.mru_hits, st.evictions, st.drains,
+              st.drain_flushes, st.pte_rekeys, st.tlb_flushes);
+  }
 
   // --- LRU / MRU bookkeeping ----------------------------------------------
   void insert_lru(u64 vkey) { lru_.push_front(vkey); }

@@ -82,28 +82,12 @@ struct Event {
 
   bool operator==(const Event&) const = default;
 
-  void serialize(ByteWriter& w) const {
-    w.put_u8(static_cast<u8>(kind));
-    w.put_u32(pid);
-    w.put_u32(tid);
-    w.put_u32(pkey);
-    w.put_u64(instret);
-    w.put_u64(cycles);
-    w.put_u64(arg0);
-    w.put_u64(arg1);
-  }
-
-  static Event deserialize(ByteReader& r) {
-    Event e;
-    e.kind = static_cast<EventKind>(r.get_u8());
-    e.pid = r.get_u32();
-    e.tid = r.get_u32();
-    e.pkey = r.get_u32();
-    e.instret = r.get_u64();
-    e.cycles = r.get_u64();
-    e.arg0 = r.get_u64();
-    e.arg1 = r.get_u64();
-    return e;
+  // Wire layout inside a SPKTRACE blob (obs/recorder.cpp).
+  static constexpr u64 kWireBytes = 1 + 3 * 4 + 4 * 8;
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& e) {
+    io.fields(as<u8>(e.kind), e.pid, e.tid, e.pkey, e.instret, e.cycles,
+              e.arg0, e.arg1);
   }
 };
 

@@ -25,20 +25,23 @@ void Recorder::sample(u64 instret, u64 cycles, u64 pc) {
   next_sample_ = (instret / interval + 1) * interval;
 }
 
+namespace {
+
+// The SPKTRACE payload. A symbol takes at least its pid, name length and
+// range.
+template <typename Io, typename T>
+void trace_fields(Io& io, T& t) {
+  io.fields(t.ring_capacity, t.sample_interval, t.dropped);
+  io.seq(t.symbols, 4 + 8 + 8 + 8,
+         [&](auto& s) { io.fields(s.pid, s.name, s.start, s.end); });
+  io.seq(t.events, Event::kWireBytes, [&](auto& e) { Event::fields(io, e); });
+}
+
+}  // namespace
+
 std::vector<u8> serialize(const Trace& trace) {
   ByteWriter payload;
-  payload.put_u64(trace.ring_capacity);
-  payload.put_u64(trace.sample_interval);
-  payload.put_u64(trace.dropped);
-  payload.put_u64(trace.symbols.size());
-  for (const auto& s : trace.symbols) {
-    payload.put_u32(s.pid);
-    payload.put_str(s.name);
-    payload.put_u64(s.start);
-    payload.put_u64(s.end);
-  }
-  payload.put_u64(trace.events.size());
-  for (const auto& e : trace.events) e.serialize(payload);
+  trace_fields(payload, trace);
 
   const std::vector<u8> body = payload.take();
   ByteWriter out;
@@ -71,27 +74,11 @@ Trace parse(const std::vector<u8>& blob) {
       "trace payload checksum mismatch (damaged file)");
 
   Trace t;
-  t.ring_capacity = r.get_u64();
-  t.sample_interval = r.get_u64();
-  t.dropped = r.get_u64();
-  const u64 nsyms = r.get_u64();
-  t.symbols.reserve(nsyms);
-  for (u64 i = 0; i < nsyms; ++i) {
-    SymbolRange s;
-    s.pid = r.get_u32();
-    s.name = r.get_str();
-    s.start = r.get_u64();
-    s.end = r.get_u64();
-    t.symbols.push_back(std::move(s));
-  }
-  const u64 nevents = r.get_u64();
-  t.events.reserve(nevents);
-  for (u64 i = 0; i < nevents; ++i) {
-    Event e = Event::deserialize(r);
-    SEALPK_CHECK_MSG(static_cast<u32>(e.kind) < kEventKindCount,
-                     "trace event " << i << " has unknown kind "
-                                    << static_cast<u32>(e.kind));
-    t.events.push_back(e);
+  trace_fields(r, t);
+  for (size_t i = 0; i < t.events.size(); ++i) {
+    const u32 kind = static_cast<u32>(t.events[i].kind);
+    SEALPK_CHECK_MSG(kind < kEventKindCount,
+                     "trace event " << i << " has unknown kind " << kind);
   }
   SEALPK_CHECK_MSG(r.done(), "trailing bytes after trace payload");
   return t;

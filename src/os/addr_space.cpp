@@ -35,37 +35,22 @@ AddressSpace::AddressSpace(mem::PhysMem& mem, FrameAllocator& frames,
 AddressSpace::AddressSpace(mem::PhysMem& mem, FrameAllocator& frames,
                            ByteReader& r)
     : mem_(mem), frames_(frames) {
-  pkey_bits_ = r.get_u32();
-  levels_ = r.get_u32();
-  SEALPK_CHECK(levels_ == 3 || levels_ == 4);
-  root_ppn_ = r.get_u64();
-  mmap_next_ = r.get_u64();
-  pages_mapped_ = r.get_u64();
-  const u64 num_vmas = r.get_u64();
-  for (u64 i = 0; i < num_vmas; ++i) {
-    Vma vma;
-    vma.start = r.get_u64();
-    vma.end = r.get_u64();
-    vma.prot = r.get_u64();
-    vma.pkey = r.get_u32();
-    vmas_.emplace(vma.start, vma);
-  }
+  fields(r, *this);
 }
 
-void AddressSpace::save_state(ByteWriter& w) const {
-  w.put_u32(pkey_bits_);
-  w.put_u32(levels_);
-  w.put_u64(root_ppn_);
-  w.put_u64(mmap_next_);
-  w.put_u64(pages_mapped_);
-  w.put_u64(vmas_.size());
-  // std::map iterates in key order, so the encoding is canonical.
-  for (const auto& [start, vma] : vmas_) {
-    w.put_u64(vma.start);
-    w.put_u64(vma.end);
-    w.put_u64(vma.prot);
-    w.put_u32(vma.pkey);
-  }
+void AddressSpace::save_state(ByteWriter& w) const { fields(w, *this); }
+
+// The VMA map is keyed by each VMA's start, which travels once, as the
+// VMA's first field.
+template <typename Io, typename Self>
+void AddressSpace::fields(Io& io, Self& self) {
+  io.fields(self.pkey_bits_, self.levels_);
+  SEALPK_CHECK(self.levels_ == 3 || self.levels_ == 4);
+  io.fields(self.root_ppn_, self.mmap_next_, self.pages_mapped_);
+  io.keyed(self.vmas_, 8 + 8 + 8 + 4, [&](auto& start, auto& vma) {
+    io.fields(vma.start, vma.end, vma.prot, vma.pkey);
+    if constexpr (Io::kLoading) start = vma.start;
+  });
 }
 
 u64 AddressSpace::satp() const {

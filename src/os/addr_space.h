@@ -101,6 +101,9 @@ class AddressSpace {
   u64 pages_mapped() const { return pages_mapped_; }
 
  private:
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self);
+
   u64 pte_slot_addr(u64 vaddr, bool create);  // phys addr of leaf PTE slot
   u64 lookup_pte_slot(u64 vaddr) const;       // 0 if tables absent
   // The leaf PTE bits `prot` should produce (V|U plus R/W/X with the

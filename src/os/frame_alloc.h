@@ -60,23 +60,18 @@ class FrameAllocator {
 
   // Snapshot port: the free list is a LIFO, so its order is part of the
   // deterministic allocation stream and travels verbatim.
-  void save_state(ByteWriter& w) const {
-    w.put_u64(next_);
-    w.put_u64(end_);
-    w.put_u64(allocated_);
-    w.put_u64(free_.size());
-    for (u64 ppn : free_) w.put_u64(ppn);
-  }
-  void load_state(ByteReader& r) {
-    next_ = r.get_u64();
-    const u64 end = r.get_u64();
-    SEALPK_CHECK_MSG(end == end_, "frame allocator range mismatch");
-    allocated_ = r.get_u64();
-    free_.resize(r.get_count(sizeof(u64)));
-    for (u64& ppn : free_) ppn = r.get_u64();
-  }
+  void save_state(ByteWriter& w) const { fields(w, *this); }
+  void load_state(ByteReader& r) { fields(r, *this); }
 
  private:
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self) {
+    u64 end = self.end_;
+    io.fields(self.next_, end, self.allocated_);
+    SEALPK_CHECK_MSG(end == self.end_, "frame allocator range mismatch");
+    io.seq(self.free_, sizeof(u64));
+  }
+
   u64 next_;
   u64 end_;
   u64 allocated_ = 0;

@@ -48,6 +48,15 @@ void Kernel::install_drained_hook(SealPkKeyManager& keys, int pid) {
   });
 }
 
+std::unique_ptr<KeyManager> Kernel::make_key_manager(int pid) {
+  if (hart_.config().flavor != core::IsaFlavor::kSealPk) {
+    return std::make_unique<mpk::MpkKeyManager>();
+  }
+  auto keys = std::make_unique<SealPkKeyManager>();
+  install_drained_hook(*keys, pid);
+  return keys;
+}
+
 PkeyPageDelta Kernel::page_delta_hook() {
   KeyManager* keys = &current_keys();
   if (recorder_ == nullptr) {
@@ -72,13 +81,7 @@ int Kernel::load_process(const isa::Image& image) {
   proc->aspace = std::make_unique<AddressSpace>(
       hart_.mem(), frames_, pkey_bits,
       config_.sv48 ? mem::sv48::kLevels : mem::sv39::kLevels);
-  if (hart_.config().flavor == core::IsaFlavor::kSealPk) {
-    auto keys = std::make_unique<SealPkKeyManager>();
-    install_drained_hook(*keys, pid);
-    proc->keys = std::move(keys);
-  } else {
-    proc->keys = std::make_unique<mpk::MpkKeyManager>();
-  }
+  proc->keys = make_key_manager(pid);
 
   // Map the image segments with their natural permissions. Any mid-load
   // failure (overlapping/non-canonical segments, frame exhaustion, copy
@@ -1080,203 +1083,89 @@ void Kernel::sys_exit(i64 code) {
 
 namespace {
 
-void save_context(ByteWriter& w, const ThreadContext& ctx) {
-  for (u64 reg : ctx.regs) w.put_u64(reg);
-  w.put_u64(ctx.pc);
-  for (u64 row : ctx.pkr) w.put_u64(row);
-  w.put_u32(ctx.pkru);
-  w.put_u64(ctx.seal_start);
-  w.put_u64(ctx.seal_end);
+template <typename Io, typename Self>
+void context_fields(Io& io, Self& ctx) {
+  io.fields(ctx.regs, ctx.pc, ctx.pkr, ctx.pkru, ctx.seal_start,
+            ctx.seal_end);
 }
 
-void load_context(ByteReader& r, ThreadContext& ctx) {
-  for (u64& reg : ctx.regs) reg = r.get_u64();
-  ctx.pc = r.get_u64();
-  for (u64& row : ctx.pkr) row = r.get_u64();
-  ctx.pkru = r.get_u32();
-  ctx.seal_start = r.get_u64();
-  ctx.seal_end = r.get_u64();
-}
+// Smallest encodings, for the decoder's count checks: a process (pid,
+// handler, the address space's fixed fields), a thread (tid, pid, two
+// contexts, two flags), and a fault record.
+constexpr u64 kContextBytes = 32 * 8 + 8 + hw::kPkrRows * 8 + 4 + 8 + 8;
+constexpr u64 kProcessBytes = 4 + 8 + 4 + 4 + 8 + 8 + 8 + 8;
+constexpr u64 kThreadBytes = 4 + 4 + 2 * kContextBytes + 2;
+constexpr u64 kFaultBytes = 4 + 4 + 1 + 8 + 8 + 1 + 4 + 1;
 
 }  // namespace
 
-void Kernel::save_state(ByteWriter& w) const {
-  // Process table. std::map iteration order makes the stream canonical.
-  w.put_u64(processes_.size());
-  for (const auto& [pid, proc] : processes_) {
-    w.put_u32(static_cast<u32>(pid));
-    w.put_u64(proc->signal_handler);
-    proc->aspace->save_state(w);
-    proc->keys->save_state(w);
-    hw::SealUnit::save_snapshot(w, proc->seal_hw);
-    w.put_u64(proc->thread_tids.size());
-    for (int tid : proc->thread_tids) w.put_u32(static_cast<u32>(tid));
-    w.put_bool(proc->exited);
-    w.put_i64(proc->exit_code);
-  }
+template <typename Io, typename Self>
+void Kernel::state_fields(Io& io, Self& k) {
+  // std::map iteration order makes the stream canonical.
+  io.keyed(k.processes_, kProcessBytes, [&](auto& pid, auto& proc) {
+    io.field(as<u32>(pid));
+    if constexpr (Io::kLoading) {
+      proc = std::make_unique<Process>();
+      proc->pid = pid;
+      proc->keys = k.make_key_manager(pid);
+    }
+    io.field(proc->signal_handler);
+    if constexpr (Io::kLoading) {
+      proc->aspace =
+          std::make_unique<AddressSpace>(k.hart_.mem(), k.frames_, io);
+    } else {
+      proc->aspace->save_state(io);
+    }
+    state_io(io, *proc->keys);
+    hw::SealUnit::snapshot_fields(io, proc->seal_hw);
+    io.seq(proc->thread_tids, sizeof(u32),
+           [&](auto& tid) { io.field(as<u32>(tid)); });
+    io.fields(proc->exited, proc->exit_code);
+  });
+  io.keyed(k.threads_, kThreadBytes, [&](auto& tid, auto& th) {
+    io.field(as<u32>(tid));
+    if constexpr (Io::kLoading) {
+      th = std::make_unique<Thread>();
+      th->tid = tid;
+    }
+    io.field(as<u32>(th->pid));
+    context_fields(io, th->ctx);
+    io.fields(th->exited, th->in_signal);
+    context_fields(io, th->signal_saved);
+  });
 
-  w.put_u64(threads_.size());
-  for (const auto& [tid, th] : threads_) {
-    w.put_u32(static_cast<u32>(tid));
-    w.put_u32(static_cast<u32>(th->pid));
-    save_context(w, th->ctx);
-    w.put_bool(th->exited);
-    w.put_bool(th->in_signal);
-    save_context(w, th->signal_saved);
-  }
+  io.seq(k.run_queue_, sizeof(u32),
+         [&](auto& tid) { io.field(as<u32>(tid)); });
+  io.fields(as<i64>(k.current_tid_), as<i64>(k.next_pid_),
+            as<i64>(k.next_tid_));
+  state_io(io, k.frames_);
+  io.field(k.admission_error_);
+  io.seq(k.faults_, kFaultBytes, [&](auto& rec) {
+    io.fields(as<u32>(rec.pid), as<u32>(rec.tid), as<u8>(rec.cause),
+              rec.addr, rec.pc, rec.pkey_fault, rec.pkey, rec.delivered);
+  });
+  io.field(k.console_);
+  io.seq(k.reports_, sizeof(u64));
+  io.seq(k.host_errors_, sizeof(u64));  // length prefixes
 
-  w.put_u64(run_queue_.size());
-  for (int tid : run_queue_) w.put_u32(static_cast<u32>(tid));
-  w.put_i64(current_tid_);
-  w.put_i64(next_pid_);
-  w.put_i64(next_tid_);
-  frames_.save_state(w);
-  w.put_str(admission_error_);
-
-  w.put_u64(faults_.size());
-  for (const auto& rec : faults_) {
-    w.put_u32(static_cast<u32>(rec.pid));
-    w.put_u32(static_cast<u32>(rec.tid));
-    w.put_u8(static_cast<u8>(rec.cause));
-    w.put_u64(rec.addr);
-    w.put_u64(rec.pc);
-    w.put_bool(rec.pkey_fault);
-    w.put_u32(rec.pkey);
-    w.put_bool(rec.delivered);
-  }
-  w.put_str(console_);
-  w.put_u64(reports_.size());
-  for (u64 rep : reports_) w.put_u64(rep);
-  w.put_u64(host_errors_.size());
-  for (const auto& err : host_errors_) w.put_str(err);
-
-  w.put_u64(stats_.syscalls);
-  w.put_u64(stats_.context_switches);
-  w.put_u64(stats_.cam_refills);
-  w.put_u64(stats_.page_faults);
-  w.put_u64(stats_.seal_violations);
-  w.put_u64(stats_.pte_pages_updated);
-  w.put_u64(stats_.syscall_counts.size());
-  for (const auto& [nr, count] : stats_.syscall_counts) {
-    w.put_u64(nr);
-    w.put_u64(count);
-  }
-  w.put_u64(stats_.cam_refills_dropped);
-  w.put_u64(stats_.cam_refills_duplicated);
-  w.put_u64(stats_.pkr_scrubs);
-  w.put_u64(stats_.tlb_flush_recoveries);
-  w.put_u64(stats_.pte_repairs);
-  w.put_u64(stats_.key_counter_repairs);
-  w.put_u64(stats_.run_queue_scrubs);
-  w.put_u64(stats_.cam_dedups);
-  w.put_u64(stats_.spurious_fault_fixes);
-  w.put_u64(stats_.machine_checks);
-  w.put_u64(stats_.machine_check_kills);
-  w.put_u64(stats_.watchdog_kills);
-  w.put_u64(stats_.audit_runs);
-  w.put_u64(stats_.audit_findings);
-  w.put_u64(stats_.host_errors_contained);
+  auto& st = k.stats_;
+  io.fields(st.syscalls, st.context_switches, st.cam_refills,
+            st.page_faults, st.seal_violations, st.pte_pages_updated);
+  io.keyed(st.syscall_counts, 2 * sizeof(u64),
+           [&](auto& nr, auto& count) { io.fields(nr, count); });
+  io.fields(st.cam_refills_dropped, st.cam_refills_duplicated,
+            st.pkr_scrubs, st.tlb_flush_recoveries, st.pte_repairs,
+            st.key_counter_repairs, st.run_queue_scrubs, st.cam_dedups,
+            st.spurious_fault_fixes, st.machine_checks,
+            st.machine_check_kills, st.watchdog_kills, st.audit_runs,
+            st.audit_findings, st.host_errors_contained);
 }
 
+void Kernel::save_state(ByteWriter& w) const { state_fields(w, *this); }
+
 void Kernel::load_state(ByteReader& r) {
-  processes_.clear();
-  threads_.clear();
-  run_queue_.clear();
-  faults_.clear();
-  reports_.clear();
-  host_errors_.clear();
-  stats_ = {};
-
-  const u64 num_procs = r.get_u64();
-  for (u64 i = 0; i < num_procs; ++i) {
-    auto proc = std::make_unique<Process>();
-    proc->pid = static_cast<int>(r.get_u32());
-    proc->signal_handler = r.get_u64();
-    proc->aspace =
-        std::make_unique<AddressSpace>(hart_.mem(), frames_, r);
-    if (hart_.config().flavor == core::IsaFlavor::kSealPk) {
-      auto keys = std::make_unique<SealPkKeyManager>();
-      keys->load_state(r);
-      install_drained_hook(*keys, proc->pid);
-      proc->keys = std::move(keys);
-    } else {
-      proc->keys = std::make_unique<mpk::MpkKeyManager>();
-      proc->keys->load_state(r);
-    }
-    proc->seal_hw = hw::SealUnit::load_snapshot(r);
-    proc->thread_tids.resize(r.get_count(sizeof(u32)));
-    for (int& tid : proc->thread_tids) tid = static_cast<int>(r.get_u32());
-    proc->exited = r.get_bool();
-    proc->exit_code = r.get_i64();
-    const int pid = proc->pid;
-    processes_.emplace(pid, std::move(proc));
-  }
-
-  const u64 num_threads = r.get_u64();
-  for (u64 i = 0; i < num_threads; ++i) {
-    auto th = std::make_unique<Thread>();
-    th->tid = static_cast<int>(r.get_u32());
-    th->pid = static_cast<int>(r.get_u32());
-    load_context(r, th->ctx);
-    th->exited = r.get_bool();
-    th->in_signal = r.get_bool();
-    load_context(r, th->signal_saved);
-    const int tid = th->tid;
-    threads_.emplace(tid, std::move(th));
-  }
-
-  run_queue_.resize(r.get_count(sizeof(u32)));
-  for (int& tid : run_queue_) tid = static_cast<int>(r.get_u32());
-  current_tid_ = static_cast<int>(r.get_i64());
-  next_pid_ = static_cast<int>(r.get_i64());
-  next_tid_ = static_cast<int>(r.get_i64());
-  frames_.load_state(r);
-  admission_error_ = r.get_str();
-
-  // pid, tid, cause, addr, pc, pkey_fault, pkey, delivered.
-  faults_.resize(r.get_count(4 + 4 + 1 + 8 + 8 + 1 + 4 + 1));
-  for (auto& rec : faults_) {
-    rec.pid = static_cast<int>(r.get_u32());
-    rec.tid = static_cast<int>(r.get_u32());
-    rec.cause = static_cast<core::TrapCause>(r.get_u8());
-    rec.addr = r.get_u64();
-    rec.pc = r.get_u64();
-    rec.pkey_fault = r.get_bool();
-    rec.pkey = r.get_u32();
-    rec.delivered = r.get_bool();
-  }
-  console_ = r.get_str();
-  reports_.resize(r.get_count(sizeof(u64)));
-  for (u64& rep : reports_) rep = r.get_u64();
-  host_errors_.resize(r.get_count(sizeof(u64)));  // length prefixes
-  for (auto& err : host_errors_) err = r.get_str();
-
-  stats_.syscalls = r.get_u64();
-  stats_.context_switches = r.get_u64();
-  stats_.cam_refills = r.get_u64();
-  stats_.page_faults = r.get_u64();
-  stats_.seal_violations = r.get_u64();
-  stats_.pte_pages_updated = r.get_u64();
-  const u64 num_sys = r.get_u64();
-  for (u64 i = 0; i < num_sys; ++i) {
-    const u64 nr = r.get_u64();
-    stats_.syscall_counts[nr] = r.get_u64();
-  }
-  stats_.cam_refills_dropped = r.get_u64();
-  stats_.cam_refills_duplicated = r.get_u64();
-  stats_.pkr_scrubs = r.get_u64();
-  stats_.tlb_flush_recoveries = r.get_u64();
-  stats_.pte_repairs = r.get_u64();
-  stats_.key_counter_repairs = r.get_u64();
-  stats_.run_queue_scrubs = r.get_u64();
-  stats_.cam_dedups = r.get_u64();
-  stats_.spurious_fault_fixes = r.get_u64();
-  stats_.machine_checks = r.get_u64();
-  stats_.machine_check_kills = r.get_u64();
-  stats_.watchdog_kills = r.get_u64();
-  stats_.audit_runs = r.get_u64();
-  stats_.audit_findings = r.get_u64();
-  stats_.host_errors_contained = r.get_u64();
+  stats_ = {};  // vkey_repairs does not travel: a resumed run recounts it
+  state_fields(r, *this);
 }
 
 bool Kernel::any_vkey_tables() const {
@@ -1286,24 +1175,31 @@ bool Kernel::any_vkey_tables() const {
   return false;
 }
 
-void Kernel::save_vkey_state(ByteWriter& w) const {
-  w.put_u64(processes_.size());
-  for (const auto& [pid, proc] : processes_) {
-    w.put_u32(static_cast<u32>(pid));
-    w.put_bool(proc->vkeys != nullptr);
-    if (proc->vkeys) proc->vkeys->save_state(w);
-  }
+// One VKEY record: a pid and, if that process virtualizes, its table.
+template <typename Io, typename Pid, typename Table>
+void vkey_record(Io& io, Pid& pid, Table& table) {
+  io.field(as<u32>(pid));
+  bool has_table = table != nullptr;
+  io.field(has_table);
+  if (!has_table) return;
+  if constexpr (Io::kLoading) table = std::make_unique<mpk::VkeyTable>();
+  state_io(io, *table);
 }
 
+void Kernel::save_vkey_state(ByteWriter& w) const {
+  w.put_u64(processes_.size());
+  for (const auto& [pid, proc] : processes_) vkey_record(w, pid, proc->vkeys);
+}
+
+// Each record names a process KERN already restored, and a table in it is
+// attached to that process.
 void Kernel::load_vkey_state(ByteReader& r) {
-  const u64 n = r.get_u64();
+  const u64 n = r.get_count(sizeof(u32) + 1);
   for (u64 i = 0; i < n; ++i) {
-    const int pid = static_cast<int>(r.get_u32());
-    const bool has_table = r.get_bool();
-    if (!has_table) continue;
-    Process& proc = process(pid);
-    proc.vkeys = std::make_unique<mpk::VkeyTable>();
-    proc.vkeys->load_state(r);
+    int pid = 0;
+    std::unique_ptr<mpk::VkeyTable> table;
+    vkey_record(r, pid, table);
+    if (table) process(pid).vkeys = std::move(table);
   }
 }
 

@@ -258,6 +258,9 @@ class Kernel {
   bool any_vkey_tables() const;
 
  private:
+  // The KERN section's field list, shared by save_state and load_state.
+  template <typename Io, typename Self>
+  static void state_fields(Io& io, Self& k);
   // The VkeyOps adapter (kernel.cpp) that maps the vkey table's side-effect
   // port onto AddressSpace / PKR / TLB mechanisms.
   friend struct VkeyKernelOps;
@@ -342,6 +345,8 @@ class Kernel {
   void recover_tlb_flush();
 
   void install_drained_hook(SealPkKeyManager& keys, int pid);
+  // The flavour's key manager for a new (or restored) process `pid`.
+  std::unique_ptr<KeyManager> make_key_manager(int pid);
 
   void save_current_context();
   void restore_context(Thread& next, int prev_pid);

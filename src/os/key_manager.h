@@ -179,31 +179,8 @@ class SealPkKeyManager : public KeyManager {
     return perm_ranges_[pkey];
   }
 
-  void save_state(ByteWriter& w) const override {
-    w.put_bitset(alloc_);
-    w.put_bitset(dirty_);
-    w.put_bitset(sealed_domain_);
-    w.put_bitset(sealed_page_);
-    for (u64 c : counter_) w.put_u64(c);
-    for (const auto& range : perm_ranges_) {
-      w.put_bool(range.has_value());
-      w.put_u64(range ? range->start : 0);
-      w.put_u64(range ? range->end : 0);
-    }
-  }
-  void load_state(ByteReader& r) override {
-    alloc_ = r.get_bitset<hw::kNumPkeys>();
-    dirty_ = r.get_bitset<hw::kNumPkeys>();
-    sealed_domain_ = r.get_bitset<hw::kNumPkeys>();
-    sealed_page_ = r.get_bitset<hw::kNumPkeys>();
-    for (u64& c : counter_) c = r.get_u64();
-    for (auto& range : perm_ranges_) {
-      const bool has = r.get_bool();
-      const u64 start = r.get_u64();
-      const u64 end = r.get_u64();
-      range = has ? std::optional<SealRange>({start, end}) : std::nullopt;
-    }
-  }
+  void save_state(ByteWriter& w) const override { fields(w, *this); }
+  void load_state(ByteReader& r) override { fields(r, *this); }
 
  private:
   // Full release: the key was freed and no page carries it any more, so
@@ -215,6 +192,21 @@ class SealPkKeyManager : public KeyManager {
     sealed_domain_.reset(pkey);
     sealed_page_.reset(pkey);
     perm_ranges_[pkey].reset();
+  }
+
+  // A perm-seal range travels as has | start | end (zeros when unset).
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self) {
+    io.fields(self.alloc_, self.dirty_, self.sealed_domain_,
+              self.sealed_page_, self.counter_);
+    for (auto& range : self.perm_ranges_) {
+      bool has = range.has_value();
+      SealRange r = range.value_or(SealRange{});
+      io.fields(has, r.start, r.end);
+      if constexpr (Io::kLoading) {
+        range = has ? std::optional<SealRange>(r) : std::nullopt;
+      }
+    }
   }
 
   std::bitset<hw::kNumPkeys> alloc_;

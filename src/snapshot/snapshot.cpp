@@ -1,5 +1,6 @@
 #include "snapshot/snapshot.h"
 
+#include <array>
 #include <fstream>
 #include <sstream>
 
@@ -50,99 +51,33 @@ std::string fourcc_name(u32 cc) {
 // Only execution-relevant fields serialize: hooks cannot, and the loader
 // verify policy only matters at image-admission time, before any snapshot
 // exists. Restore demands the target machine's serialized config be
-// byte-identical, so every field below is a compatibility axis.
+// byte-identical, so every field below is a compatibility axis. Format v1
+// ends before the vkey knobs.
 
-void save_config(ByteWriter& w, const sim::MachineConfig& cfg,
-                 u32 version = kFormatVersion) {
-  w.put_u8(static_cast<u8>(cfg.hart.flavor));
-  w.put_u64(cfg.hart.dtlb_entries);
-  w.put_u64(cfg.hart.itlb_entries);
-  const core::TimingModel& t = cfg.hart.timing;
-  w.put_u64(t.base_cycles);
-  w.put_u64(t.mul_cycles);
-  w.put_u64(t.div_cycles);
-  w.put_u64(t.mem_extra_cycles);
-  w.put_u64(t.tlb_miss_per_access);
-  w.put_u64(t.rocc_cycles);
-  w.put_u64(t.trap_enter_cycles);
-  w.put_u64(t.trap_return_cycles);
-  w.put_u64(t.syscall_dispatch_cycles);
-  w.put_u64(t.vma_lookup_cycles);
-  w.put_u64(t.pte_update_cycles);
-  w.put_u64(t.mprotect_rss_cycles_per_page);
-  w.put_u64(t.tlb_flush_cycles);
-  w.put_u64(t.pkey_bookkeeping_cycles);
-  w.put_u64(t.fault_handler_cycles);
-  w.put_u64(t.cam_refill_handler_cycles);
-  w.put_u64(t.context_switch_cycles);
-  w.put_u64(t.pkr_row_swap_cycles);
-  w.put_bool(cfg.kernel.save_pkr_on_switch);
-  w.put_u64(cfg.kernel.stack_pages);
-  w.put_bool(cfg.kernel.sv48);
-  w.put_u64(cfg.mem_bytes);
-  w.put_u64(cfg.preempt_quantum);
-  w.put_bool(cfg.fault_plan.enabled);
-  w.put_u64(cfg.fault_plan.seed);
-  w.put_f64(cfg.fault_plan.rate);
-  w.put_f64(cfg.fault_plan.cam_rate);
-  w.put_u64(cfg.fault_plan.max_faults);
-  w.put_u32(cfg.fault_plan.kinds);
-  w.put_u64(cfg.audit_interval);
-  w.put_u64(cfg.watchdog_trap_storm);
-  w.put_u64(cfg.watchdog_livelock);
-  w.put_u64(cfg.checkpoint_interval);
-  w.put_u64(cfg.max_rollbacks);
+template <typename Io, typename Config>
+void config_fields(Io& io, Config& cfg, u32 version) {
+  auto& t = cfg.hart.timing;
+  auto& plan = cfg.fault_plan;
+  io.fields(as<u8>(cfg.hart.flavor), cfg.hart.dtlb_entries,
+            cfg.hart.itlb_entries);
+  io.fields(t.base_cycles, t.mul_cycles, t.div_cycles, t.mem_extra_cycles,
+            t.tlb_miss_per_access, t.rocc_cycles, t.trap_enter_cycles,
+            t.trap_return_cycles, t.syscall_dispatch_cycles,
+            t.vma_lookup_cycles, t.pte_update_cycles,
+            t.mprotect_rss_cycles_per_page, t.tlb_flush_cycles,
+            t.pkey_bookkeeping_cycles, t.fault_handler_cycles,
+            t.cam_refill_handler_cycles, t.context_switch_cycles,
+            t.pkr_row_swap_cycles);
+  io.fields(cfg.kernel.save_pkr_on_switch, cfg.kernel.stack_pages,
+            cfg.kernel.sv48, cfg.mem_bytes, cfg.preempt_quantum);
+  io.fields(plan.enabled, plan.seed, plan.rate, plan.cam_rate,
+            plan.max_faults, plan.kinds);
+  io.fields(cfg.audit_interval, cfg.watchdog_trap_storm,
+            cfg.watchdog_livelock, cfg.checkpoint_interval,
+            cfg.max_rollbacks);
   if (version >= 2) {
-    w.put_u32(cfg.kernel.vkey_mru_slots);
-    w.put_bool(cfg.kernel.vkey_lazy_sync);
+    io.fields(cfg.kernel.vkey_mru_slots, cfg.kernel.vkey_lazy_sync);
   }
-}
-
-sim::MachineConfig load_config(ByteReader& r, u32 version) {
-  sim::MachineConfig cfg;
-  cfg.hart.flavor = static_cast<core::IsaFlavor>(r.get_u8());
-  cfg.hart.dtlb_entries = static_cast<size_t>(r.get_u64());
-  cfg.hart.itlb_entries = static_cast<size_t>(r.get_u64());
-  core::TimingModel& t = cfg.hart.timing;
-  t.base_cycles = r.get_u64();
-  t.mul_cycles = r.get_u64();
-  t.div_cycles = r.get_u64();
-  t.mem_extra_cycles = r.get_u64();
-  t.tlb_miss_per_access = r.get_u64();
-  t.rocc_cycles = r.get_u64();
-  t.trap_enter_cycles = r.get_u64();
-  t.trap_return_cycles = r.get_u64();
-  t.syscall_dispatch_cycles = r.get_u64();
-  t.vma_lookup_cycles = r.get_u64();
-  t.pte_update_cycles = r.get_u64();
-  t.mprotect_rss_cycles_per_page = r.get_u64();
-  t.tlb_flush_cycles = r.get_u64();
-  t.pkey_bookkeeping_cycles = r.get_u64();
-  t.fault_handler_cycles = r.get_u64();
-  t.cam_refill_handler_cycles = r.get_u64();
-  t.context_switch_cycles = r.get_u64();
-  t.pkr_row_swap_cycles = r.get_u64();
-  cfg.kernel.save_pkr_on_switch = r.get_bool();
-  cfg.kernel.stack_pages = r.get_u64();
-  cfg.kernel.sv48 = r.get_bool();
-  cfg.mem_bytes = r.get_u64();
-  cfg.preempt_quantum = r.get_u64();
-  cfg.fault_plan.enabled = r.get_bool();
-  cfg.fault_plan.seed = r.get_u64();
-  cfg.fault_plan.rate = r.get_f64();
-  cfg.fault_plan.cam_rate = r.get_f64();
-  cfg.fault_plan.max_faults = r.get_u64();
-  cfg.fault_plan.kinds = r.get_u32();
-  cfg.audit_interval = r.get_u64();
-  cfg.watchdog_trap_storm = r.get_u64();
-  cfg.watchdog_livelock = r.get_u64();
-  cfg.checkpoint_interval = r.get_u64();
-  cfg.max_rollbacks = r.get_u64();
-  if (version >= 2) {
-    cfg.kernel.vkey_mru_slots = r.get_u32();
-    cfg.kernel.vkey_lazy_sync = r.get_bool();
-  }
-  return cfg;
 }
 
 // config_from hands its result to a Machine constructor, so a decoded
@@ -174,79 +109,55 @@ void check_buildable(const sim::MachineConfig& cfg) {
 
 // --- hart --------------------------------------------------------------------
 
-void save_hart(ByteWriter& w, core::Hart& hart) {
-  for (unsigned i = 0; i < 32; ++i) w.put_u64(hart.reg(i));
-  w.put_u64(hart.pc());
-  w.put_u8(static_cast<u8>(hart.priv()));
-  w.put_u64(hart.cycles());
-  w.put_u64(hart.instret());
-  const core::HartStats& s = hart.stats();
-  w.put_u64(s.loads);
-  w.put_u64(s.stores);
-  w.put_u64(s.calls);
-  w.put_u64(s.traps);
-  w.put_u64(s.pkey_denials);
-  w.put_u64(s.wrpkr_count);
-  w.put_u64(s.rdpkr_count);
-  w.put_u64(s.wrpkru_count);
-  const core::CsrFile& c = hart.csrs();
-  w.put_u64(c.sstatus);
-  w.put_u64(c.stvec);
-  w.put_u64(c.sscratch);
-  w.put_u64(c.sepc);
-  w.put_u64(c.scause);
-  w.put_u64(c.stval);
-  w.put_u64(c.satp);
-  w.put_u64(c.spkinfo);
-  w.put_u64(c.seal_start);
-  w.put_u64(c.seal_end);
-}
+// The HART section. The Hart keeps this state behind accessors, so it is
+// gathered into a plain record that one field list encodes and decodes,
+// with or without a machine (info and diff decode it from a blob alone).
+struct HartState {
+  std::array<u64, 32> regs{};
+  u64 pc = 0;
+  core::Priv priv = core::Priv::kSupervisor;
+  u64 cycles = 0;
+  u64 instret = 0;
+  core::HartStats stats;
+  core::CsrFile csrs;
 
-void load_hart(ByteReader& r, core::Hart& hart) {
-  for (unsigned i = 0; i < 32; ++i) hart.set_reg(i, r.get_u64());
-  hart.set_pc(r.get_u64());
-  hart.set_priv(static_cast<core::Priv>(r.get_u8()));
-  hart.set_cycles(r.get_u64());
-  hart.set_instret(r.get_u64());
-  core::HartStats s;
-  s.loads = r.get_u64();
-  s.stores = r.get_u64();
-  s.calls = r.get_u64();
-  s.traps = r.get_u64();
-  s.pkey_denials = r.get_u64();
-  s.wrpkr_count = r.get_u64();
-  s.rdpkr_count = r.get_u64();
-  s.wrpkru_count = r.get_u64();
-  hart.set_stats(s);
-  core::CsrFile& c = hart.csrs();
-  c.sstatus = r.get_u64();
-  c.stvec = r.get_u64();
-  c.sscratch = r.get_u64();
-  c.sepc = r.get_u64();
-  c.scause = r.get_u64();
-  c.stval = r.get_u64();
-  c.satp = r.get_u64();
-  c.spkinfo = r.get_u64();
-  c.seal_start = r.get_u64();
-  c.seal_end = r.get_u64();
-}
+  static HartState of(const core::Hart& hart) {
+    HartState s{.pc = hart.pc(),
+                .priv = hart.priv(),
+                .cycles = hart.cycles(),
+                .instret = hart.instret(),
+                .stats = hart.stats(),
+                .csrs = hart.csrs()};
+    for (unsigned i = 0; i < 32; ++i) s.regs[i] = hart.reg(i);
+    return s;
+  }
 
-void save_runloop(ByteWriter& w, const sim::Machine::RunLoopState& rl) {
-  w.put_u64(rl.since_switch);
-  w.put_u64(rl.trap_streak);
-  w.put_u64(rl.last_trap_pc);
-  w.put_u64(rl.stall_streak);
-  w.put_u64(rl.next_audit);
-  w.put_u64(rl.next_checkpoint);
-}
+  void apply(core::Hart& hart) const {
+    for (unsigned i = 0; i < 32; ++i) hart.set_reg(i, regs[i]);
+    hart.set_pc(pc);
+    hart.set_priv(priv);
+    hart.set_cycles(cycles);
+    hart.set_instret(instret);
+    hart.set_stats(stats);
+    hart.csrs() = csrs;
+  }
 
-void load_runloop(ByteReader& r, sim::Machine::RunLoopState& rl) {
-  rl.since_switch = r.get_u64();
-  rl.trap_streak = r.get_u64();
-  rl.last_trap_pc = r.get_u64();
-  rl.stall_streak = r.get_u64();
-  rl.next_audit = r.get_u64();
-  rl.next_checkpoint = r.get_u64();
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& s) {
+    auto& st = s.stats;
+    auto& c = s.csrs;
+    io.fields(s.regs, s.pc, as<u8>(s.priv), s.cycles, s.instret);
+    io.fields(st.loads, st.stores, st.calls, st.traps, st.pkey_denials,
+              st.wrpkr_count, st.rdpkr_count, st.wrpkru_count);
+    io.fields(c.sstatus, c.stvec, c.sscratch, c.sepc, c.scause, c.stval,
+              c.satp, c.spkinfo, c.seal_start, c.seal_end);
+  }
+};
+
+template <typename Io, typename Self>
+void runloop_fields(Io& io, Self& rl) {
+  io.fields(rl.since_switch, rl.trap_streak, rl.last_trap_pc,
+            rl.stall_streak, rl.next_audit, rl.next_checkpoint);
 }
 
 // --- section plumbing --------------------------------------------------------
@@ -260,6 +171,66 @@ void put_section(ByteWriter& out, u32 cc, WriteBody&& write_body) {
   out.put_u64(0);
   write_body(out);
   out.patch_u64(len_at, out.size() - len_at - 8);
+}
+
+// The payload's sections in wire order: `since` is the format version
+// that added one, and FINJ travels iff the machine carries a fault
+// injector.
+struct SectionDef {
+  u32 cc;
+  u32 since;
+  bool injector_only;
+};
+constexpr SectionDef kSections[] = {
+    {kSecConfig, 1, false},  {kSecHart, 1, false},   {kSecPkr, 1, false},
+    {kSecSeal, 1, false},    {kSecPkru, 1, false},   {kSecDtlb, 1, false},
+    {kSecItlb, 1, false},    {kSecMem, 1, false},    {kSecKernel, 1, false},
+    {kSecRunLoop, 1, false}, {kSecVkey, 2, false},   {kSecInjector, 1, true}};
+
+bool carried(const SectionDef& def, u32 version, sim::Machine& machine) {
+  return def.since <= version &&
+         (!def.injector_only || machine.injector() != nullptr);
+}
+
+// Encodes or decodes the component behind section `cc`. CFG only encodes:
+// restore compares it instead (see restore).
+template <typename Io>
+void section_io(Io& io, u32 cc, sim::Machine& machine) {
+  core::Hart& hart = machine.hart();
+  switch (cc) {
+    case kSecConfig:
+      if constexpr (!Io::kLoading) {
+        config_fields(io, machine.config(), kFormatVersion);
+      }
+      return;
+    case kSecHart: {
+      HartState s = HartState::of(hart);
+      HartState::fields(io, s);
+      if constexpr (Io::kLoading) s.apply(hart);
+      return;
+    }
+    case kSecPkr: return state_io(io, hart.pkr());
+    case kSecSeal: return state_io(io, hart.seal_unit());
+    case kSecPkru: {
+      u32 pkru = hart.pkru().value();
+      io.field(pkru);
+      if constexpr (Io::kLoading) hart.pkru().set(pkru);
+      return;
+    }
+    case kSecDtlb: return state_io(io, hart.dtlb());
+    case kSecItlb: return state_io(io, hart.itlb());
+    case kSecMem: return state_io(io, machine.mem());
+    case kSecKernel: return state_io(io, machine.kernel());
+    case kSecRunLoop: return runloop_fields(io, machine.runloop());
+    case kSecVkey:
+      if constexpr (Io::kLoading) {
+        return machine.kernel().load_vkey_state(io);
+      } else {
+        return machine.kernel().save_vkey_state(io);
+      }
+    case kSecInjector: return state_io(io, *machine.injector());
+  }
+  SEALPK_CHECK_MSG(false, "no component for section " << cc);
 }
 
 struct Section {
@@ -330,6 +301,13 @@ const Section& need(const std::vector<Section>& sections, u32 cc) {
   return *sec;
 }
 
+HartState decode_hart(const Section& sec) {
+  ByteReader r = sec.reader();
+  HartState s;
+  HartState::fields(r, s);
+  return s;
+}
+
 }  // namespace
 
 std::vector<u8> save_unsealed(sim::Machine& machine) {
@@ -338,35 +316,10 @@ std::vector<u8> save_unsealed(sim::Machine& machine) {
   out.put_u32(kFormatVersion);
   out.put_u64(0);  // payload_len, patched below
   out.put_u64(0);  // checksum, written by seal()
-  put_section(out, kSecConfig,
-              [&](ByteWriter& w) { save_config(w, machine.config()); });
-  put_section(out, kSecHart,
-              [&](ByteWriter& w) { save_hart(w, machine.hart()); });
-  put_section(out, kSecPkr,
-              [&](ByteWriter& w) { machine.hart().pkr().save_state(w); });
-  put_section(out, kSecSeal, [&](ByteWriter& w) {
-    machine.hart().seal_unit().save_state(w);
-  });
-  put_section(out, kSecPkru, [&](ByteWriter& w) {
-    w.put_u32(machine.hart().pkru().value());
-  });
-  put_section(out, kSecDtlb,
-              [&](ByteWriter& w) { machine.hart().dtlb().save_state(w); });
-  put_section(out, kSecItlb,
-              [&](ByteWriter& w) { machine.hart().itlb().save_state(w); });
-  put_section(out, kSecMem,
-              [&](ByteWriter& w) { machine.mem().save_state(w); });
-  put_section(out, kSecKernel,
-              [&](ByteWriter& w) { machine.kernel().save_state(w); });
-  put_section(out, kSecRunLoop,
-              [&](ByteWriter& w) { save_runloop(w, machine.runloop()); });
-  put_section(out, kSecVkey, [&](ByteWriter& w) {
-    machine.kernel().save_vkey_state(w);
-  });
-  if (machine.injector() != nullptr) {
-    put_section(out, kSecInjector, [&](ByteWriter& w) {
-      machine.injector()->save_state(w);
-    });
+  for (const SectionDef& def : kSections) {
+    if (!carried(def, kFormatVersion, machine)) continue;
+    put_section(out, def.cc,
+                [&](ByteWriter& w) { section_io(w, def.cc, machine); });
   }
   out.patch_u64(kPayloadLenAt, out.size() - kHeader);
   return out.take();
@@ -397,7 +350,7 @@ void restore(sim::Machine& machine, const std::vector<u8>& blob) {
     {
       const Section& sec = need(sections, kSecConfig);
       ByteWriter mine;
-      save_config(mine, machine.config(), version);
+      config_fields(mine, machine.config(), version);
       if (mine.size() != sec.len ||
           std::memcmp(mine.buffer().data(), sec.data,
                       static_cast<size_t>(sec.len)) != 0) {
@@ -422,51 +375,12 @@ void restore(sim::Machine& machine, const std::vector<u8>& blob) {
       fail("snapshot and machine disagree about fault injection");
     }
 
-    {
-      ByteReader r = need(sections, kSecHart).reader();
-      load_hart(r, machine.hart());
-    }
-    {
-      ByteReader r = need(sections, kSecPkr).reader();
-      machine.hart().pkr().load_state(r);
-    }
-    {
-      ByteReader r = need(sections, kSecSeal).reader();
-      machine.hart().seal_unit().load_state(r);
-    }
-    {
-      ByteReader r = need(sections, kSecPkru).reader();
-      machine.hart().pkru().set(r.get_u32());
-    }
-    {
-      ByteReader r = need(sections, kSecDtlb).reader();
-      machine.hart().dtlb().load_state(r);
-    }
-    {
-      ByteReader r = need(sections, kSecItlb).reader();
-      machine.hart().itlb().load_state(r);
-    }
-    {
-      ByteReader r = need(sections, kSecMem).reader();
-      machine.mem().load_state(r);
-    }
-    {
-      ByteReader r = need(sections, kSecKernel).reader();
-      machine.kernel().load_state(r);
-    }
-    {
-      ByteReader r = need(sections, kSecRunLoop).reader();
-      load_runloop(r, machine.runloop());
-    }
-    if (version >= 2) {
-      ByteReader r = need(sections, kSecVkey).reader();
-      machine.kernel().load_vkey_state(r);
-    }
     // v1 blobs predate the VKEY section: load_state already left every
     // process's vkey table null, which is exactly the pre-v2 state.
-    if (machine.injector() != nullptr) {
-      ByteReader r = need(sections, kSecInjector).reader();
-      machine.injector()->load_state(r);
+    for (const SectionDef& def : kSections) {
+      if (def.cc == kSecConfig || !carried(def, version, machine)) continue;
+      ByteReader r = need(sections, def.cc).reader();
+      section_io(r, def.cc, machine);
     }
     // Tracing state travels outside snapshots; re-seed the recorder's
     // pid/tid stamping context from the just-restored scheduler so events
@@ -484,7 +398,8 @@ sim::MachineConfig config_from(const std::vector<u8>& blob) {
   const std::vector<Section> sections = parse(blob, &version);
   try {
     ByteReader r = need(sections, kSecConfig).reader();
-    sim::MachineConfig cfg = load_config(r, version);
+    sim::MachineConfig cfg;
+    config_fields(r, cfg, version);
     check_buildable(cfg);
     return cfg;
   } catch (const SnapshotError&) {
@@ -506,12 +421,10 @@ Info info(const std::vector<u8>& blob) {
     out.sections.push_back({fourcc_name(sec.cc), sec.len});
   }
   try {
-    ByteReader r = need(sections, kSecHart).reader();
-    for (unsigned i = 0; i < 32; ++i) r.get_u64();  // regs
-    out.pc = r.get_u64();
-    r.get_u8();  // priv
-    out.cycles = r.get_u64();
-    out.instret = r.get_u64();
+    const HartState hart = decode_hart(need(sections, kSecHart));
+    out.pc = hart.pc;
+    out.cycles = hart.cycles;
+    out.instret = hart.instret;
   } catch (const std::exception& e) {
     fail(std::string("snapshot HART section decode failed: ") + e.what());
   }
@@ -537,26 +450,23 @@ std::vector<std::string> diff(const std::vector<u8>& a,
       }
     }
     if (x.cc == kSecHart && x.len == y.len) {
-      ByteReader rx = x.reader();
-      ByteReader ry = y.reader();
+      const HartState hx = decode_hart(x);
+      const HartState hy = decode_hart(y);
       for (unsigned i = 0; i < 32; ++i) {
-        const u64 vx = rx.get_u64();
-        const u64 vy = ry.get_u64();
-        if (vx != vy) os << "; x" << i << "=0x" << std::hex << vx << "/0x"
-                         << vy << std::dec;
+        if (hx.regs[i] != hy.regs[i]) {
+          os << "; x" << i << "=0x" << std::hex << hx.regs[i] << "/0x"
+             << hy.regs[i] << std::dec;
+        }
       }
-      const u64 pcx = rx.get_u64();
-      const u64 pcy = ry.get_u64();
-      if (pcx != pcy) os << "; pc=0x" << std::hex << pcx << "/0x" << pcy
-                         << std::dec;
-      rx.get_u8();
-      ry.get_u8();
-      const u64 cx = rx.get_u64();
-      const u64 cy = ry.get_u64();
-      if (cx != cy) os << "; cycles=" << cx << "/" << cy;
-      const u64 ix = rx.get_u64();
-      const u64 iy = ry.get_u64();
-      if (ix != iy) os << "; instret=" << ix << "/" << iy;
+      if (hx.pc != hy.pc) {
+        os << "; pc=0x" << std::hex << hx.pc << "/0x" << hy.pc << std::dec;
+      }
+      if (hx.cycles != hy.cycles) {
+        os << "; cycles=" << hx.cycles << "/" << hy.cycles;
+      }
+      if (hx.instret != hy.instret) {
+        os << "; instret=" << hx.instret << "/" << hy.instret;
+      }
     }
     if (x.cc == kSecMem) {
       ByteReader rx = x.reader();
@@ -568,17 +478,21 @@ std::vector<std::string> diff(const std::vector<u8>& a,
     return os.str();
   };
 
-  for (const auto& sec : sa) {
-    const Section* other = find(sb, sec.cc);
-    if (other == nullptr) {
-      lines.push_back(fourcc_name(sec.cc) + ": only in first snapshot");
-      continue;
+  try {
+    for (const auto& sec : sa) {
+      const Section* other = find(sb, sec.cc);
+      if (other == nullptr) {
+        lines.push_back(fourcc_name(sec.cc) + ": only in first snapshot");
+        continue;
+      }
+      if (sec.len != other->len ||
+          std::memcmp(sec.data, other->data,
+                      static_cast<size_t>(sec.len)) != 0) {
+        lines.push_back(describe(sec, *other));
+      }
     }
-    if (sec.len != other->len ||
-        std::memcmp(sec.data, other->data, static_cast<size_t>(sec.len)) !=
-            0) {
-      lines.push_back(describe(sec, *other));
-    }
+  } catch (const std::exception& e) {
+    fail(std::string("snapshot section decode failed: ") + e.what());
   }
   for (const auto& sec : sb) {
     if (find(sa, sec.cc) == nullptr) {

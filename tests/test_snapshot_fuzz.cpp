@@ -1,13 +1,21 @@
-// Seeded mutation fuzzing of snapshot restore (ROADMAP item 4).
+// Seeded mutation fuzzing of snapshot restore (ROADMAP item 4) and of the
+// SPKTRACE parser (ROADMAP item 7).
 //
-// Contract: for any blob, snapshot::config_from + snapshot::restore either
-// succeed or throw snapshot::SnapshotError. No other exception may escape,
-// nothing may abort, and no single allocation may exceed kAllocCap. Each
-// mutated blob is re-sealed, so the mutations reach the section decoders
-// instead of stopping at the checksum. The starting points are a mid-run
-// vault machine (checkpoints, vault state) and a mid-run vkey-churn machine
-// (a live VKEY section). Mutations favour count fields: u64s in the
-// non-memory sections whose value is small, which is what counts look like.
+// Snapshot contract: for any blob, snapshot::config_from + snapshot::restore
+// either succeed or throw snapshot::SnapshotError, and so does
+// snapshot::diff against the unmutated blob. No other exception may escape,
+// nothing may abort, and no single allocation may exceed kAllocCap. A blob
+// that restores must also survive load-then-save as a fixed point: saving
+// the restored machine, restoring that save into a fresh machine and saving
+// again gives the same bytes. Each mutated blob is re-sealed, so the
+// mutations reach the section decoders instead of stopping at the checksum.
+// The starting points are a mid-run vault machine (checkpoints, vault
+// state) and a mid-run vkey-churn machine (a live VKEY section). Mutations
+// favour count fields: u64s in the non-memory sections whose value is
+// small, which is what counts look like.
+//
+// Trace contract: obs::parse of any re-checksummed trace blob either
+// succeeds or throws CheckError, under the same allocation cap.
 //
 // This binary replaces the global operator new/delete to enforce the cap, so
 // it runs on its own rather than inside test_snapshot.
@@ -20,9 +28,12 @@
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/rng.h"
+#include "obs/recorder.h"
 #include "snapshot/snapshot.h"
 #include "snapshot_test_util.h"
+#include "workloads/workload.h"
 
 namespace {
 
@@ -60,12 +71,34 @@ struct Tally {
   u64 typed_errors = 0;
 };
 
+// Both blob kinds share one envelope: a 28-byte header whose checksum of
+// the payload sits at byte 20.
+constexpr size_t kChecksumAt = 20;
+
+void reseal_trace(std::vector<u8>& blob) {
+  const size_t header = testutil::kSnapshotHeader;
+  testutil::store_le64(blob, kChecksumAt,
+                       checksum64(blob.data() + header, blob.size() - header));
+}
+
+// The snapshot's sections minus MEM, the regions a mutation aims at.
+std::vector<testutil::SectionSpan> snapshot_bodies(
+    const std::vector<u8>& blob) {
+  std::vector<testutil::SectionSpan> bodies;
+  for (const testutil::SectionSpan& s : testutil::sections_of(blob)) {
+    if (s.name != "MEM") bodies.push_back(s);
+  }
+  return bodies;
+}
+
 class Mutator {
  public:
-  Mutator(const std::vector<u8>& blob, u64 seed) : blob_(blob), rng_(seed) {
-    for (const testutil::SectionSpan& s : testutil::sections_of(blob)) {
-      if (s.name == "MEM") continue;
-      bodies_.push_back(s);
+  using Seal = void (*)(std::vector<u8>&);
+
+  Mutator(const std::vector<u8>& blob, u64 seed,
+          std::vector<testutil::SectionSpan> bodies, Seal seal)
+      : blob_(blob), rng_(seed), bodies_(std::move(bodies)), seal_(seal) {
+    for (const testutil::SectionSpan& s : bodies_) {
       for (size_t at = s.body; at + 8 <= s.body + s.len; ++at) {
         const u64 v = testutil::load_le64(blob, at);
         if (v >= 1 && v <= 4096) counts_.push_back(at);
@@ -78,13 +111,13 @@ class Mutator {
   std::vector<u8> next() {
     std::vector<u8> out = blob_;
     for (u64 k = rng_.range(1, 3); k > 0; --k) mutate(out);
-    snapshot::seal(out);
+    seal_(out);
     return out;
   }
 
  private:
   // Any byte of the blob one time in five (header and memory included),
-  // otherwise a byte of a non-memory section.
+  // otherwise a byte of one of the aimed-at regions.
   size_t offset(size_t width) {
     if (rng_.below(5) == 0 || bodies_.empty()) {
       return rng_.below(blob_.size() - width + 1);
@@ -114,36 +147,85 @@ class Mutator {
   const std::vector<u8>& blob_;
   Rng rng_;
   std::vector<testutil::SectionSpan> bodies_;
+  Seal seal_;
   std::vector<size_t> counts_;
 };
 
-// Runs one mutated blob through the restore path and classifies it.
-void restore_one(const std::vector<u8>& blob, u64 index, Tally& tally) {
+// Saves the restored machine, restores that save into a fresh machine and
+// saves again: the two saves must be byte-identical.
+void expect_fixed_point(sim::Machine& restored, const std::string& input) {
+  try {
+    const std::vector<u8> once = snapshot::save(restored);
+    sim::Machine again(snapshot::config_from(once));
+    snapshot::restore(again, once);
+    EXPECT_EQ(snapshot::save(again), once)
+        << input << ": load then save is not a fixed point";
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << input << ": restoring its own save failed: " << e.what();
+  }
+}
+
+// Runs one mutated blob through the restore path and classifies it, then
+// diffs it against the blob it was mutated from.
+void restore_one(const std::vector<u8>& seed_blob,
+                 const std::vector<u8>& blob, const std::string& input,
+                 Tally& tally) {
+  std::unique_ptr<sim::Machine> target;
   g_armed = true;
   try {
-    sim::Machine target(snapshot::config_from(blob));
-    snapshot::restore(target, blob);
+    target = std::make_unique<sim::Machine>(snapshot::config_from(blob));
+    snapshot::restore(*target, blob);
     g_armed = false;
     ++tally.restored;
   } catch (const snapshot::SnapshotError&) {
     g_armed = false;
+    target.reset();
     ++tally.typed_errors;
   } catch (const std::exception& e) {
     g_armed = false;
-    ADD_FAILURE() << "mutation " << index
-                  << " escaped restore as a non-snapshot error: " << e.what();
+    target.reset();
+    ADD_FAILURE() << input << " escaped restore as a non-snapshot error: "
+                  << e.what();
   }
+  if (target != nullptr) expect_fixed_point(*target, input);
+  g_armed = true;
+  try {
+    snapshot::diff(seed_blob, blob);
+  } catch (const snapshot::SnapshotError&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << input << " escaped diff as a non-snapshot error: "
+                  << e.what();
+  }
+  g_armed = false;
   EXPECT_EQ(g_oversized.exchange(0), 0u)
-      << "mutation " << index << " requested an allocation over "
-      << kAllocCap << " bytes";
+      << input << " requested an allocation over " << kAllocCap << " bytes";
+}
+
+// `blob` with its MEM body cut to its first 4 bytes, re-sealed.
+std::vector<u8> short_mem(const std::vector<u8>& blob) {
+  const auto mem = testutil::section_named(blob, "MEM");
+  SEALPK_CHECK(mem.has_value() && mem->len > 4);
+  std::vector<u8> out(blob.begin(),
+                      blob.begin() + static_cast<ptrdiff_t>(mem->body + 4));
+  out.insert(out.end(),
+             blob.begin() + static_cast<ptrdiff_t>(mem->body + mem->len),
+             blob.end());
+  testutil::store_le64(out, mem->body - 8, 4);
+  testutil::store_le64(out, 12, out.size() - testutil::kSnapshotHeader);
+  snapshot::seal(out);
+  return out;
 }
 
 void fuzz(const std::vector<u8>& blob, u64 seed) {
-  Mutator mutator(blob, seed);
+  Mutator mutator(blob, seed, snapshot_bodies(blob), snapshot::seal);
   ASSERT_GT(mutator.count_candidates(), 0u);
+  // Fixed inputs first, on their own tally.
+  Tally fixed;
+  restore_one(blob, short_mem(blob), "the short-MEM input", fixed);
+  EXPECT_EQ(fixed.typed_errors, 1u);
   Tally tally;
   for (u64 i = 0; i < kMutationsPerSeed; ++i) {
-    restore_one(mutator.next(), i, tally);
+    restore_one(blob, mutator.next(), "mutation " + std::to_string(i), tally);
     if (::testing::Test::HasFailure()) break;
   }
   EXPECT_EQ(tally.restored + tally.typed_errors, kMutationsPerSeed);
@@ -168,6 +250,83 @@ TEST(SnapshotFuzz, MidRunVkeyChurnMachine) {
   ASSERT_NE(m, nullptr);
   ASSERT_NE(m->kernel().process(1).vkeys, nullptr);
   fuzz(snapshot::save(*m), 0x5eed0002);
+}
+
+// A recorded trace of the qsort workload.
+std::vector<u8> qsort_trace() {
+  for (const wl::Workload& w : wl::all_workloads()) {
+    if (std::string(w.name) != "qsort") continue;
+    sim::MachineConfig config;
+    config.trace.enabled = true;
+    config.trace.sample_interval = 512;
+    sim::Machine machine(config);
+    if (machine.load(w.build(w.test_scale).link()) < 0) break;
+    machine.run();
+    return machine.recorder()->serialize_blob();
+  }
+  ADD_FAILURE() << "qsort did not load";
+  return {};
+}
+
+// Parses one trace blob; false if anything but CheckError escaped or an
+// allocation went over the cap.
+bool parse_one(const std::vector<u8>& blob, const std::string& input,
+               Tally& tally) {
+  g_armed = true;
+  try {
+    obs::parse(blob);
+    ++tally.restored;
+  } catch (const CheckError&) {
+    ++tally.typed_errors;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << input << " escaped parse as a non-check error: "
+                  << e.what();
+  }
+  g_armed = false;
+  EXPECT_EQ(g_oversized.exchange(0), 0u)
+      << input << " requested an allocation over " << kAllocCap << " bytes";
+  return !::testing::Test::HasFailure();
+}
+
+TEST(TraceFuzz, RecordedQsortTrace) {
+  const std::vector<u8> blob = qsort_trace();
+  ASSERT_GT(blob.size(), testutil::kSnapshotHeader);
+  const obs::Trace trace = obs::parse(blob);
+  ASSERT_FALSE(trace.events.empty());
+
+  // Fixed inputs: event counts far past the payload, which must be refused
+  // before anything is sized by them.
+  const size_t nevents_at =
+      blob.size() - trace.events.size() * obs::Event::kWireBytes - 8;
+  ASSERT_EQ(testutil::load_le64(blob, nevents_at), trace.events.size());
+  Tally fixed;
+  for (const unsigned shift : {26u, 60u}) {
+    std::vector<u8> bad = blob;
+    testutil::store_le64(bad, nevents_at, u64{1} << shift);
+    reseal_trace(bad);
+    ASSERT_TRUE(
+        parse_one(bad, "nevents 2^" + std::to_string(shift), fixed));
+  }
+  EXPECT_EQ(fixed.typed_errors, 2u);
+
+  const testutil::SectionSpan payload{
+      "payload", testutil::kSnapshotHeader,
+      blob.size() - testutil::kSnapshotHeader};
+  Mutator mutator(blob, 0x5eed0003, {payload}, reseal_trace);
+  ASSERT_GT(mutator.count_candidates(), 0u);
+  Tally tally;
+  for (u64 i = 0; i < kMutationsPerSeed; ++i) {
+    if (!parse_one(mutator.next(), "trace mutation " + std::to_string(i),
+                   tally)) {
+      break;
+    }
+  }
+  EXPECT_EQ(tally.restored + tally.typed_errors, kMutationsPerSeed);
+  EXPECT_GT(tally.restored, 0u);
+  EXPECT_GT(tally.typed_errors, 0u);
+  std::printf("trace seed 0x5eed0003: %llu parsed, %llu check errors\n",
+              static_cast<unsigned long long>(tally.restored),
+              static_cast<unsigned long long>(tally.typed_errors));
 }
 
 }  // namespace
