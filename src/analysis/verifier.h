@@ -55,7 +55,7 @@ struct VerifyOptions {
   std::vector<std::pair<u64, u64>> gate_regions;
 
   // Structural lints (on by default). Ecall numbers are always checked
-  // against the kernel's served list (os::sys::kServed).
+  // against the kernel's syscall table (os::sys::served).
   bool check_reserved_regs = true;   // s10/s11 discipline
   bool flag_unresolved_syscalls = true;  // info when a7 cannot be resolved
 };

@@ -84,10 +84,14 @@ class Pkr {
   // / pkey_free, which run in supervisor mode and own the whole structure).
   void set_perm(u32 pkey, u8 perm) {
     SEALPK_CHECK(pkey < kNumPkeys && perm < 4);
+    set_perm_in(rows_, pkey, perm);
+    parity_[pkr_row_of(pkey)] = row_parity(rows_[pkr_row_of(pkey)]);
+  }
+  // The same write into a saved copy of the rows (a thread's context).
+  static void set_perm_in(Snapshot& rows, u32 pkey, u8 perm) {
     const u32 row = pkr_row_of(pkey);
-    rows_[row] = deposit(rows_[row], 2 * pkr_slot_of(pkey) + 1,
-                         2 * pkr_slot_of(pkey), perm);
-    parity_[row] = row_parity(rows_[row]);
+    rows[row] = deposit(rows[row], 2 * pkr_slot_of(pkey) + 1,
+                        2 * pkr_slot_of(pkey), perm);
   }
 
   bool read_disabled(u32 pkey) { return (perm_of(pkey) & 0b10) != 0; }

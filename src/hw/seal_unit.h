@@ -204,14 +204,8 @@ class SealUnit {
       io.fields(e.pkey, e.addr_start, e.addr_end, s.cam_valid[i]);
     }
     io.field(s.fifo_next);
-  }
-  static void save_snapshot(ByteWriter& w, const Snapshot& s) {
-    snapshot_fields(w, s);
-  }
-  static Snapshot load_snapshot(ByteReader& r) {
-    Snapshot s;
-    snapshot_fields(r, s);
-    return s;
+    SEALPK_CHECK_MSG(s.fifo_next < kPkCamEntries,
+                     "PK-CAM FIFO cursor " << s.fifo_next << " out of range");
   }
 
   Snapshot save() const {

@@ -180,6 +180,8 @@ class Tlb {
     auto& st = self.stats_;
     io.fields(self.next_victim_, st.hits, st.misses, st.flushes,
               st.evictions);
+    SEALPK_CHECK_MSG(self.next_victim_ < slots,
+                     "TLB victim cursor past " << slots << " slots");
   }
 
   struct Slot {

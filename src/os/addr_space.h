@@ -109,7 +109,6 @@ class AddressSpace {
   // The leaf PTE bits `prot` should produce (V|U plus R/W/X with the
   // W-implies-R fixup).
   static u64 leaf_flags_for_prot(u64 prot);
-  void write_leaf(u64 vaddr, u64 pte);
   // Splits any VMA straddling `addr` so that `addr` becomes a boundary.
   void split_at(u64 addr);
   bool range_fully_mapped(u64 addr, u64 len) const;

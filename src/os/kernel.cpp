@@ -1,9 +1,10 @@
 #include "os/kernel.h"
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "mpk/key_manager.h"
-#include "vault/format.h"
 
 namespace sealpk::os {
 
@@ -220,10 +221,7 @@ void Kernel::set_hw_pkey_perm(u32 pkey, u8 perm) {
     // Mirror the kernel-path write into the running thread's PKR shadow so
     // the shadow stays a faithful scrub source.
     if (has_current_thread()) {
-      auto& pkr = thread(current_tid_).ctx.pkr;
-      const u32 row = hw::pkr_row_of(pkey);
-      const u32 slot = hw::pkr_slot_of(pkey);
-      pkr[row] = deposit(pkr[row], 2 * slot + 1, 2 * slot, perm);
+      hw::Pkr::set_perm_in(thread(current_tid_).ctx.pkr, pkey, perm);
     }
   } else {
     hart_.pkru().set_perm(pkey, (perm & 0b01) != 0, (perm & 0b10) != 0);
@@ -341,13 +339,7 @@ void Kernel::handle_page_fault(core::TrapCause cause) {
            ? static_cast<u32>(hart_.csrs().spkinfo & 0x3FF)
            : obs::kNoPkey,
        hart_.csrs().stval, static_cast<u64>(cause));
-  hart_.add_cycles(hart_.timing().fault_handler_cycles);
-  FaultRecord rec;
-  rec.pid = thread(current_tid_).pid;
-  rec.tid = current_tid_;
-  rec.cause = cause;
-  rec.addr = hart_.csrs().stval;
-  rec.pc = hart_.csrs().sepc;
+  FaultRecord rec = fault_record(cause);
   // §III-B.2: the fault report is augmented with the pkey when the denial
   // came from the protection key rather than the PTE.
   if (cause != core::TrapCause::kInstPageFault &&
@@ -370,15 +362,18 @@ void Kernel::handle_page_fault(core::TrapCause cause) {
     case Recovery::kNone:
       break;
   }
-  if (deliver_signal(rec)) {
-    faults_.push_back(rec);
-    return;
-  }
-  faults_.push_back(rec);
-  sys_exit(-static_cast<i64>(cause));
+  signal_or_exit(rec, /*deliverable=*/true);
 }
 
 void Kernel::fatal_fault(core::TrapCause cause) {
+  FaultRecord rec = fault_record(cause);
+  // Seal violations are SEGV-class and deliverable like page faults.
+  rec.pkey_fault = cause == core::TrapCause::kSealViolation;
+  if (rec.pkey_fault) rec.pkey = static_cast<u32>(hart_.csrs().stval & 0x3FF);
+  signal_or_exit(rec, /*deliverable=*/rec.pkey_fault);
+}
+
+FaultRecord Kernel::fault_record(core::TrapCause cause) {
   hart_.add_cycles(hart_.timing().fault_handler_cycles);
   FaultRecord rec;
   rec.pid = thread(current_tid_).pid;
@@ -386,17 +381,13 @@ void Kernel::fatal_fault(core::TrapCause cause) {
   rec.cause = cause;
   rec.addr = hart_.csrs().stval;
   rec.pc = hart_.csrs().sepc;
-  if (cause == core::TrapCause::kSealViolation) {
-    rec.pkey_fault = true;
-    rec.pkey = static_cast<u32>(hart_.csrs().stval & 0x3FF);
-    // Seal violations are SEGV-class and deliverable like page faults.
-    if (deliver_signal(rec)) {
-      faults_.push_back(rec);
-      return;
-    }
-  }
+  return rec;
+}
+
+void Kernel::signal_or_exit(FaultRecord& rec, bool deliverable) {
+  const bool delivered = deliverable && deliver_signal(rec);
   faults_.push_back(rec);
-  sys_exit(-static_cast<i64>(cause));
+  if (!delivered) sys_exit(-static_cast<i64>(rec.cause));
 }
 
 // Redirects the faulting thread into its process's registered handler.
@@ -486,6 +477,77 @@ void Kernel::kill_current(i64 code, KillOrigin origin) {
   sys_exit(code);
 }
 
+struct Kernel::SyscallArgs {
+  u64 a0, a1, a2, a3, resume_pc;
+};
+
+namespace {
+// The table handler of a service whose parameters take a0, a1, ... in
+// order; one with no result (exit, sigreturn) redirected the hart itself.
+template <auto fn, typename Args>
+std::optional<i64> service(Kernel& k, const Args& a) {
+  const u64 regs[] = {a.a0, a.a1, a.a2, a.a3};
+  return [&]<typename R, typename... P>(R (Kernel::*)(P...)) {
+    return [&]<size_t... I>(std::index_sequence<I...>) -> std::optional<i64> {
+      if constexpr (std::is_void_v<R>) {
+        (k.*fn)(static_cast<P>(regs[I])...);
+        return std::nullopt;
+      } else {
+        return (k.*fn)(static_cast<P>(regs[I])...);
+      }
+    }(std::index_sequence_for<P...>{});
+  }(fn);
+}
+}  // namespace
+
+// Every served syscall, at its number; any other number is ENOSYS.
+constinit const std::array<Kernel::SyscallHandler, sys::kTableSize>
+    Kernel::kSyscalls = [] {
+      using Args = const SyscallArgs&;
+      using Ret = std::optional<i64>;
+      std::array<SyscallHandler, sys::kTableSize> t{};
+      t[sys::kWrite] = service<&Kernel::sys_write>;
+      t[sys::kExit] = service<&Kernel::sys_exit>;
+      t[sys::kSchedYield] = [](Kernel& k, Args a) -> Ret {
+        if (k.run_queue_.empty()) return 0;
+        k.hart_.set_reg(isa::a0, 0);
+        k.yield_to_next(a.resume_pc);
+        return std::nullopt;
+      };
+      t[sys::kSigaction] = [](Kernel& k, Args a) -> Ret {
+        k.current_process().signal_handler = a.a0;
+        return 0;
+      };
+      t[sys::kSigreturn] = service<&Kernel::sys_sigreturn>;
+      t[sys::kGetTid] = [](Kernel& k, Args) -> Ret { return k.current_tid_; };
+      t[sys::kMunmap] = service<&Kernel::sys_munmap>;
+      t[sys::kClone] = service<&Kernel::sys_clone>;
+      t[sys::kMmap] = service<&Kernel::sys_mmap>;
+      t[sys::kMprotect] = service<&Kernel::sys_mprotect>;
+      t[sys::kPkeyMprotect] = service<&Kernel::sys_pkey_mprotect>;
+      t[sys::kPkeyAlloc] = service<&Kernel::sys_pkey_alloc>;
+      t[sys::kPkeyFree] = service<&Kernel::sys_pkey_free>;
+      t[sys::kPkeySeal] = service<&Kernel::sys_pkey_seal>;
+      t[sys::kPkeyPermSeal] = service<&Kernel::sys_pkey_perm_seal>;
+      t[sys::kReport] = [](Kernel& k, Args a) -> Ret {
+        k.reports_.push_back(a.a0);
+        return 0;
+      };
+      t[sys::kMark] = service<&Kernel::record_mark>;
+      t[sys::kVaultSeal] = [](Kernel& k, Args a) -> Ret {
+        return k.sys_vault_commit(a.a0, a.a1, /*reseal=*/false);
+      };
+      t[sys::kVaultUnseal] = service<&Kernel::sys_vault_unseal>;
+      t[sys::kVaultReseal] = [](Kernel& k, Args a) -> Ret {
+        return k.sys_vault_commit(a.a0, a.a1, /*reseal=*/true);
+      };
+      t[sys::kVpkeyAlloc] = service<&Kernel::sys_vpkey_alloc>;
+      t[sys::kVpkeyFree] = service<&Kernel::sys_vpkey_free>;
+      t[sys::kVpkeyMprotect] = service<&Kernel::sys_vpkey_mprotect>;
+      t[sys::kVpkeySet] = service<&Kernel::sys_vpkey_set>;
+      return t;
+    }();
+
 void Kernel::do_syscall() {
   ++stats_.syscalls;
   const u64 nr = hart_.reg(isa::a7);
@@ -498,92 +560,16 @@ void Kernel::do_syscall() {
   const u64 a3 = hart_.reg(isa::a3);
   const u64 resume_pc = hart_.csrs().sepc + 4;
 
-  i64 ret = 0;
-  switch (nr) {
-    case sys::kExit:
-      sys_exit(static_cast<i64>(a0));
-      return;
-    case sys::kSchedYield: {
-      hart_.set_reg(isa::a0, 0);
-      if (!run_queue_.empty()) {
-        yield_to_next(resume_pc);
-      } else {
-        return_to_user(resume_pc);
-      }
-      return;
-    }
-    case sys::kGetTid:
-      ret = current_tid_;
-      break;
-    case sys::kWrite:
-      ret = sys_write(a0, a1, a2);
-      break;
-    case sys::kMmap:
-      ret = sys_mmap(a0, a1, a2);
-      break;
-    case sys::kMunmap:
-      ret = sys_munmap(a0, a1);
-      break;
-    case sys::kMprotect:
-      ret = sys_mprotect(a0, a1, a2);
-      break;
-    case sys::kPkeyMprotect:
-      ret = sys_pkey_mprotect(a0, a1, a2, a3);
-      break;
-    case sys::kPkeyAlloc:
-      ret = sys_pkey_alloc(a0, a1);
-      break;
-    case sys::kPkeyFree:
-      ret = sys_pkey_free(a0);
-      break;
-    case sys::kPkeySeal:
-      ret = sys_pkey_seal(a0, a1, a2);
-      break;
-    case sys::kPkeyPermSeal:
-      ret = sys_pkey_perm_seal(a0);
-      break;
-    case sys::kClone:
-      ret = sys_clone(a0, a1, a2);
-      break;
-    case sys::kReport:
-      reports_.push_back(a0);
-      break;
-    case sys::kVaultSeal:
-      ret = sys_vault_commit(a0, a1, /*reseal=*/false);
-      break;
-    case sys::kVaultReseal:
-      ret = sys_vault_commit(a0, a1, /*reseal=*/true);
-      break;
-    case sys::kVaultUnseal:
-      ret = sys_vault_unseal(a0, a1, a2);
-      break;
-    case sys::kVpkeyAlloc:
-      ret = sys_vpkey_alloc(a0, a1);
-      break;
-    case sys::kVpkeyFree:
-      ret = sys_vpkey_free(a0);
-      break;
-    case sys::kVpkeyMprotect:
-      ret = sys_vpkey_mprotect(a0, a1, a2, a3);
-      break;
-    case sys::kVpkeySet:
-      ret = sys_vpkey_set(a0, a1);
-      break;
-    case sys::kMark:
-      ret = record_mark(a0, a1, a2, static_cast<u32>(a3));
-      break;
-    case sys::kSigaction:
-      current_process().signal_handler = a0;
-      break;
-    case sys::kSigreturn:
-      sys_sigreturn(a0);
-      return;
-    default:
-      ret = err::kNoSys;
-      break;
-  }
-  hart_.set_reg(isa::a0, static_cast<u64>(ret));
+  const std::optional<i64> ret =
+      sys::served(nr) ? kSyscalls[nr](*this, {a0, a1, a2, a3, resume_pc})
+                      : err::kNoSys;
+  if (!ret.has_value()) return;  // the handler redirected the hart
+  hart_.set_reg(isa::a0, static_cast<u64>(*ret));
   return_to_user(resume_pc);
+}
+
+bool sys::served(u64 nr) {
+  return nr < Kernel::kSyscalls.size() && Kernel::kSyscalls[nr] != nullptr;
 }
 
 i64 Kernel::sys_write(u64 fd, u64 buf, u64 len) {
@@ -637,194 +623,6 @@ i64 Kernel::record_mark(u64 kind, u64 arg0, u64 arg1, u32 pkey) {
   return 0;
 }
 
-// --- sealed-storage vault (src/vault, DESIGN.md §14) -------------------------
-
-i64 Kernel::open_vault(u64 vault_base, vault::Geometry* geo) {
-  if (hart_.config().flavor != core::IsaFlavor::kSealPk) return err::kNoSys;
-  hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
-  AddressSpace& as = current_aspace();
-  u8 sb[vault::kSuperblockSize];
-  if (!as.copy_in(vault_base, sb, vault::kSuperblockSize)) return err::kFault;
-  const std::optional<vault::Geometry> parsed =
-      vault::parse_superblock(sb, vault::kSuperblockSize);
-  if (!parsed) return err::kInval;
-  const Vma* vma = as.find_vma(vault_base);
-  if (vma == nullptr || vma->pkey != parsed->vault_pkey ||
-      vault_base + parsed->total_len() > vma->end) {
-    return err::kInval;
-  }
-  // The vault domain itself must be fully sealed before the kernel will
-  // notarise anything into it or serve anything out of it: an unsealed
-  // "vault" offers no guarantee the guest can't rewrite history behind the
-  // journal's back.
-  const u32 vk = static_cast<u32>(parsed->vault_pkey);
-  if (!current_keys().domain_sealed(vk) || !current_keys().pages_sealed(vk)) {
-    return err::kPerm;
-  }
-  *geo = *parsed;
-  return 0;
-}
-
-i64 Kernel::sys_vault_commit(u64 vault_base, u64 intent_off, bool reseal) {
-  vault::Geometry geo;
-  if (const i64 rc = open_vault(vault_base, &geo); rc != 0) return rc;
-  AddressSpace& as = current_aspace();
-  const u32 vk = static_cast<u32>(geo.vault_pkey);
-
-  // Intent records live at even journal indices; the kernel owns the odd
-  // slot right after each one.
-  if (intent_off < geo.journal_off ||
-      (intent_off - geo.journal_off) % vault::kRecordSize != 0) {
-    return err::kInval;
-  }
-  const u64 index = (intent_off - geo.journal_off) / vault::kRecordSize;
-  if ((index % 2) != 0 || index + 1 >= geo.journal_cap) return err::kInval;
-
-  u8 rb[vault::kRecordSize];
-  if (!as.copy_in(vault_base + intent_off, rb, vault::kRecordSize)) {
-    return err::kFault;
-  }
-  const vault::Record intent = vault::parse_record(rb);
-  if (!intent.present) return err::kInval;
-  if (!intent.valid) {
-    // A torn or corrupted intent is detected — and refused — here, never
-    // silently committed.
-    ++vault_stats_.corruption_detected;
-    return err::kInval;
-  }
-  if (intent.type != (reseal ? vault::kRecordIntentReseal
-                             : vault::kRecordIntentSeal)) {
-    return err::kInval;
-  }
-  if (intent.slot >= geo.n_slots || intent.len == 0 ||
-      intent.len > geo.slot_size || (intent.len % 8) != 0) {
-    return err::kInval;
-  }
-
-  // Ownership gate: the caller's *live* PKR must grant read+write on the
-  // vault's owner domain. A handler running with the owner key closed (or
-  // a foreign process) is refused and the refusal is notarised.
-  if (hart_.pkr().peek_perm(static_cast<u32>(geo.owner_pkey)) !=
-      pkeyperm::kRw) {
-    ++vault_stats_.denials;
-    record_mark(mark::kVaultDenied, intent.id, static_cast<u64>(-err::kAcces),
-                vk);
-    return err::kAcces;
-  }
-
-  std::vector<u8> region(geo.total_len());
-  if (!as.copy_in(vault_base, region.data(), region.size())) {
-    return err::kFault;
-  }
-  hart_.add_cycles(region.size() / 8);  // journal scan + checksum cost
-  const vault::Ledger ledger = vault::replay(region.data(), region.size());
-  const auto live = ledger.live.find(intent.id);
-  if (!reseal && live != ledger.live.end()) return err::kBusy;
-  if (reseal) {
-    if (live == ledger.live.end()) return err::kInval;
-    // Copy-on-write: a reseal must land in a fresh slot with a newer
-    // sequence number, so a crash mid-payload-write can never tear the
-    // still-committed previous version.
-    if (live->second.slot == intent.slot || intent.seq <= live->second.seq) {
-      return err::kInval;
-    }
-  }
-  for (const auto& [id, b] : ledger.live) {
-    if (b.slot == intent.slot) return err::kBusy;  // slot holds live data
-  }
-  // The kernel's half of the record pair must still be virgin.
-  const vault::Record existing =
-      vault::parse_record(region.data() + geo.record_off(index + 1));
-  if (existing.present) return err::kBusy;
-
-  // The payload must already be fully in place and match the intent's
-  // checksum — the commit record is the durability point, so nothing may
-  // be outstanding once it exists.
-  if (checksum64(region.data() + geo.slot_off(intent.slot), intent.len) !=
-      intent.payload_fnv) {
-    ++vault_stats_.corruption_detected;
-    return err::kBadMsg;
-  }
-
-  const std::vector<u8> commit =
-      vault::record_bytes(vault::kRecordCommit, intent.id, intent.slot,
-                          intent.len, intent.seq, intent.payload_fnv);
-  if (!as.copy_out(vault_base + geo.record_off(index + 1), commit.data(),
-                   commit.size())) {
-    return err::kFault;
-  }
-  if (reseal) {
-    ++vault_stats_.reseals;
-  } else {
-    ++vault_stats_.seals;
-  }
-  record_mark(mark::kVaultCommit, intent.id, intent.seq, vk);
-  return 0;
-}
-
-i64 Kernel::sys_vault_unseal(u64 vault_base, u64 id, u64 dst) {
-  vault::Geometry geo;
-  if (const i64 rc = open_vault(vault_base, &geo); rc != 0) return rc;
-  AddressSpace& as = current_aspace();
-  const u32 vk = static_cast<u32>(geo.vault_pkey);
-  if (hart_.pkr().peek_perm(static_cast<u32>(geo.owner_pkey)) !=
-      pkeyperm::kRw) {
-    ++vault_stats_.denials;
-    record_mark(mark::kVaultDenied, id, static_cast<u64>(-err::kAcces), vk);
-    return err::kAcces;
-  }
-
-  std::vector<u8> region(geo.total_len());
-  if (!as.copy_in(vault_base, region.data(), region.size())) {
-    return err::kFault;
-  }
-  hart_.add_cycles(region.size() / 8);
-  // Newest valid commit for `id` (structural scan; payload verified below
-  // so a checksum failure is reported as corruption, not as "absent").
-  bool found = false;
-  vault::Record best;
-  for (u64 i = 1; i < geo.journal_cap; i += 2) {
-    const vault::Record r =
-        vault::parse_record(region.data() + geo.record_off(i));
-    if (!r.present || !r.valid || r.type != vault::kRecordCommit) continue;
-    if (r.id != id || r.slot >= geo.n_slots || r.len > geo.slot_size) {
-      continue;
-    }
-    if (!found || r.seq >= best.seq) {
-      best = r;
-      found = true;
-    }
-  }
-  if (!found) return err::kInval;
-  if (checksum64(region.data() + geo.slot_off(best.slot), best.len) !=
-      best.payload_fnv) {
-    // Detected before serving: a corrupted committed payload is never
-    // handed out.
-    ++vault_stats_.corruption_detected;
-    return err::kBadMsg;
-  }
-
-  // The destination must sit entirely inside the owner domain and be
-  // writable under the caller's live PKR: secrets never leave the
-  // {vault, owner} domain pair through this syscall.
-  const u64 first = align_down(dst, mem::kPageSize);
-  for (u64 page = first; page < dst + best.len; page += mem::kPageSize) {
-    const std::optional<u32> pkey = as.page_pkey(page);
-    if (!pkey.has_value()) return err::kFault;
-    if (*pkey != geo.owner_pkey ||
-        (hart_.pkr().peek_perm(*pkey) & 0b01) != 0) {
-      return err::kAcces;
-    }
-  }
-  if (!as.copy_out(dst, region.data() + geo.slot_off(best.slot), best.len)) {
-    return err::kFault;
-  }
-  hart_.add_cycles(best.len);  // copy_to_user cost
-  ++vault_stats_.unseals;
-  record_mark(mark::kVaultUnseal, id, best.len, vk);
-  return static_cast<i64>(best.len);
-}
-
 // addr == 0 lets the kernel pick from the mmap region; a non-zero addr is
 // honoured exactly (MAP_FIXED-style) or fails with EINVAL on overlap.
 i64 Kernel::sys_mmap(u64 addr, u64 len, u64 prot) {
@@ -866,190 +664,6 @@ i64 Kernel::sys_mprotect(u64 addr, u64 len, u64 prot) {
     return 0;
   }
   return pages;
-}
-
-i64 Kernel::retag_pages(u64 addr, u64 len, u64 prot, u32 pkey) {
-  const auto& t = hart_.timing();
-  KeyManager& keys = current_keys();
-  const i64 pages = current_aspace().protect_pkey(
-      addr, len, prot, pkey,
-      [&keys](u32 k) { return keys.domain_sealed(k); },
-      [&keys](u32 k) { return keys.pages_sealed(k); }, page_delta_hook());
-  hart_.add_cycles(t.vma_lookup_cycles);
-  if (pages >= 0) {
-    hart_.add_cycles(static_cast<u64>(pages) * t.pte_update_cycles);
-    stats_.pte_pages_updated += static_cast<u64>(pages);
-  }
-  return pages;
-}
-
-i64 Kernel::sys_pkey_mprotect(u64 addr, u64 len, u64 prot, u64 pkey) {
-  if (!current_keys().assignable(static_cast<u32>(pkey))) return err::kInval;
-  const i64 pages = retag_pages(addr, len, prot, static_cast<u32>(pkey));
-  if (pages < 0) return pages;
-  hart_.add_cycles(hart_.timing().tlb_flush_cycles);
-  hart_.flush_tlbs();
-  emit(obs::EventKind::kPkeyMprotect, static_cast<u32>(pkey), addr,
-       static_cast<u64>(pages));
-  return 0;
-}
-
-i64 Kernel::sys_pkey_alloc(u64 flags, u64 init_perm) {
-  if (flags != 0 || init_perm > 3) return err::kInval;
-  hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
-  const i64 pkey = current_keys().alloc();
-  if (pkey >= 0) {
-    set_hw_pkey_perm(static_cast<u32>(pkey), static_cast<u8>(init_perm));
-    emit(obs::EventKind::kPkeyAlloc, static_cast<u32>(pkey), init_perm, 0);
-  }
-  return pkey;
-}
-
-i64 Kernel::sys_pkey_free(u64 pkey) {
-  hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
-  KeyManager& keys = current_keys();
-  const i64 rc = keys.free_key(static_cast<u32>(pkey));
-  if (rc != 0) return rc;
-  emit(obs::EventKind::kPkeyFree, static_cast<u32>(pkey),
-       keys.page_count(static_cast<u32>(pkey)), 0);
-  if (hart_.config().flavor == core::IsaFlavor::kSealPk) {
-    // Lazy de-allocation (§III-B.1): clear the key's PKR permission to
-    // (0,0) so the page-table permissions alone govern its orphan pages,
-    // in the current thread and in every sibling's saved PKR.
-    set_hw_pkey_perm(static_cast<u32>(pkey), 0);
-    Process& proc = current_process();
-    for (const int tid : proc.thread_tids) {
-      Thread& th = thread(tid);
-      const u32 row = hw::pkr_row_of(static_cast<u32>(pkey));
-      const u32 slot = hw::pkr_slot_of(static_cast<u32>(pkey));
-      th.ctx.pkr[row] =
-          deposit(th.ctx.pkr[row], 2 * slot + 1, 2 * slot, 0);
-    }
-    // Immediate full release: when no page carries the key, free_key()
-    // scrubbed the bookkeeping without going through the lazy quarantine,
-    // so the drained hook never fires. Dissolve the hardware seal state
-    // here too, or a future pkey_alloc would hand out a key whose SealReg
-    // bit and PK-CAM entry still belong to the previous owner (found by
-    // the model checker; replayed in tests/model_traces/).
-    if (!keys.dirty(static_cast<u32>(pkey))) {
-      hart_.seal_unit().clear_key(static_cast<u32>(pkey));
-    }
-  }
-  // The Intel-MPK flavour intentionally leaves PKRU and the PTEs untouched,
-  // reproducing Linux's eager-free semantics (the use-after-free bug).
-  return 0;
-}
-
-i64 Kernel::sys_pkey_seal(u64 pkey, u64 seal_domain, u64 seal_page) {
-  hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
-  const i64 rc = current_keys().seal(static_cast<u32>(pkey),
-                                     seal_domain != 0, seal_page != 0);
-  if (rc == 0) {
-    emit(obs::EventKind::kPkeySeal, static_cast<u32>(pkey), seal_domain,
-         seal_page);
-  }
-  return rc;
-}
-
-i64 Kernel::sys_pkey_perm_seal(u64 pkey) {
-  const auto& t = hart_.timing();
-  hart_.add_cycles(t.pkey_bookkeeping_cycles);
-  const SealRange range{hart_.csrs().seal_start, hart_.csrs().seal_end};
-  const i64 rc =
-      current_keys().set_perm_seal(static_cast<u32>(pkey), range);
-  if (rc != 0) return rc;
-  // Commit via the supervisor-only custom instruction path (spk.range +
-  // spk.seal) — modelled as direct unit updates with the same cycle cost.
-  hart_.add_cycles(2 * t.rocc_cycles);
-  hart_.seal_unit().set_sealed(static_cast<u32>(pkey));
-  hart_.seal_unit().refill(static_cast<u32>(pkey), range.start, range.end);
-  emit(obs::EventKind::kPkeyPermSeal, static_cast<u32>(pkey), range.start,
-       range.end);
-  return 0;
-}
-
-// Maps the vkey table's side-effect port onto the kernel's real mechanisms,
-// with the same cycle charging as the raw pkey syscalls: rekey() is a
-// pkey_mprotect minus its per-call TLB flush (the table batches those),
-// acquire_phys() is a pkey_alloc, set_perm() is the shared PKR write path.
-struct VkeyKernelOps final : mpk::VkeyOps {
-  Kernel& k;
-  explicit VkeyKernelOps(Kernel& kernel) : k(kernel) {}
-
-  i64 acquire_phys() override {
-    k.hart_.add_cycles(k.hart_.timing().pkey_bookkeeping_cycles);
-    return k.current_keys().alloc();
-  }
-
-  i64 rekey(u64 addr, u64 len, u64 prot, u32 pkey) override {
-    return k.retag_pages(addr, len, prot, pkey);
-  }
-
-  void set_perm(u32 pkey, u8 perm) override { k.set_hw_pkey_perm(pkey, perm); }
-
-  void flush_tlb() override {
-    k.hart_.add_cycles(k.hart_.timing().tlb_flush_cycles);
-    k.hart_.flush_tlbs();
-  }
-
-  void note_map(u64 vkey, u32 phys, u64 pages) override {
-    k.emit(obs::EventKind::kVkeyMap, phys, vkey, pages);
-  }
-
-  void note_evict(u64 vkey, u32 phys, bool drained) override {
-    k.emit(obs::EventKind::kVkeyEvict, phys, vkey, drained ? 1 : 0);
-  }
-
-  void note_sync(u64 pages, u64 vkeys) override {
-    k.emit(obs::EventKind::kVkeySync, obs::kNoPkey, pages, vkeys);
-  }
-};
-
-mpk::VkeyTable& Kernel::ensure_vkeys(Process& proc) {
-  if (!proc.vkeys) {
-    mpk::VkeyTableConfig cfg;
-    cfg.mru_slots = config_.vkey_mru_slots;
-    cfg.lazy_sync = config_.vkey_lazy_sync;
-    proc.vkeys = std::make_unique<mpk::VkeyTable>(cfg);
-  }
-  return *proc.vkeys;
-}
-
-i64 Kernel::sys_vpkey_alloc(u64 flags, u64 init_perm) {
-  hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
-  // Pure metadata: the physical binding happens at first vpkey_set.
-  return ensure_vkeys(current_process()).alloc(flags,
-                                               static_cast<u8>(init_perm));
-}
-
-i64 Kernel::sys_vpkey_free(u64 vkey) {
-  Process& proc = current_process();
-  if (!proc.vkeys) return err::kInval;
-  hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
-  VkeyKernelOps ops(*this);
-  return proc.vkeys->free_vkey(ops, vkey);
-}
-
-i64 Kernel::sys_vpkey_mprotect(u64 addr, u64 len, u64 prot, u64 vkey) {
-  Process& proc = current_process();
-  if (!proc.vkeys) return err::kInval;
-  VkeyKernelOps ops(*this);
-  return proc.vkeys->mprotect(ops, addr, len, prot, vkey);
-}
-
-i64 Kernel::sys_vpkey_set(u64 vkey, u64 perm) {
-  Process& proc = current_process();
-  if (!proc.vkeys) return err::kInval;
-  VkeyKernelOps ops(*this);
-  const i64 rc = proc.vkeys->set(ops, vkey, static_cast<u8>(perm));
-  if (rc < 0) return rc;
-  // An MRU-cache hit is just the PKR write; anything deeper pays the
-  // bookkeeping path (the rekey/flush costs were charged by the ops).
-  const auto outcome = static_cast<mpk::VkeySetOutcome>(rc);
-  hart_.add_cycles(outcome == mpk::VkeySetOutcome::kMruHit
-                       ? hart_.timing().rocc_cycles
-                       : hart_.timing().pkey_bookkeeping_cycles);
-  return 0;
 }
 
 i64 Kernel::sys_clone(u64 entry, u64 stack_top, u64 arg) {
@@ -1166,13 +780,6 @@ void Kernel::save_state(ByteWriter& w) const { state_fields(w, *this); }
 void Kernel::load_state(ByteReader& r) {
   stats_ = {};  // vkey_repairs does not travel: a resumed run recounts it
   state_fields(r, *this);
-}
-
-bool Kernel::any_vkey_tables() const {
-  for (const auto& [pid, proc] : processes_) {
-    if (proc->vkeys) return true;
-  }
-  return false;
 }
 
 // One VKEY record: a pid and, if that process virtualizes, its table.

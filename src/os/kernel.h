@@ -1,7 +1,7 @@
-// The kernel model: program loading, trap/syscall dispatch, the pkey
-// syscalls (incl. the SealPK sealing syscalls), page-fault handling with
-// pkey-augmented fault reports, PK-CAM refill service, and a round-robin
-// scheduler that swaps per-thread PKR state.
+// The kernel model: program loading, trap dispatch, the syscall table,
+// page-fault handling with pkey-augmented fault reports, PK-CAM refill
+// service, and a round-robin scheduler that swaps per-thread PKR state.
+// The pkey and seal syscalls live in sys_pkey.cpp, the vault in sys_vault.cpp.
 //
 // The kernel executes as host code "above" the hart, the way spike's proxy
 // kernel sits above the ISA model: on a trap the hart redirects to stvec in
@@ -10,6 +10,7 @@
 // costs from the TimingModel for each software path it models.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <optional>
@@ -255,19 +256,25 @@ class Kernel {
   // table null.
   void save_vkey_state(ByteWriter& w) const;
   void load_vkey_state(ByteReader& r);
-  bool any_vkey_tables() const;
 
  private:
   // The KERN section's field list, shared by save_state and load_state.
   template <typename Io, typename Self>
   static void state_fields(Io& io, Self& k);
-  // The VkeyOps adapter (kernel.cpp) that maps the vkey table's side-effect
-  // port onto AddressSpace / PKR / TLB mechanisms.
+  // The VkeyOps adapter (sys_pkey.cpp) that maps the vkey table's
+  // side-effect port onto AddressSpace / PKR / TLB mechanisms.
   friend struct VkeyKernelOps;
 
   Process& current_process() { return *processes_.at(thread(current_tid_).pid); }
   KeyManager& current_keys() { return *current_process().keys; }
   AddressSpace& current_aspace() { return *current_process().aspace; }
+
+  // The syscall table (kernel.cpp), indexed by number; sys::served reads it
+  // too. A handler returns a0, or nullopt if it redirected the hart itself.
+  struct SyscallArgs;  // a0..a3 and the PC after the ecall
+  using SyscallHandler = std::optional<i64> (*)(Kernel&, const SyscallArgs&);
+  static const std::array<SyscallHandler, sys::kTableSize> kSyscalls;
+  friend bool sys::served(u64 nr);
 
   void do_syscall();
   i64 sys_mmap(u64 addr, u64 len, u64 prot);
@@ -303,6 +310,11 @@ class Kernel {
   // seal check. Returns 0 with *geo set, or the errno to return.
   i64 open_vault(u64 vault_base, vault::Geometry* geo);
   i64 sys_vault_unseal(u64 vault_base, u64 id, u64 dst);
+  // What both vault syscalls run next: the ownership gate (a refusal of
+  // bundle `id` is notarised), then the whole region read and its scan
+  // charge. Returns 0 with *region set, or the errno to return.
+  i64 owner_region(u64 vault_base, const vault::Geometry& geo, u64 id,
+                   std::vector<u8>* region);
   // Appends a MarkRecord and mirrors it into the event trace. Serves
   // sys::kMark and the kernel-authored vault marks (ground truth for the
   // crash sweep). An unknown kind is still logged but emits no event and
@@ -318,6 +330,10 @@ class Kernel {
   void handle_cam_miss();
   void handle_machine_check();
   void fatal_fault(core::TrapCause cause);
+  // Charges the fault handler and records who faulted where.
+  FaultRecord fault_record(core::TrapCause cause);
+  // Logs `rec`, then signals the guest (if `deliverable`) or exits.
+  void signal_or_exit(FaultRecord& rec, bool deliverable);
 
   // Outcome of the spurious-fault repair attempt inside handle_page_fault.
   enum class Recovery : u8 { kNone, kRecovered, kKilled };

@@ -2,7 +2,8 @@
 // number in a7, args in a0..a5, result in a0).
 //
 // Numbers follow the riscv64 Linux table where an equivalent exists; the
-// SealPK additions (paper §IV) take numbers in an unused range.
+// SealPK additions (paper §IV) take numbers in an unused range. The kernel's
+// syscall table (os/kernel.cpp) binds each served number to its handler.
 #pragma once
 
 #include "common/bits.h"
@@ -59,19 +60,12 @@ constexpr u64 kVpkeyFree = 321;      // vpkey_free(vkey)
 constexpr u64 kVpkeyMprotect = 322;  // vpkey_mprotect(addr, len, prot, vkey)
 constexpr u64 kVpkeySet = 323;       // vpkey_set(vkey, perm)
 
-// Every number the kernel serves; any other returns ENOSYS. The static
-// verifier checks ecall numbers against this list.
-constexpr u64 kServed[] = {
-    kWrite, kExit, kSchedYield, kSigaction, kSigreturn, kGetTid, kClone,
-    kMunmap, kMmap, kMprotect, kPkeyMprotect, kPkeyAlloc, kPkeyFree,
-    kPkeySeal, kPkeyPermSeal, kReport, kMark, kVaultSeal, kVaultUnseal,
-    kVaultReseal, kVpkeyAlloc, kVpkeyFree, kVpkeyMprotect, kVpkeySet};
-constexpr bool served(u64 nr) {
-  for (const u64 served_nr : kServed) {
-    if (served_nr == nr) return true;
-  }
-  return false;
-}
+// One past the highest number; the size of the kernel's syscall table.
+constexpr u64 kTableSize = kVpkeySet + 1;
+
+// Whether the kernel's syscall table (os/kernel.cpp) serves `nr`; any other
+// number returns ENOSYS. The static verifier checks ecall numbers with it.
+bool served(u64 nr);
 }  // namespace sys
 
 // Mark kinds for sys::kMark, mapped 1:1 onto the serve-plane event kinds.

@@ -480,14 +480,20 @@ TEST(Verifier, InlineShadowStackPatternIsTolerated) {
   }();
 }
 
+// 2^32+64 and 2^32+93 would reach write and exit if the syscall table index
+// were truncated to 32 bits, and 2^64-1 would index -1 if it were signed.
 TEST(Verifier, UnknownSyscallNumberIsError) {
-  Program prog = make_main_program([](Program&, isa::Function& f) {
-    f.li(isa::a7, 999);
-    f.ecall();
+  const u64 unknown[] = {999, (u64{1} << 32) + os::sys::kWrite,
+                         (u64{1} << 32) + os::sys::kExit, ~u64{0}};
+  Program prog = make_main_program([&](Program&, isa::Function& f) {
+    for (const u64 nr : unknown) {
+      f.li(isa::a7, static_cast<i64>(nr));
+      f.ecall();
+    }
     f.li(isa::a0, 0);
   });
   const Report report = verify_program(prog);
-  ASSERT_TRUE(has_check(report, Check::kUnknownSyscall));
+  EXPECT_EQ(report.count(Check::kUnknownSyscall), std::size(unknown));
   EXPECT_FALSE(report.admissible());
 }
 

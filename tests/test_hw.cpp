@@ -258,14 +258,16 @@ TEST(SealUnit, CanonicalStateRoundTripsThroughByteStream) {
   SealUnit unit;
   unit.set_sealed(5);
   unit.refill(5, 0x100, 0x200);
+  const SealUnit::Snapshot snap = unit.canonical_state();
   ByteWriter w;
-  SealUnit::save_snapshot(w, unit.canonical_state());
+  SealUnit::snapshot_fields(w, snap);
   ByteReader r(w.buffer());
-  const SealUnit::Snapshot back = SealUnit::load_snapshot(r);
+  SealUnit::Snapshot back;
+  SealUnit::snapshot_fields(r, back);
   EXPECT_TRUE(r.done());
   // Canonical: re-serializing the parsed snapshot is byte-identical.
   ByteWriter w2;
-  SealUnit::save_snapshot(w2, back);
+  SealUnit::snapshot_fields(w2, back);
   EXPECT_EQ(w.buffer(), w2.buffer());
   SealUnit other;
   other.restore(back);

@@ -66,9 +66,12 @@ TEST(KernelBasics, ReportsCollected) {
 }
 
 // The served list the static verifier checks against is the kernel's
-// truth: every other number in the syscall range returns ENOSYS.
+// truth: every other number in the syscall range returns ENOSYS. The last
+// three would reach write or exit if the table index were truncated to 32
+// bits, or index -1 if it were signed.
 TEST(KernelBasics, UnknownSyscallReturnsEnosys) {
-  std::vector<u64> unserved = {9999};
+  std::vector<u64> unserved = {9999, (u64{1} << 32) + os::sys::kWrite,
+                               (u64{1} << 32) + os::sys::kExit, ~u64{0}};
   for (u64 nr = 0; nr < 512; ++nr) {
     if (!os::sys::served(nr)) unserved.push_back(nr);
   }

@@ -31,6 +31,7 @@
 #include "common/checksum.h"
 #include "common/rng.h"
 #include "obs/recorder.h"
+#include "passes/shadow_stack.h"
 #include "snapshot/snapshot.h"
 #include "snapshot_test_util.h"
 #include "workloads/workload.h"
@@ -250,6 +251,54 @@ TEST(SnapshotFuzz, MidRunVkeyChurnMachine) {
   ASSERT_NE(m, nullptr);
   ASSERT_NE(m->kernel().process(1).vkeys, nullptr);
   fuzz(snapshot::save(*m), 0x5eed0002);
+}
+
+// `sha` under the perm-sealed write-only shadow stack, 50,000 instructions
+// in (`sealpk-snapshot replay sha --at=50000 --ss=sealpk-wr --seal`).
+std::vector<u8> sealed_sha_blob() {
+  for (const wl::Workload& w : wl::all_workloads()) {
+    if (std::string(w.name) != "sha") continue;
+    isa::Program prog = w.build(w.test_scale);
+    passes::apply_shadow_stack(
+        prog, {.kind = passes::ShadowStackKind::kSealPkWr, .perm_seal = true});
+    sim::Machine machine;
+    if (machine.load(prog.link()) < 0) break;
+    machine.run(50'000);
+    return snapshot::save(machine);
+  }
+  ADD_FAILURE() << "sha did not load";
+  return {};
+}
+
+// `blob` with the `width`-byte little-endian field that ends `back` bytes
+// before the end of section `name` set to `value`, re-sealed.
+std::vector<u8> with_field(std::vector<u8> blob, const std::string& name,
+                           size_t back, size_t width, u64 value) {
+  const auto sec = testutil::section_named(blob, name);
+  SEALPK_CHECK(sec.has_value() && sec->len >= back);
+  const size_t at = sec->body + sec->len - back;
+  for (size_t i = 0; i < width; ++i) {
+    blob[at + i] = static_cast<u8>(value >> (8 * i));
+  }
+  snapshot::seal(blob);
+  return blob;
+}
+
+// A restored PK-CAM FIFO cursor or TLB victim cursor indexes its array on
+// the next CAM refill or TLB eviction, so one out of range is refused. Each
+// cursor sits just before its section's trailing stats: five u64s after
+// the SEAL unit's u32 cursor, four after the DTLB's u64 cursor.
+TEST(SnapshotFuzz, OutOfRangeCursorsAreRefused) {
+  const std::vector<u8> blob = sealed_sha_blob();
+  const auto dtlb = testutil::section_named(blob, "DTLB");
+  ASSERT_TRUE(dtlb.has_value());
+  const u64 slots = testutil::load_le64(blob, dtlb->body);
+  Tally fixed;
+  restore_one(blob, with_field(blob, "SEAL", 5 * 8 + 4, 4, 100'000),
+              "SEAL cursor 100000", fixed);
+  restore_one(blob, with_field(blob, "DTLB", 4 * 8 + 8, 8, slots),
+              "DTLB cursor one past capacity", fixed);
+  EXPECT_EQ(fixed.typed_errors, 2u);
 }
 
 // A recorded trace of the qsort workload.
