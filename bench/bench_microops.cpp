@@ -21,10 +21,13 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "mpk/vkey_table.h"
+#include "os/addr_space.h"
+#include "os/syscall_abi.h"
 #include "runtime/guest.h"
 #include "sim/machine.h"
 #include "snapshot/snapshot.h"
@@ -491,24 +494,31 @@ static void BM_VkeySetChurn(benchmark::State& state) {
 BENCHMARK(BM_VkeySetChurn)->ArgName("lazy")->Arg(0)->Arg(1);
 
 static void BM_VaultConfidentialityScan(benchmark::State& state) {
-  // A 256 KiB stack: zero but for its two top pages, scanned for 7 16-byte
-  // needles that are absent, so every needle is searched in full.
-  constexpr size_t kLen = 256 * 1024;
-  std::vector<u8> buf(kLen);
-  Rng rng(7);
-  for (size_t i = kLen - 2 * 4096; i < kLen; i += 3) {
-    buf[i] = static_cast<u8>(rng.range(1, 255));
+  // A 256 KiB stack mapping: zero but for its two top pages, scanned in
+  // place for 7 16-byte needles that are absent, so every candidate offset
+  // is probed.
+  constexpr u64 kLen = 256 * 1024;
+  constexpr u64 kStack = 0x3ffffc0000;
+  mem::PhysMem mem(64 << 20);
+  os::FrameAllocator frames(1 << 20, (64 << 20) - (1 << 20));
+  os::AddressSpace aspace(mem, frames, mem::pte::kSealPkPkeyBits);
+  if (aspace.map(kStack, kLen, os::prot::kRead | os::prot::kWrite) < 0) {
+    state.SkipWithError("map failed");
+    return;
   }
+  std::vector<u8> top(2 * 4096);
+  Rng rng(7);
+  for (size_t i = 0; i < top.size(); i += 3) {
+    top[i] = static_cast<u8>(rng.range(1, 255));
+  }
+  aspace.copy_out(kStack + kLen - top.size(), top.data(), top.size());
   std::vector<std::vector<u8>> needles(7, std::vector<u8>(16));
   for (auto& needle : needles) {
     for (u8& b : needle) b = static_cast<u8>(rng.range(1, 255));
   }
+  const vault::SecretScan scan(std::move(needles));
   for (auto _ : state) {
-    const auto runs = vault::nonzero_page_runs(buf.data(), kLen);
-    for (const auto& needle : needles) {
-      benchmark::DoNotOptimize(
-          vault::find_needle(buf.data(), kLen, runs, needle));
-    }
+    benchmark::DoNotOptimize(scan.find(aspace, std::nullopt));
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations() * kLen));
 }

@@ -85,6 +85,15 @@ class PhysMem {
     return page == nullptr ? nullptr : page->data();
   }
 
+  // Read-only host view of the page holding `addr`, read in place: nullptr
+  // when that page was never written (it reads as zero). Never
+  // materialises a page; bounds-checked like a read. The pointer stays
+  // valid until generation() changes.
+  const u8* page_view(u64 addr) const {
+    const Page& page = page_at(addr);
+    return &page == &kZeroPage ? nullptr : page.data();
+  }
+
   // Bumped by load_state, the only place pages are freed.
   u64 generation() const { return generation_; }
 

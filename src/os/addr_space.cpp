@@ -332,4 +332,17 @@ bool AddressSpace::copy_in(u64 vaddr, u8* dst, u64 len) const {
   return true;
 }
 
+bool AddressSpace::page_views(u64 vaddr, u64 pages,
+                              std::vector<const u8*>& views) const {
+  views.clear();
+  for (u64 i = 0; i < pages; ++i) {
+    const u64 slot = lookup_pte_slot(vaddr + (i << mem::kPageShift));
+    if (slot == 0) return false;
+    const u64 entry = mem_.read_u64(slot);
+    if (!mem::pte::valid(entry)) return false;
+    views.push_back(mem_.page_view(mem::pte::ppn_of(entry) << mem::kPageShift));
+  }
+  return true;
+}
+
 }  // namespace sealpk::os

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "common/bits.h"
 #include "common/serial.h"
@@ -97,6 +98,11 @@ class AddressSpace {
   // Kernel copy helpers (loader, write(2), fault reporting).
   bool copy_out(u64 vaddr, const u8* src, u64 len);
   bool copy_in(u64 vaddr, u8* dst, u64 len) const;
+  // In-place read port for host-side scans: sets `views` to the
+  // PhysMem::page_view of each of the `pages` pages from page-aligned
+  // `vaddr` (nullptr for a page never written). False, like copy_in, when
+  // the page tables do not map one of them.
+  bool page_views(u64 vaddr, u64 pages, std::vector<const u8*>& views) const;
 
   u64 pages_mapped() const { return pages_mapped_; }
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <set>
+#include <thread>
 
 #include "common/json.h"
 #include "fleet/engine.h"
@@ -22,6 +25,7 @@ namespace {
 constexpr u64 kIntentWindow = 96;
 constexpr u64 kRunBudget = 400'000'000ULL;
 constexpr u64 kMaxScanVma = 8u << 20;  // skip pathological giant mappings
+constexpr size_t kPrefixBytes = 8;     // the secret scan's filter width
 
 std::vector<u8> dump_region(const os::AddressSpace& aspace,
                             const VaultLocation& loc) {
@@ -80,108 +84,107 @@ void check_durability(const os::Kernel& kernel, const Ledger& ledger,
   }
 }
 
-// Invariant (c): no committed secret prefix readable outside the vault
-// region and the owner's reveal page (registers are not memory; the guest
-// never spills payload words anywhere else).
-void check_confidentiality(const BuiltVault& built,
-                           const os::AddressSpace& aspace,
-                           const std::optional<VaultLocation>& loc,
-                           const std::function<void(std::string)>& fail) {
-  std::vector<std::vector<u8>> needles;
-  needles.reserve(built.payloads.size());
-  for (const std::vector<u8>& payload : built.payloads) {
-    const u64 n = std::min<u64>(16, payload.size());
-    if (n >= 8) {
-      needles.emplace_back(payload.begin(),
-                           payload.begin() + static_cast<i64>(n));
+// The checkpoint-resume leg: restore the sealed checkpoint `blob` into a
+// fresh machine and re-run to completion; the recovered machine must land
+// on the exact expected final ledger. Returns the failure ("" when it
+// does). A pure function of the blob bytes.
+std::string resume_failure(const BuiltVault& built,
+                           const std::vector<u8>& blob, int pid) {
+  try {
+    sim::Machine resumed(snapshot::config_from(blob));
+    snapshot::restore(resumed, blob);
+    if (!resumed.run(kRunBudget).completed) return "resume did not complete";
+    if (resumed.exit_code(pid) != 0) {
+      return "resume exit=" + std::to_string(resumed.exit_code(pid));
     }
-  }
-  for (const auto& [start, vma] : aspace.vmas()) {
-    if (loc.has_value() && start == loc->base) continue;
-    if (vma.pkey == kOwnerPkey) continue;
-    const u64 len = vma.end - vma.start;
-    if (len > kMaxScanVma) continue;
-    std::vector<u8> buf(len);
-    if (!aspace.copy_in(start, buf.data(), len)) continue;
-    const std::vector<ByteRun> runs = nonzero_page_runs(buf.data(), len);
-    for (const std::vector<u8>& needle : needles) {
-      const size_t at = find_needle(buf.data(), len, runs, needle);
-      if (at != len) {
-        fail("secret bytes outside vault at vaddr=" +
-             std::to_string(start + at));
-        return;
+    const os::Process& rp = resumed.kernel().process(pid);
+    const std::optional<VaultLocation> rloc = find_vault(*rp.aspace);
+    std::string led = "(no vault)";
+    if (rloc.has_value()) {
+      const std::vector<u8> region = dump_region(*rp.aspace, *rloc);
+      if (!region.empty()) {
+        led = ledger_string(replay(region.data(), region.size()));
       }
     }
+    return led == built.expected_ledger ? "" : "resume ledger diverged";
+  } catch (const std::exception& e) {
+    return std::string("host exception: ") + e.what();
   }
 }
 
-PointVerdict check_point(const BuiltVault& built, const VaultSpec& spec,
-                         const sim::MachineConfig& mc, u64 crash_at,
-                         bool do_resume) {
-  PointVerdict v;
-  v.instret = crash_at;
-  const auto fail = [&v](std::string why) {
-    if (v.ok) {
-      v.ok = false;
-      v.failure = std::move(why);
-    }
-  };
-  try {
-    sim::Machine m(mc);
-    const int pid = m.load(built.image);
-    if (pid < 0) {
-      fail("load refused");
-      return v;
-    }
-    m.run(crash_at);
-
-    const os::Process& proc = m.kernel().process(pid);
-    const std::optional<VaultLocation> loc = find_vault(*proc.aspace);
-    Ledger ledger;
-    if (loc.has_value()) {
-      const std::vector<u8> region = dump_region(*proc.aspace, *loc);
-      if (region.empty()) {
-        fail("vault region unreadable");
-      } else {
-        ledger = replay(region.data(), region.size());
+// One shard of the point loop: a single machine run forward through the
+// ascending points[begin, end), stopped at each to check the invariant
+// triple on the live machine.
+void run_shard(const BuiltVault& built, const SweepConfig& cfg,
+               const sim::MachineConfig& mc, const SecretScan& secrets,
+               const std::vector<u64>& points, size_t begin, size_t end,
+               std::vector<PointVerdict>& verdicts) {
+  std::unique_ptr<sim::Machine> machine;
+  int pid = -1;
+  // Resume-leg failure ("" = ok) by sealed checkpoint bytes.
+  std::map<std::vector<u8>, std::string> resumes;
+  for (size_t i = begin; i < end; ++i) {
+    PointVerdict& v = verdicts[i];
+    v.instret = points[i];
+    const auto fail = [&v](std::string why) {
+      if (v.ok) {
+        v.ok = false;
+        v.failure = std::move(why);
       }
-    }
-    v.live = ledger.live.size();
-    v.commits = ledger.commits_seen;
-    v.torn = ledger.torn_or_corrupt;
-
-    check_integrity(built, spec, ledger, fail);
-    check_durability(m.kernel(), ledger, fail);
-    check_confidentiality(built, *proc.aspace, loc, fail);
-
-    // Snapshot-rollback recovery: restore the last known-good checkpoint
-    // and re-run to completion — the recovered machine must land on the
-    // exact expected final ledger.
-    if (do_resume && m.has_checkpoint()) {
-      v.resumed = true;
-      sim::Machine resumed(snapshot::config_from(m.checkpoint_blob()));
-      snapshot::restore(resumed, m.checkpoint_blob());
-      if (!resumed.run(kRunBudget).completed) {
-        fail("resume did not complete");
-      } else if (resumed.exit_code(pid) != 0) {
-        fail("resume exit=" + std::to_string(resumed.exit_code(pid)));
-      } else {
-        const os::Process& rp = resumed.kernel().process(pid);
-        const std::optional<VaultLocation> rloc = find_vault(*rp.aspace);
-        std::string led = "(no vault)";
-        if (rloc.has_value()) {
-          const std::vector<u8> region = dump_region(*rp.aspace, *rloc);
-          if (!region.empty()) {
-            led = ledger_string(replay(region.data(), region.size()));
-          }
+    };
+    try {
+      if (machine == nullptr) {
+        machine = std::make_unique<sim::Machine>(mc);
+        pid = machine->load(built.image);
+        if (pid < 0) {
+          machine.reset();
+          fail("load refused");
+          continue;
         }
-        if (led != built.expected_ledger) fail("resume ledger diverged");
       }
+      sim::Machine& m = *machine;
+      // A stopped run() ends at its first loop turn at or past its budget,
+      // so a machine already there is where run(crash_at) from 0 stops.
+      if (m.hart().instret() < v.instret) m.run(v.instret - m.hart().instret());
+
+      const os::Process& proc = m.kernel().process(pid);
+      const std::optional<VaultLocation> loc = find_vault(*proc.aspace);
+      Ledger ledger;
+      if (loc.has_value()) {
+        const std::vector<u8> region = dump_region(*proc.aspace, *loc);
+        if (region.empty()) {
+          fail("vault region unreadable");
+        } else {
+          ledger = replay(region.data(), region.size());
+        }
+      }
+      v.live = ledger.live.size();
+      v.commits = ledger.commits_seen;
+      v.torn = ledger.torn_or_corrupt;
+
+      check_integrity(built, cfg.spec, ledger, fail);
+      check_durability(m.kernel(), ledger, fail);
+      if (const std::optional<u64> at = secrets.find(*proc.aspace, loc)) {
+        fail("secret bytes outside vault at vaddr=" + std::to_string(*at));
+      }
+
+      const bool do_resume =
+          cfg.rollback_every != 0 && (i % cfg.rollback_every) == 0;
+      if (do_resume && m.has_checkpoint()) {
+        v.resumed = true;
+        const std::vector<u8>& blob = m.checkpoint_blob();
+        auto it = resumes.find(blob);
+        if (it == resumes.end()) {
+          it = resumes.emplace(blob, resume_failure(built, blob, pid)).first;
+        }
+        if (!it->second.empty()) fail(it->second);
+      }
+    } catch (const std::exception& e) {
+      // The machine may be torn: the shard's next point starts afresh.
+      machine.reset();
+      fail(std::string("host exception: ") + e.what());
     }
-  } catch (const std::exception& e) {
-    fail(std::string("host exception: ") + e.what());
   }
-  return v;
 }
 
 ChaosVerdict run_chaos(const BuiltVault& built, const VaultSpec& spec,
@@ -284,47 +287,120 @@ std::string compose_canonical(const SweepResult& r) {
 
 }  // namespace
 
-std::vector<ByteRun> nonzero_page_runs(const u8* data, size_t len) {
-  static const u8 kZeroPage[mem::kPageSize] = {};
-  std::vector<ByteRun> runs;
-  for (size_t at = 0; at < len; at += mem::kPageSize) {
-    const size_t n = std::min<size_t>(mem::kPageSize, len - at);
-    if (std::memcmp(data + at, kZeroPage, n) == 0) continue;
-    if (!runs.empty() && runs.back().end == at) {
-      runs.back().end = at + n;
-    } else {
-      runs.push_back({at, at + n});
-    }
+SecretScan::SecretScan(std::vector<std::vector<u8>> needles)
+    : needles_(std::move(needles)) {
+  for (const std::vector<u8>& needle : needles_) {
+    SEALPK_CHECK_MSG(needle.size() >= kPrefixBytes,
+                     "secret needle shorter than its prefix");
+    const u64 prefix = load_u64(needle.data());
+    prefixes_.push_back(prefix);
+    filter_.set(filter_slot(prefix));
+    widen_ = std::max(widen_, needle.size() - 1);
+    zero_needle_ = zero_needle_ ||
+                   std::all_of(needle.begin(), needle.end(),
+                               [](u8 b) { return b == 0; });
   }
-  return runs;
 }
 
-size_t find_needle(const u8* data, size_t len,
-                   const std::vector<ByteRun>& runs,
-                   const std::vector<u8>& needle) {
-  const auto search = [&](size_t from, size_t to) {
-    return static_cast<size_t>(
-        std::search(data + from, data + to, needle.begin(), needle.end()) -
-        data);
+std::optional<u64> SecretScan::find(
+    const os::AddressSpace& aspace,
+    const std::optional<VaultLocation>& vault) const {
+  std::vector<const u8*> pages;
+  for (const auto& [start, vma] : aspace.vmas()) {
+    if (vault.has_value() && start == vault->base) continue;
+    if (vma.pkey == kOwnerPkey) continue;
+    if (vma.end - vma.start > kMaxScanVma) continue;
+    if (!aspace.page_views(start, vma.pages(), pages)) continue;
+    if (const std::optional<u64> at = find_in(pages)) return start + *at;
+  }
+  return std::nullopt;
+}
+
+std::optional<u64> SecretScan::find_in(
+    const std::vector<const u8*>& pages) const {
+  static const u8 kZeroPage[mem::kPageSize] = {};
+  constexpr u64 kPage = mem::kPageSize;
+  const u64 len = pages.size() * kPage;
+  const auto page = [&](u64 index) {
+    return pages[index] != nullptr ? pages[index] : kZeroPage;
   };
-  if (std::all_of(needle.begin(), needle.end(),
-                  [](u8 b) { return b == 0; })) {
-    return search(0, len);
+  const auto byte_at = [&](u64 off) { return page(off / kPage)[off % kPage]; };
+
+  // Offsets are visited in ascending order, so the first match of a needle
+  // is its lowest. `best` is the first needle in plan order matched so far
+  // (at `best_at`); only needles before it are still compared, and needle 0
+  // ends the search.
+  size_t best = needles_.size();
+  u64 best_at = 0;
+  const auto probe = [&](u64 at, u64 prefix) {
+    for (size_t k = 0; k < best; ++k) {
+      const std::vector<u8>& needle = needles_[k];
+      if (prefixes_[k] != prefix || at + needle.size() > len) continue;
+      bool equal = true;
+      for (size_t j = kPrefixBytes; j < needle.size() && equal; ++j) {
+        equal = byte_at(at + j) == needle[j];
+      }
+      if (equal) {
+        best = k;
+        best_at = at;
+      }
+    }
+    return best == 0;
+  };
+  // The prefix at an offset near a page edge, read byte by byte.
+  const auto straddling_prefix = [&](u64 at) {
+    u8 bytes[kPrefixBytes];
+    for (u64 j = 0; j < kPrefixBytes; ++j) bytes[j] = byte_at(at + j);
+    return load_u64(bytes);
+  };
+
+  // A match holds one of its needle's non-zero bytes (unless the needle
+  // is all zero), so it starts inside a page holding a non-zero byte or at
+  // most widen_ bytes before one. Those start offsets are visited in
+  // ascending order, each once: first the ones before the page, then those
+  // whose prefix lies in the page, then its last 7, which span into the
+  // next page.
+  u64 next = 0;  // offsets below this were visited
+  for (u64 i = 0; i < pages.size(); ++i) {
+    if (!zero_needle_ && (pages[i] == nullptr ||
+                          std::memcmp(pages[i], kZeroPage, kPage) == 0)) {
+      continue;
+    }
+    const u64 page_start = i * kPage;
+    const u64 in_page_end = page_start + kPage - (kPrefixBytes - 1);
+    for (u64 at = std::max(next, page_start - std::min(page_start, widen_));
+         at < page_start; ++at) {
+      const u64 prefix = straddling_prefix(at);
+      if (filter_[filter_slot(prefix)] && probe(at, prefix)) return best_at;
+    }
+    const u8* base = page(i);
+    for (u64 off = 0; off < kPage - (kPrefixBytes - 1); ++off) {
+      const u64 prefix = load_u64(base + off);
+      if (filter_[filter_slot(prefix)] && probe(page_start + off, prefix)) {
+        return best_at;
+      }
+    }
+    next = page_start + kPage;
+    for (u64 at = in_page_end; at < next && at + kPrefixBytes <= len; ++at) {
+      const u64 prefix = straddling_prefix(at);
+      if (filter_[filter_slot(prefix)] && probe(at, prefix)) return best_at;
+    }
   }
-  // A match holds one of the needle's non-zero bytes, so it starts at most
-  // n-1 bytes before that byte's run and ends at most n-1 bytes after it:
-  // it lies whole inside the run's window widened by n-1 on each side.
-  // Windows are searched in ascending order. Both their starts and their
-  // ends ascend, so a match below the first hit would lie inside an earlier
-  // window or inside the hit's own: the first hit is the lowest offset.
-  const size_t widen = needle.size() - 1;
-  for (const ByteRun& run : runs) {
-    const size_t from = run.start - std::min(run.start, widen);
-    const size_t to = std::min(len, run.end + widen);
-    const size_t at = search(from, to);
-    if (at != to) return at;
+  if (best == needles_.size()) return std::nullopt;
+  return best_at;
+}
+
+SecretScan secret_scan(const BuiltVault& built) {
+  std::vector<std::vector<u8>> needles;
+  needles.reserve(built.payloads.size());
+  for (const std::vector<u8>& payload : built.payloads) {
+    const u64 n = std::min<u64>(16, payload.size());
+    if (n >= 8) {
+      needles.emplace_back(payload.begin(),
+                           payload.begin() + static_cast<i64>(n));
+    }
   }
-  return len;
+  return SecretScan(std::move(needles));
 }
 
 SweepResult run_sweep(const SweepConfig& cfg) {
@@ -405,12 +481,16 @@ SweepResult run_sweep(const SweepConfig& cfg) {
   r.points = points.size();
   for (const u64 t : points) r.boundary_points += boundary.count(t);
 
+  // One contiguous shard of the sorted points per worker.
   r.verdicts.resize(points.size());
-  fleet::run_indexed(points.size(), cfg.threads, [&](size_t i, unsigned) {
-    const bool resume =
-        cfg.rollback_every != 0 && (i % cfg.rollback_every) == 0;
-    r.verdicts[i] =
-        check_point(built, cfg.spec, mc, points[i], resume);
+  const SecretScan secrets = secret_scan(built);
+  const size_t shards = std::min<size_t>(
+      points.size(),
+      cfg.threads != 0 ? cfg.threads
+                       : std::max(1u, std::thread::hardware_concurrency()));
+  fleet::run_indexed(shards, cfg.threads, [&](size_t s, unsigned) {
+    run_shard(built, cfg, mc, secrets, points, s * points.size() / shards,
+              (s + 1) * points.size() / shards, r.verdicts);
   });
   for (const PointVerdict& v : r.verdicts) {
     if (!v.ok) ++r.failures;

@@ -3,27 +3,36 @@
 //
 // The sweep first runs the vault workload to completion once (the learning
 // run: it must exit cleanly and reproduce the builder's expected ledger),
-// then kills a fresh machine at every sampled crash instret — densely
-// around every journal-record write so each word boundary of every intent
-// record is covered, plus a uniform stride across the whole run — and
-// checks three invariants against the cold state:
+// then samples crash instrets — densely around every journal-record write
+// so each word boundary of every intent record is covered, plus a uniform
+// stride across the whole run — and checks three invariants against the
+// cold state a crash at each of them leaves:
 //   (a) integrity: every recoverable bundle is byte-exact one of the
 //       planned payload versions (never a torn or foreign payload),
 //   (b) durability: every commit the kernel acknowledged (its kVaultCommit
 //       mark) is still recoverable at that or a newer sequence number,
 //   (c) confidentiality: no committed secret prefix is readable from any
 //       mapping outside the vault region and the owner's reveal page.
-// A subset of points additionally restores the machine's last known-good
-// checkpoint and re-runs to completion, asserting the recovered run still
-// lands on the expected final ledger. With `chaos` set, seeded vault-kind
-// fault injection runs on top and the invariants weaken exactly to
-// detection: a flipped record may lose data but must never be served.
+// The sorted points are split into contiguous shards, one per worker. Each
+// shard runs one machine forward from instret 0, stopping at each of its
+// points in turn: Machine::run keeps its whole schedule in the machine, so
+// run(a) then run(b - a) reaches the state run(b) does, and the checks
+// only read the stopped machine. A subset of points additionally restores
+// the machine's last known-good checkpoint and re-runs to completion,
+// asserting the recovered run still lands on the expected final ledger;
+// that leg is a pure function of the sealed checkpoint bytes, so a shard
+// runs it once per distinct checkpoint. With `chaos` set, seeded
+// vault-kind fault injection runs on top and the invariants weaken
+// exactly to detection: a flipped record may lose data but must never be
+// served.
 //
 // Per-point verdicts land in slots indexed by crash point, so the
 // canonical report is byte-identical for any worker thread count.
 #pragma once
 
+#include <bitset>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,25 +90,45 @@ struct SweepResult {
 SweepResult run_sweep(const SweepConfig& cfg);
 
 // --- confidentiality scan (invariant (c); DESIGN.md §14) --------------------
-// A scanned mapping is mostly zero pages, so the scan first finds the byte
-// ranges [start, end) of its maximal runs of pages (4 KiB chunks from the
-// buffer start; the last one may be short) that hold a non-zero byte, in
-// ascending order.
-struct ByteRun {
-  size_t start = 0;
-  size_t end = 0;
+// Hunts secret byte strings (needles) in a guest address space, reading
+// guest pages in place. All needles are searched in one pass over the
+// pages that hold a non-zero byte (an 8-byte-prefix filter, then a full
+// compare), so the cost does not grow with the number of needles.
+class SecretScan {
+ public:
+  // `needles` in plan order; each is at least 8 bytes long.
+  explicit SecretScan(std::vector<std::vector<u8>> needles);
 
-  bool operator==(const ByteRun&) const = default;
+  // Scans the mappings of `aspace` in ascending address order, each as its
+  // own buffer (a match never spans two mappings), skipping the one at
+  // `vault->base`, those keyed kOwnerPkey, those over 8 MiB and those the
+  // page tables do not wholly map. Returns the vaddr of the first hit: in
+  // the lowest mapping holding any needle, the lowest offset of the first
+  // needle in plan order found there — the answer a per-needle
+  // std::search over each mapping gives. nullopt when no needle occurs.
+  std::optional<u64> find(const os::AddressSpace& aspace,
+                          const std::optional<VaultLocation>& vault) const;
+
+ private:
+  static constexpr unsigned kFilterBits = 16;
+  static size_t filter_slot(u64 prefix) {  // multiplicative hash
+    return static_cast<size_t>((prefix * 0x9E3779B97F4A7C15ULL) >>
+                               (64 - kFilterBits));
+  }
+
+  // The lowest-plan-order hit in one mapping, as a byte offset.
+  std::optional<u64> find_in(const std::vector<const u8*>& pages) const;
+
+  std::vector<std::vector<u8>> needles_;
+  std::vector<u64> prefixes_;  // each needle's first 8 bytes, as loaded
+  std::bitset<size_t{1} << kFilterBits> filter_;  // hashed prefixes
+  size_t widen_ = 0;         // longest needle length - 1
+  bool zero_needle_ = false;  // an all-zero needle: every page is searched
 };
-std::vector<ByteRun> nonzero_page_runs(const u8* data, size_t len);
 
-// The lowest offset at which `needle` occurs in data[0, len), or len when it
-// does not — the same answer as std::search over the whole buffer. `runs`
-// must be nonzero_page_runs(data, len). A needle with a non-zero byte is
-// only searched for near the runs; an all-zero needle searches everything.
-size_t find_needle(const u8* data, size_t len,
-                   const std::vector<ByteRun>& runs,
-                   const std::vector<u8>& needle);
+// The committed secret prefixes of `built` in plan order: the first
+// min(16, len) bytes of each payload at least 8 bytes long.
+SecretScan secret_scan(const BuiltVault& built);
 
 // Machine-readable verdict for `sealpk-vault sweep --json` (and the CI
 // artifact uploaded on failure).

@@ -1,7 +1,10 @@
 # Runs a command and fails unless it exits with exactly EXPECT. With
-# NO_FILE set, also fails if the command left that file behind.
+# NO_FILE set, also fails if the command left that file behind; with
+# STDOUT_MATCHES set, also fails unless its standard output matches that
+# regular expression.
 #
-#   cmake -DEXPECT=2 [-DNO_FILE=<path>] -P expect_exit.cmake <command> <args>...
+#   cmake -DEXPECT=2 [-DNO_FILE=<path>] [-DSTDOUT_MATCHES=<regex>]
+#         -P expect_exit.cmake <command> <args>...
 set(cmd "")
 set(seen_script FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -15,10 +18,14 @@ endforeach()
 if(NO_FILE)
   file(REMOVE "${NO_FILE}")
 endif()
-execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_QUIET
+execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
 if(NOT rc STREQUAL "${EXPECT}")
   message(FATAL_ERROR "exit status ${rc}, expected ${EXPECT}: ${cmd}\n${err}")
+endif()
+if(DEFINED STDOUT_MATCHES AND NOT out MATCHES "${STDOUT_MATCHES}")
+  message(FATAL_ERROR "${cmd}: stdout does not match ${STDOUT_MATCHES}:\n"
+                      "${out}")
 endif()
 if(NO_FILE AND EXISTS "${NO_FILE}")
   message(FATAL_ERROR "${cmd} wrote ${NO_FILE}")

@@ -220,6 +220,13 @@ struct MutationCase {
   const char* expected;
 };
 
+// gtest lists each case with its printed parameter, and the ctest names
+// are built from that listing: print the mutation's name, not the raw
+// bytes of the struct (a pointer among them), so the names are stable.
+void PrintTo(const MutationCase& c, std::ostream* os) {
+  *os << mutation_name(c.mutation);
+}
+
 class ModelMutationTest : public ::testing::TestWithParam<MutationCase> {};
 
 TEST_P(ModelMutationTest, BrokenVariantIsCaught) {

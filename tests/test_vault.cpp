@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serial.h"
 #include "fault/fault.h"
 #include "isa/program.h"
 #include "os/syscall_abi.h"
 #include "runtime/guest.h"
 #include "sim/machine.h"
+#include "snapshot/snapshot.h"
 #include "obs/span.h"
 #include "vault/format.h"
 #include "vault/program.h"
@@ -567,114 +571,382 @@ TEST(VaultWorkload, RunOncePrimitiveMatchesOracleAndTraces) {
 }
 
 // ---------------------------------------------------------------------------
-// Confidentiality scan: the zero-page-skipping search finds exactly what a
-// full std::search finds.
+// Confidentiality scan: the one-pass in-place search finds exactly what a
+// per-needle std::search over each copied-out mapping finds.
 // ---------------------------------------------------------------------------
 
-constexpr size_t kPage = 4096;
+constexpr u64 kPage = mem::kPageSize;
 
-size_t full_search(const std::vector<u8>& buf, const std::vector<u8>& needle) {
-  return static_cast<size_t>(
-      std::search(buf.begin(), buf.end(), needle.begin(), needle.end()) -
-      buf.begin());
+// The scan's reference: every scanned mapping copied out whole and
+// searched needle by needle, in plan order, with std::search.
+std::optional<u64> reference_find(
+    const os::AddressSpace& aspace,
+    const std::optional<vault::VaultLocation>& vault_loc,
+    const std::vector<std::vector<u8>>& needles) {
+  for (const auto& [start, vma] : aspace.vmas()) {
+    if (vault_loc.has_value() && start == vault_loc->base) continue;
+    if (vma.pkey == vault::kOwnerPkey) continue;
+    const u64 len = vma.end - vma.start;
+    if (len > (8u << 20)) continue;
+    std::vector<u8> buf(len);
+    if (!aspace.copy_in(start, buf.data(), len)) continue;
+    for (const std::vector<u8>& needle : needles) {
+      const auto it =
+          std::search(buf.begin(), buf.end(), needle.begin(), needle.end());
+      if (it != buf.end()) return start + static_cast<u64>(it - buf.begin());
+    }
+  }
+  return std::nullopt;
 }
 
-size_t scan(const std::vector<u8>& buf, const std::vector<u8>& needle) {
-  return vault::find_needle(buf.data(), buf.size(),
-                            vault::nonzero_page_runs(buf.data(), buf.size()),
-                            needle);
-}
+class VaultScan : public ::testing::Test {
+ protected:
+  static constexpr u64 kBase = 0x40000000;
+
+  VaultScan()
+      : mem_(64 << 20),
+        frames_(1 << 20, (64 << 20) - (1 << 20)),
+        aspace_(mem_, frames_, mem::pte::kSealPkPkeyBits) {}
+
+  // Maps `bytes` (whole pages) at `at` and writes them.
+  void map(u64 at, const std::vector<u8>& bytes, u32 pkey = 0) {
+    ASSERT_EQ(bytes.size() % kPage, 0u);
+    ASSERT_EQ(aspace_.map(at, bytes.size(), os::prot::kRead | os::prot::kWrite,
+                          pkey),
+              static_cast<i64>(at));
+    ASSERT_TRUE(aspace_.copy_out(at, bytes.data(), bytes.size()));
+  }
+
+  // Round-trips guest memory through its snapshot port, which drops every
+  // all-zero page: afterwards those read as never written.
+  void forget_zero_pages() {
+    ByteWriter w;
+    mem_.save_state(w);
+    const std::vector<u8> blob = w.take();
+    ByteReader r(blob);
+    mem_.load_state(r);
+  }
+
+  std::optional<u64> scan(const std::vector<std::vector<u8>>& needles) {
+    return vault::SecretScan(needles).find(aspace_, std::nullopt);
+  }
+  std::optional<u64> reference(const std::vector<std::vector<u8>>& needles) {
+    return reference_find(aspace_, std::nullopt, needles);
+  }
+
+  mem::PhysMem mem_;
+  os::FrameAllocator frames_;
+  os::AddressSpace aspace_;
+};
 
 void put(std::vector<u8>& buf, size_t at, const std::vector<u8>& bytes) {
   std::copy(bytes.begin(), bytes.end(), buf.begin() + static_cast<i64>(at));
 }
 
-TEST(VaultScan, RunsCoverExactlyTheNonZeroPages) {
-  std::vector<u8> buf(5 * kPage + 100);
+TEST_F(VaultScan, RunsCoverExactlyTheNonZeroPages) {
+  // The scan reads the page views; after the zero pages are dropped, a
+  // view is present exactly for each page holding a non-zero byte.
+  std::vector<u8> buf(5 * kPage);
   buf[kPage + 7] = 1;
   buf[2 * kPage] = 2;
-  buf[5 * kPage + 99] = 3;  // short last page
-  using Run = vault::ByteRun;
-  EXPECT_EQ(vault::nonzero_page_runs(buf.data(), buf.size()),
-            (std::vector<Run>{{kPage, 3 * kPage},
-                              {5 * kPage, 5 * kPage + 100}}));
-  // A prefix ending inside a page keeps that page's short chunk.
-  EXPECT_EQ(vault::nonzero_page_runs(buf.data(), 2 * kPage + 1),
-            (std::vector<Run>{{kPage, 2 * kPage + 1}}));
-  EXPECT_TRUE(vault::nonzero_page_runs(buf.data(), kPage).empty());
+  buf[5 * kPage - 1] = 3;
+  map(kBase, buf);
+  std::vector<const u8*> views;
+  ASSERT_TRUE(aspace_.page_views(kBase, 5, views));
+  EXPECT_EQ(std::count(views.begin(), views.end(), nullptr), 0);
+  forget_zero_pages();
+  ASSERT_TRUE(aspace_.page_views(kBase, 5, views));
+  ASSERT_EQ(views.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(views[i] == nullptr, i == 0 || i == 3) << "page " << i;
+  }
+  EXPECT_EQ(views[1][7], 1);
+  // A range reaching past the mapping is refused, like copy_in.
+  EXPECT_FALSE(aspace_.page_views(kBase, 6, views));
 }
 
-TEST(VaultScan, NeedleStraddlingAZeroPageIsFound) {
-  // Leading zeros in a zero page, tail in the next, non-zero page.
-  const std::vector<u8> lead = {0, 0, 0, 0, 0, 0xA1, 0xA2, 0xA3};
-  std::vector<u8> buf(4 * kPage);
-  put(buf, 2 * kPage - 5, lead);
-  ASSERT_EQ(full_search(buf, lead), 2 * kPage - 5);
-  EXPECT_EQ(scan(buf, lead), 2 * kPage - 5);
-
-  // Non-zero head in a non-zero page, trailing zeros in the next, zero page.
-  const std::vector<u8> trail = {0xB1, 0xB2, 0xB3, 0, 0, 0, 0, 0};
-  std::vector<u8> buf2(4 * kPage);
-  put(buf2, 2 * kPage - 3, trail);
-  ASSERT_EQ(full_search(buf2, trail), 2 * kPage - 3);
-  EXPECT_EQ(scan(buf2, trail), 2 * kPage - 3);
+TEST_F(VaultScan, NeedleStraddlingAZeroPageIsFound) {
+  for (const bool forget : {false, true}) {
+    SCOPED_TRACE(forget);
+    // Leading zeros in a zero page, tail in the next, non-zero page; then
+    // a non-zero head whose trailing zeros run into a zero page.
+    const std::vector<u8> lead = {0, 0, 0, 0, 0, 0xA1, 0xA2, 0xA3};
+    const std::vector<u8> trail = {0xB1, 0xB2, 0xB3, 0, 0, 0, 0, 0};
+    std::vector<u8> buf(4 * kPage);
+    put(buf, 2 * kPage - 5, lead);
+    const u64 second = kBase + 8 * kPage;
+    std::vector<u8> buf2(4 * kPage);
+    put(buf2, 2 * kPage - 3, trail);
+    map(kBase, buf);
+    map(second, buf2);
+    if (forget) forget_zero_pages();
+    EXPECT_EQ(scan({lead}), kBase + 2 * kPage - 5);
+    EXPECT_EQ(scan({trail}), second + 2 * kPage - 3);
+    EXPECT_EQ(scan({trail}), reference({trail}));
+    aspace_.unmap(kBase, 4 * kPage);
+    aspace_.unmap(second, 4 * kPage);
+  }
 }
 
-TEST(VaultScan, NeedleAtTheFirstAndLastByte) {
+TEST_F(VaultScan, NeedleAtTheFirstAndLastByte) {
   const std::vector<u8> needle = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  std::vector<u8> buf(3 * kPage + 17);  // not a page multiple
+  std::vector<u8> buf(3 * kPage);
   put(buf, buf.size() - needle.size(), needle);
-  EXPECT_EQ(scan(buf, needle), buf.size() - needle.size());
-  put(buf, 0, needle);
-  EXPECT_EQ(scan(buf, needle), 0u);
-  // A needle one byte longer than what is left never matches.
-  std::vector<u8> tail(buf.end() - 8, buf.end());
-  tail.push_back(0);
-  EXPECT_EQ(scan(buf, tail), full_search(buf, tail));
+  map(kBase, buf);
+  EXPECT_EQ(scan({needle}), kBase + buf.size() - needle.size());
+  ASSERT_TRUE(aspace_.copy_out(kBase, needle.data(), needle.size()));
+  EXPECT_EQ(scan({needle}), kBase);
+  // A needle one byte longer than what is left never matches, even when
+  // the next mapping holds that byte: each mapping is its own buffer.
+  std::vector<u8> tail(needle.end() - 8, needle.end());
+  tail.push_back(0x77);
+  map(kBase + buf.size(), std::vector<u8>(kPage, 0x77), /*pkey=*/3);
+  EXPECT_EQ(scan({tail}), std::nullopt);
+  EXPECT_EQ(reference({tail}), std::nullopt);
 }
 
-TEST(VaultScan, AllZeroNeedleSearchesTheWholeBuffer) {
+TEST_F(VaultScan, AllZeroNeedleSearchesTheWholeBuffer) {
   const std::vector<u8> zeros(8, 0);
-  std::vector<u8> buf(2 * kPage + 9, 0xEE);
-  EXPECT_EQ(scan(buf, zeros), buf.size());  // no zero run at all
-  buf[kPage + 100] = 0;
-  std::fill(buf.begin() + kPage + 200, buf.begin() + kPage + 208, 0);
-  EXPECT_EQ(scan(buf, zeros), kPage + 200);
-  std::vector<u8> sparse(3 * kPage);
-  sparse[0] = 1;
-  EXPECT_EQ(scan(sparse, zeros), 1u);
+  std::vector<u8> buf(3 * kPage, 0xEE);
+  map(kBase, buf);
+  EXPECT_EQ(scan({zeros}), std::nullopt);  // no zero run at all
+  const std::vector<u8> one_zero = {0};
+  ASSERT_TRUE(aspace_.copy_out(kBase + kPage + 100, one_zero.data(), 1));
+  ASSERT_TRUE(aspace_.copy_out(kBase + kPage + 200, zeros.data(), 8));
+  EXPECT_EQ(scan({zeros}), kBase + kPage + 200);
+  // A mapping whose only zeros are a page that reads as never written.
+  std::vector<u8> sparse(3 * kPage, 0xEE);
+  std::fill(sparse.begin() + kPage, sparse.begin() + 2 * kPage, 0);
+  map(kBase + 0x100000, sparse);
+  aspace_.unmap(kBase, buf.size());
+  forget_zero_pages();
+  EXPECT_EQ(scan({zeros}), kBase + 0x100000 + kPage);
 }
 
-TEST(VaultScan, MatchesStdSearchOnRandomSparseBuffers) {
+TEST_F(VaultScan, MatchesStdSearchOnRandomSparseBuffers) {
   Rng rng(20261017);
   for (int iter = 0; iter < 400; ++iter) {
-    std::vector<u8> buf(rng.range(1, 9 * kPage));
+    std::vector<u8> buf(rng.range(1, 9) * kPage);
     // A few non-zero pages, each with a handful of bytes drawn from a small
     // alphabet so needles recur.
     const u64 dirty = rng.below(4);
     for (u64 d = 0; d < dirty; ++d) {
-      const size_t page = rng.below((buf.size() + kPage - 1) / kPage);
+      const size_t page = rng.below(buf.size() / kPage);
       for (u64 k = rng.range(1, 24); k > 0; --k) {
-        const size_t at = page * kPage + rng.below(kPage);
-        if (at < buf.size()) buf[at] = static_cast<u8>(rng.range(1, 3));
+        buf[page * kPage + rng.below(kPage)] =
+            static_cast<u8>(rng.range(1, 3));
       }
     }
-    // Needles: copied from the buffer (a hit), or random over the alphabet
-    // including zeros.
-    for (int n = 0; n < 6; ++n) {
-      const size_t len = rng.range(8, 16);
-      std::vector<u8> needle(len);
-      if (n % 2 == 0 && buf.size() >= len) {
-        const size_t at = rng.below(buf.size() - len + 1);
-        std::copy(buf.begin() + static_cast<i64>(at),
-                  buf.begin() + static_cast<i64>(at + len), needle.begin());
-      } else {
-        for (u8& b : needle) b = static_cast<u8>(rng.below(3));
+    map(kBase, buf);
+    if (rng.below(2) == 0) forget_zero_pages();
+    // Needle sets in plan order: each needle copied from the buffer (a
+    // hit) or random over the alphabet including zeros.
+    for (int set = 0; set < 4; ++set) {
+      std::vector<std::vector<u8>> needles(rng.range(1, 4));
+      for (std::vector<u8>& needle : needles) {
+        needle.resize(rng.range(8, 16));
+        if (rng.below(2) == 0) {
+          const size_t at = rng.below(buf.size() - needle.size() + 1);
+          std::copy(buf.begin() + static_cast<i64>(at),
+                    buf.begin() + static_cast<i64>(at + needle.size()),
+                    needle.begin());
+        } else {
+          for (u8& b : needle) b = static_cast<u8>(rng.below(3));
+        }
       }
-      ASSERT_EQ(scan(buf, needle), full_search(buf, needle))
-          << "iter " << iter << " len " << buf.size();
+      ASSERT_EQ(scan(needles), reference(needles))
+          << "iter " << iter << " pages " << buf.size() / kPage;
+    }
+    aspace_.unmap(kBase, buf.size());
+  }
+}
+
+TEST_F(VaultScan, SecretPlantedInTheGuestStackIsFound) {
+  const vault::BuiltVault built = vault::build_vault(vault::VaultSpec{});
+  sim::Machine m;
+  const int pid = m.load(built.image);
+  ASSERT_GE(pid, 0);
+  ASSERT_TRUE(m.run(400'000'000).completed);
+  ASSERT_EQ(m.exit_code(pid), 0);
+  os::AddressSpace& aspace = *m.kernel().process(pid).aspace;
+  const std::optional<vault::VaultLocation> loc = vault::find_vault(aspace);
+  ASSERT_TRUE(loc.has_value());
+  const vault::SecretScan secrets = vault::secret_scan(built);
+  EXPECT_EQ(secrets.find(aspace, loc), std::nullopt);
+
+  // The stack is the highest mapping; its deep pages were never touched.
+  const os::Vma& stack = aspace.vmas().rbegin()->second;
+  ASSERT_EQ(stack.pkey, 0u);
+  ASSERT_GE(stack.pages(), 16u);
+  ASSERT_GE(built.payloads.size(), 2u);
+  ASSERT_GE(built.payloads[1].size(), 16u);
+  ASSERT_GE(built.payloads[0].size(), 16u);
+  const std::vector<u8> first(built.payloads[0].begin(),
+                              built.payloads[0].begin() + 16);
+  const std::vector<u8> second(built.payloads[1].begin(),
+                               built.payloads[1].begin() + 16);
+  // The first needle in plan order straddles stack pages 5 and 6, between
+  // zero pages 4 and 7, and recurs higher up; the second needle sits lower
+  // than both.
+  const u64 straddle = stack.start + 6 * kPage - 5;
+  ASSERT_TRUE(aspace.copy_out(stack.start + 12 * kPage, first.data(), 16));
+  ASSERT_TRUE(aspace.copy_out(straddle, first.data(), 16));
+  ASSERT_TRUE(aspace.copy_out(stack.start + 2 * kPage + 40, second.data(), 16));
+  EXPECT_EQ(secrets.find(aspace, loc), straddle);
+  const std::vector<std::vector<u8>> needles = {first, second};
+  EXPECT_EQ(reference_find(aspace, loc, needles), straddle);
+}
+
+// ---------------------------------------------------------------------------
+// The single-pass sweep against its reference: a fresh machine killed at
+// each point, its own checkpoint resumed, nothing shared or memoised.
+// ---------------------------------------------------------------------------
+
+vault::PointVerdict fresh_machine_point(const vault::BuiltVault& built,
+                                        const vault::VaultSpec& spec,
+                                        const sim::MachineConfig& mc,
+                                        u64 crash_at, bool resume,
+                                        std::set<std::vector<u8>>& blobs) {
+  vault::PointVerdict v;
+  v.instret = crash_at;
+  const auto fail = [&v](const std::string& why) {
+    if (v.ok) {
+      v.ok = false;
+      v.failure = why;
+    }
+  };
+  // The recovered ledger of `aspace`'s vault; nullopt when unreadable.
+  const auto ledger_of = [](const os::AddressSpace& aspace) {
+    std::optional<vault::Ledger> ledger = vault::Ledger{};
+    if (const auto loc = vault::find_vault(aspace)) {
+      std::vector<u8> region(loc->geo.total_len());
+      ledger.reset();
+      if (aspace.copy_in(loc->base, region.data(), region.size())) {
+        ledger = vault::replay(region.data(), region.size());
+      }
+    }
+    return ledger;
+  };
+  sim::Machine m(mc);
+  const int pid = m.load(built.image);
+  EXPECT_GE(pid, 0);
+  m.run(crash_at);
+  const os::AddressSpace& aspace = *m.kernel().process(pid).aspace;
+  const std::optional<vault::Ledger> read = ledger_of(aspace);
+  if (!read.has_value()) fail("vault region unreadable");
+  const vault::Ledger ledger = read.value_or(vault::Ledger{});
+  v.live = ledger.live.size();
+  v.commits = ledger.commits_seen;
+  v.torn = ledger.torn_or_corrupt;
+  for (const auto& [id, b] : ledger.live) {
+    const bool planned = std::any_of(
+        built.ops.begin(), built.ops.end(), [&](const vault::VaultOp& op) {
+          return op.type != vault::OpType::kUnseal && op.id == id &&
+                 op.seq == b.seq && op.slot == b.slot && op.len == b.len;
+        });
+    const std::vector<u8> expect =
+        vault::payload_bytes(spec.seed, id, b.seq, b.len);
+    if (!planned) {
+      fail("unplanned live bundle id=" + std::to_string(id) +
+           " seq=" + std::to_string(b.seq));
+    } else if (checksum64(expect.data(), expect.size()) != b.payload_fnv) {
+      fail("foreign payload content id=" + std::to_string(id));
     }
   }
+  for (const os::MarkRecord& mr : m.kernel().marks()) {
+    if (mr.kind == os::mark::kVaultDenied) {
+      fail("unexpected ownership denial id=" + std::to_string(mr.arg0));
+    }
+    if (mr.kind != os::mark::kVaultCommit) continue;
+    const auto it = ledger.live.find(mr.arg0);
+    if (it == ledger.live.end() || it->second.seq < mr.arg1) {
+      fail("committed bundle lost id=" + std::to_string(mr.arg0) +
+           " seq=" + std::to_string(mr.arg1));
+    }
+  }
+  std::vector<std::vector<u8>> needles;
+  for (const std::vector<u8>& payload : built.payloads) {
+    if (payload.size() >= 8) {
+      needles.emplace_back(payload.begin(),
+                           payload.begin() +
+                               static_cast<i64>(std::min<size_t>(
+                                   16, payload.size())));
+    }
+  }
+  if (const auto at =
+          reference_find(aspace, vault::find_vault(aspace), needles)) {
+    fail("secret bytes outside vault at vaddr=" + std::to_string(*at));
+  }
+  if (resume && m.has_checkpoint()) {
+    v.resumed = true;
+    const std::vector<u8>& blob = m.checkpoint_blob();
+    blobs.insert(blob);
+    sim::Machine resumed(snapshot::config_from(blob));
+    snapshot::restore(resumed, blob);
+    if (!resumed.run(400'000'000).completed) {
+      fail("resume did not complete");
+    } else if (resumed.exit_code(pid) != 0) {
+      fail("resume exit=" + std::to_string(resumed.exit_code(pid)));
+    } else {
+      const std::optional<vault::Ledger> led =
+          ledger_of(*resumed.kernel().process(pid).aspace);
+      if (!led.has_value() ||
+          vault::ledger_string(*led) != built.expected_ledger) {
+        fail("resume ledger diverged");
+      }
+    }
+  }
+  return v;
+}
+
+TEST(VaultSweep, SinglePassEqualsFreshMachinePerPoint) {
+  vault::SweepConfig cfg;
+  cfg.spec.seals = 2;
+  cfg.spec.reseals = 1;
+  cfg.spec.unseals = 1;
+  cfg.min_points = 48;
+  cfg.stride_points = 32;
+  cfg.rollback_every = 1;
+  cfg.checkpoint_interval = 300;  // several distinct checkpoints to resume
+  const vault::BuiltVault built = vault::build_vault(cfg.spec);
+  sim::MachineConfig mc;
+  mc.checkpoint_interval = cfg.checkpoint_interval;
+
+  std::vector<vault::PointVerdict> expect;
+  std::set<std::vector<u8>> blobs;
+  for (const unsigned threads : {1u, 2u, 3u}) {
+    SCOPED_TRACE(threads);
+    cfg.threads = threads;
+    const vault::SweepResult r = vault::run_sweep(cfg);
+    ASSERT_TRUE(r.learning_failure.empty()) << r.learning_failure;
+    ASSERT_EQ(r.verdicts.size(), r.points);
+    if (expect.empty()) {
+      for (const vault::PointVerdict& v : r.verdicts) {
+        expect.push_back(
+            fresh_machine_point(built, cfg.spec, mc, v.instret, true, blobs));
+      }
+    }
+    ASSERT_EQ(r.verdicts.size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i) {
+      const vault::PointVerdict& got = r.verdicts[i];
+      const vault::PointVerdict& want = expect[i];
+      SCOPED_TRACE(got.instret);
+      EXPECT_EQ(got.instret, want.instret);
+      EXPECT_EQ(got.ok, want.ok);
+      EXPECT_EQ(got.failure, want.failure);
+      EXPECT_EQ(got.resumed, want.resumed);
+      EXPECT_EQ(got.live, want.live);
+      EXPECT_EQ(got.commits, want.commits);
+      EXPECT_EQ(got.torn, want.torn);
+    }
+  }
+  // The points saw more than one checkpoint, and some crashed with
+  // recoverable bundles and some before any commit.
+  EXPECT_GE(blobs.size(), 3u);
+  EXPECT_TRUE(std::any_of(expect.begin(), expect.end(),
+                          [](const auto& v) { return v.live > 0; }));
+  EXPECT_TRUE(std::any_of(expect.begin(), expect.end(),
+                          [](const auto& v) { return v.live == 0; }));
 }
 
 }  // namespace

@@ -19,7 +19,8 @@
 // upsets); the canonical ledger stays byte-identical for a fixed config.
 // `attack --all --threads=N` drains the suite through the fleet worker
 // pool; ledgers and reports are byte-identical for any N. --json writes
-// the machine-readable report (array form for --all). --trace-out records
+// the machine-readable report (array form for --all) to stdout,
+// --json=<path> to a file. --trace-out records
 // gate entry/exit, dispositions and quarantine transitions per handler and
 // exports Perfetto JSON (open in ui.perfetto.dev, or feed the same events
 // through sealpk-trace).
@@ -52,7 +53,7 @@ struct CliOptions {
   bool all_attacks = false;
   unsigned threads = 1;
   bool quiet = false;
-  std::string json_path;
+  cli::JsonSink json;
   std::string trace_path;
   serve::ServeConfig cfg;
 };
@@ -134,10 +135,10 @@ int run_one(const CliOptions& cli) {
     print_summary(cfg, r,
                   cli.attack_name.empty() ? "clean" : cli.attack_name.c_str());
   }
-  if (!cli.json_path.empty()) {
+  if (cli.json.on) {
     std::ostringstream os;
     serve::write_result_json(os, cfg, r);
-    cli::write_text(cli.json_path, os.str());
+    cli.json.emit(os.str());
   }
   if (!cli.trace_path.empty()) export_trace(r, cli.trace_path);
   return verdict(r);
@@ -163,7 +164,7 @@ int run_all(const CliOptions& cli) {
     if (!cli.quiet) print_summary(cfgs[i], results[i], registry[i].name);
     if (verdict(results[i]) != 0) rc = 1;
   }
-  if (!cli.json_path.empty()) {
+  if (cli.json.on) {
     std::ostringstream os;
     os << "[\n";
     for (size_t i = 0; i < registry.size(); ++i) {
@@ -171,7 +172,7 @@ int run_all(const CliOptions& cli) {
       os << (i + 1 < registry.size() ? ",\n" : "\n");
     }
     os << "]\n";
-    cli::write_text(cli.json_path, os.str());
+    cli.json.emit(os.str());
   }
   if (!cli.quiet) {
     std::printf("%s: %zu attack(s), %s\n", "red team", registry.size(),
@@ -205,8 +206,8 @@ int main(int argc, char** argv) {
   tool.add(cli::sw("--chaos", &cfg.chaos.enabled, "compose fault injection"));
   cli::add_fault_plan(tool, {&cfg.chaos.seed, &cfg.chaos.rate, nullptr,
                              &cfg.chaos.max_faults, nullptr});
-  tool.add(cli::value("--json", &cli.json_path, "<path>",
-                      "machine-readable report (array for --all)"));
+  tool.add(cli::json_sink(&cli.json,
+                          "machine-readable report (array for --all)"));
   tool.add(cli::value("--trace-out", &cli.trace_path, "<path>",
                       "Perfetto JSON of the obs event stream"));
   tool.add(cli::quiet(&cli.quiet));

@@ -10,17 +10,18 @@
 //   run     one clean run; prints the recovered ledger and vault counters,
 //           exits 0 iff the run is clean and the ledger matches the
 //           build-time oracle
-//   sweep   the crash-anywhere sweep: kill a fresh machine at every
-//           sampled instret (dense around every journal-record write,
-//           uniform elsewhere), cold-replay the region and assert
-//           integrity / durability / confidentiality; a subset of points
-//           additionally restores the last known-good checkpoint and
-//           re-runs to completion. --chaos layers seeded vault-record bit
+//   sweep   the crash-anywhere sweep: stop the machine at every sampled
+//           instret (dense around every journal-record write, uniform
+//           elsewhere), cold-replay the region and assert integrity /
+//           durability / confidentiality; a subset of points additionally
+//           restores the last known-good checkpoint and re-runs to
+//           completion. --chaos layers seeded vault-record bit
 //           flips on top (invariants weaken exactly to detection).
 //
 // --selfcheck re-runs the sweep serially and requires the canonical
 // verdict to be byte-identical to the parallel run. --json writes the
-// machine-readable verdict (the CI artifact uploaded on failure).
+// machine-readable verdict (the CI artifact uploaded on failure) to
+// stdout, --json=<path> to a file.
 //
 // Exit status: 0 ok, 1 invariant violated, 2 usage or I/O error.
 //
@@ -43,7 +44,7 @@ namespace {
 struct CliOptions {
   bool quiet = false;
   bool selfcheck = false;
-  std::string json_path;
+  cli::JsonSink json;
   vault::SweepConfig cfg;
 };
 
@@ -84,10 +85,10 @@ int mode_sweep(const CliOptions& cli) {
       std::printf("selfcheck: serial re-run byte-identical\n");
     }
   }
-  if (!cli.json_path.empty()) {
+  if (cli.json.on) {
     std::ostringstream os;
     vault::write_sweep_json(os, cli.cfg, r);
-    cli::write_text(cli.json_path, os.str());
+    cli.json.emit(os.str());
   }
   return rc;
 }
@@ -129,8 +130,7 @@ int main(int argc, char** argv) {
   tool.add(cli::value("--chaos-max-faults", &cfg.chaos_max_faults, "<n>",
                       "fault budget per chaos run"));
   tool.add(cli::selfcheck(&cli.selfcheck));
-  tool.add(cli::value("--json", &cli.json_path, "<path>",
-                      "machine-readable sweep verdict"));
+  tool.add(cli::json_sink(&cli.json, "machine-readable sweep verdict"));
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
     const std::string mode = cli::take_mode(args, {"run", "sweep"});

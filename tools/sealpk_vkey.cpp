@@ -13,7 +13,8 @@
 //           exits 0 iff the guest checksum matches the host golden
 //   sweep   the key-churn matrix: virt-eager + virt-lazy (+ raw where it
 //           fits) cells per scale, drained through the fleet pool;
-//           --json writes BENCH_keychurn.json
+//           --json writes the BENCH_keychurn.json report (bare --json
+//           to stdout, --json=<path> to a file)
 //
 // --selfcheck re-runs the sweep serially and requires the concatenated
 // canonical records to be byte-identical to the parallel run.
@@ -38,7 +39,7 @@ namespace {
 struct CliOptions {
   bool quiet = false;
   bool selfcheck = false;
-  std::string json_path;
+  cli::JsonSink json;
   mpk::SessionConfig cfg;
   std::optional<u64> ops;
   std::vector<u64> scales = {256, 768, 2048, 6144};
@@ -87,9 +88,7 @@ int mode_sweep(const CliOptions& cli) {
       std::printf("selfcheck: serial re-run byte-identical\n");
     }
   }
-  if (!cli.json_path.empty()) {
-    cli::write_text(cli.json_path, mpk::churn_json(cells));
-  }
+  if (cli.json.on) cli.json.emit(mpk::churn_json(cells));
   return rc;
 }
 
@@ -121,8 +120,7 @@ int main(int argc, char** argv) {
                        }));
   tool.add(cli::threads(&cli.threads, "fleet workers for the sweep"));
   tool.add(cli::selfcheck(&cli.selfcheck));
-  tool.add(cli::value("--json", &cli.json_path, "<path>",
-                      "machine-readable sweep report"));
+  tool.add(cli::json_sink(&cli.json, "machine-readable sweep report"));
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
     const std::string mode = cli::take_mode(args, {"run", "sweep"});
