@@ -17,13 +17,15 @@ namespace sealpk::model {
 // Deliberate single-fault injections, used by the mutation self-tests to
 // prove each invariant check actually fires. kNone is the shipping
 // configuration; every other value breaks the machine (or, for the kSpec*
-// values, the reference spec) in one specific way.
+// values, the reference spec) in one specific way. The five kernel-side
+// ones (kSkipFreeClear .. kRefillWrongRange) switch on the matching step
+// of the pkey core's fault policy (os::FaithfulKernel in os/pkey_ops.h).
 enum class Mutation : u8 {
   kNone,
   // Kernel free() of a zero-page key forgets to dissolve the hardware seal
   // (the historical bug this checker found; see tests/model_traces/).
   kSkipFreeClear,
-  // The lazy-free drained hook forgets to scrub SealReg / PK-CAM.
+  // A completed lazy-free drain forgets to scrub SealReg / PK-CAM.
   kSkipDrainScrub,
   // free() dissolves the hardware seal even while orphan pages remain.
   kEagerFreeClear,

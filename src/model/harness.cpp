@@ -1,55 +1,50 @@
 #include "model/harness.h"
 
-#include <bitset>
-
 #include "common/check.h"
-#include "common/serial.h"
+#include "os/pkey_ops.h"
 #include "os/syscall_abi.h"
 
 namespace sealpk::model {
 
+namespace {
+
+// The kernel-side mutations as fault policies of the kernel's pkey glue.
+template <Mutation m>
+struct MutantKernel {
+  static constexpr bool kSkipFreeClear = m == Mutation::kSkipFreeClear;
+  static constexpr bool kSkipDrainScrub = m == Mutation::kSkipDrainScrub;
+  static constexpr bool kEagerFreeClear = m == Mutation::kEagerFreeClear;
+  static constexpr bool kForgetDirty = m == Mutation::kForgetDirty;
+  static constexpr bool kRefillWrongRange = m == Mutation::kRefillWrongRange;
+};
+
+// The outcome of a syscall that returns 0 or an errno.
+Outcome syscall_outcome(i64 rc) {
+  return {rc == 0 ? OpStatus::kOk : OpStatus::kError, rc};
+}
+
+}  // namespace
+
 Harness::Harness(const ModelConfig& cfg)
-    : cfg_(cfg), seal_(cfg.cam_entries), pages_(cfg.num_pages) {
-  wire_drained_hook();
-}
-
-Harness::Harness(const Harness& other)
-    : cfg_(other.cfg_),
-      pkr_(other.pkr_),
-      seal_(other.seal_),
-      keys_(other.keys_),
-      pages_(other.pages_) {
-  wire_drained_hook();
-}
-
-void Harness::wire_drained_hook() {
-  // Mirrors Kernel::install_drained_hook: when a quarantined key's last
-  // page drains, dissolve its hardware seal state and clear its PKR field.
-  keys_.set_drained_hook([this](u32 pkey) {
-    if (cfg_.mutation != Mutation::kSkipDrainScrub) {
-      seal_.clear_key(pkey);
-    }
-    pkr_.set_perm(pkey, 0);
-  });
-}
-
-void Harness::refill(u32 pkey, u64 start, u64 end) {
-  if (cfg_.mutation == Mutation::kRefillWrongRange) {
-    seal_.refill(pkey, start + 4, end);
-    return;
-  }
-  seal_.refill(pkey, start, end);
-}
+    : cfg_(cfg), seal_(cfg.cam_entries), pages_(cfg.num_pages) {}
 
 void Harness::install(const ModelState& s) {
   pkr_.reset();
-  for (u32 k = 0; k < cfg_.num_pkeys; ++k) {
-    pkr_.set_perm(k, s.keys[k].perm);
-  }
-
   hw::SealUnit::Snapshot snap{};
+  os::SealPkKeyManager::State ks;
   for (u32 k = 0; k < cfg_.num_pkeys; ++k) {
-    if (s.keys[k].hw_sealed) snap.seal_reg.set(k);
+    const KeyState& key = s.keys[k];
+    pkr_.set_perm(k, key.perm);
+    snap.seal_reg[k] = key.hw_sealed;
+    ks.alloc[k] = key.allocated;
+    ks.dirty[k] = key.dirty;
+    ks.sealed_domain[k] = key.sealed_domain;
+    ks.sealed_page[k] = key.sealed_page;
+    ks.counter[k] = key.pages;
+    if (key.range != kNoRange) {
+      ks.perm_range[k] = {kModelRanges[key.range].start,
+                          kModelRanges[key.range].end};
+    }
   }
   for (unsigned i = 0; i < cfg_.cam_entries; ++i) {
     snap.cam_entries[i] = {static_cast<u16>(s.cam[i].pkey), s.cam[i].start,
@@ -58,32 +53,7 @@ void Harness::install(const ModelState& s) {
   }
   snap.fifo_next = s.fifo_next;
   seal_.restore(snap);
-
-  // The key manager re-installs through its own snapshot port.
-  std::bitset<hw::kNumPkeys> alloc, dirty, sd, sp;
-  for (u32 k = 0; k < cfg_.num_pkeys; ++k) {
-    if (s.keys[k].allocated) alloc.set(k);
-    if (s.keys[k].dirty) dirty.set(k);
-    if (s.keys[k].sealed_domain) sd.set(k);
-    if (s.keys[k].sealed_page) sp.set(k);
-  }
-  ByteWriter w;
-  w.put_bitset(alloc);
-  w.put_bitset(dirty);
-  w.put_bitset(sd);
-  w.put_bitset(sp);
-  for (u32 k = 0; k < hw::kNumPkeys; ++k) {
-    w.put_u64(k < cfg_.num_pkeys ? s.keys[k].pages : 0);
-  }
-  for (u32 k = 0; k < hw::kNumPkeys; ++k) {
-    const bool has = k < cfg_.num_pkeys && s.keys[k].range != kNoRange;
-    w.put_bool(has);
-    w.put_u64(has ? kModelRanges[s.keys[k].range].start : 0);
-    w.put_u64(has ? kModelRanges[s.keys[k].range].end : 0);
-  }
-  ByteReader r(w.buffer());
-  keys_.load_state(r);
-
+  keys_.set_state(ks);
   pages_ = s.pages;
 }
 
@@ -94,18 +64,19 @@ ModelState Harness::extract() const {
   s.cam.resize(cfg_.cam_entries);
 
   const hw::SealUnit::Snapshot snap = seal_.canonical_state();
+  const os::SealPkKeyManager::State& ks = keys_.state();
   for (u32 k = 0; k < cfg_.num_pkeys; ++k) {
     auto& key = s.keys[k];
-    key.allocated = keys_.allocated(k);
-    key.dirty = keys_.dirty(k);
-    key.sealed_domain = keys_.domain_sealed(k);
-    key.sealed_page = keys_.pages_sealed(k);
+    key.allocated = ks.alloc[k];
+    key.dirty = ks.dirty[k];
+    key.sealed_domain = ks.sealed_domain[k];
+    key.sealed_page = ks.sealed_page[k];
     key.hw_sealed = snap.seal_reg[k];
     key.perm = pkr_.peek_perm(k);
-    const u64 count = keys_.page_count(k);
-    SEALPK_CHECK_MSG(count <= cfg_.num_pages, "page counter out of range");
-    key.pages = static_cast<u8>(count);
-    const auto range = keys_.perm_seal_range(k);
+    SEALPK_CHECK_MSG(ks.counter[k] <= cfg_.num_pages,
+                     "page counter out of range");
+    key.pages = static_cast<u8>(ks.counter[k]);
+    const auto& range = ks.perm_range[k];
     if (range.has_value()) {
       key.range = kNoRange;
       for (unsigned r = 0; r < kModelNumRanges; ++r) {
@@ -118,7 +89,6 @@ ModelState Harness::extract() const {
                        "perm-seal range on file is off the model table");
     }
   }
-
   for (unsigned i = 0; i < hw::kPkCamEntries; ++i) {
     if (i < cfg_.cam_entries) {
       s.cam[i].valid = snap.cam_valid[i];
@@ -139,104 +109,81 @@ ModelState Harness::extract() const {
   // the model (the alloc mask below frees boundary keys immediately).
   for (u32 k = cfg_.num_pkeys; k < cfg_.num_pkeys + 2 && k < hw::kNumPkeys;
        ++k) {
-    SEALPK_CHECK_MSG(!keys_.allocated(k) && !keys_.dirty(k) &&
-                         !snap.seal_reg[k] && pkr_.peek_perm(k) == 0,
+    SEALPK_CHECK_MSG(!ks.alloc[k] && !ks.dirty[k] && !snap.seal_reg[k] &&
+                         pkr_.peek_perm(k) == 0,
                      "state leaked onto out-of-model key " << k);
   }
   return s;
 }
 
 Outcome Harness::apply(const Op& op) {
+  using enum Mutation;
+  switch (cfg_.mutation) {
+    case kSkipFreeClear: return apply_as<MutantKernel<kSkipFreeClear>>(op);
+    case kSkipDrainScrub: return apply_as<MutantKernel<kSkipDrainScrub>>(op);
+    case kEagerFreeClear: return apply_as<MutantKernel<kEagerFreeClear>>(op);
+    case kForgetDirty: return apply_as<MutantKernel<kForgetDirty>>(op);
+    case kRefillWrongRange:
+      return apply_as<MutantKernel<kRefillWrongRange>>(op);
+    default: return apply_as<os::FaithfulKernel>(op);
+  }
+}
+
+template <class Fault>
+Outcome Harness::apply_as(const Op& op) {
+  const os::PkeyOps<Fault> ops(keys_, pkr_, seal_);
+  const u32 k = op.pkey;
   switch (op.kind) {
     case OpKind::kAlloc: {
-      const i64 rc = keys_.alloc();
+      const i64 rc = ops.alloc(op.perm);
       if (rc < 0) return {OpStatus::kError, rc};
       if (rc >= static_cast<i64>(cfg_.num_pkeys)) {
         // Reduced-universe mask: the real manager found a key outside the
         // model, which means every model key is allocated or quarantined.
-        // Undo the side-effect-free grab and report exhaustion.
-        SEALPK_CHECK(keys_.free_key(static_cast<u32>(rc)) == 0);
+        // Free the pageless key again and report exhaustion.
+        SEALPK_CHECK(ops.free(static_cast<u32>(rc)) == 0);
         return {OpStatus::kError, os::err::kNoSpc};
       }
-      // Kernel sys_pkey_alloc: install the initial permission.
-      pkr_.set_perm(static_cast<u32>(rc), op.perm);
       return {OpStatus::kOk, rc};
     }
 
-    case OpKind::kFree: {
-      const u32 k = op.pkey;
-      const i64 rc = keys_.free_key(k);
-      if (rc != 0) return {OpStatus::kError, rc};
-      // Kernel sys_pkey_free: the PTE alone governs orphan pages.
-      pkr_.set_perm(k, 0);
-      if (cfg_.mutation == Mutation::kEagerFreeClear) {
-        seal_.clear_key(k);
-      } else if (!keys_.dirty(k) &&
-                 cfg_.mutation != Mutation::kSkipFreeClear) {
-        // Immediate full release: dissolve the hardware seal state too
-        // (the lazy path does this from the drained hook).
-        seal_.clear_key(k);
-      }
-      if (cfg_.mutation == Mutation::kForgetDirty && keys_.dirty(k)) {
-        // Broken kernel: the quarantine evaporates while pages survive.
-        ModelState s = extract();
-        s.keys[k].dirty = false;
-        install(s);
-      }
-      return {OpStatus::kOk, 0};
-    }
+    case OpKind::kFree:
+      return syscall_outcome(ops.free(k));
 
     case OpKind::kMprotect: {
-      // Mirrors sys_pkey_mprotect + AddressSpace::protect_pkey for one
-      // page: assignability, then the §IV seal vetoes, then PTE rewrite
-      // and page-counter maintenance.
-      const u32 k = op.pkey;
+      // sys_pkey_mprotect for one page: assignability, the seal vetoes,
+      // then the PTE rewrite and the counter move (which may drain).
       if (!keys_.assignable(k)) return {OpStatus::kError, os::err::kInval};
       PageState& pg = pages_[op.page];
-      if (keys_.domain_sealed(pg.pkey)) {
-        return {OpStatus::kError, os::err::kPerm};
-      }
-      if (pg.pkey != k && keys_.pages_sealed(k)) {
-        return {OpStatus::kError, os::err::kPerm};
-      }
       const u32 old = pg.pkey;
+      if (const i64 rc = os::retag_veto(keys_, old, k)) {
+        return syscall_outcome(rc);
+      }
       pg = {static_cast<u8>(k), op.prot};
       if (old != k) {
-        keys_.page_delta(old, -1);  // may complete a lazy-free drain
-        keys_.page_delta(k, +1);
+        ops.count_pages(old, -1);
+        ops.count_pages(k, +1);
       }
       return {OpStatus::kOk, 0};
     }
 
-    case OpKind::kSeal: {
-      const i64 rc = keys_.seal(op.pkey, op.seal_domain, op.seal_page);
-      if (rc != 0) return {OpStatus::kError, rc};
-      return {OpStatus::kOk, 0};
-    }
+    case OpKind::kSeal:
+      return syscall_outcome(keys_.seal(k, op.seal_domain, op.seal_page));
 
     case OpKind::kPermSeal: {
-      const u32 k = op.pkey;
       const PcRange range = kModelRanges[op.range];
-      const i64 rc = keys_.set_perm_seal(k, {range.start, range.end});
-      if (rc != 0) return {OpStatus::kError, rc};
-      // Kernel sys_pkey_perm_seal: commit the fuse and warm the CAM.
-      seal_.set_sealed(k);
-      refill(k, range.start, range.end);
-      return {OpStatus::kOk, 0};
+      return syscall_outcome(ops.perm_seal(k, {range.start, range.end}));
     }
 
     case OpKind::kWrpkr: {
-      // Mirrors Hart::exec_custom's WRPKR path plus the kernel's CAM-miss
+      // Hart::exec_custom's WRPKR path plus the kernel's CAM-miss
       // refill-and-retry handshake.
-      const u32 k = op.pkey;
       const u64 pc = kModelWrpkrPcs[op.pc];
       hw::SealCheck check = seal_.check_wrpkr(k, pc);
       if (check == hw::SealCheck::kMiss) {
         const auto range = keys_.perm_seal_range(k);
-        if (!range.has_value()) {
-          return {OpStatus::kTrap, 0};  // fatal: no range on file
-        }
-        refill(k, range->start, range->end);
+        if (!range.has_value()) return {OpStatus::kTrap, 0};
+        ops.refill(k, *range);
         check = seal_.check_wrpkr(k, pc);  // re-executed WRPKR
       }
       if (check == hw::SealCheck::kViolation &&

@@ -1,12 +1,13 @@
 // The concrete machine under test.
 //
 // A Harness owns the *real* implementation units — hw::Pkr, hw::SealUnit
-// (built with the reduced CAM size) and os::SealPkKeyManager wired with the
-// kernel's drained hook — plus a tiny page table, and drives them through
-// the kernel's syscall logic and the hart's WRPKR commit path. install()
-// and extract() convert to/from the abstract ModelState through the units'
-// official ports (canonical_state, restore, save_state/load_state), so the
-// checker observes exactly what context switches and snapshots observe.
+// (built with the reduced CAM size) and os::SealPkKeyManager — plus a tiny
+// page table, and drives them through the kernel's own pkey glue
+// (os/pkey_ops.h, with the mutation's fault policy) and the hart's WRPKR
+// commit path. install() and extract() convert to/from the abstract
+// ModelState through the units' official ports (canonical_state, restore,
+// the key manager's state record), so the checker observes exactly what
+// context switches and snapshots observe.
 #pragma once
 
 #include <vector>
@@ -22,10 +23,6 @@ namespace sealpk::model {
 class Harness {
  public:
   explicit Harness(const ModelConfig& cfg);
-  // Copies duplicate all unit state, then re-wire the drained hook (the
-  // copied std::function would still point into the source harness).
-  Harness(const Harness& other);
-  Harness& operator=(const Harness&) = delete;
 
   void install(const ModelState& s);
   ModelState extract() const;
@@ -41,8 +38,9 @@ class Harness {
   bool fetch_allowed(unsigned page) const;
 
  private:
-  void wire_drained_hook();
-  void refill(u32 pkey, u64 start, u64 end);
+  // apply() with the kernel glue instantiated under fault policy `Fault`.
+  template <class Fault>
+  Outcome apply_as(const Op& op);
 
   ModelConfig cfg_;
   hw::Pkr pkr_;

@@ -75,37 +75,6 @@ ModelState decode_state(const ModelConfig& cfg, const std::string& enc) {
   return s;
 }
 
-std::string state_to_string(const ModelState& s) {
-  std::ostringstream os;
-  for (size_t k = 0; k < s.keys.size(); ++k) {
-    const auto& key = s.keys[k];
-    os << "key" << k << ": alloc=" << key.allocated << " dirty=" << key.dirty
-       << " sd=" << key.sealed_domain << " sp=" << key.sealed_page
-       << " hw_sealed=" << key.hw_sealed << " perm=" << unsigned{key.perm}
-       << " range="
-       << (key.range == kNoRange ? std::string("-")
-                                 : std::to_string(unsigned{key.range}))
-       << " pages=" << unsigned{key.pages} << "\n";
-  }
-  for (size_t p = 0; p < s.pages.size(); ++p) {
-    os << "page" << p << ": pkey=" << unsigned{s.pages[p].pkey}
-       << " prot=" << unsigned{s.pages[p].prot} << "\n";
-  }
-  for (size_t i = 0; i < s.cam.size(); ++i) {
-    const auto& e = s.cam[i];
-    os << "cam" << i << ": ";
-    if (e.valid) {
-      os << "pkey=" << unsigned{e.pkey} << " [0x" << std::hex << e.start
-         << ", 0x" << e.end << std::dec << "]";
-    } else {
-      os << "invalid";
-    }
-    os << "\n";
-  }
-  os << "fifo_next=" << unsigned{s.fifo_next} << "\n";
-  return os.str();
-}
-
 std::string describe_divergence(const ModelState& spec,
                                 const ModelState& machine) {
   std::ostringstream os;

@@ -66,9 +66,6 @@ ModelState initial_state(const ModelConfig& cfg);
 std::string encode_state(const ModelState& s);
 ModelState decode_state(const ModelConfig& cfg, const std::string& enc);
 
-// Multi-line pretty form for counterexample reports.
-std::string state_to_string(const ModelState& s);
-
 // One-line description of the first field where the two states differ
 // ("spec"/"machine" labelling); empty when equal.
 std::string describe_divergence(const ModelState& spec,

@@ -49,8 +49,8 @@ class MpkKeyManager : public os::KeyManager {
 
   bool assignable(u32 pkey) const override { return allocated(pkey); }
 
-  void page_delta(u32 /*pkey*/, i64 /*pages*/) override {
-    // Linux's MPK support keeps no per-key page counts.
+  bool page_delta(u32 /*pkey*/, i64 /*pages*/) override {
+    return false;  // Linux's MPK support keeps no per-key page counts
   }
 
   void save_state(ByteWriter& w) const override { w.field(as<u64>(alloc_)); }

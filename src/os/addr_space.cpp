@@ -1,6 +1,7 @@
 #include "os/addr_space.h"
 
 #include "core/csr.h"
+#include "os/pkey_ops.h"
 #include "os/syscall_abi.h"
 
 namespace sealpk::os {
@@ -184,59 +185,21 @@ i64 AddressSpace::unmap(u64 addr, u64 len, const PkeyPageDelta& delta) {
   return 0;
 }
 
-i64 AddressSpace::protect(
-    u64 addr, u64 len, u64 prot,
-    const std::function<bool(u32 pkey)>& domain_sealed) {
+i64 AddressSpace::protect_pkey(u64 addr, u64 len, u64 prot,
+                               std::optional<u32> pkey,
+                               const KeyManager* keys,
+                               const PkeyPageDelta& delta) {
   if (len == 0 || (addr & (mem::kPageSize - 1)) != 0) return err::kInval;
+  if (pkey && *pkey >= (u32{1} << pkey_bits_)) return err::kInval;
   len = align_up(len, mem::kPageSize);
   if (!range_fully_mapped(addr, len)) return err::kNoMem;
 
-  // Pre-flight the seal check across the whole range so the call is
-  // all-or-nothing (paper §IV: a sealed domain's PTE permissions cannot be
-  // changed).
-  if (domain_sealed) {
-    for (u64 cursor = addr; cursor < addr + len;) {
-      const Vma* vma = find_vma(cursor);
-      if (domain_sealed(vma->pkey)) return err::kPerm;
-      cursor = vma->end;
-    }
-  }
-
-  split_at(addr);
-  split_at(addr + len);
-  i64 pages = 0;
-  const u64 flags = leaf_flags_for_prot(prot);
-  for (auto it = vmas_.lower_bound(addr);
-       it != vmas_.end() && it->second.start < addr + len; ++it) {
-    Vma& vma = it->second;
-    for (u64 page = vma.start; page < vma.end; page += mem::kPageSize) {
-      const u64 slot = lookup_pte_slot(page);
-      const u64 entry = mem_.read_u64(slot);
-      mem_.write_u64(slot, mem::pte::with_flags(entry & ~u64{0xFF}, flags));
-      ++pages;
-    }
-    vma.prot = prot;
-  }
-  return pages;
-}
-
-i64 AddressSpace::protect_pkey(
-    u64 addr, u64 len, u64 prot, u32 pkey,
-    const std::function<bool(u32 pkey)>& domain_sealed,
-    const std::function<bool(u32 pkey)>& pages_sealed,
-    const PkeyPageDelta& delta) {
-  if (len == 0 || (addr & (mem::kPageSize - 1)) != 0) return err::kInval;
-  if (pkey >= (u32{1} << pkey_bits_)) return err::kInval;
-  len = align_up(len, mem::kPageSize);
-  if (!range_fully_mapped(addr, len)) return err::kNoMem;
-
-  // Pre-flight both sealing rules.
-  for (u64 cursor = addr; cursor < addr + len;) {
+  // Pre-flight the seal vetoes across the whole range so the call is
+  // all-or-nothing.
+  for (u64 cursor = addr; keys != nullptr && cursor < addr + len;) {
     const Vma* vma = find_vma(cursor);
-    if (domain_sealed && domain_sealed(vma->pkey)) return err::kPerm;
-    if (vma->pkey != pkey && pages_sealed && pages_sealed(pkey)) {
-      return err::kPerm;  // cannot add pages to a page-sealed domain
-    }
+    const i64 rc = retag_veto(*keys, vma->pkey, pkey.value_or(vma->pkey));
+    if (rc != 0) return rc;
     cursor = vma->end;
   }
 
@@ -247,21 +210,21 @@ i64 AddressSpace::protect_pkey(
   for (auto it = vmas_.lower_bound(addr);
        it != vmas_.end() && it->second.start < addr + len; ++it) {
     Vma& vma = it->second;
-    const u32 old_pkey = vma.pkey;
+    const u32 to = pkey.value_or(vma.pkey);
     for (u64 page = vma.start; page < vma.end; page += mem::kPageSize) {
       const u64 slot = lookup_pte_slot(page);
-      u64 entry = mem_.read_u64(slot);
-      entry = mem::pte::with_flags(entry & ~u64{0xFF}, flags);
-      entry = mem::pte::with_pkey(entry, pkey, pkey_bits_);
+      u64 entry =
+          mem::pte::with_flags(mem_.read_u64(slot) & ~u64{0xFF}, flags);
+      if (pkey) entry = mem::pte::with_pkey(entry, to, pkey_bits_);
       mem_.write_u64(slot, entry);
       ++pages;
     }
-    if (delta && old_pkey != pkey) {
-      delta(old_pkey, -static_cast<i64>(vma.pages()));
-      delta(pkey, static_cast<i64>(vma.pages()));
+    if (delta && vma.pkey != to) {
+      delta(vma.pkey, -static_cast<i64>(vma.pages()));
+      delta(to, static_cast<i64>(vma.pages()));
     }
     vma.prot = prot;
-    vma.pkey = pkey;
+    vma.pkey = to;
   }
   return pages;
 }

@@ -16,6 +16,8 @@
 
 namespace sealpk::os {
 
+class KeyManager;
+
 struct Vma {
   u64 start = 0;  // page aligned, inclusive
   u64 end = 0;    // page aligned, exclusive
@@ -58,20 +60,16 @@ class AddressSpace {
   // Unmaps [addr, addr+len). Partial VMA coverage splits VMAs like Linux.
   i64 unmap(u64 addr, u64 len, const PkeyPageDelta& delta = nullptr);
 
+  // pkey_mprotect: updates permissions and assigns `pkey` (nullopt keeps
+  // each page's own). `keys` (optional) supplies the seal vetoes of
+  // os::retag_veto; `delta` maintains page counters. Returns pages
+  // updated or negative errno.
+  i64 protect_pkey(u64 addr, u64 len, u64 prot, std::optional<u32> pkey,
+                   const KeyManager* keys, const PkeyPageDelta& delta);
   // mprotect: updates PTE permission bits, preserving each page's pkey.
-  // Returns number of pages updated or negative errno. `sealed_domain`
-  // (optional) lets the caller veto changes to pages of sealed domains.
-  i64 protect(u64 addr, u64 len, u64 prot,
-              const std::function<bool(u32 pkey)>& domain_sealed = nullptr);
-
-  // pkey_mprotect: updates permissions *and* assigns `pkey`.
-  // `domain_sealed` vetoes re-keying pages whose current domain is sealed;
-  // `pages_sealed` vetoes adding pages to the target domain; `delta`
-  // maintains page counters. Returns pages updated or negative errno.
-  i64 protect_pkey(u64 addr, u64 len, u64 prot, u32 pkey,
-                   const std::function<bool(u32 pkey)>& domain_sealed,
-                   const std::function<bool(u32 pkey)>& pages_sealed,
-                   const PkeyPageDelta& delta);
+  i64 protect(u64 addr, u64 len, u64 prot, const KeyManager* keys = nullptr) {
+    return protect_pkey(addr, len, prot, std::nullopt, keys, nullptr);
+  }
 
   const Vma* find_vma(u64 addr) const;
   const std::map<u64, Vma>& vmas() const { return vmas_; }

@@ -267,7 +267,8 @@ AuditReport Kernel::audit_and_recover() {
       const u32 k = static_cast<u32>(pkey);
       // Only the counter can be repaired; a bad dirty bit stays flagged.
       if (keys.page_count(k) == pages[k]) continue;
-      keys.reconcile_page_count(k, pages[k]);
+      // The reconciled truth may complete a drain, in any process.
+      if (keys.reconcile_page_count(k, pages[k])) drain_key(pid, k);
       ++stats_.key_counter_repairs;
     }
   }

@@ -35,38 +35,53 @@ void Kernel::emit(obs::EventKind kind, u32 pkey, u64 arg0, u64 arg1) {
   recorder_->emit(kind, hart_.instret(), hart_.cycles(), pkey, arg0, arg1);
 }
 
-void Kernel::install_drained_hook(SealPkKeyManager& keys, int pid) {
-  keys.set_drained_hook([this, pid](u32 pkey) {
-    // The key fully drained: dissolve its hardware seal state so a future
-    // owner starts fresh.
-    auto it = processes_.find(pid);
-    if (it == processes_.end()) return;
-    if (current_tid_ >= 0 && thread(current_tid_).pid == pid) {
-      hart_.seal_unit().clear_key(pkey);
-    }
-    set_hw_pkey_perm(pkey, 0);
-    emit(obs::EventKind::kPkeyLazyDrain, pkey, 0, 0);
-  });
-}
-
-std::unique_ptr<KeyManager> Kernel::make_key_manager(int pid) {
+std::unique_ptr<KeyManager> Kernel::make_key_manager() const {
   if (hart_.config().flavor != core::IsaFlavor::kSealPk) {
     return std::make_unique<mpk::MpkKeyManager>();
   }
-  auto keys = std::make_unique<SealPkKeyManager>();
-  install_drained_hook(*keys, pid);
-  return keys;
+  return std::make_unique<SealPkKeyManager>();
+}
+
+void Kernel::LivePkr::set_perm(u32 pkey, u8 perm) {
+  if (k.hart_.config().flavor != core::IsaFlavor::kSealPk) {
+    k.hart_.pkru().set_perm(pkey, (perm & 0b01) != 0, (perm & 0b10) != 0);
+    return;
+  }
+  k.hart_.pkr().set_perm(pkey, perm);
+  // Mirror the kernel-path write into the running thread's PKR shadow so
+  // the shadow stays a faithful scrub source.
+  if (k.has_current_thread()) {
+    hw::Pkr::set_perm_in(k.thread(k.current_tid_).ctx.pkr, pkey, perm);
+  }
+}
+
+void Kernel::SavedPkr::set_perm(u32 pkey, u8 perm) {
+  for (const int tid : proc.thread_tids) {
+    hw::Pkr::set_perm_in(k.thread(tid).ctx.pkr, pkey, perm);
+  }
+}
+
+void Kernel::drain_key(int pid, u32 pkey) {
+  Process& proc = process(pid);
+  if (has_current_thread() && thread(current_tid_).pid == pid) {
+    pkeys().drain(pkey);
+  } else {
+    hw::SealUnit seal;
+    seal.restore(proc.seal_hw);
+    SavedPkr saved{*this, proc};
+    PkeyOps(*proc.keys, saved, seal).drain(pkey);
+    proc.seal_hw = seal.save();
+  }
+  emit(obs::EventKind::kPkeyLazyDrain, pkey, 0, 0);
 }
 
 PkeyPageDelta Kernel::page_delta_hook() {
-  KeyManager* keys = &current_keys();
-  if (recorder_ == nullptr) {
-    return [keys](u32 pkey, i64 pages) { keys->page_delta(pkey, pages); };
-  }
-  return [this, keys](u32 pkey, i64 pages) {
-    keys->page_delta(pkey, pages);
+  return [this, ops = pkeys()](u32 pkey, i64 pages) {
+    if (ops.count_pages(pkey, pages)) {
+      emit(obs::EventKind::kPkeyLazyDrain, pkey, 0, 0);
+    }
     emit(obs::EventKind::kPkeyPages, pkey, static_cast<u64>(pages),
-         keys->page_count(pkey));
+         ops.keys().page_count(pkey));
   };
 }
 
@@ -82,7 +97,7 @@ int Kernel::load_process(const isa::Image& image) {
   proc->aspace = std::make_unique<AddressSpace>(
       hart_.mem(), frames_, pkey_bits,
       config_.sv48 ? mem::sv48::kLevels : mem::sv39::kLevels);
-  proc->keys = make_key_manager(pid);
+  proc->keys = make_key_manager();
 
   // Map the image segments with their natural permissions. Any mid-load
   // failure (overlapping/non-canonical segments, frame exhaustion, copy
@@ -100,15 +115,17 @@ int Kernel::load_process(const isa::Image& image) {
     for (const auto& [start, len] : mapped) proc->aspace->unmap(start, len);
     return kLoadRefused;
   };
+  const PkeyPageDelta count = [&proc](u32 pkey, i64 pages) {
+    proc->keys->page_delta(pkey, pages);  // mapping never drains a key
+  };
   for (const auto& seg : image.segments) {
     const u64 start = align_down(seg.addr, mem::kPageSize);
     const u64 end = align_up(seg.addr + seg.bytes.size(), mem::kPageSize);
     u64 prot = prot::kRead;
     if (seg.write) prot |= prot::kWrite;
     if (seg.exec) prot |= prot::kExec;
-    const i64 rc = proc->aspace->map(
-        start, end - start, prot, /*pkey=*/0,
-        [&proc](u32 pkey, i64 pages) { proc->keys->page_delta(pkey, pages); });
+    const i64 rc =
+        proc->aspace->map(start, end - start, prot, /*pkey=*/0, count);
     if (rc < 0) {
       return refuse(rc == err::kNoMem ? "image segment map failed: no memory"
                                       : "image segment map failed");
@@ -121,9 +138,8 @@ int Kernel::load_process(const isa::Image& image) {
 
   // Main-thread stack at the top of the user VA range.
   const u64 stack_len = config_.stack_pages * mem::kPageSize;
-  const i64 rc = proc->aspace->map(
-      kStackTop - stack_len, stack_len, prot::kRead | prot::kWrite, 0,
-      [&proc](u32 pkey, i64 pages) { proc->keys->page_delta(pkey, pages); });
+  const i64 rc = proc->aspace->map(kStackTop - stack_len, stack_len,
+                                   prot::kRead | prot::kWrite, 0, count);
   if (rc < 0) {
     return refuse(rc == err::kNoMem ? "stack map failed: no memory"
                                     : "stack map failed");
@@ -213,19 +229,6 @@ bool Kernel::all_exited() const {
 
 size_t Kernel::runnable_threads() const {
   return run_queue_.size() + (current_tid_ >= 0 ? 1 : 0);
-}
-
-void Kernel::set_hw_pkey_perm(u32 pkey, u8 perm) {
-  if (hart_.config().flavor == core::IsaFlavor::kSealPk) {
-    hart_.pkr().set_perm(pkey, perm);
-    // Mirror the kernel-path write into the running thread's PKR shadow so
-    // the shadow stays a faithful scrub source.
-    if (has_current_thread()) {
-      hw::Pkr::set_perm_in(thread(current_tid_).ctx.pkr, pkey, perm);
-    }
-  } else {
-    hart_.pkru().set_perm(pkey, (perm & 0b01) != 0, (perm & 0b10) != 0);
-  }
 }
 
 void Kernel::save_current_context() {
@@ -447,7 +450,7 @@ void Kernel::handle_cam_miss() {
   }
   ++stats_.cam_refills;
   emit(obs::EventKind::kCamRefill, pkey, range->start, range->end);
-  hart_.seal_unit().refill(pkey, range->start, range->end);
+  pkeys().refill(pkey, *range);
   if (config_.cam_refill_dup && config_.cam_refill_dup()) {
     // Injected duplicate: the entry lands a second time in the FIFO slot,
     // wasting a CAM line until the audit dedups it.
@@ -650,9 +653,8 @@ i64 Kernel::sys_munmap(u64 addr, u64 len) {
 
 i64 Kernel::sys_mprotect(u64 addr, u64 len, u64 prot) {
   const auto& t = hart_.timing();
-  KeyManager& keys = current_keys();
-  const i64 pages = current_aspace().protect(
-      addr, len, prot, [&keys](u32 pkey) { return keys.domain_sealed(pkey); });
+  const i64 pages =
+      current_aspace().protect(addr, len, prot, &current_keys());
   hart_.add_cycles(t.vma_lookup_cycles);
   if (pages >= 0) {
     hart_.add_cycles(static_cast<u64>(pages) * t.pte_update_cycles +
@@ -721,7 +723,7 @@ void Kernel::state_fields(Io& io, Self& k) {
     if constexpr (Io::kLoading) {
       proc = std::make_unique<Process>();
       proc->pid = pid;
-      proc->keys = k.make_key_manager(pid);
+      proc->keys = k.make_key_manager();
     }
     io.field(proc->signal_handler);
     if constexpr (Io::kLoading) {

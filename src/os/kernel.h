@@ -22,6 +22,7 @@
 #include "isa/program.h"
 #include "obs/recorder.h"
 #include "os/audit.h"
+#include "os/pkey_ops.h"
 #include "os/process.h"
 #include "os/syscall_abi.h"
 
@@ -245,8 +246,7 @@ class Kernel {
   // key managers, per-process seal state), threads, scheduler queue, frame
   // allocator, fault/console/report logs and stats. The hart itself is
   // saved separately by the snapshot layer. load_state rebuilds everything
-  // in place, re-installing the non-serializable hooks (drained hooks
-  // capture live pointers).
+  // in place.
   void save_state(ByteWriter& w) const;
   void load_state(ByteReader& r);
 
@@ -360,15 +360,34 @@ class Kernel {
   // page tables. Counted as a recovery (unlike the plain sfence path).
   void recover_tlb_flush();
 
-  void install_drained_hook(SealPkKeyManager& keys, int pid);
-  // The flavour's key manager for a new (or restored) process `pid`.
-  std::unique_ptr<KeyManager> make_key_manager(int pid);
+  // The flavour's key manager for a new (or restored) process.
+  std::unique_ptr<KeyManager> make_key_manager() const;
+
+  // The PKR views the pkey core (os/pkey_ops.h) writes through. LivePkr
+  // is the running process's: the live PKR (PKRU for the MPK flavour) and
+  // the running thread's shadow. SavedPkr is the saved rows of every
+  // thread of `proc`, the whole PKR of a process that is not running.
+  struct LivePkr {
+    Kernel& k;
+    void set_perm(u32 pkey, u8 perm);
+  };
+  struct SavedPkr {
+    Kernel& k;
+    const Process& proc;
+    void set_perm(u32 pkey, u8 perm);
+  };
+  // The pkey core over the running process's key manager and live units.
+  PkeyOps<FaithfulKernel, LivePkr> pkeys() {
+    return {current_keys(), live_pkr_, hart_.seal_unit()};
+  }
+  // Scrubs drained `pkey` from process `pid`'s units: the live ones when
+  // it is running, else its saved seal state and threads' PKR rows.
+  void drain_key(int pid, u32 pkey);
 
   void save_current_context();
   void restore_context(Thread& next, int prev_pid);
   void yield_to_next(u64 resume_pc);
   void return_to_user(u64 pc);
-  void set_hw_pkey_perm(u32 pkey, u8 perm);
 
   PkeyPageDelta page_delta_hook();
 
@@ -378,6 +397,7 @@ class Kernel {
 
   core::Hart& hart_;
   KernelConfig config_;
+  LivePkr live_pkr_{*this};
   obs::Recorder* recorder_ = nullptr;
   std::map<int, std::unique_ptr<Process>> processes_;
   std::map<int, std::unique_ptr<Thread>> threads_;

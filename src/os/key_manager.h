@@ -10,7 +10,6 @@
 
 #include <array>
 #include <bitset>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -41,12 +40,16 @@ class KeyManager {
   virtual bool assignable(u32 pkey) const = 0;
   virtual bool dirty(u32 /*pkey*/) const { return false; }
   // Page-counter maintenance, driven by mmap/munmap/pkey_mprotect.
-  virtual void page_delta(u32 pkey, i64 pages) = 0;
+  // Returns true when it completed a lazy-free drain, which the caller
+  // must scrub from the hardware (PkeyOps::drain in os/pkey_ops.h).
+  virtual bool page_delta(u32 pkey, i64 pages) = 0;
   virtual u64 page_count(u32 /*pkey*/) const { return 0; }
   // Recovery port: force a counter to the recomputed truth after detected
-  // drift (the kernel audit's bitmap/counter cross-check). Flavours with
-  // no counts ignore it.
-  virtual void reconcile_page_count(u32 /*pkey*/, u64 /*pages*/) {}
+  // drift (the kernel audit's bitmap/counter cross-check); returns like
+  // page_delta. Flavours with no counts ignore it.
+  virtual bool reconcile_page_count(u32 /*pkey*/, u64 /*pages*/) {
+    return false;
+  }
 
   // --- sealing (SealPK only; the MPK flavour returns -ENOSYS) -------------
   virtual i64 seal(u32 /*pkey*/, bool /*domain*/, bool /*page*/) {
@@ -62,8 +65,7 @@ class KeyManager {
   }
 
   // --- snapshot ports ------------------------------------------------------
-  // Each flavour serializes its own bookkeeping; the kernel re-installs any
-  // hooks (they capture live pointers and never travel in a snapshot).
+  // Each flavour serializes its own bookkeeping.
   virtual void save_state(ByteWriter& w) const = 0;
   virtual void load_state(ByteReader& r) = 0;
 };
@@ -71,16 +73,21 @@ class KeyManager {
 // The SealPK kernel state with lazy de-allocation.
 class SealPkKeyManager : public KeyManager {
  public:
-  using DrainedHook = std::function<void(u32 pkey)>;
+  // The whole bookkeeping as one plain record: the snapshot port's field
+  // list reads and writes it, and the model checker installs and extracts
+  // its states through state()/set_state().
+  struct State {
+    std::bitset<hw::kNumPkeys> alloc, dirty, sealed_domain, sealed_page;
+    std::array<u64, hw::kNumPkeys> counter{};
+    std::array<std::optional<SealRange>, hw::kNumPkeys> perm_range{};
+  };
 
   SealPkKeyManager() {
-    alloc_.set(0);  // pkey 0 is the default domain, permanently allocated
+    s_.alloc.set(0);  // pkey 0 is the default domain, permanently allocated
   }
 
-  // Invoked when a dirty key's page count drains to zero and the key
-  // becomes allocatable again — the kernel uses it to scrub the per-process
-  // hardware seal state.
-  void set_drained_hook(DrainedHook hook) { drained_ = std::move(hook); }
+  const State& state() const { return s_; }
+  void set_state(const State& state) { s_ = state; }
 
   unsigned num_keys() const override { return hw::kNumPkeys; }
 
@@ -89,8 +96,8 @@ class SealPkKeyManager : public KeyManager {
     // out — this is exactly what kills the use-after-free (paper
     // §III-B.1).
     for (u32 k = 1; k < hw::kNumPkeys; ++k) {
-      if (!alloc_[k] && !dirty_[k]) {
-        alloc_.set(k);
+      if (!s_.alloc[k] && !s_.dirty[k]) {
+        s_.alloc.set(k);
         return k;
       }
     }
@@ -98,12 +105,12 @@ class SealPkKeyManager : public KeyManager {
   }
 
   i64 free_key(u32 pkey) override {
-    if (pkey == 0 || pkey >= hw::kNumPkeys || !alloc_[pkey]) {
+    if (pkey == 0 || pkey >= hw::kNumPkeys || !s_.alloc[pkey]) {
       return err::kInval;
     }
-    alloc_.reset(pkey);
-    if (counter_[pkey] > 0) {
-      dirty_.set(pkey);  // lazy de-allocation: quarantine until drained
+    s_.alloc.reset(pkey);
+    if (s_.counter[pkey] > 0) {
+      s_.dirty.set(pkey);  // lazy de-allocation: quarantine until drained
     } else {
       scrub(pkey);
     }
@@ -111,95 +118,92 @@ class SealPkKeyManager : public KeyManager {
   }
 
   bool allocated(u32 pkey) const override {
-    return pkey < hw::kNumPkeys && alloc_[pkey];
+    return pkey < hw::kNumPkeys && s_.alloc[pkey];
   }
 
   bool assignable(u32 pkey) const override {
-    return pkey < hw::kNumPkeys && alloc_[pkey] && !dirty_[pkey];
+    return pkey < hw::kNumPkeys && s_.alloc[pkey] && !s_.dirty[pkey];
   }
 
   bool dirty(u32 pkey) const override {
-    return pkey < hw::kNumPkeys && dirty_[pkey];
+    return pkey < hw::kNumPkeys && s_.dirty[pkey];
   }
 
-  void page_delta(u32 pkey, i64 pages) override {
+  bool page_delta(u32 pkey, i64 pages) override {
     SEALPK_CHECK(pkey < hw::kNumPkeys);
-    const i64 next = static_cast<i64>(counter_[pkey]) + pages;
+    const i64 next = static_cast<i64>(s_.counter[pkey]) + pages;
     SEALPK_CHECK_MSG(next >= 0, "pkey page counter underflow");
-    counter_[pkey] = static_cast<u64>(next);
-    if (counter_[pkey] == 0 && dirty_[pkey]) {
-      dirty_.reset(pkey);
-      scrub(pkey);
-      if (drained_) drained_(pkey);
-    }
+    return set_count(pkey, static_cast<u64>(next));
   }
 
   u64 page_count(u32 pkey) const override {
     SEALPK_CHECK(pkey < hw::kNumPkeys);
-    return counter_[pkey];
+    return s_.counter[pkey];
   }
 
-  void reconcile_page_count(u32 pkey, u64 pages) override {
+  bool reconcile_page_count(u32 pkey, u64 pages) override {
     SEALPK_CHECK(pkey < hw::kNumPkeys);
-    counter_[pkey] = pages;
-    // The reconciled truth may complete a pending lazy-free drain.
-    if (counter_[pkey] == 0 && dirty_[pkey]) {
-      dirty_.reset(pkey);
-      scrub(pkey);
-      if (drained_) drained_(pkey);
-    }
+    return set_count(pkey, pages);
   }
 
   i64 seal(u32 pkey, bool domain, bool page) override {
     if (!assignable(pkey)) return err::kInval;
-    if (domain) sealed_domain_.set(pkey);
-    if (page) sealed_page_.set(pkey);
+    if (domain) s_.sealed_domain.set(pkey);
+    if (page) s_.sealed_page.set(pkey);
     return 0;
   }
 
   bool domain_sealed(u32 pkey) const override {
-    return pkey < hw::kNumPkeys && sealed_domain_[pkey];
+    return pkey < hw::kNumPkeys && s_.sealed_domain[pkey];
   }
 
   bool pages_sealed(u32 pkey) const override {
-    return pkey < hw::kNumPkeys && sealed_page_[pkey];
+    return pkey < hw::kNumPkeys && s_.sealed_page[pkey];
   }
 
   // One-time fuse per process (paper §IV): a second call fails.
   i64 set_perm_seal(u32 pkey, SealRange range) override {
     if (!assignable(pkey)) return err::kInval;
-    if (perm_ranges_[pkey].has_value()) return err::kPerm;
+    if (s_.perm_range[pkey].has_value()) return err::kPerm;
     if (range.start > range.end || range.start == 0) return err::kInval;
-    perm_ranges_[pkey] = range;
+    s_.perm_range[pkey] = range;
     return 0;
   }
 
   std::optional<SealRange> perm_seal_range(u32 pkey) const override {
     SEALPK_CHECK(pkey < hw::kNumPkeys);
-    return perm_ranges_[pkey];
+    return s_.perm_range[pkey];
   }
 
-  void save_state(ByteWriter& w) const override { fields(w, *this); }
-  void load_state(ByteReader& r) override { fields(r, *this); }
+  void save_state(ByteWriter& w) const override { fields(w, s_); }
+  void load_state(ByteReader& r) override { fields(r, s_); }
 
  private:
+  // Sets a counter; a quarantined key whose count reaches zero has
+  // drained and is released (the return value).
+  bool set_count(u32 pkey, u64 pages) {
+    s_.counter[pkey] = pages;
+    if (pages != 0 || !s_.dirty[pkey]) return false;
+    scrub(pkey);
+    return true;
+  }
+
   // Full release: the key was freed and no page carries it any more, so
   // every seal attached to it dissolves (paper §IV: "the seal cannot be
   // broken unless the corresponding pkey and all its associated pages are
   // freed").
   void scrub(u32 pkey) {
-    dirty_.reset(pkey);
-    sealed_domain_.reset(pkey);
-    sealed_page_.reset(pkey);
-    perm_ranges_[pkey].reset();
+    s_.dirty.reset(pkey);
+    s_.sealed_domain.reset(pkey);
+    s_.sealed_page.reset(pkey);
+    s_.perm_range[pkey].reset();
   }
 
   // A perm-seal range travels as has | start | end (zeros when unset).
-  template <typename Io, typename Self>
-  static void fields(Io& io, Self& self) {
-    io.fields(self.alloc_, self.dirty_, self.sealed_domain_,
-              self.sealed_page_, self.counter_);
-    for (auto& range : self.perm_ranges_) {
+  template <typename Io, typename S>
+  static void fields(Io& io, S& s) {
+    io.fields(s.alloc, s.dirty, s.sealed_domain, s.sealed_page, s.counter);
+    for (auto& range : s.perm_range) {
       bool has = range.has_value();
       SealRange r = range.value_or(SealRange{});
       io.fields(has, r.start, r.end);
@@ -209,13 +213,7 @@ class SealPkKeyManager : public KeyManager {
     }
   }
 
-  std::bitset<hw::kNumPkeys> alloc_;
-  std::bitset<hw::kNumPkeys> dirty_;
-  std::bitset<hw::kNumPkeys> sealed_domain_;
-  std::bitset<hw::kNumPkeys> sealed_page_;
-  std::array<u64, hw::kNumPkeys> counter_{};
-  std::array<std::optional<SealRange>, hw::kNumPkeys> perm_ranges_{};
-  DrainedHook drained_;
+  State s_;
 };
 
 }  // namespace sealpk::os

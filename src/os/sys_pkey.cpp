@@ -6,11 +6,9 @@ namespace sealpk::os {
 
 i64 Kernel::retag_pages(u64 addr, u64 len, u64 prot, u32 pkey) {
   const auto& t = hart_.timing();
-  KeyManager& keys = current_keys();
-  const i64 pages = current_aspace().protect_pkey(
-      addr, len, prot, pkey,
-      [&keys](u32 k) { return keys.domain_sealed(k); },
-      [&keys](u32 k) { return keys.pages_sealed(k); }, page_delta_hook());
+  const i64 pages = current_aspace().protect_pkey(addr, len, prot, pkey,
+                                                  &current_keys(),
+                                                  page_delta_hook());
   hart_.add_cycles(t.vma_lookup_cycles);
   if (pages >= 0) {
     hart_.add_cycles(static_cast<u64>(pages) * t.pte_update_cycles);
@@ -33,9 +31,8 @@ i64 Kernel::sys_pkey_mprotect(u64 addr, u64 len, u64 prot, u64 pkey) {
 i64 Kernel::sys_pkey_alloc(u64 flags, u64 init_perm) {
   if (flags != 0 || init_perm > 3) return err::kInval;
   hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
-  const i64 pkey = current_keys().alloc();
+  const i64 pkey = pkeys().alloc(static_cast<u8>(init_perm));
   if (pkey >= 0) {
-    set_hw_pkey_perm(static_cast<u32>(pkey), static_cast<u8>(init_perm));
     emit(obs::EventKind::kPkeyAlloc, static_cast<u32>(pkey), init_perm, 0);
   }
   return pkey;
@@ -43,31 +40,15 @@ i64 Kernel::sys_pkey_alloc(u64 flags, u64 init_perm) {
 
 i64 Kernel::sys_pkey_free(u64 pkey) {
   hart_.add_cycles(hart_.timing().pkey_bookkeeping_cycles);
-  KeyManager& keys = current_keys();
-  const i64 rc = keys.free_key(static_cast<u32>(pkey));
+  const u32 k = static_cast<u32>(pkey);
+  // The Intel-MPK flavour only drops the allocation bit, leaving PKRU and
+  // the PTEs untouched: Linux's eager free, use-after-free bug included.
+  const bool sealpk = hart_.config().flavor == core::IsaFlavor::kSealPk;
+  const i64 rc = sealpk ? pkeys().free(k) : current_keys().free_key(k);
   if (rc != 0) return rc;
-  emit(obs::EventKind::kPkeyFree, static_cast<u32>(pkey),
-       keys.page_count(static_cast<u32>(pkey)), 0);
-  if (hart_.config().flavor == core::IsaFlavor::kSealPk) {
-    // Lazy de-allocation (§III-B.1): clear the key's PKR permission to
-    // (0,0) so the page-table permissions alone govern its orphan pages,
-    // in the current thread and in every sibling's saved PKR.
-    set_hw_pkey_perm(static_cast<u32>(pkey), 0);
-    for (const int tid : current_process().thread_tids) {
-      hw::Pkr::set_perm_in(thread(tid).ctx.pkr, static_cast<u32>(pkey), 0);
-    }
-    // Immediate full release: when no page carries the key, free_key()
-    // scrubbed the bookkeeping without going through the lazy quarantine,
-    // so the drained hook never fires. Dissolve the hardware seal state
-    // here too, or a future pkey_alloc would hand out a key whose SealReg
-    // bit and PK-CAM entry still belong to the previous owner (found by
-    // the model checker; replayed in tests/model_traces/).
-    if (!keys.dirty(static_cast<u32>(pkey))) {
-      hart_.seal_unit().clear_key(static_cast<u32>(pkey));
-    }
-  }
-  // The Intel-MPK flavour intentionally leaves PKRU and the PTEs untouched,
-  // reproducing Linux's eager-free semantics (the use-after-free bug).
+  emit(obs::EventKind::kPkeyFree, k, current_keys().page_count(k), 0);
+  // The closed PKR field reaches every sibling's saved PKR too.
+  if (sealpk) SavedPkr{*this, current_process()}.set_perm(k, 0);
   return 0;
 }
 
@@ -86,14 +67,11 @@ i64 Kernel::sys_pkey_perm_seal(u64 pkey) {
   const auto& t = hart_.timing();
   hart_.add_cycles(t.pkey_bookkeeping_cycles);
   const SealRange range{hart_.csrs().seal_start, hart_.csrs().seal_end};
-  const i64 rc =
-      current_keys().set_perm_seal(static_cast<u32>(pkey), range);
+  const i64 rc = pkeys().perm_seal(static_cast<u32>(pkey), range);
   if (rc != 0) return rc;
-  // Commit via the supervisor-only custom instruction path (spk.range +
-  // spk.seal) — modelled as direct unit updates with the same cycle cost.
+  // Committed via the supervisor-only custom instruction path (spk.range +
+  // spk.seal), modelled as direct unit updates with the same cycle cost.
   hart_.add_cycles(2 * t.rocc_cycles);
-  hart_.seal_unit().set_sealed(static_cast<u32>(pkey));
-  hart_.seal_unit().refill(static_cast<u32>(pkey), range.start, range.end);
   emit(obs::EventKind::kPkeyPermSeal, static_cast<u32>(pkey), range.start,
        range.end);
   return 0;
@@ -116,7 +94,9 @@ struct VkeyKernelOps final : mpk::VkeyOps {
     return k.retag_pages(addr, len, prot, pkey);
   }
 
-  void set_perm(u32 pkey, u8 perm) override { k.set_hw_pkey_perm(pkey, perm); }
+  void set_perm(u32 pkey, u8 perm) override {
+    k.live_pkr_.set_perm(pkey, perm);
+  }
 
   void flush_tlb() override {
     k.hart_.add_cycles(k.hart_.timing().tlb_flush_cycles);

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "os/addr_space.h"
+#include "os/key_manager.h"
 #include "os/syscall_abi.h"
 
 namespace sealpk::os {
@@ -108,7 +109,7 @@ TEST_F(AddrSpaceTest, ProtectPkeyMaintainsCounters) {
   const i64 addr = aspace_.map(0, 2 * 4096, prot::kRead, 0, delta);
   EXPECT_EQ(counters[0], 2);
   ASSERT_EQ(aspace_.protect_pkey(static_cast<u64>(addr), 2 * 4096,
-                                 prot::kRead, 9, nullptr, nullptr, delta),
+                                 prot::kRead, 9, nullptr, delta),
             2);
   EXPECT_EQ(counters[0], 0);
   EXPECT_EQ(counters[9], 2);
@@ -117,25 +118,29 @@ TEST_F(AddrSpaceTest, ProtectPkeyMaintainsCounters) {
 }
 
 TEST_F(AddrSpaceTest, ProtectPkeySealVetoes) {
+  SealPkKeyManager keys;
+  for (u32 k = 1; k <= 7; ++k) ASSERT_EQ(keys.alloc(), k);
+  ASSERT_EQ(keys.seal(5, /*domain=*/true, /*page=*/false), 0);
+  ASSERT_EQ(keys.seal(6, /*domain=*/false, /*page=*/true), 0);
   const i64 addr = aspace_.map(0, 4096, prot::kRead, 5);
-  const auto domain_sealed = [](u32 pkey) { return pkey == 5; };
-  const auto pages_sealed = [](u32 pkey) { return pkey == 6; };
   // Re-keying pages of the sealed domain 5 fails...
   EXPECT_EQ(aspace_.protect_pkey(static_cast<u64>(addr), 4096, prot::kRead,
-                                 7, domain_sealed, nullptr, nullptr),
+                                 7, &keys, nullptr),
             err::kPerm);
+  const i64 other = aspace_.map(0, 4096, prot::kRead, 7);
   // ...adding pages to the page-sealed domain 6 fails...
-  EXPECT_EQ(aspace_.protect_pkey(static_cast<u64>(addr), 4096, prot::kRead,
-                                 6, nullptr, pages_sealed, nullptr),
+  EXPECT_EQ(aspace_.protect_pkey(static_cast<u64>(other), 4096, prot::kRead,
+                                 6, &keys, nullptr),
             err::kPerm);
-  // ...and the PTE is untouched by the failed calls.
+  // ...and the PTEs are untouched by the failed calls.
   EXPECT_EQ(aspace_.page_pkey(static_cast<u64>(addr)), 5u);
+  EXPECT_EQ(aspace_.page_pkey(static_cast<u64>(other)), 7u);
 }
 
 TEST_F(AddrSpaceTest, ProtectPkeyRejectsOversizedKey) {
   const i64 addr = aspace_.map(0, 4096, prot::kRead);
   EXPECT_EQ(aspace_.protect_pkey(static_cast<u64>(addr), 4096, prot::kRead,
-                                 1024, nullptr, nullptr, nullptr),
+                                 1024, nullptr, nullptr),
             err::kInval);
 }
 
@@ -181,8 +186,7 @@ TEST_F(AddrSpaceTest, PropertyRandomOpsKeepCountersConsistent) {
     } else if (op == 1 && !regions.empty()) {  // re-key
       const auto [addr, len] = regions[rng.below(regions.size())];
       aspace_.protect_pkey(addr, len, prot::kRead,
-                           static_cast<u32>(rng.below(16)), nullptr,
-                           nullptr, delta);
+                           static_cast<u32>(rng.below(16)), nullptr, delta);
     } else if (op == 2 && !regions.empty()) {  // unmap
       const size_t idx = rng.below(regions.size());
       const auto [addr, len] = regions[idx];

@@ -133,6 +133,53 @@ TEST_F(AuditTest, KeyCounterAuditDetectsDrift) {
   finish();
 }
 
+// A counter repair can complete a lazy-free drain in a process that is not
+// running. The drain must scrub that process's saved seal state and PKR
+// rows, and leave the running process's PKR alone.
+TEST_F(AuditTest, CounterRepairDrainsTheProcessThatOwnsTheKey) {
+  start();
+  const int other = machine_->load(wl::build_sha(1).link());
+  ASSERT_GE(other, 0);
+  os::Process& proc = kernel().process(other);
+  ASSERT_NE(kernel().thread(kernel().current_tid()).pid, other);
+
+  // In `other`: a perm-sealed key, freed into quarantine with a planted
+  // page count that no mapping backs.
+  const i64 key = proc.keys->alloc();
+  ASSERT_GT(key, 0);
+  const u32 k = static_cast<u32>(key);
+  ASSERT_EQ(proc.keys->set_perm_seal(k, {0x1000, 0x1FFC}), 0);
+  proc.seal_hw.seal_reg.set(k);
+  proc.seal_hw.cam_entries[0] = {static_cast<u16>(k), 0x1000, 0x1FFC};
+  proc.seal_hw.cam_valid[0] = true;
+  for (const int tid : proc.thread_tids) {
+    hw::Pkr::set_perm_in(kernel().thread(tid).ctx.pkr, k, hw::kPermNone);
+  }
+  proc.keys->page_delta(k, 1);  // plant drift
+  ASSERT_EQ(proc.keys->free_key(k), 0);
+  ASSERT_TRUE(proc.keys->dirty(k));
+
+  // The running process holds its own permission for the same key number.
+  machine_->hart().pkr().set_perm(k, hw::kPermWriteOnly);
+  hw::Pkr::set_perm_in(kernel().thread(kernel().current_tid()).ctx.pkr, k,
+                       hw::kPermWriteOnly);
+
+  const auto report = kernel().audit_and_recover();
+  EXPECT_EQ(report.count(os::AuditCheck::kKeyCounters), 1u);
+  EXPECT_FALSE(proc.keys->dirty(k));
+  EXPECT_EQ(unsigned{machine_->hart().pkr().peek_perm(k)},
+            unsigned{hw::kPermWriteOnly});
+  EXPECT_FALSE(proc.seal_hw.seal_reg[k]);
+  EXPECT_FALSE(proc.seal_hw.cam_valid[0]);
+  for (const int tid : proc.thread_tids) {
+    hw::Pkr saved;
+    saved.restore(kernel().thread(tid).ctx.pkr);
+    EXPECT_EQ(unsigned{saved.peek_perm(k)}, 0u) << "tid " << tid;
+  }
+  EXPECT_TRUE(kernel().audit().clean());
+  finish();
+}
+
 TEST_F(AuditTest, CamAuditDetectsDuplicateLines) {
   start();
   hw::SealUnit& unit = machine_->hart().seal_unit();

@@ -1362,19 +1362,26 @@ TEST(KeyManagerUnit, CounterInvariantsUnderRandomOps) {
   }
 }
 
-TEST(KeyManagerUnit, DrainedHookFires) {
+TEST(KeyManagerUnit, PageDeltaReportsDrain) {
   os::SealPkKeyManager mgr;
-  u32 drained = 0;
-  mgr.set_drained_hook([&](u32 k) { drained = k; });
-  const i64 k = mgr.alloc();
-  ASSERT_GT(k, 0);
-  mgr.page_delta(static_cast<u32>(k), 2);
-  mgr.free_key(static_cast<u32>(k));
-  EXPECT_EQ(drained, 0u);
-  mgr.page_delta(static_cast<u32>(k), -1);
-  EXPECT_EQ(drained, 0u);
-  mgr.page_delta(static_cast<u32>(k), -1);
-  EXPECT_EQ(drained, static_cast<u32>(k));
+  const i64 key = mgr.alloc();
+  ASSERT_GT(key, 0);
+  const u32 k = static_cast<u32>(key);
+  EXPECT_FALSE(mgr.page_delta(k, 2));
+  ASSERT_EQ(mgr.free_key(k), 0);
+  EXPECT_FALSE(mgr.page_delta(k, -1));
+  EXPECT_TRUE(mgr.dirty(k));
+  EXPECT_TRUE(mgr.page_delta(k, -1));  // the last page: drained
+  EXPECT_FALSE(mgr.dirty(k));
+  EXPECT_FALSE(mgr.page_delta(k, 0));  // only once
+
+  // The audit's reconcile port reports a drain the same way.
+  ASSERT_EQ(mgr.alloc(), key);
+  EXPECT_FALSE(mgr.page_delta(k, 1));
+  ASSERT_EQ(mgr.free_key(k), 0);
+  EXPECT_FALSE(mgr.reconcile_page_count(k, 4));
+  EXPECT_TRUE(mgr.reconcile_page_count(k, 0));
+  EXPECT_FALSE(mgr.dirty(k));
 }
 
 TEST(KeyManagerUnit, MpkManagerHasNoQuarantine) {

@@ -546,5 +546,75 @@ TEST(ChunkedRunLoop, MarchingFetchFaultsCountFromRetiredPrefix) {
   EXPECT_EQ(r.fault_records, 26u);
 }
 
+// The opcodes no workload happens to execute (lhu, sh, slti, sltiu, ori,
+// sraiw, mulw) run through a Machine, one case each, against host-computed
+// results. The halfword cases use the last halfword of a stack page.
+TEST(GuestOps, RareOpcodesMatchHostResults) {
+  constexpr u64 kA = 0xDEAD'BEEF'8000'1234;
+  constexpr u64 kB = 0x0000'0002'0003'FFFF;
+  constexpr u64 kDword = 0x1122'3344'5566'7788;
+  const auto sext32 = [](u32 v) {
+    return static_cast<u64>(static_cast<i64>(static_cast<i32>(v)));
+  };
+  struct Case {
+    const char* what;
+    void (*emit)(Function& f);  // a0 <- op(a1 = kA, a2 = kB, t0 = page end)
+    u64 want;
+  };
+  const std::vector<Case> cases = {
+      {"slti", [](Function& f) { f.slti(a0, a1, -3); },
+       static_cast<i64>(kA) < -3},
+      {"slti false", [](Function& f) { f.slti(a0, a2, 5); },
+       static_cast<i64>(kB) < 5},
+      {"sltiu sign-extends its immediate",
+       [](Function& f) { f.sltiu(a0, a2, -1); }, kB < ~u64{0}},
+      {"sltiu false", [](Function& f) { f.sltiu(a0, a1, 7); }, kA < 7},
+      {"ori", [](Function& f) { f.ori(a0, a2, -0x800); },
+       kB | static_cast<u64>(i64{-0x800})},
+      {"sraiw", [](Function& f) { f.sraiw(a0, a1, 4); },
+       sext32(static_cast<u32>(static_cast<i32>(kA) >> 4))},
+      {"mulw", [](Function& f) { f.r(Op::kMulw, a0, a1, a2); },
+       sext32(static_cast<u32>(kA) * static_cast<u32>(kB))},
+      {"sh stores two bytes at the page end",
+       [](Function& f) {
+         f.li(t2, kDword).sd(t2, -8, t0);
+         f.li(t2, 0x7777'8001).sh(t2, -2, t0);
+         f.ld(a0, -8, t0);
+       },
+       (kDword & 0x0000'FFFF'FFFF'FFFF) | (u64{0x8001} << 48)},
+      {"lhu zero-extends", [](Function& f) { f.lhu(a0, -2, t0); }, 0x8001},
+  };
+  const auto prog = make_main_program([&](Program&, Function& f) {
+    f.li(t1, -static_cast<i64>(mem::kPageSize)).and_(t0, sp, t1);
+    for (const Case& c : cases) {
+      f.li(a1, static_cast<i64>(kA)).li(a2, static_cast<i64>(kB));
+      c.emit(f);
+      rt::syscall(f, os::sys::kReport);
+    }
+    f.li(a0, 0);
+  });
+  const auto run = testutil::run_guest(prog);
+  ASSERT_EQ(run.exit_code, 0);
+  ASSERT_EQ(run.reports.size(), cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(run.reports[i], cases[i].want) << cases[i].what;
+  }
+}
+
+TEST(GuestOps, EbreakRaisesItsTrap) {
+  const auto run =
+      testutil::run_guest(make_main_program([](Program&, Function& f) {
+        f.li(a0, 1);
+        rt::syscall(f, os::sys::kReport);
+        f.ebreak();
+        f.li(a0, 2);  // never reached: a breakpoint without a handler kills
+        rt::syscall(f, os::sys::kReport);
+      }));
+  EXPECT_EQ(run.reports, std::vector<u64>{1});
+  ASSERT_EQ(run.faults.size(), 1u);
+  EXPECT_EQ(run.faults[0].cause, core::TrapCause::kBreakpoint);
+  EXPECT_EQ(run.exit_code, -static_cast<i64>(core::TrapCause::kBreakpoint));
+}
+
 }  // namespace
 }  // namespace sealpk

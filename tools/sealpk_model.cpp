@@ -19,6 +19,7 @@
 // or a self-test failed, 2 usage/IO errors, 3 exploration hit a budget
 // before closing the state space.
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -54,6 +55,7 @@ void print_counterexample(const Counterexample& ce, size_t index) {
 
 void dump_counterexamples(const CliOptions& cli,
                           const std::vector<Counterexample>& ces) {
+  if (!ces.empty()) std::filesystem::create_directories(cli.ce_dir);
   for (size_t i = 0; i < ces.size(); ++i) {
     const Trace t = make_trace(cli.cfg, ces[i]);
     const std::string path = cli.ce_dir + "/ce-" + std::to_string(i) + ".json";
