@@ -20,6 +20,11 @@
 
 namespace sealpk::core {
 
+// Nominal reporting clock: rates derived from modelled cycles (serve
+// crossings/sec, session churn ops/sec) are stated at this frequency. It is
+// a fixed reporting convention, not the paper's measured board clock.
+inline constexpr u64 kNominalHz = 50'000'000;
+
 struct TimingModel {
   // --- hart-level costs ---------------------------------------------------
   u64 base_cycles = 1;           // issue cost of any instruction

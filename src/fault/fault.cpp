@@ -229,7 +229,8 @@ bool FaultInjector::should_dup_refill(const core::Hart& hart) {
   return true;
 }
 
-void FaultInjector::note_recoveries(const os::KernelStats& stats) {
+void FaultInjector::note_recoveries(const os::Kernel& kernel) {
+  const os::KernelStats& stats = kernel.stats();
   if (stats.pkr_scrubs > seen_pkr_scrubs_) {
     resolve(FaultKind::kPkrBitFlip, FaultResolution::kRecovered);
   }
@@ -253,9 +254,8 @@ void FaultInjector::note_recoveries(const os::KernelStats& stats) {
   seen_pte_repairs_ = stats.pte_repairs;
   seen_cam_dedups_ = stats.cam_dedups;
   seen_vkey_repairs_ = stats.vkey_repairs;
-}
 
-void FaultInjector::note_vault_detections(u64 corruption_detected) {
+  const u64 corruption_detected = kernel.vault_stats().corruption_detected;
   if (corruption_detected > seen_vault_detected_) {
     resolve(FaultKind::kVaultJournalCorrupt, FaultResolution::kRecovered);
     resolve(FaultKind::kVaultCommitFlip, FaultResolution::kRecovered);

@@ -100,11 +100,17 @@ class FaultInjector {
 
   const FaultPlan& plan() const { return plan_; }
 
-  // Called by the run loop between retired instructions while the hart is
-  // in U-mode. O(1) when no fault is due. May corrupt PKR/TLB/PTE state or
-  // take a spurious machine-check trap (dispatching the kernel handler
-  // in-place).
+  // Called by the run loop after each chunk or trap. O(1) when no fault is
+  // due. Fires once instret has reached next_fire() and the hart is in
+  // U-mode with a running thread (otherwise the firing stays due and is
+  // retried next time). May corrupt PKR/TLB/PTE state or take a spurious
+  // machine-check trap (dispatching the kernel handler in-place).
   void maybe_inject(core::Hart& hart, os::Kernel& kernel);
+
+  // Instret at which the next state-corruption fault is due (~0 = none): a
+  // run-loop deadline, so the machine ends a chunk there. Once past due it
+  // makes every chunk a single step until the fault fires.
+  u64 next_fire() const { return next_fire_; }
 
   // CAM-refill perturbation hooks, wired into KernelConfig by the machine.
   // A refill that goes through (drop hook returns false) completes the
@@ -112,15 +118,12 @@ class FaultInjector {
   bool should_drop_refill(const core::Hart& hart);
   bool should_dup_refill(const core::Hart& hart);
 
-  // Kind-granular resolution driven by the kernel's recovery counters: the
-  // caller passes the latest stats and deltas since the previous call mark
-  // the matching kinds recovered.
-  void note_recoveries(const os::KernelStats& stats);
-
-  // Vault analogue: a growing corruption_detected counter means the kernel
+  // Kind-granular resolution driven by the kernel's recovery counters:
+  // deltas since the previous call mark the matching kinds recovered. The
+  // vault analogue is a growing corruption_detected counter: the kernel
   // refused a checksum-bad record/payload, which is exactly how a vault
-  // fault is survived — mark both vault kinds recovered on the delta.
-  void note_vault_detections(u64 corruption_detected);
+  // fault is survived, so both vault kinds count as recovered.
+  void note_recoveries(const os::Kernel& kernel);
 
   void resolve(FaultKind kind, FaultResolution resolution);
   void resolve_all_outstanding(FaultResolution resolution);

@@ -135,7 +135,7 @@ std::string churn_json(const std::vector<ChurnCell>& cells) {
   std::ostringstream os;
   os << "{\n"
      << "  \"bench\": \"keychurn\",\n"
-     << "  \"nominal_hz\": " << kSessionNominalHz << ",\n"
+     << "  \"nominal_hz\": " << core::kNominalHz << ",\n"
      << "  \"physical_keys\": " << (hw::kNumPkeys - 1) << ",\n"
      << "  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); ++i) {

@@ -27,10 +27,6 @@
 
 namespace sealpk::mpk {
 
-// The paper's Rocket SoC clocks 50 MHz on the Zedboard; throughput is
-// reported at that nominal rate from modelled cycles.
-inline constexpr u64 kSessionNominalHz = 50'000'000;
-
 // Raw (physical-pkey) cells must leave headroom under the 1023 usable keys
 // for reconnect churn against lazily de-allocated keys.
 inline constexpr u64 kRawSessionCap = 768;
@@ -68,9 +64,9 @@ struct SessionResult {
   obs::Trace trace;   // populated when SessionConfig::trace is set
 
   bool ok() const { return completed && exit_code == 0 && checksum_ok; }
-  // Integer ops/sec (kSessionNominalHz): deterministic across hosts.
+  // Integer ops/sec (core::kNominalHz): deterministic across hosts.
   u64 churn_per_sec() const {
-    return cycles == 0 ? 0 : churn_ops * kSessionNominalHz / cycles;
+    return cycles == 0 ? 0 : churn_ops * core::kNominalHz / cycles;
   }
 };
 

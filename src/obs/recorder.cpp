@@ -7,24 +7,6 @@
 
 namespace sealpk::obs {
 
-void Recorder::sample(u64 instret, u64 cycles, u64 pc) {
-  if (config_.sample_interval == 0) {
-    next_sample_ = ~u64{0};
-    return;
-  }
-  const u64 interval = config_.sample_interval;
-  if (next_sample_ == 0) {
-    // Align to absolute instret multiples so a resumed run fires at the
-    // same points as the uninterrupted one regardless of where the
-    // snapshot boundary fell.
-    next_sample_ = ((instret + interval - 1) / interval) * interval;
-    if (next_sample_ == 0) next_sample_ = interval;
-    if (instret < next_sample_) return;
-  }
-  emit(EventKind::kSample, instret, cycles, kNoPkey, pc, 0);
-  next_sample_ = (instret / interval + 1) * interval;
-}
-
 namespace {
 
 // The SPKTRACE payload. A symbol takes at least its pid, name length and

@@ -64,7 +64,9 @@ Trace parse(const std::vector<u8>& blob);  // throws CheckError on damage
 
 class Recorder {
  public:
-  explicit Recorder(const TraceConfig& config) : config_(config) {}
+  explicit Recorder(const TraceConfig& config) : config_(config) {
+    align_samples(0);  // a fresh machine starts at instret 0
+  }
 
   // Stamps the event with the current scheduling context and appends it.
   void emit(EventKind kind, u64 instret, u64 cycles, u32 pkey, u64 arg0,
@@ -103,11 +105,27 @@ class Recorder {
     cur_tid_ = tid;
   }
 
-  // Sampling profiler tick; called once per retired instruction from the
-  // machine run loop. Fast path is one compare.
+  // The profiler's schedule: a machine at `instret` next samples at the
+  // smallest multiple of the interval above it (never, with sampling off).
+  // Set at construction and again after a snapshot restore, so a resumed
+  // run samples at exactly the points the uninterrupted one does after
+  // the boundary, and never repeats the sample at the boundary itself.
+  void align_samples(u64 instret) {
+    const u64 interval = config_.sample_interval;
+    next_sample_ =
+        interval == 0 ? ~u64{0} : (instret / interval + 1) * interval;
+  }
+
+  // Instret at which the next PC sample is due: a run-loop deadline, so
+  // the machine ends a chunk there and ticks.
+  u64 next_sample() const { return next_sample_; }
+
+  // Sampling profiler tick, called by the machine run loop once per chunk
+  // or trap. Emits the sample once instret has reached the deadline.
   void tick(u64 instret, u64 cycles, u64 pc) {
     if (instret < next_sample_) return;
-    sample(instret, cycles, pc);
+    emit(EventKind::kSample, instret, cycles, kNoPkey, pc, 0);
+    align_samples(instret);
   }
 
   // Registers a loaded image's function ranges for PC attribution.
@@ -143,12 +161,10 @@ class Recorder {
   std::vector<u8> serialize_blob() const { return obs::serialize(trace()); }
 
  private:
-  void sample(u64 instret, u64 cycles, u64 pc);
-
   TraceConfig config_;
   u32 cur_pid_ = 0;
   u32 cur_tid_ = 0;
-  u64 next_sample_ = 0;  // 0 = not yet aligned; set lazily on first tick
+  u64 next_sample_ = ~u64{0};
   u64 dropped_ = 0;
   std::deque<Event> events_;
   std::vector<SymbolRange> symbols_;

@@ -127,8 +127,8 @@ ServeResult run_server(const ServeConfig& cfg) {
   std::vector<bool> resolved(n, false);
   bool attack_disarmed = false;  // set once the admission gate refused it
 
-  const u64 max_epochs =
-      cfg.max_epochs != 0 ? cfg.max_epochs : 4 * cfg.max_attempts + 8;
+  // Epoch budget: room for every allowed attempt plus its backoff.
+  const u64 max_epochs = 4 * cfg.max_attempts + 8;
   const u64 slice = std::max<u64>(2000, cfg.request_budget / 4);
 
   u64 epoch = 0;
@@ -352,9 +352,9 @@ ServeResult run_server(const ServeConfig& cfg) {
         resolved[oc.id] = true;
         emit_disposition(rec);
       } else {
-        // Deterministic backoff: sit out backoff_base * attempts epochs
+        // Deterministic backoff: sit out one epoch per failed attempt
         // (the next attempt lands on the other slot of the pair).
-        eligible[oc.id] = epoch + 1 + cfg.backoff_base * rec.attempts;
+        eligible[oc.id] = epoch + 1 + rec.attempts;
       }
     }
     pending.erase(std::remove_if(pending.begin(), pending.end(),

@@ -28,10 +28,6 @@
 
 namespace sealpk::serve {
 
-// The paper's Rocket SoC clocks 50 MHz on the Zedboard; crossings/sec are
-// reported at that nominal rate from modelled cycles.
-inline constexpr u64 kNominalHz = 50'000'000;
-
 enum class Disposition : u8 {
   kServed = 0,       // first attempt succeeded
   kRetried,          // succeeded after >= 1 failed attempt
@@ -55,8 +51,6 @@ struct ServeConfig {
   u64 request_budget = 60'000;  // instructions per attempt (timeout)
   u32 max_attempts = 3;         // failed attempts before quarantining
   u32 strike_limit = 2;         // failures before a slot is quarantined
-  u32 backoff_base = 1;         // epochs a failed request sits out, * attempts
-  u64 max_epochs = 0;           // 0 = auto (4 * max_attempts + 8)
   redteam::AttackKind attack = redteam::AttackKind::kNone;
   ChaosOptions chaos;
   bool trace = false;  // keep an obs ring (CLI exports it via sealpk-trace)
@@ -96,7 +90,7 @@ struct ServeResult {
   double crossings_per_sec() const {
     return cycles == 0 ? 0.0
                        : static_cast<double>(crossings) *
-                             static_cast<double>(kNominalHz) /
+                             static_cast<double>(core::kNominalHz) /
                              static_cast<double>(cycles);
   }
 };

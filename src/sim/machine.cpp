@@ -126,11 +126,6 @@ RunOutcome Machine::run(u64 max_instructions) {
   }
   const u64 ckpt_every = config_.checkpoint_interval;
   const u64 quantum = config_.preempt_quantum;
-  // Between traps, every check this loop makes is a pure function of the
-  // retired count, so one Hart::run chunk may cover all steps up to the
-  // nearest budget, audit, checkpoint or quantum deadline. An injector or
-  // recorder acts after every step, so either forces single steps.
-  const bool single_step = faults || recorder_ != nullptr;
   // What the loop does after each retired instruction, applied once for a
   // chunk that retired `retired` of them.
   const auto note_retired = [&](u64 retired) {
@@ -148,11 +143,7 @@ RunOutcome Machine::run(u64 max_instructions) {
     try {
       if (hart_.instret() >= runloop_.next_audit) {
         kernel_.audit_and_recover();
-        if (faults) {
-          injector_->note_recoveries(kernel_.stats());
-          injector_->note_vault_detections(
-              kernel_.vault_stats().corruption_detected);
-        }
+        if (faults) injector_->note_recoveries(kernel_);
         runloop_.next_audit = hart_.instret() + audit_every;
       }
       // An escalated audit kill arms the rollback instead of killing; skip
@@ -163,20 +154,28 @@ RunOutcome Machine::run(u64 max_instructions) {
         take_checkpoint();
       }
 
-      u64 chunk = 1;
-      if (!single_step) {
-        chunk = std::min(max_instructions - done,
-                         runloop_.next_audit - hart_.instret());
-        if (ckpt_every != 0) {
-          chunk = std::min(chunk, runloop_.next_checkpoint - hart_.instret());
-        }
-        if (quantum != 0) {
-          chunk = std::min(chunk, quantum > runloop_.since_switch
-                                      ? quantum - runloop_.since_switch
-                                      : u64{1});
-        }
-      }
+      // Between traps, every check this loop makes is a pure function of
+      // the retired count, so one Hart::run chunk covers all steps up to the
+      // nearest deadline: budget, audit, checkpoint, quantum, the
+      // injector's next fire and the profiler's next sample. A past-due
+      // deadline gives a chunk of one step.
       const u64 before = hart_.instret();
+      const auto until = [before](u64 deadline) {
+        return deadline > before ? deadline - before : u64{1};
+      };
+      u64 chunk = std::min(max_instructions - done, until(runloop_.next_audit));
+      if (ckpt_every != 0) {
+        chunk = std::min(chunk, until(runloop_.next_checkpoint));
+      }
+      if (quantum != 0) {
+        chunk = std::min(chunk, quantum > runloop_.since_switch
+                                    ? quantum - runloop_.since_switch
+                                    : u64{1});
+      }
+      if (faults) chunk = std::min(chunk, until(injector_->next_fire()));
+      if (recorder_ != nullptr) {
+        chunk = std::min(chunk, until(recorder_->next_sample()));
+      }
       std::optional<core::StepResult> trap;
       try {
         trap = hart_.run(chunk);
@@ -193,11 +192,7 @@ RunOutcome Machine::run(u64 max_instructions) {
         const u64 trap_pc = hart_.csrs().sepc;
         kernel_.handle_trap();
         runloop_.since_switch = 0;
-        if (faults) {
-          injector_->note_recoveries(kernel_.stats());
-          injector_->note_vault_detections(
-              kernel_.vault_stats().corruption_detected);
-        }
+        if (faults) injector_->note_recoveries(kernel_);
         runloop_.trap_streak =
             trap_pc == runloop_.last_trap_pc ? runloop_.trap_streak + 1 : 1;
         runloop_.last_trap_pc = trap_pc;
@@ -231,8 +226,8 @@ RunOutcome Machine::run(u64 max_instructions) {
       }
 
       if (faults && !rollback_pending_) injector_->maybe_inject(hart_, kernel_);
-      // Sampling profiler tick: one compare per retired instruction when
-      // tracing is on, nothing at all when it is off.
+      // Sampling profiler tick: one compare per chunk or trap when tracing
+      // is on, nothing at all when it is off.
       if (recorder_ != nullptr) {
         recorder_->tick(hart_.instret(), hart_.cycles(), hart_.pc());
       }
@@ -270,9 +265,7 @@ RunOutcome Machine::run(u64 max_instructions) {
     in_final_ = true;
     try {
       kernel_.audit_and_recover();
-      injector_->note_recoveries(kernel_.stats());
-      injector_->note_vault_detections(
-          kernel_.vault_stats().corruption_detected);
+      injector_->note_recoveries(kernel_);
     } catch (const std::exception& e) {
       kernel_.note_host_error(e.what());
     }

@@ -48,7 +48,7 @@ struct MachineConfig {
   // never otherwise (keeping injection-disabled runs byte-identical).
   u64 audit_interval = 0;
   // Watchdog thresholds (0 disables the respective check): consecutive
-  // traps pinned to one PC, and consecutive steps retiring nothing.
+  // traps pinned to one PC, and consecutive traps retiring nothing.
   u64 watchdog_trap_storm = 64;
   u64 watchdog_livelock = 4096;
 
@@ -109,7 +109,9 @@ class Machine {
   // kOff or when no load has happened yet).
   const analysis::Report& verify_report() const { return verify_report_; }
 
-  // Runs until every process exits or `max_instructions` retire.
+  // Runs until every process exits or `max_instructions` retire. Each
+  // Hart::run chunk ends at the nearest deadline: budget, audit, checkpoint,
+  // quantum, next injected fault or next profiler sample.
   RunOutcome run(u64 max_instructions = 4'000'000'000ULL);
 
   core::Hart& hart() { return hart_; }
@@ -124,12 +126,14 @@ class Machine {
   obs::Recorder* recorder() { return recorder_.get(); }
 
   // Called by snapshot::restore after the kernel's scheduling state has
-  // been loaded: the recorder's pid/tid stamping context arrives out of
-  // band (it is not part of the snapshot), so re-seed it here. A no-op
-  // without a recorder. Events published after this point stamp exactly as
-  // they would have in an uninterrupted traced run.
+  // been loaded: the recorder's pid/tid stamping context and its sample
+  // schedule arrive out of band (they are not part of the snapshot), so
+  // re-seed them here. A no-op without a recorder. Events published after
+  // this point stamp and sample exactly as they would have in an
+  // uninterrupted traced run.
   void reseed_recorder() {
     if (recorder_ == nullptr) return;
+    recorder_->align_samples(hart_.instret());
     if (kernel_.has_current_thread()) {
       const int tid = kernel_.current_tid();
       recorder_->seed_context(

@@ -9,8 +9,10 @@
 #include <thread>
 
 #include "common/check.h"
+#include "common/json_parse.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
+#include "obs/slo.h"
 #include "passes/shadow_stack.h"
 #include "sim/machine.h"
 #include "sim/stats.h"
@@ -208,25 +210,25 @@ TEST(ObsMachine, BlobByteIdenticalAcrossHostThreads) {
   for (const auto& blob : blobs) EXPECT_EQ(blob, reference);
 }
 
-TEST(ObsMachine, EventStreamConcatenatesAcrossSnapshotBoundary) {
-  const isa::Image image = sealed_qsort_image();
+// An uninterrupted traced run against the same run torn down at instret
+// `boundary` and resumed from the snapshot in a fresh traced machine. The
+// snapshot does not carry trace state; the resumed recorder starts empty
+// and its stream must continue exactly where part one stopped (pid/tid
+// stamps and sample points included, since samples fire at absolute
+// instret multiples).
+void expect_stream_concatenates(const isa::Image& image, u64 sample_interval,
+                                u64 boundary) {
   sim::MachineConfig config;
-  config.trace = traced(/*sample_interval=*/512);
+  config.trace = traced(sample_interval);
 
-  // Reference: one uninterrupted traced run.
   sim::Machine straight(config);
   straight.load(image);
   ASSERT_TRUE(straight.run().completed);
   const auto& full = straight.recorder()->events();
 
-  // Candidate: same run torn down at instret 20'000 and resumed from the
-  // snapshot in a fresh traced machine. The snapshot does not carry trace
-  // state; the resumed recorder starts empty and its stream must continue
-  // exactly where part one stopped (pid/tid stamps and sample points
-  // included, since samples fire at absolute instret multiples).
   sim::Machine first(config);
   first.load(image);
-  first.run(20'000);
+  first.run(boundary);
   const std::vector<obs::Event> part1(first.recorder()->events().begin(),
                                       first.recorder()->events().end());
   const std::vector<u8> mid = snapshot::save(first);
@@ -245,6 +247,34 @@ TEST(ObsMachine, EventStreamConcatenatesAcrossSnapshotBoundary) {
   for (size_t i = 0; i < part2.size(); ++i) {
     ASSERT_EQ(part2[i], full[part1.size() + i])
         << "event " << i << " diverged post-restore";
+  }
+}
+
+TEST(ObsMachine, EventStreamConcatenatesAcrossSnapshotBoundary) {
+  const isa::Image image = sealed_qsort_image();
+  {
+    SCOPED_TRACE("boundary between sample points");
+    expect_stream_concatenates(image, /*sample_interval=*/512, 20'000);
+  }
+  // A boundary on a sample point whose next step traps: R is the instret of
+  // the first syscall, and an ecall retires nothing. Part one sampled R;
+  // the resumed run's first tick is at R again and must not repeat it.
+  sim::MachineConfig config;
+  config.trace = traced();
+  sim::Machine probe(config);
+  probe.load(image);
+  probe.run();
+  u64 first_syscall = 0;
+  for (const obs::Event& e : probe.recorder()->events()) {
+    if (e.kind == obs::EventKind::kSyscall) {
+      first_syscall = e.instret;
+      break;
+    }
+  }
+  ASSERT_GT(first_syscall, 0u);
+  {
+    SCOPED_TRACE("boundary on a sample point before a trap");
+    expect_stream_concatenates(image, first_syscall, first_syscall);
   }
 }
 
@@ -272,10 +302,66 @@ TEST(ObsExport, PerfettoJsonIsStructurallySound) {
   EXPECT_NE(json.find("\"pkey domain\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // domain slices
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);  // page counters
-  // Balanced braces — cheap structural sanity without a parser (brackets
-  // can legitimately appear unmatched inside detail strings).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
+  const JsonValue doc = json_parse(json);
+  const JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  EXPECT_GT(events->items.size(), trace.events.size() / 2);
+  for (const JsonValue& e : events->items) {
+    ASSERT_TRUE(e.is_object());
+    ASSERT_NE(e.find("ph"), nullptr);
+    EXPECT_TRUE(e.find("ph")->is_string());
+  }
+}
+
+TEST(ObsExport, ReportJsonParsesAndMatchesMetrics) {
+  const obs::Trace trace = recorded_trace();
+  const obs::Metrics m = obs::compute_metrics(trace);
+  std::ostringstream os;
+  obs::write_report_json(trace, os);
+  const JsonValue doc = json_parse(os.str());
+  ASSERT_NE(doc.find("schema"), nullptr);
+  EXPECT_EQ(doc.find("schema")->str, "sealpk-trace-report-v1");
+  const auto number = [&doc](const char* key) {
+    const JsonValue* v = doc.find(key);
+    return v != nullptr && v->is_number() ? v->number : -1.0;
+  };
+  EXPECT_EQ(number("events"), static_cast<double>(trace.events.size()));
+  EXPECT_EQ(number("samples"), static_cast<double>(m.samples()));
+  EXPECT_GT(m.samples(), 0u);
+  EXPECT_EQ(number("syscalls"), static_cast<double>(m.syscalls()));
+  const JsonValue* pkeys = doc.find("pkeys");
+  ASSERT_NE(pkeys, nullptr);
+  EXPECT_EQ(pkeys->items.size(), m.pkeys().size());
+  const JsonValue* by_kind = obs::resolve_path(doc, "spans.by_kind");
+  ASSERT_NE(by_kind, nullptr);
+  EXPECT_TRUE(by_kind->is_object());
+}
+
+// Rule names and details are free text: quotes, backslashes and control
+// characters must come back intact through the parser.
+TEST(ObsExport, SloVerdictJsonParsesWithEscapes) {
+  obs::SloVerdict v;
+  v.pass = false;
+  v.rules.push_back({"plain", true, 1, ""});
+  v.rules.push_back({"quote\"back\\slash", false, 3, "line1\nline2\ttab"});
+  std::ostringstream os;
+  obs::write_slo_json(v, os);
+  const JsonValue doc = json_parse(os.str());
+  EXPECT_EQ(doc.find("schema")->str, obs::kSloSchema);
+  EXPECT_EQ(doc.find("pass")->type, JsonValue::Type::kBool);
+  EXPECT_FALSE(doc.find("pass")->boolean);
+  const JsonValue* rules = doc.find("rules");
+  ASSERT_NE(rules, nullptr);
+  ASSERT_EQ(rules->items.size(), v.rules.size());
+  for (size_t i = 0; i < v.rules.size(); ++i) {
+    const JsonValue& r = rules->items[i];
+    EXPECT_EQ(r.find("name")->str, v.rules[i].name);
+    EXPECT_EQ(r.find("pass")->boolean, v.rules[i].pass);
+    EXPECT_EQ(r.find("matched")->number,
+              static_cast<double>(v.rules[i].matched));
+    EXPECT_EQ(r.find("detail")->str, v.rules[i].detail);
+  }
 }
 
 TEST(ObsExport, CollapsedStacksNameGuestFunctions) {

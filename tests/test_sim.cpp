@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "guest_test_util.h"
+#include "passes/shadow_stack.h"
 #include "snapshot/snapshot.h"
 #include "workloads/workload.h"
 
@@ -312,19 +313,23 @@ TEST(MachineStats, KernelCountsSyscalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked run loop. Without an injector or recorder, Machine::run steps to
-// the next run-loop event in one Hart::run call; a recorder forces one step
-// per iteration. Both, and any split of the budget into run() calls, must
-// leave the machine in exactly the same state.
+// Chunked run loop. Machine::run steps to the nearest run-loop deadline in
+// one Hart::run call; an injector's next fire and a recorder's next sample
+// are deadlines like the rest. Repeated run(1), one run() call, and any
+// split of the budget into run() calls must leave the machine in exactly
+// the same state, with the same trace.
 // ---------------------------------------------------------------------------
 
 struct LoopResult {
   std::vector<u8> snapshot;
   std::vector<u8> checkpoint;
+  std::vector<u8> trace;
   sim::Machine::RunLoopState runloop;
   u64 instret = 0;
   u64 cycles = 0;
   u64 checkpoints = 0;
+  u64 rollbacks = 0;
+  u64 faults_injected = 0;
   std::vector<i64> exit_codes;
   size_t fault_records = 0;
   u64 cam_refills_dropped = 0;
@@ -334,12 +339,8 @@ struct LoopResult {
 // Runs until the machine completes or `total` instructions retire. budgets
 // empty: one run() call; otherwise run() with each budget in turn, cycling.
 LoopResult run_loop_variant(const std::vector<isa::Image>& images,
-                            sim::MachineConfig config, bool traced, u64 total,
+                            const sim::MachineConfig& config, u64 total,
                             const std::vector<u64>& budgets = {}) {
-  if (traced) {
-    config.trace.enabled = true;
-    config.trace.sample_interval = 97;
-  }
   sim::Machine machine(config);
   std::vector<int> pids;
   for (const auto& image : images) pids.push_back(machine.load(image));
@@ -354,15 +355,19 @@ LoopResult run_loop_variant(const std::vector<isa::Image>& images,
           machine.run(std::min(left, budgets[i % budgets.size()])).completed;
     }
   }
-  if (traced) {
-    EXPECT_NE(machine.recorder(), nullptr);
-  }
   r.snapshot = snapshot::save(machine);
   r.checkpoint = machine.checkpoint_blob();
+  if (machine.recorder() != nullptr) {
+    r.trace = machine.recorder()->serialize_blob();
+  }
   r.runloop = machine.runloop();
   r.instret = machine.hart().instret();
   r.cycles = machine.hart().cycles();
   r.checkpoints = machine.checkpoints_taken();
+  r.rollbacks = machine.rollbacks();
+  if (machine.injector() != nullptr) {
+    r.faults_injected = machine.injector()->total_injected();
+  }
   for (int pid : pids) r.exit_codes.push_back(machine.exit_code(pid));
   r.fault_records = machine.kernel().faults().size();
   r.cam_refills_dropped = machine.kernel().stats().cam_refills_dropped;
@@ -377,6 +382,8 @@ void expect_same_loop_result(const LoopResult& a, const LoopResult& b) {
   EXPECT_EQ(a.fault_records, b.fault_records);
   EXPECT_EQ(a.cam_refills_dropped, b.cam_refills_dropped);
   EXPECT_EQ(a.checkpoints, b.checkpoints);
+  EXPECT_EQ(a.rollbacks, b.rollbacks);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_EQ(a.runloop.since_switch, b.runloop.since_switch);
   EXPECT_EQ(a.runloop.trap_streak, b.runloop.trap_streak);
   EXPECT_EQ(a.runloop.last_trap_pc, b.runloop.last_trap_pc);
@@ -384,6 +391,7 @@ void expect_same_loop_result(const LoopResult& a, const LoopResult& b) {
   EXPECT_EQ(a.runloop.next_audit, b.runloop.next_audit);
   EXPECT_EQ(a.runloop.next_checkpoint, b.runloop.next_checkpoint);
   EXPECT_TRUE(a.checkpoint == b.checkpoint) << "checkpoint blobs differ";
+  EXPECT_TRUE(a.trace == b.trace) << "trace blobs differ";
   EXPECT_TRUE(a.snapshot == b.snapshot)
       << "final snapshots differ: "
       << (snapshot::diff(a.snapshot, b.snapshot).empty()
@@ -391,16 +399,16 @@ void expect_same_loop_result(const LoopResult& a, const LoopResult& b) {
               : snapshot::diff(a.snapshot, b.snapshot).front());
 }
 
-// Per-step (recorder attached), chunked, and chunked with odd budget splits.
-// The recorder only forces single steps of the same loop, so each caller
-// also pins a figure the per-step loop implies (a kill count, a counter
-// left alone) that a wrong chunk rule would change in both runs at once.
+// Per-step (repeated run(1)), chunked, and chunked with odd budget splits.
+// All three share the run loop, so each caller also pins a figure the
+// per-step loop implies (a kill count, a counter left alone) that a wrong
+// chunk rule would change in all of them at once.
 LoopResult expect_chunking_invisible(const std::vector<isa::Image>& images,
                                      const sim::MachineConfig& config,
                                      u64 total = 50'000'000) {
-  const LoopResult stepped = run_loop_variant(images, config, true, total);
-  const LoopResult chunked = run_loop_variant(images, config, false, total);
-  const LoopResult split = run_loop_variant(images, config, false, total,
+  const LoopResult stepped = run_loop_variant(images, config, total, {1});
+  const LoopResult chunked = run_loop_variant(images, config, total);
+  const LoopResult split = run_loop_variant(images, config, total,
                                             {1, 7, 333, 4099, 2, 65'537});
   {
     SCOPED_TRACE("chunked vs per-step");
@@ -413,12 +421,27 @@ LoopResult expect_chunking_invisible(const std::vector<isa::Image>& images,
   return chunked;
 }
 
-isa::Image workload_image(const char* name) {
+isa::Program workload_program(const char* name) {
   for (const auto& w : wl::all_workloads()) {
-    if (std::string(name) == w.name) return w.build(w.test_scale).link();
+    if (std::string(name) == w.name) return w.build(w.test_scale);
   }
   ADD_FAILURE() << "unknown workload " << name;
   return {};
+}
+
+isa::Image workload_image(const char* name) {
+  return workload_program(name).link();
+}
+
+// The workload under the permission-sealed WRPKR shadow stack, so it runs
+// WRPKR on a perm-sealed key.
+isa::Image sealed_workload_image(const char* name) {
+  isa::Program prog = workload_program(name);
+  passes::ShadowStackOptions ss;
+  ss.kind = passes::ShadowStackKind::kSealPkWr;
+  ss.perm_seal = true;
+  passes::apply_shadow_stack(prog, ss);
+  return prog.link();
 }
 
 TEST(ChunkedRunLoop, PreemptedTenantsWithCheckpointsMatchPerStep) {
@@ -445,6 +468,28 @@ TEST(ChunkedRunLoop, NoQuantumLeavesSinceSwitchAlone) {
   const LoopResult mid = expect_chunking_invisible({image}, config, 20'011);
   EXPECT_FALSE(mid.completed);
   EXPECT_EQ(mid.runloop.since_switch, 0u);
+}
+
+
+// Two preempted sealed tenants under the sampling profiler. The next sample
+// is a run-loop deadline, so each interval multiple is sampled exactly
+// once, at exactly that instret.
+TEST(ChunkedRunLoop, SampledTraceMatchesPerStep) {
+  constexpr u64 kInterval = 97;
+  const isa::Image image = sealed_workload_image("qsort");
+  sim::MachineConfig config;
+  config.preempt_quantum = 1'000;
+  config.trace.enabled = true;
+  config.trace.sample_interval = kInterval;
+  const LoopResult r = expect_chunking_invisible({image, image}, config);
+  EXPECT_EQ(r.exit_codes, (std::vector<i64>{0, 0}));
+  u64 samples = 0;
+  for (const obs::Event& e : obs::parse(r.trace).events) {
+    if (e.kind != obs::EventKind::kSample) continue;
+    ++samples;
+    EXPECT_EQ(e.instret, samples * kInterval);
+  }
+  EXPECT_EQ(samples, r.instret / kInterval);
 }
 
 // 17 permission-sealed keys thrash the 16-line PK-CAM, and the refill hook
@@ -514,6 +559,35 @@ TEST(ChunkedRunLoop, LivelockAfterRetiredPrefixMatchesPerStep) {
   EXPECT_EQ(r.exit_codes, (std::vector<i64>{os::kExitLivelock}));
   // The stall count starts at the storm, not at an earlier syscall.
   EXPECT_EQ(r.cam_refills_dropped, 300u);
+}
+
+// Every state-corruption kind plus CAM drops and duplicates, against a
+// sealed workload and the CAM-thrashing guest, with no trusted PKR shadow
+// (so a PKR flip escalates to a machine check) and checkpoints to roll
+// back to, traced with samples. The injector's next fire is a run-loop
+// deadline: every fault must strike at the same instret, and every
+// rollback rewind to the same checkpoint.
+TEST(ChunkedRunLoop, ChaosPlanWithRollbackMatchesPerStep) {
+  sim::MachineConfig config;
+  config.kernel.save_pkr_on_switch = false;
+  config.fault_plan.enabled = true;
+  config.fault_plan.seed = 11;
+  config.fault_plan.rate = 1e-4;
+  config.fault_plan.cam_rate = 0.3;
+  config.fault_plan.max_faults = 24;
+  config.checkpoint_interval = 5'000;
+  config.max_rollbacks = 8;
+  config.preempt_quantum = 3'000;
+  config.trace.enabled = true;
+  config.trace.sample_interval = 97;
+  const LoopResult r =
+      expect_chunking_invisible({sealed_workload_image("qsort"),
+                                 make_cam_storm_program().link()},
+                                config);
+  EXPECT_EQ(r.exit_codes, (std::vector<i64>{0, 0}));
+  EXPECT_GT(r.faults_injected, 0u);
+  EXPECT_GT(r.cam_refills_dropped, 0u);
+  EXPECT_GE(r.rollbacks, 1u);
 }
 
 // A fetch fault whose signal handler is a lone `ecall` (a7 = sigreturn,
