@@ -1,15 +1,17 @@
-// Tooling demo: run a benchmark proxy under the instruction tracer and
+// Tooling demo: run a benchmark proxy with the instruction log on (the obs
+// recorder sampling every retired instruction into a bounded ring) and
 // dump machine statistics — the workflow for debugging a guest program or
-// an instrumentation pass.
+// an instrumentation pass. Exits 1 unless the run completes with exit code
+// 0 and the golden checksum.
 //
 // Usage: inspect [workload-name]   (default: qsort)
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 
+#include "obs/export.h"
 #include "passes/shadow_stack.h"
 #include "sim/stats.h"
-#include "sim/trace.h"
 #include "workloads/workload.h"
 
 using namespace sealpk;
@@ -37,28 +39,35 @@ int main(int argc, char** argv) {
   opts.kind = passes::ShadowStackKind::kSealPkRdWr;
   passes::apply_shadow_stack(prog, opts);
 
-  sim::Machine machine{sim::MachineConfig{}};
+  // Sampling at interval 1 logs every instruction; the ring keeps the last
+  // 24 events (samples interleaved with traps and syscalls).
+  sim::MachineConfig config;
+  config.trace.enabled = true;
+  config.trace.ring_capacity = 24;
+  config.trace.sample_interval = 1;
+  sim::Machine machine(config);
   const int pid = machine.load(prog.link());
-  sim::Tracer tracer(24);
-  tracer.attach(machine.hart());
   const auto outcome = machine.run();
 
+  const i64 exit_code = machine.exit_code(pid);
+  const u64 checksum = machine.kernel().reports().empty()
+                           ? 0
+                           : machine.kernel().reports()[0];
+  const u64 golden = workload->golden(workload->test_scale);
   std::printf("%s/%s under the SealPK-RD+WR shadow stack: %s, exit %lld\n",
               wl::suite_name(workload->suite), workload->name,
               outcome.completed ? "completed" : "hit the budget",
-              static_cast<long long>(machine.exit_code(pid)));
+              static_cast<long long>(exit_code));
   std::printf("checksum %llu (golden %llu)\n\n",
-              static_cast<unsigned long long>(
-                  machine.kernel().reports().empty()
-                      ? 0
-                      : machine.kernel().reports()[0]),
-              static_cast<unsigned long long>(
-                  workload->golden(workload->test_scale)));
+              static_cast<unsigned long long>(checksum),
+              static_cast<unsigned long long>(golden));
 
   sim::print_stats(sim::collect_stats(machine), std::cout);
 
-  std::printf("\nlast %zu instructions (ring-buffer trace):\n",
-              tracer.entries().size());
-  tracer.dump(std::cout);
-  return 0;
+  const obs::Trace trace = machine.recorder()->trace();
+  std::printf("\nlast %zu events (instruction log: each sample names the "
+              "next instruction):\n",
+              trace.events.size());
+  obs::write_timeline(trace, std::cout);
+  return outcome.completed && exit_code == 0 && checksum == golden ? 0 : 1;
 }

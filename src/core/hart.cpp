@@ -386,7 +386,6 @@ bool Hart::mem_store(u64 vaddr, u64 value) {
   if (fetch(&word, &paddr)) {
     Inst& inst = decoded_[(paddr >> 2) % kDecodedEntries];
     if (inst.raw != word) inst = isa::decode(word);
-    if (trace_hook_) trace_hook_(priv_, pc_, inst);
     if (inst.op == Op::kIllegal) {
       raise(TrapCause::kIllegalInst, word);
     } else {

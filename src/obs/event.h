@@ -45,7 +45,7 @@ enum class EventKind : u8 {
   kProcessKill = 19,   // arg0 = exit code (sign-extended), arg1 = origin
   kFaultInjected = 20, // arg0 = fault kind, arg1 = detail
   // profiler
-  kSample = 21, // arg0 = sampled pc
+  kSample = 21, // arg0 = next pc, arg1 = its instruction word (0: unmapped)
   // request plane (src/serve)
   kGateEnter = 22,           // arg0 = request index, arg1 = handler slot
   kGateExit = 23,            // arg0 = request index, arg1 = checksum

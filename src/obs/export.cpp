@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "isa/inst.h"
 
 namespace sealpk::obs {
 
@@ -108,7 +109,10 @@ std::string event_detail(const Event& e) {
     case EventKind::kFaultInjected:
       os << "kind=" << e.arg0 << " detail=" << hex(e.arg1);
       break;
-    case EventKind::kSample: os << "pc=" << hex(e.arg0); break;
+    case EventKind::kSample:  // arg1 = the instruction word at the pc
+      os << "pc=" << hex(e.arg0) << " "
+         << isa::disassemble(isa::decode(static_cast<u32>(e.arg1)));
+      break;
     case EventKind::kGateEnter:
       os << "req=" << e.arg0 << " slot=" << e.arg1;
       break;

@@ -1,12 +1,11 @@
 // Deterministic event recorder: the sink every publishing layer (hart,
 // kernel, fault injector, machine) writes into.
 //
-// Discipline mirrors the hart's trace hook: publishers hold a raw nullable
-// Recorder* and guard every emit with a null check, so a disabled trace is
-// one predictable branch per publish site and zero allocations. Publishing
-// charges no modelled cycles and never touches architectural state, which
-// is what makes an enabled-tracing run byte-identical (instructions,
-// cycles, snapshots) to a disabled one.
+// Publishers hold a raw nullable Recorder* and guard every emit with a
+// null check, so a disabled trace is one predictable branch per publish
+// site and zero allocations. Publishing charges no modelled cycles and
+// never touches architectural state, which is what makes an enabled-tracing
+// run byte-identical (instructions, cycles, snapshots) to a disabled one.
 #pragma once
 
 #include <deque>
@@ -117,14 +116,15 @@ class Recorder {
   }
 
   // Instret at which the next PC sample is due: a run-loop deadline, so
-  // the machine ends a chunk there and ticks.
+  // the machine ends a chunk there and samples.
   u64 next_sample() const { return next_sample_; }
 
-  // Sampling profiler tick, called by the machine run loop once per chunk
-  // or trap. Emits the sample once instret has reached the deadline.
-  void tick(u64 instret, u64 cycles, u64 pc) {
-    if (instret < next_sample_) return;
-    emit(EventKind::kSample, instret, cycles, kNoPkey, pc, 0);
+  // Emits the sample due at `instret` (>= next_sample()): the pc of the
+  // next instruction to fetch and its 32-bit instruction word (0 when the
+  // pc does not translate). At interval 1 the samples are the instruction
+  // log.
+  void sample(u64 instret, u64 cycles, u64 pc, u32 word) {
+    emit(EventKind::kSample, instret, cycles, kNoPkey, pc, word);
     align_samples(instret);
   }
 

@@ -48,6 +48,11 @@ void Machine::take_checkpoint() {
   }
 }
 
+u32 Machine::peek_inst_word(u64 vaddr) const {
+  const auto paddr = hart_.translate_debug(vaddr, mem::Access::kFetch);
+  return paddr && mem_.contains(*paddr, 4) ? mem_.read_u32(*paddr) : 0;
+}
+
 const std::vector<u8>& Machine::checkpoint_blob() {
   if (!checkpoint_sealed_ && !checkpoint_.empty()) {
     snapshot::seal(checkpoint_);
@@ -226,10 +231,13 @@ RunOutcome Machine::run(u64 max_instructions) {
       }
 
       if (faults && !rollback_pending_) injector_->maybe_inject(hart_, kernel_);
-      // Sampling profiler tick: one compare per chunk or trap when tracing
-      // is on, nothing at all when it is off.
-      if (recorder_ != nullptr) {
-        recorder_->tick(hart_.instret(), hart_.cycles(), hart_.pc());
+      // Sampling profiler: one compare per chunk or trap when tracing is
+      // on, nothing at all when it is off. The instruction word is read
+      // only for a sample that is due.
+      if (recorder_ != nullptr &&
+          hart_.instret() >= recorder_->next_sample()) {
+        recorder_->sample(hart_.instret(), hart_.cycles(), hart_.pc(),
+                          peek_inst_word(hart_.pc()));
       }
     } catch (const std::exception& e) {
       // A host-level exception (CheckError from a torn invariant, bad_alloc,

@@ -64,10 +64,10 @@ struct MachineConfig {
   u64 max_rollbacks = 3;
 
   // --- observability (src/obs) ---------------------------------------------
-  // Off by default: publishers then sit on the same null-check fast path as
-  // the trace hook. Emits charge no modelled cycles and never touch
-  // architectural state, so enabling tracing cannot change a run's
-  // instructions, cycles or snapshots (guarded by the golden-compat test).
+  // Off by default: every publisher then costs one null check. Emits charge
+  // no modelled cycles and never touch architectural state, so enabling
+  // tracing cannot change a run's instructions, cycles or snapshots
+  // (guarded by the golden-compat test).
   // Deliberately NOT serialized into snapshots: the CFG section's byte
   // format is frozen by the v1 golden file, and a restored machine decides
   // its own tracing independently of how the snapshot was recorded.
@@ -205,6 +205,10 @@ class Machine {
   // handling has unwound back to the run loop).
   bool request_rollback();
   void perform_rollback();
+  // The instruction word at `vaddr` as a debugger reads it: a page-table
+  // walk with no TLB fill, A/D update or fault, and a PhysMem read that
+  // never materialises a page. 0 when `vaddr` does not translate.
+  u32 peek_inst_word(u64 vaddr) const;
 
   MachineConfig config_;
   mem::PhysMem mem_;
