@@ -76,7 +76,6 @@ unsigned Hart::pkey_bits() const {
 }
 
 void Hart::raise(TrapCause cause, u64 tval) {
-  trapped_ = true;
   trap_cause_ = cause;
   ++stats_.traps;
   csrs_.scause = static_cast<u64>(cause);
@@ -96,11 +95,10 @@ void Hart::raise(TrapCause cause, u64 tval) {
 
 void Hart::inject_trap(TrapCause cause, u64 tval) {
   // raise() leaves the redirect in next_pc_ because in-pipeline traps are
-  // committed at the end of step(); an injected trap happens between steps,
-  // so commit the redirect here.
+  // committed by the block loop; an injected trap happens between
+  // instructions, so commit the redirect here.
   raise(cause, tval);
   pc_ = next_pc_;
-  trapped_ = false;
 }
 
 void Hart::flush_tlbs() {
@@ -185,9 +183,10 @@ Hart::MemOutcome Hart::translate_fetch(u64 vaddr) {
 }
 
 // Effective permission of a data access through `entry`. A pkey denial
-// latches spkinfo and is published; a PTE denial clears spkinfo.
-bool Hart::data_access_allowed(const mem::TlbEntry& entry, u64 vaddr,
-                               mem::Access access) {
+// latches spkinfo and is published; a PTE denial clears spkinfo. Inlined
+// into every load and store; the denial itself is out of line.
+[[gnu::always_inline]] inline bool Hart::data_access_allowed(
+    const mem::TlbEntry& entry, u64 vaddr, mem::Access access) {
   const bool want_write = access == mem::Access::kStore;
   const bool pte_ok = entry.user && (want_write ? entry.w : entry.r);
   if (!pte_ok) {
@@ -205,17 +204,21 @@ bool Hart::data_access_allowed(const mem::TlbEntry& entry, u64 vaddr,
              (want_write && pkru_.write_disabled(entry.pkey));
   }
   if (denied) {
-    ++stats_.pkey_denials;
-    // Hardware latches the denying pkey so the kernel can augment the
-    // fault report (paper §III-B.2).
-    csrs_.spkinfo = (u64{1} << 63) | entry.pkey;
-    if (recorder_ != nullptr) {
-      recorder_->emit(obs::EventKind::kPkeyDenial, instret_, cycles_,
-                      entry.pkey, vaddr, want_write ? 1 : 0);
-    }
+    deny_pkey(entry.pkey, vaddr, want_write);
     return false;
   }
   return true;
+}
+
+void Hart::deny_pkey(u32 pkey, u64 vaddr, bool write) {
+  ++stats_.pkey_denials;
+  // Hardware latches the denying pkey so the kernel can augment the
+  // fault report (paper §III-B.2).
+  csrs_.spkinfo = (u64{1} << 63) | pkey;
+  if (recorder_ != nullptr) {
+    recorder_->emit(obs::EventKind::kPkeyDenial, instret_, cycles_, pkey,
+                    vaddr, write ? 1 : 0);
+  }
 }
 
 Hart::MemOutcome Hart::translate_data(u64 vaddr, mem::Access access) {
@@ -270,32 +273,52 @@ Hart::MemOutcome Hart::translate_data(u64 vaddr, mem::Access access) {
   out.ok = true;
   out.paddr =
       (entry->ppn << mem::kPageShift) | mem::sv39::page_offset(vaddr);
-  fill_page_cache(&data_page_, vaddr, *entry, dtlb_);
+  fill_page_cache(&data_page(vaddr), vaddr, *entry, dtlb_);
   return out;
 }
 
 // A code-page hit stands for an ITLB hit on the same entry, which already
-// passed the X and U checks, so it only counts the hit.
-[[gnu::always_inline]] inline bool Hart::fetch(u32* word, u64* paddr) {
+// passed the X and U checks, so it only counts the hit. A block's later
+// fetches hit the same page under the same key (nothing inside a block can
+// change it), so with paging on each counts one ITLB hit as well.
+[[gnu::always_inline]] inline bool Hart::fetch_block(const u8** host,
+                                                  DecodedPage** page,
+                                                  bool* paged) {
+  // An unwritten frame reads as zero, which decodes to an illegal word.
+  static constexpr std::array<u8, mem::kPageSize> kZeroPage{};
   if ((pc_ & 3) != 0) {
     raise(TrapCause::kInstAddrMisaligned, pc_);
     return false;
   }
+  u64 ppn = 0;
   if (page_cache_hit(code_page_, pc_, itlb_)) {
-    itlb_.count_hit();
-    const u64 offset = mem::sv39::page_offset(pc_);
-    *paddr = (code_page_.entry.ppn << mem::kPageShift) | offset;
-    std::memcpy(word, code_page_.host + offset, sizeof *word);
-    return true;
+    itlb_.count_hits();
+    *host = code_page_.host;
+    ppn = code_page_.entry.ppn;
+    *paged = true;
+  } else {
+    const auto out = translate_fetch(pc_);
+    if (!out.ok) {
+      raise(out.cause, out.tval);
+      return false;
+    }
+    const u8* frame = mem_.host_page(out.paddr);
+    *host = frame != nullptr ? frame : kZeroPage.data();
+    ppn = out.paddr >> mem::kPageShift;
+    *paged = paging_levels() != 0;
   }
-  const auto out = translate_fetch(pc_);
-  if (!out.ok) {
-    raise(out.cause, out.tval);
-    return false;
-  }
-  *paddr = out.paddr;
-  *word = mem_.read_u32(out.paddr);
+  *page = &decoded_page(ppn);
   return true;
+}
+
+Hart::DecodedPage& Hart::decoded_page(u64 ppn) {
+  std::unique_ptr<DecodedPage>& slot = decoded_[ppn % kDecodedPages];
+  if (slot == nullptr) {
+    // Every entry starts as Inst{}, which is decode(0).
+    slot = std::make_unique<DecodedPage>();
+    slot->entries.fill({handler_of(Op::kIllegal), Inst{}});
+  }
+  return *slot;
 }
 
 // A data-page hit stands for a DTLB hit on the cached entry; the
@@ -308,14 +331,14 @@ bool Hart::mem_load(u64 vaddr, bool sign_extend, u64* value) {
     return false;
   }
   Word<kSize> raw = 0;
-  if (page_cache_hit(data_page_, vaddr, dtlb_)) {
-    dtlb_.count_hit();
-    if (!data_access_allowed(data_page_.entry, vaddr, mem::Access::kLoad)) {
+  const PageCache& cache = data_page(vaddr);
+  if (page_cache_hit(cache, vaddr, dtlb_)) {
+    dtlb_.count_hits();
+    if (!data_access_allowed(cache.entry, vaddr, mem::Access::kLoad)) {
       raise(TrapCause::kLoadPageFault, vaddr);
       return false;
     }
-    std::memcpy(&raw, data_page_.host + mem::sv39::page_offset(vaddr),
-                kSize);
+    std::memcpy(&raw, cache.host + mem::sv39::page_offset(vaddr), kSize);
   } else {
     const auto out = translate_data(vaddr, mem::Access::kLoad);
     if (!out.ok) {
@@ -346,14 +369,14 @@ bool Hart::mem_store(u64 vaddr, u64 value) {
     return false;
   }
   const auto raw = static_cast<Word<kSize>>(value);
-  if (page_cache_hit(data_page_, vaddr, dtlb_) && data_page_.entry.dirty) {
-    dtlb_.count_hit();
-    if (!data_access_allowed(data_page_.entry, vaddr, mem::Access::kStore)) {
+  const PageCache& cache = data_page(vaddr);
+  if (page_cache_hit(cache, vaddr, dtlb_) && cache.entry.dirty) {
+    dtlb_.count_hits();
+    if (!data_access_allowed(cache.entry, vaddr, mem::Access::kStore)) {
       raise(TrapCause::kStorePageFault, vaddr);
       return false;
     }
-    std::memcpy(data_page_.host + mem::sv39::page_offset(vaddr), &raw,
-                kSize);
+    std::memcpy(cache.host + mem::sv39::page_offset(vaddr), &raw, kSize);
   } else {
     const auto out = translate_data(vaddr, mem::Access::kStore);
     if (!out.ok) {
@@ -374,52 +397,122 @@ bool Hart::mem_store(u64 vaddr, u64 value) {
   return true;
 }
 
-// The step body, inlined into run() so the hot loop calls out only for
-// exec() and the slow paths.
-[[gnu::always_inline]] inline StepResult Hart::step_body() {
-  trapped_ = false;
-  next_pc_ = pc_ + 4;
-  cycles_ += config_.timing.base_cycles;
-
-  u32 word = 0;
-  u64 paddr = 0;
-  if (fetch(&word, &paddr)) {
-    Inst& inst = decoded_[(paddr >> 2) % kDecodedEntries];
-    if (inst.raw != word) inst = isa::decode(word);
-    if (inst.op == Op::kIllegal) {
-      raise(TrapCause::kIllegalInst, word);
-    } else {
-      exec(inst);
-    }
-  }
-
-  StepResult result;
-  if (trapped_) {
-    result.kind = StepKind::kTrap;
-    result.cause = trap_cause_;
-  } else {
-    ++instret_;
-  }
-  pc_ = next_pc_;
-  return result;
+Hart::Handler Hart::handler_of(Op op) {
+  static constexpr auto kHandlers = []<size_t... kOps>(
+                                        std::index_sequence<kOps...>) {
+    return std::array<Handler, sizeof...(kOps)>{
+        &exec_op<static_cast<Op>(kOps)>...};
+  }(std::make_index_sequence<isa::kNumOps>{});
+  return kHandlers[static_cast<size_t>(op)];
 }
 
-StepResult Hart::step() { return step_body(); }
+StepResult Hart::step() { return run(1).value_or(StepResult{}); }
 
+// The block loop. Each pass translates pc_ once (fetch_block), then runs
+// the page's decoded entries in address order until a handler ends the
+// block, the page ends, a trap is raised or the budget runs out. A branch
+// or jump to the same page runs on without a new translation: nothing a
+// jump does changes the code-page key. Every word is still read from the
+// frame and compared with its entry's raw word, so a store into the page
+// being run is seen by the next fetch. Instret, cycles and pc_ move per
+// instruction; the ITLB hits of the fetches after the first are counted
+// when the pass exits, even by a host exception.
 std::optional<StepResult> Hart::run(u64 max_steps) {
-  for (u64 i = 0; i < max_steps; ++i) {
-    const StepResult r = step_body();
-    if (r.kind == StepKind::kTrap) return r;
+  const u64 base_cycles = config_.timing.base_cycles;
+  while (max_steps != 0) {
+    cycles_ += base_cycles;
+    const u8* host = nullptr;
+    DecodedPage* page = nullptr;
+    bool paged = false;
+    if (!fetch_block(&host, &page, &paged)) {
+      pc_ = next_pc_;
+      return StepResult{StepKind::kTrap, trap_cause_};
+    }
+    const u64 vpage = pc_ >> mem::kPageShift;
+    struct HitCount {
+      mem::Tlb& tlb;
+      bool paged;
+      u64 later_fetches = 0;
+      ~HitCount() {
+        if (paged) tlb.count_hits(later_fetches);
+      }
+    } hits{itlb_, paged};
+    for (u64 index = mem::sv39::page_offset(pc_) / 4;;) {
+      u32 word = 0;
+      std::memcpy(&word, host + 4 * index, sizeof word);
+      DecodedEntry& entry = page->entries[index];
+      if (entry.inst.raw != word) {
+        entry.inst = isa::decode(word);
+        entry.handler = handler_of(entry.inst.op);
+      }
+      const Flow flow = entry.handler(*this, entry.inst);
+      if (flow == Flow::kTrap) {
+        pc_ = next_pc_;
+        return StepResult{StepKind::kTrap, trap_cause_};
+      }
+      ++instret_;
+      --max_steps;
+      if (flow == Flow::kNext) {
+        pc_ += 4;
+        if (++index == kPageWords) break;
+      } else {
+        pc_ = next_pc_;
+        if (flow == Flow::kEnd || pc_ >> mem::kPageShift != vpage ||
+            (pc_ & 3) != 0) {
+          break;
+        }
+        index = mem::sv39::page_offset(pc_) / 4;
+      }
+      if (max_steps == 0) break;
+      cycles_ += base_cycles;
+      ++hits.later_fetches;
+    }
   }
   return std::nullopt;
 }
 
-bool Hart::exec(const Inst& inst) {
+// Whether `op` ends a block: it may leave the straight line (branches,
+// jumps, traps, sret), or change what the code-page key depends on (CSR
+// writes such as satp, sfence.vma), or is a fence, a custom-0 instruction
+// or an illegal word.
+constexpr bool ends_block(Op op) {
+  switch (op) {
+    case Op::kJal:
+    case Op::kJalr:
+    case Op::kFence:
+    case Op::kFenceI:
+    case Op::kEcall:
+    case Op::kEbreak:
+    case Op::kSret:
+    case Op::kWfi:
+    case Op::kSfenceVma:
+    case Op::kCsrrw:
+    case Op::kCsrrs:
+    case Op::kCsrrc:
+    case Op::kCsrrwi:
+    case Op::kCsrrsi:
+    case Op::kCsrrci:
+    case Op::kIllegal:
+      return true;
+    default:
+      return isa::is_branch(op) || isa::is_custom0(op);
+  }
+}
+
+// The handler for one op: the switch folds to the single case of kOp.
+template <Op kOp>
+[[gnu::always_inline]] inline Hart::Flow Hart::exec(const Inst& inst) {
+  constexpr bool kJumps =
+      isa::is_branch(kOp) || kOp == Op::kJal || kOp == Op::kJalr;
+  constexpr Flow kDone = kJumps            ? Flow::kJump
+                         : ends_block(kOp) ? Flow::kEnd
+                                           : Flow::kNext;
+  if constexpr (ends_block(kOp)) next_pc_ = pc_ + 4;
   const u64 rs1 = regs_[inst.rs1];
   const u64 rs2 = regs_[inst.rs2];
   const auto& t = config_.timing;
   u64 value = 0;
-  switch (inst.op) {
+  switch (kOp) {
     // --- upper immediate / control flow -----------------------------------
     case Op::kLui:
       write_rd(inst.rd, static_cast<u64>(inst.imm));
@@ -462,41 +555,45 @@ bool Hart::exec(const Inst& inst) {
 
     // --- loads / stores -----------------------------------------------------
     case Op::kLb:
-      if (!mem_load<1>(rs1 + inst.imm, true, &value)) return false;
+      if (!mem_load<1>(rs1 + inst.imm, true, &value)) return Flow::kTrap;
       write_rd(inst.rd, value);
       break;
     case Op::kLh:
-      if (!mem_load<2>(rs1 + inst.imm, true, &value)) return false;
+      if (!mem_load<2>(rs1 + inst.imm, true, &value)) return Flow::kTrap;
       write_rd(inst.rd, value);
       break;
     case Op::kLw:
-      if (!mem_load<4>(rs1 + inst.imm, true, &value)) return false;
+      if (!mem_load<4>(rs1 + inst.imm, true, &value)) return Flow::kTrap;
       write_rd(inst.rd, value);
       break;
     case Op::kLd:
-      if (!mem_load<8>(rs1 + inst.imm, true, &value)) return false;
+      if (!mem_load<8>(rs1 + inst.imm, true, &value)) return Flow::kTrap;
       write_rd(inst.rd, value);
       break;
     case Op::kLbu:
-      if (!mem_load<1>(rs1 + inst.imm, false, &value)) return false;
+      if (!mem_load<1>(rs1 + inst.imm, false, &value)) return Flow::kTrap;
       write_rd(inst.rd, value);
       break;
     case Op::kLhu:
-      if (!mem_load<2>(rs1 + inst.imm, false, &value)) return false;
+      if (!mem_load<2>(rs1 + inst.imm, false, &value)) return Flow::kTrap;
       write_rd(inst.rd, value);
       break;
     case Op::kLwu:
-      if (!mem_load<4>(rs1 + inst.imm, false, &value)) return false;
+      if (!mem_load<4>(rs1 + inst.imm, false, &value)) return Flow::kTrap;
       write_rd(inst.rd, value);
       break;
     case Op::kSb:
-      return mem_store<1>(rs1 + inst.imm, rs2);
+      if (!mem_store<1>(rs1 + inst.imm, rs2)) return Flow::kTrap;
+      break;
     case Op::kSh:
-      return mem_store<2>(rs1 + inst.imm, rs2);
+      if (!mem_store<2>(rs1 + inst.imm, rs2)) return Flow::kTrap;
+      break;
     case Op::kSw:
-      return mem_store<4>(rs1 + inst.imm, rs2);
+      if (!mem_store<4>(rs1 + inst.imm, rs2)) return Flow::kTrap;
+      break;
     case Op::kSd:
-      return mem_store<8>(rs1 + inst.imm, rs2);
+      if (!mem_store<8>(rs1 + inst.imm, rs2)) return Flow::kTrap;
+      break;
 
     // --- integer ALU --------------------------------------------------------
     case Op::kAddi: write_rd(inst.rd, rs1 + inst.imm); break;
@@ -676,14 +773,14 @@ bool Hart::exec(const Inst& inst) {
     case Op::kEbreak:
     case Op::kSret:
     case Op::kSfenceVma:
-      return exec_system(inst);
+      return exec_system(inst) ? kDone : Flow::kTrap;
     case Op::kCsrrw:
     case Op::kCsrrs:
     case Op::kCsrrc:
     case Op::kCsrrwi:
     case Op::kCsrrsi:
     case Op::kCsrrci:
-      return exec_csr(inst);
+      return exec_csr(inst) ? kDone : Flow::kTrap;
 
     // --- custom-0 ---------------------------------------------------------------
     case Op::kRdpkr:
@@ -694,13 +791,13 @@ bool Hart::exec(const Inst& inst) {
     case Op::kSpkSeal:
     case Op::kWrpkru:
     case Op::kRdpkru:
-      return exec_custom(inst);
+      return exec_custom(inst) ? kDone : Flow::kTrap;
 
     case Op::kIllegal:
       raise(TrapCause::kIllegalInst, inst.raw);
-      return false;
+      return Flow::kTrap;
   }
-  return !trapped_;
+  return kDone;
 }
 
 bool Hart::exec_system(const Inst& inst) {

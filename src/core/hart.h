@@ -8,8 +8,8 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <vector>
 
 #include "core/csr.h"
 #include "core/timing.h"
@@ -81,12 +81,20 @@ class Hart {
   const TimingModel& timing() const { return config_.timing; }
 
   // --- execution -------------------------------------------------------------
+  // Both run one decoded-block interpreter (DESIGN.md §17): the fetch
+  // translation and the code-page key are resolved once per straight-line
+  // block (and kept across branches within the page), and each
+  // instruction runs through a handler resolved when its word was
+  // decoded.
+  //
   // Executes one instruction; on an exception the hart has already
   // redirected to stvec in S-mode with scause/sepc/stval set.
   StepResult step();
 
   // Runs until a trap is taken or `max_steps` instructions retire.
-  // Returns the trap if one occurred.
+  // Returns the trap if one occurred. Instret, cycles and TLB counters are
+  // exactly those of `max_steps` step() calls, and the instructions before
+  // a trap (or a host exception) have retired.
   std::optional<StepResult> run(u64 max_steps);
 
   // The OS model charges its software-path costs here.
@@ -139,11 +147,10 @@ class Hart {
     u64 tval = 0;
   };
 
-  // One-entry cache of the last U-mode paged translation of one kind
-  // (fetch or data), with the host address of the frame; see DESIGN.md
-  // §17 "Page fast paths". A hit needs the same virtual page, satp, TLB
-  // epoch and PhysMem generation as the fill, which means the TLB lookup
-  // it skips would return `entry` again.
+  // The last U-mode paged translation of one page, with the host address
+  // of its frame; see DESIGN.md §17 "Page fast paths". A hit needs the
+  // same virtual page, satp, TLB epoch and PhysMem generation as the fill,
+  // which means the TLB lookup it skips would return `entry` again.
   struct PageCache {
     u64 vpage = ~u64{0};  // vaddr >> kPageShift; ~0 matches no address
     u64 satp = 0;
@@ -153,6 +160,32 @@ class Hart {
     mem::TlbEntry entry;  // what the TLB lookup returned at fill time
   };
 
+  // What an instruction handler tells the block loop: go on to the next
+  // word; jump (a branch or jump, which leaves the code-page key as it
+  // was); end the block (state the code-page key depends on may have
+  // changed); or a trap was raised.
+  enum class Flow : u8 { kNext, kJump, kEnd, kTrap };
+  using Handler = Flow (*)(Hart&, const isa::Inst&);
+
+  // One decoded word. `handler` is the one for `inst.op`, so an entry whose
+  // `inst.raw` equals the fetched word holds exactly decode(word).
+  struct DecodedEntry {
+    Handler handler;
+    isa::Inst inst;
+  };
+  static constexpr size_t kPageWords = mem::kPageSize / 4;
+  struct DecodedPage {
+    std::array<DecodedEntry, kPageWords> entries;
+  };
+
+  // Decoded pages, direct-mapped by physical page number and allocated on
+  // first use, so a hart holds at most kDecodedPages of them. Entries carry
+  // no tag: validity is the raw-word compare, which makes a page slot
+  // shared by two frames cost re-decodes, never a wrong instruction.
+  static constexpr size_t kDecodedPages = 16;
+  // Data translations, direct-mapped by virtual page number.
+  static constexpr size_t kDataPageSlots = 8;
+
   // 0 = no translation (S-mode or bare); 3 = Sv39; 4 = Sv48.
   unsigned paging_levels() const;
   unsigned pkey_bits() const;
@@ -161,24 +194,37 @@ class Hart {
   MemOutcome translate_data(u64 vaddr, mem::Access access);
   bool data_access_allowed(const mem::TlbEntry& entry, u64 vaddr,
                            mem::Access access);
+  [[gnu::noinline]] void deny_pkey(u32 pkey, u64 vaddr, bool write);
   bool page_cache_hit(const PageCache& cache, u64 vaddr,
                       const mem::Tlb& tlb) const;
   void fill_page_cache(PageCache* cache, u64 vaddr,
                        const mem::TlbEntry& entry, const mem::Tlb& tlb);
+  PageCache& data_page(u64 vaddr) {
+    return data_pages_[(vaddr >> mem::kPageShift) % kDataPageSlots];
+  }
 
-  StepResult step_body();
-  bool fetch(u32* word, u64* paddr);
+  // Block entry: translates pc_ once. On success sets the frame's host
+  // page (a zero page for an unwritten frame), its decoded page, and
+  // whether the block's later fetches count as ITLB hits.
+  bool fetch_block(const u8** host, DecodedPage** page, bool* paged);
+  DecodedPage& decoded_page(u64 ppn);
+  static Handler handler_of(isa::Op op);
   template <unsigned kSize>
   bool mem_load(u64 vaddr, bool sign_extend, u64* value);
   template <unsigned kSize>
   bool mem_store(u64 vaddr, u64 value);
-  // The exec family reads regs_ directly and writes through write_rd.
-  // decode() only yields 5-bit register fields and x0 is never written, so
-  // regs_[0] stays zero and neither needs the public accessors' checks.
+  // The handlers read regs_ directly and write through write_rd. decode()
+  // only yields 5-bit register fields and x0 is never written, so regs_[0]
+  // stays zero and neither needs the public accessors' checks.
   void write_rd(unsigned rd, u64 value) {
     if (rd != 0) regs_[rd] = value;
   }
-  bool exec(const isa::Inst& inst);         // returns false if trapped
+  template <isa::Op kOp>
+  Flow exec(const isa::Inst& inst);
+  template <isa::Op kOp>
+  static Flow exec_op(Hart& hart, const isa::Inst& inst) {
+    return hart.exec<kOp>(inst);
+  }
   bool exec_custom(const isa::Inst& inst);  // custom-0 extension
   bool exec_system(const isa::Inst& inst);
   bool exec_csr(const isa::Inst& inst);
@@ -199,19 +245,12 @@ class Hart {
   HartStats stats_;
   PkrWriteHook pkr_write_hook_;
   obs::Recorder* recorder_ = nullptr;
-  bool trapped_ = false;      // set by raise() during the current step
-  TrapCause trap_cause_ = TrapCause::kIllegalInst;
-  u64 next_pc_ = 0;
+  TrapCause trap_cause_ = TrapCause::kIllegalInst;  // set by raise()
+  u64 next_pc_ = 0;  // where the current instruction goes next
 
-  // Decoded-instruction cache, direct-mapped by fetch physical address.
-  // Every fetch still reads the raw word; a slot is reused only when its
-  // raw field equals that word, so the cache needs neither a valid bit
-  // (Inst{} == decode(0)) nor invalidation on stores, loads or restores.
-  static constexpr size_t kDecodedEntries = 4096;
-  std::vector<isa::Inst> decoded_ = std::vector<isa::Inst>(kDecodedEntries);
-
+  std::array<std::unique_ptr<DecodedPage>, kDecodedPages> decoded_;
   PageCache code_page_;
-  PageCache data_page_;
+  std::array<PageCache, kDataPageSlots> data_pages_;
 };
 
 }  // namespace sealpk::core

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <bitset>
 #include <optional>
 
@@ -59,21 +60,28 @@ class SealUnit {
 
   bool sealed(u32 pkey) const {
     SEALPK_CHECK(pkey < kNumPkeys);
-    return seal_reg_[pkey];
+    return ((seal_rows_[pkr_row_of(pkey)] >> pkr_slot_of(pkey)) & 1) != 0;
+  }
+
+  // The sealed keys of PKR row `row`, one bit per slot: bit i is key
+  // row * kKeysPerRow + i.
+  u32 sealed_row_mask(u32 row) const {
+    SEALPK_CHECK(row < kPkrRows);
+    return seal_rows_[row];
   }
 
   // Supervisor commit path (spk.seal). One-time fuse: re-sealing an
   // already-sealed key is a hardware no-op the kernel screens earlier.
   void set_sealed(u32 pkey) {
     SEALPK_CHECK(pkey < kNumPkeys);
-    seal_reg_[pkey] = true;
+    seal_rows_[pkr_row_of(pkey)] |= u32{1} << pkr_slot_of(pkey);
   }
 
   // Evaluates Figure 4's hit condition for a WRPKR at `pc` naming `pkey`.
   SealCheck check_wrpkr(u32 pkey, u64 pc) {
     SEALPK_CHECK(pkey < kNumPkeys);
     ++stats_.checks;
-    if (!seal_reg_[pkey]) return SealCheck::kAllowed;
+    if (!sealed(pkey)) return SealCheck::kAllowed;
     for (const auto& slot : cam_) {
       if (slot.valid && slot.entry.pkey == pkey) {
         ++stats_.cam_hits;
@@ -150,7 +158,7 @@ class SealUnit {
   // dissolves so a future owner of the key starts unsealed (§IV).
   void clear_key(u32 pkey) {
     SEALPK_CHECK(pkey < kNumPkeys);
-    seal_reg_[pkey] = false;
+    seal_rows_[pkr_row_of(pkey)] &= ~(u32{1} << pkr_slot_of(pkey));
     for (auto& slot : cam_) {
       if (slot.valid && slot.entry.pkey == pkey) slot.valid = false;
     }
@@ -210,7 +218,11 @@ class SealUnit {
 
   Snapshot save() const {
     Snapshot s;
-    s.seal_reg = seal_reg_;
+    for (u32 row = 0; row < kPkrRows; ++row) {
+      for (u32 mask = seal_rows_[row]; mask != 0; mask &= mask - 1) {
+        s.seal_reg.set(row * kKeysPerRow + std::countr_zero(mask));
+      }
+    }
     for (unsigned i = 0; i < kPkCamEntries; ++i) {
       s.cam_entries[i] = cam_[i].entry;
       s.cam_valid[i] = cam_[i].valid;
@@ -220,7 +232,10 @@ class SealUnit {
   }
 
   void restore(const Snapshot& s) {
-    seal_reg_ = s.seal_reg;
+    seal_rows_ = {};
+    for (u32 k = 0; k < kNumPkeys; ++k) {
+      if (s.seal_reg[k]) set_sealed(k);
+    }
     for (unsigned i = 0; i < kPkCamEntries; ++i) {
       cam_[i].entry = s.cam_entries[i];
       cam_[i].valid = s.cam_valid[i];
@@ -229,7 +244,7 @@ class SealUnit {
   }
 
   void reset() {
-    seal_reg_.reset();
+    seal_rows_ = {};
     for (auto& slot : cam_) slot.valid = false;
     fifo_next_ = 0;
   }
@@ -258,11 +273,25 @@ class SealUnit {
     bool valid = false;
   };
   unsigned active_cam_entries_ = kPkCamEntries;
-  std::bitset<kNumPkeys> seal_reg_;
+  // SealReg, stored by PKR row so the WRPKR merge reads a row's seals as
+  // one word.
+  std::array<u32, kPkrRows> seal_rows_{};
   std::array<Slot, kPkCamEntries> cam_{};
   unsigned fifo_next_ = 0;
   SealUnitStats stats_;
 };
+
+// Widens a per-slot mask to the PKR row's 2-bit fields: bit i of `mask`
+// becomes bits 2i and 2i+1 of the result.
+constexpr u64 spread_to_fields(u32 mask) {
+  u64 x = mask;
+  x = (x | (x << 16)) & 0x0000FFFF0000FFFFull;
+  x = (x | (x << 8)) & 0x00FF00FF00FF00FFull;
+  x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0Full;
+  x = (x | (x << 2)) & 0x3333333333333333ull;
+  x = (x | (x << 1)) & 0x5555555555555555ull;
+  return x | (x << 1);
+}
 
 // WRPKR row-commit merge (§IV): a row write may only change the fields of
 // unsealed keys plus the named key itself; every *other* sealed key in the
@@ -270,13 +299,10 @@ class SealUnit {
 // the model checker's harness so the two cannot diverge.
 inline u64 merge_sealed_row(const SealUnit& unit, u64 old_row, u64 next,
                             u32 row, u32 pkey) {
-  for (u32 slot = 0; slot < kKeysPerRow; ++slot) {
-    const u32 other = row * kKeysPerRow + slot;
-    if (other == pkey || !unit.sealed(other)) continue;
-    next = deposit(next, 2 * slot + 1, 2 * slot,
-                   bits(old_row, 2 * slot + 1, 2 * slot));
-  }
-  return next;
+  u32 keep = unit.sealed_row_mask(row);
+  if (pkey / kKeysPerRow == row) keep &= ~(u32{1} << pkr_slot_of(pkey));
+  const u64 fields = spread_to_fields(keep);
+  return (next & ~fields) | (old_row & fields);
 }
 
 }  // namespace sealpk::hw

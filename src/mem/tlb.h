@@ -72,9 +72,9 @@ class Tlb {
     return std::nullopt;
   }
 
-  // Counts a hit without scanning. Only for a caller that already knows
+  // Counts `n` hits without scanning. Only for a caller that already knows
   // lookup() would hit: it saw that VPN hit at the current epoch().
-  void count_hit() { ++stats_.hits; }
+  void count_hits(u64 n = 1) { stats_.hits += n; }
 
   // Bumped by every mutator that can change what lookup() returns (insert,
   // flush, flush_vpn, corrupt_slot, load_state). While the epoch is

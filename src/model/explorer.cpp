@@ -41,13 +41,14 @@ std::string outcome_to_string(const Outcome& o) {
   return os.str();
 }
 
-// Applies `op` to a scratch copy of `base` (which holds `st` installed) and
+// Applies `op` to `m` reset to `base` (which holds `st` installed) and
 // runs every per-transition check.
 TransitionCheck run_transition(const ModelConfig& cfg, const Harness& base,
-                               const ModelState& st, const Op& op) {
+                               Harness& m, const ModelState& st,
+                               const Op& op) {
   TransitionCheck tc;
   try {
-    Harness m(base);
+    m.reset_to(base);
     const Outcome got = m.apply(op);
     const ModelState after = m.extract();
     tc.got_enc = encode_state(after);
@@ -166,13 +167,14 @@ ExploreResult explore(const ModelConfig& cfg, const ProgressFn& progress) {
 
       auto expand = [&](size_t lo, size_t hi) {
         Harness base(cfg);
+        Harness scratch(cfg);
         for (size_t i = lo; i < hi; ++i) {
           const ModelState st =
               decode_state(cfg, encodings[level[batch + i]]);
           base.install(st);
           for (size_t oi = 0; oi < ops.size(); ++oi) {
             results[i * ops.size() + oi] =
-                run_transition(cfg, base, st, ops[oi]);
+                run_transition(cfg, base, scratch, st, ops[oi]);
           }
         }
       };
@@ -248,9 +250,11 @@ ReplayResult replay(const ModelConfig& cfg, const std::vector<Op>& ops) {
   }
   if (out.failed) return out;
   Harness base(cfg);
+  Harness scratch(cfg);
   for (size_t i = 0; i < ops.size(); ++i) {
     base.install(st);
-    const TransitionCheck tc = run_transition(cfg, base, st, ops[i]);
+    const TransitionCheck tc =
+        run_transition(cfg, base, scratch, st, ops[i]);
     if (!tc.problems.empty()) {
       out.failed = true;
       out.op_index = i;

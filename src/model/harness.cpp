@@ -1,5 +1,7 @@
 #include "model/harness.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "os/pkey_ops.h"
 #include "os/syscall_abi.h"
@@ -55,6 +57,14 @@ void Harness::install(const ModelState& s) {
   seal_.restore(snap);
   keys_.set_state(ks);
   pages_ = s.pages;
+}
+
+void Harness::reset_to(const Harness& base) {
+  pkr_ = base.pkr_;
+  seal_ = base.seal_;
+  pages_ = base.pages_;
+  keys_.copy_keys_from(base.keys_,
+                       std::min(cfg_.num_pkeys + 2, hw::kNumPkeys));
 }
 
 ModelState Harness::extract() const {

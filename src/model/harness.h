@@ -27,6 +27,14 @@ class Harness {
   void install(const ModelState& s);
   ModelState extract() const;
 
+  // Makes this harness equal to `base` in everything an op can read or
+  // write: the PKR, the seal unit, the pages and the key manager's
+  // records of the model's keys and the two keys above them (alloc may
+  // return the first; extract() checks both stay clean). Cheaper than a
+  // copy, which also copies the records of the 1,000-odd keys the model
+  // never names.
+  void reset_to(const Harness& base);
+
   // Applies one op through the kernel/hart logic. May throw CheckError if
   // a unit's own internal checks fire (reported as a counterexample).
   Outcome apply(const Op& op);

@@ -122,7 +122,8 @@ class Recorder {
   // Emits the sample due at `instret` (>= next_sample()): the pc of the
   // next instruction to fetch and its 32-bit instruction word (0 when the
   // pc does not translate). At interval 1 the samples are the instruction
-  // log.
+  // log, and the machine also samples after each trap, at an instret
+  // already sampled, to name the instruction the kernel resumes at.
   void sample(u64 instret, u64 cycles, u64 pc, u32 word) {
     emit(EventKind::kSample, instret, cycles, kNoPkey, pc, word);
     align_samples(instret);

@@ -8,6 +8,7 @@
 // use-after-free bug for comparison.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bitset>
 #include <optional>
@@ -88,6 +89,20 @@ class SealPkKeyManager : public KeyManager {
 
   const State& state() const { return s_; }
   void set_state(const State& state) { s_ = state; }
+
+  // Copies `other`'s records of keys [0, count): the bitsets whole, the
+  // counters and perm-seal ranges of those keys only. For a caller that
+  // knows no key from `count` up differs, such as the model checker
+  // resetting its scratch harness between transitions.
+  void copy_keys_from(const SealPkKeyManager& other, u32 count) {
+    SEALPK_CHECK(count <= hw::kNumPkeys);
+    s_.alloc = other.s_.alloc;
+    s_.dirty = other.s_.dirty;
+    s_.sealed_domain = other.s_.sealed_domain;
+    s_.sealed_page = other.s_.sealed_page;
+    std::copy_n(other.s_.counter.begin(), count, s_.counter.begin());
+    std::copy_n(other.s_.perm_range.begin(), count, s_.perm_range.begin());
+  }
 
   unsigned num_keys() const override { return hw::kNumPkeys; }
 

@@ -197,6 +197,14 @@ RunOutcome Machine::run(u64 max_instructions) {
         const u64 trap_pc = hart_.csrs().sepc;
         kernel_.handle_trap();
         runloop_.since_switch = 0;
+        // The instruction log already named the trapping instruction at
+        // this instret; name the one the kernel resumes at too (after an
+        // ecall, or in a thread switched in).
+        if (recorder_ != nullptr && recorder_->config().sample_interval == 1 &&
+            !kernel_.all_exited()) {
+          recorder_->sample(hart_.instret(), hart_.cycles(), hart_.pc(),
+                            peek_inst_word(hart_.pc()));
+        }
         if (faults) injector_->note_recoveries(kernel_);
         runloop_.trap_streak =
             trap_pc == runloop_.last_trap_pc ? runloop_.trap_streak + 1 : 1;

@@ -321,5 +321,91 @@ TEST(SealUnit, MergeSealedRowPreservesOnlySealedNeighbours) {
   EXPECT_EQ(bits(next, 3, 2), 0b11u);
 }
 
+// The merge as it was before SealUnit kept a per-row seal mask: one slot at
+// a time, each through sealed(). Kept as the reference for the mask form.
+u64 merge_slot_by_slot(const SealUnit& unit, u64 old_row, u64 next, u32 row,
+                       u32 pkey) {
+  for (u32 slot = 0; slot < kKeysPerRow; ++slot) {
+    const u32 other = row * kKeysPerRow + slot;
+    if (other == pkey || !unit.sealed(other)) continue;
+    next = deposit(next, 2 * slot + 1, 2 * slot,
+                   bits(old_row, 2 * slot + 1, 2 * slot));
+  }
+  return next;
+}
+
+TEST(SealUnit, SpreadToFieldsWidensEachSlotBit) {
+  for (u32 slot = 0; slot < kKeysPerRow; ++slot) {
+    EXPECT_EQ(spread_to_fields(u32{1} << slot), u64{0b11} << (2 * slot));
+  }
+  EXPECT_EQ(spread_to_fields(0), 0u);
+  EXPECT_EQ(spread_to_fields(~u32{0}), ~u64{0});
+}
+
+// Every row x target slot x neighbour slot, with the neighbour sealed or
+// not, and every (old, new) pair of the neighbour's 2-bit field. The
+// neighbour runs over the target's own slot too, where a seal must not
+// stop the named key's write.
+TEST(SealUnit, MergeMatchesTheSlotBySlotReferenceOnEveryField) {
+  Rng rng(0x5ea1ed);
+  const SealUnit open_unit;
+  for (u32 row = 0; row < kPkrRows; ++row) {
+    for (u32 neighbour = 0; neighbour < kKeysPerRow; ++neighbour) {
+      SealUnit sealed_unit;
+      sealed_unit.set_sealed(row * kKeysPerRow + neighbour);
+      const u64 background_old = rng.next();
+      const u64 background_next = rng.next();
+      const unsigned hi = 2 * neighbour + 1, lo = 2 * neighbour;
+      for (u32 target = 0; target < kKeysPerRow; ++target) {
+        const u32 pkey = row * kKeysPerRow + target;
+        for (const SealUnit* unit :
+             std::initializer_list<const SealUnit*>{&open_unit, &sealed_unit}) {
+          for (u64 old_field = 0; old_field < 4; ++old_field) {
+            for (u64 new_field = 0; new_field < 4; ++new_field) {
+              const u64 old_row = deposit(background_old, hi, lo, old_field);
+              const u64 next = deposit(background_next, hi, lo, new_field);
+              ASSERT_EQ(merge_sealed_row(*unit, old_row, next, row, pkey),
+                        merge_slot_by_slot(*unit, old_row, next, row, pkey))
+                  << "row " << row << " target " << target << " neighbour "
+                  << neighbour;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Seeded random seal masks of every density, with seals in other rows
+// too, and WRPKRs naming keys inside and outside the written row.
+TEST(SealUnit, MergeMatchesTheSlotBySlotReferenceOnRandomMasks) {
+  Rng rng(0x5ea1ed2);
+  for (int trial = 0; trial < 4000; ++trial) {
+    SealUnit unit;
+    const u64 density = rng.below(kKeysPerRow + 1);
+    for (u32 k = 0; k < kNumPkeys; ++k) {
+      if (rng.below(kKeysPerRow) < density) unit.set_sealed(k);
+    }
+    for (u32 row = 0; row < kPkrRows; ++row) {
+      u32 mask = 0;
+      for (u32 slot = 0; slot < kKeysPerRow; ++slot) {
+        if (unit.sealed(row * kKeysPerRow + slot)) mask |= u32{1} << slot;
+      }
+      ASSERT_EQ(unit.sealed_row_mask(row), mask);
+    }
+    for (int w = 0; w < 8; ++w) {
+      const u32 row = static_cast<u32>(rng.below(kPkrRows));
+      const u32 pkey = rng.chance(0.8)
+                           ? row * kKeysPerRow +
+                                 static_cast<u32>(rng.below(kKeysPerRow))
+                           : static_cast<u32>(rng.below(kNumPkeys));
+      const u64 old_row = rng.next(), next = rng.next();
+      ASSERT_EQ(merge_sealed_row(unit, old_row, next, row, pkey),
+                merge_slot_by_slot(unit, old_row, next, row, pkey))
+          << "trial " << trial;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sealpk::hw

@@ -67,6 +67,8 @@ TEST(Trace, SamplesReproduceTheEmittedInstructions) {
   auto prog = make_main_program([](Program&, Function& f) {
     f.li(t0, 5);
     f.addi(t1, t0, 7);
+    f.li(a0, 1);
+    rt::syscall(f, os::sys::kReport);  // the kernel resumes at the slli
     f.xori(t2, t1, 0x55);
     f.slli(t3, t2, 3);
     f.add(t4, t3, t1);
@@ -100,27 +102,40 @@ TEST(Trace, SamplesReproduceTheEmittedInstructions) {
   const auto samples =
       events_of_kind(*machine.recorder(), obs::EventKind::kSample);
   ASSERT_EQ(samples.size(), expected_pcs.size());
-  EXPECT_EQ(samples.size(), outcome.instructions);
+  // main's ecall retires nothing, so the instruction the kernel resumes
+  // at is sampled at the ecall's instret: one sample more than retired
+  // instructions, and one instret named twice.
+  EXPECT_EQ(samples.size(), outcome.instructions + 1);
   std::vector<Op> sampled_main;
+  u64 repeats = 0;
   for (size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_EQ(samples[i].instret, i + 1);
+    EXPECT_EQ(samples[i].instret, i + 1 - repeats);
     EXPECT_EQ(samples[i].arg0, expected_pcs[i]);
     EXPECT_EQ(samples[i].arg1, image_word(image, expected_pcs[i]));
+    const Op op = isa::decode(static_cast<u32>(samples[i].arg1)).op;
     if (samples[i].arg0 < main_hi && samples[i].arg0 >= main_lo) {
-      sampled_main.push_back(
-          isa::decode(static_cast<u32>(samples[i].arg1)).op);
+      sampled_main.push_back(op);
+    }
+    if (op == Op::kEcall && i + 1 < samples.size()) {
+      EXPECT_EQ(samples[i + 1].instret, samples[i].instret);
+      ++repeats;
     }
   }
+  EXPECT_EQ(repeats, 1u);
   EXPECT_EQ(sampled_main, emitted);
 
-  // The exit ecall traps without retiring: it is the last sample before
-  // its kTrap.
-  const obs::Event* before_exit =
+  // Each ecall traps without retiring: main's is the last sample before
+  // the first kTrap, and the exit ecall, which ends the run, is the last
+  // sample of all.
+  const obs::Event* before_report =
       last_sample_before(*machine.recorder(), obs::EventKind::kTrap);
-  ASSERT_NE(before_exit, nullptr);
-  EXPECT_EQ(isa::decode(static_cast<u32>(before_exit->arg1)).op,
+  ASSERT_NE(before_report, nullptr);
+  EXPECT_EQ(isa::decode(static_cast<u32>(before_report->arg1)).op,
             Op::kEcall);
-  EXPECT_EQ(before_exit->arg0, start_hi - 4);
+  EXPECT_LT(before_report->arg0, main_hi);
+  EXPECT_EQ(isa::decode(static_cast<u32>(samples.back().arg1)).op,
+            Op::kEcall);
+  EXPECT_EQ(samples.back().arg0, start_hi - 4);
 }
 
 TEST(Trace, FaultingLoadIsTheSampleBeforeItsTrap) {
