@@ -1,11 +1,11 @@
 #include "fleet/engine.h"
 
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <mutex>
 #include <sstream>
-#include <thread>
+
+#include "common/pool.h"
 
 namespace sealpk::fleet {
 
@@ -232,7 +232,7 @@ std::vector<JobResult> run_jobs(const std::vector<JobSpec>& specs,
 
   std::vector<JobResult> results(specs.size());
   std::mutex done_mu;
-  run_indexed(specs.size(), opts.threads, [&](size_t i, unsigned wid) {
+  pool::run(specs.size(), opts.threads, [&](size_t i, unsigned wid) {
     JobResult r = execute_job(specs[i], cache);
     r.worker = wid;
     if (opts.on_done) {
@@ -242,33 +242,6 @@ std::vector<JobResult> run_jobs(const std::vector<JobSpec>& specs,
     results[i] = std::move(r);
   });
   return results;
-}
-
-void run_indexed(size_t n, unsigned threads,
-                 const std::function<void(size_t, unsigned)>& task) {
-  std::atomic<size_t> next{0};
-  auto drain = [&](unsigned wid) {
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      task(i, wid);
-    }
-  };
-
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  if (n != 0 && static_cast<size_t>(threads) > n) {
-    threads = static_cast<unsigned>(n);
-  }
-  if (threads <= 1) {
-    drain(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) {
-    pool.emplace_back(drain, w);
-  }
-  for (std::thread& t : pool) t.join();
 }
 
 }  // namespace sealpk::fleet

@@ -1,11 +1,12 @@
-// Fleet engine: a fixed-size worker pool draining an MPMC job queue.
+// Fleet engine: the job matrix drained through the shared pool
+// (common/pool.h).
 //
 // Determinism contract: each worker owns a private Machine per job (no
 // machine state is ever shared), every job input is pinned in its JobSpec,
 // and results land in the slot indexed by JobSpec::id — so the canonical
 // per-job records are byte-identical for any thread count and any
 // scheduling order. The only cross-thread state is the shared immutable
-// image cache, the atomic dispatch ticket, and the result vector (disjoint
+// image cache, the pool's dispatch ticket, and the result vector (disjoint
 // slots). Crash containment: a host exception escaping a job (CheckError,
 // bad_alloc, a torn invariant) fails only that job; the pool keeps
 // draining.
@@ -33,15 +34,6 @@ struct FleetOptions {
 // Executes one job on the calling thread (the unit the pool dispatches).
 // Never throws: host exceptions are contained into a failed result.
 JobResult execute_job(const JobSpec& spec, ImageCache& cache);
-
-// The pool primitive under run_jobs, reusable by any batch driver (the
-// serve CLI drains its scenario matrix through it): invokes
-// task(index, worker) exactly once for every index in [0, n), on `threads`
-// workers (0 = one per host hardware thread, <=1 = inline on the calling
-// thread). The task must write results only to per-index slots; dispatch
-// order is an MPMC ticket and carries no determinism.
-void run_indexed(size_t n, unsigned threads,
-                 const std::function<void(size_t, unsigned)>& task);
 
 // Runs every spec and returns results ordered by spec index (results[i]
 // belongs to specs[i], whatever specs[i].id says — callers normally keep

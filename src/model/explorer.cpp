@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "common/check.h"
+#include "common/pool.h"
 #include "model/harness.h"
 #include "model/spec.h"
 
@@ -165,7 +165,11 @@ ExploreResult explore(const ModelConfig& cfg, const ProgressFn& progress) {
       const size_t batch_size = batch_end - batch;
       std::vector<TransitionCheck> results(batch_size * ops.size());
 
-      auto expand = [&](size_t lo, size_t hi) {
+      // One cell per worker: a contiguous chunk of the batch.
+      const unsigned chunks = pool::workers(cfg.threads, batch_size);
+      pool::run(chunks, chunks, [&](size_t c, unsigned) {
+        const size_t lo = c * batch_size / chunks;
+        const size_t hi = (c + 1) * batch_size / chunks;
         Harness base(cfg);
         Harness scratch(cfg);
         for (size_t i = lo; i < hi; ++i) {
@@ -177,23 +181,7 @@ ExploreResult explore(const ModelConfig& cfg, const ProgressFn& progress) {
                 run_transition(cfg, base, scratch, st, ops[oi]);
           }
         }
-      };
-
-      const unsigned workers = static_cast<unsigned>(
-          std::min<size_t>(cfg.threads, batch_size));
-      if (workers <= 1) {
-        expand(0, batch_size);
-      } else {
-        const size_t chunk = (batch_size + workers - 1) / workers;
-        std::vector<std::thread> pool;
-        for (unsigned t = 0; t < workers; ++t) {
-          const size_t lo = t * chunk;
-          const size_t hi = std::min(lo + chunk, batch_size);
-          if (lo >= hi) break;
-          pool.emplace_back(expand, lo, hi);
-        }
-        for (auto& th : pool) th.join();
-      }
+      });
 
       // Sequential merge in frontier order: all counts and the
       // counterexample list are independent of the worker split.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "fleet/engine.h"
+#include "common/pool.h"
 #include "hw/pkr.h"
 #include "sim/machine.h"
 #include "workloads/workload.h"
@@ -117,7 +117,7 @@ std::vector<ChurnCell> run_churn_sweep(const std::vector<u64>& scales,
       cells.push_back(cell);
     }
   }
-  fleet::run_indexed(cells.size(), threads, [&cells](size_t i, unsigned) {
+  pool::run(cells.size(), threads, [&cells](size_t i, unsigned) {
     cells[i].result = run_session_server(cells[i].cfg);
   });
   return cells;

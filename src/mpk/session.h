@@ -12,10 +12,10 @@
 // churn schedule, so raw and virtualized cells of the same shape divide the
 // same numerator and the ratio is exactly the virtualization tax.
 //
-// The sweep fans its cells out through fleet::run_indexed (one private
-// machine per cell, results keyed by index), so the concatenated canonical
-// records are byte-identical at any host thread count — the CLI's
-// --selfcheck re-runs serially and compares.
+// The sweep fans its cells out through the shared pool (common/pool.h:
+// one private machine per cell, results keyed by index), so the
+// concatenated canonical records are byte-identical at any host thread
+// count — the CLI's --selfcheck re-runs serially and compares.
 #pragma once
 
 #include <string>
@@ -87,7 +87,7 @@ struct ChurnCell {
 
 // For every scale: virtualized eager + lazy cells, plus a raw cell while
 // the scale fits under kRawSessionCap. ops = 2 * sessions. Drained through
-// the fleet pool on `threads` workers (0 = one per hardware thread).
+// the shared pool on `threads` workers (0 = one per hardware thread).
 std::vector<ChurnCell> run_churn_sweep(const std::vector<u64>& scales,
                                        u64 seed, unsigned threads);
 

@@ -7,6 +7,7 @@
 
 #include "analysis/report.h"
 #include "common/json.h"
+#include "common/pool.h"
 #include "obs/hist.h"
 #include "sim/machine.h"
 
@@ -418,6 +419,20 @@ ServeResult run_server(const ServeConfig& cfg) {
     res.attack_caught = redteam::caught_by(res.attack->catcher, res.evidence);
   }
   return res;
+}
+
+std::vector<AttackRun> run_attack_suite(const ServeConfig& base,
+                                        unsigned threads) {
+  const std::vector<redteam::Attack>& registry = redteam::attacks();
+  std::vector<AttackRun> runs(registry.size());
+  for (size_t i = 0; i < registry.size(); ++i) {
+    runs[i].cfg = base;
+    runs[i].cfg.attack = registry[i].kind;
+  }
+  pool::run(runs.size(), threads, [&runs](size_t i, unsigned) {
+    runs[i].result = run_server(runs[i].cfg);
+  });
+  return runs;
 }
 
 std::string canonical_ledger(const ServeResult& r) {

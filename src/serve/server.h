@@ -97,6 +97,17 @@ struct ServeResult {
 
 ServeResult run_server(const ServeConfig& cfg);
 
+struct AttackRun {
+  ServeConfig cfg;  // the base config with one attack planted
+  ServeResult result;
+};
+
+// `sealpk-serve attack --all`: every registered attack, in registry order,
+// run on `base` through the shared pool on `threads` workers (0 = one per
+// hardware thread). Ledgers and reports match at any thread count.
+std::vector<AttackRun> run_attack_suite(const ServeConfig& base,
+                                        unsigned threads);
+
 // One line per request plus a summary line; integer-only, newline-
 // terminated. Byte-identical across host thread counts and snapshot
 // boundaries — the determinism tests compare it directly.

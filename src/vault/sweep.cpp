@@ -7,10 +7,9 @@
 #include <optional>
 #include <ostream>
 #include <set>
-#include <thread>
 
 #include "common/json.h"
-#include "fleet/engine.h"
+#include "common/pool.h"
 #include "os/syscall_abi.h"
 #include "sim/machine.h"
 #include "snapshot/snapshot.h"
@@ -484,11 +483,8 @@ SweepResult run_sweep(const SweepConfig& cfg) {
   // One contiguous shard of the sorted points per worker.
   r.verdicts.resize(points.size());
   const SecretScan secrets = secret_scan(built);
-  const size_t shards = std::min<size_t>(
-      points.size(),
-      cfg.threads != 0 ? cfg.threads
-                       : std::max(1u, std::thread::hardware_concurrency()));
-  fleet::run_indexed(shards, cfg.threads, [&](size_t s, unsigned) {
+  const size_t shards = pool::workers(cfg.threads, points.size());
+  pool::run(shards, shards, [&](size_t s, unsigned) {
     run_shard(built, cfg, mc, secrets, points, s * points.size() / shards,
               (s + 1) * points.size() / shards, r.verdicts);
   });
@@ -499,7 +495,7 @@ SweepResult run_sweep(const SweepConfig& cfg) {
 
   if (cfg.chaos) {
     r.chaos.resize(cfg.chaos_runs);
-    fleet::run_indexed(cfg.chaos_runs, cfg.threads, [&](size_t i, unsigned) {
+    pool::run(cfg.chaos_runs, cfg.threads, [&](size_t i, unsigned) {
       r.chaos[i] = run_chaos(built, cfg.spec, mc, cfg.chaos_seed + i,
                              cfg.chaos_rate, cfg.chaos_max_faults);
     });

@@ -44,7 +44,7 @@ struct SweepConfig {
   VaultSpec spec;
   u64 min_points = 200;     // floor on sampled crash points
   u64 stride_points = 160;  // uniform samples across the learning run
-  unsigned threads = 1;     // fleet workers (0 = one per hardware thread)
+  unsigned threads = 1;     // pool workers (0 = one per hardware thread)
   u64 rollback_every = 4;   // every Nth point also resumes from checkpoint
   u64 checkpoint_interval = 2'000;
   bool chaos = false;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -300,6 +301,90 @@ TEST(CliSelfcheck, RecordsMatch) {
   EXPECT_TRUE(records_match("a\nb\n", "a\nb\n", 4));
   EXPECT_FALSE(records_match("a\nb\n", "a\nc\n", 4));
   EXPECT_FALSE(records_match("a\nb\n", "a\n", 4));
+}
+
+TEST(CliSelfcheck, SweepRunsOnceWithoutSelfcheck) {
+  std::vector<unsigned> runs;
+  testing::internal::CaptureStdout();
+  const int rc = sweep(
+      {.threads = 4},
+      [&](unsigned threads) {
+        runs.push_back(threads);
+        return std::string("a\n");
+      },
+      std::identity{}, [](const std::string&) { return 3; });
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  EXPECT_EQ(rc, 3);
+  EXPECT_EQ(runs, std::vector<unsigned>{4});
+}
+
+TEST(CliSelfcheck, SweepMatchPrintsOneLineAndKeepsTheStatus) {
+  for (const int status : {0, 1}) {
+    std::vector<unsigned> runs;
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int rc = sweep(
+        {.threads = 4, .selfcheck = true},
+        [&](unsigned threads) {
+          runs.push_back(threads);
+          return std::string("a\nb\n");
+        },
+        std::identity{}, [status](const std::string&) { return status; });
+    EXPECT_EQ(testing::internal::GetCapturedStdout(),
+              "selfcheck: serial re-run byte-identical\n");
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(rc, status);
+    EXPECT_EQ(runs, (std::vector<unsigned>{4, 1}));
+  }
+  // -q keeps the verdict and drops the line.
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(sweep({.threads = 4, .selfcheck = true, .quiet = true},
+                  [](unsigned) { return std::string("a"); }, std::identity{},
+                  [](const std::string&) { return 0; }),
+            0);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+}
+
+// Records that are the stdout report come first, then the selfcheck line,
+// then whatever the report writer prints.
+TEST(CliSelfcheck, SweepPrintsRecordsBeforeTheVerdictLine) {
+  testing::internal::CaptureStdout();
+  const int rc = sweep(
+      {.threads = 2, .selfcheck = true, .print_records = true},
+      [](unsigned) { return std::string("cell 0\n"); }, std::identity{},
+      [](const std::string&) {
+        std::printf("report\n");
+        return 0;
+      });
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "cell 0\nselfcheck: serial re-run byte-identical\nreport\n");
+  EXPECT_EQ(rc, 0);
+}
+
+// The mutation every tool's selfcheck must catch: a record that depends on
+// the thread count.
+TEST(CliSelfcheck, SweepMismatchFailsAfterTheReportIsWritten) {
+  std::string report;
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int rc = sweep(
+      {.threads = 4, .selfcheck = true},
+      [](unsigned threads) {
+        return "cell 0\ncell 1 worker " + std::to_string(threads) + "\n";
+      },
+      std::identity{},
+      [&report](const std::string& records) {
+        report = records;
+        return 0;
+      });
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  EXPECT_EQ(rc, 1);
+  EXPECT_EQ(report, "cell 0\ncell 1 worker 4\n");
+  EXPECT_NE(err.find("selfcheck FAILED: line 2 differs"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("4 threads: cell 1 worker 4"), std::string::npos) << err;
+  EXPECT_NE(err.find("serial:    cell 1 worker 1"), std::string::npos) << err;
 }
 
 }  // namespace

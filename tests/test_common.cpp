@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/bits.h"
 #include "common/check.h"
 #include "common/json_parse.h"
+#include "common/pool.h"
 #include "common/rng.h"
 
 namespace sealpk {
@@ -154,6 +164,85 @@ TEST(JsonParse, HandlesEscapesAndRejectsMalformedInput) {
   std::string deep_object;
   for (int i = 0; i < 200'000; ++i) deep_object += "{\"a\": ";
   EXPECT_THROW(json_parse(deep_object), std::runtime_error);
+}
+
+// --- the shared pool (common/pool.h) ---------------------------------------
+
+size_t live_threads() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Pool, WorkersResolveOnceFromThreadsAndCells) {
+  EXPECT_EQ(pool::workers(1, 100), 1u);
+  EXPECT_EQ(pool::workers(4, 100), 4u);
+  EXPECT_EQ(pool::workers(4, 2), 2u);
+  EXPECT_EQ(pool::workers(4, 0), 1u);
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(pool::workers(0, 1000), std::min(hw, 1000u));
+  EXPECT_EQ(pool::workers(0, 1), 1u);
+}
+
+TEST(Pool, OneWorkerRunsInlineInIndexOrder) {
+  std::vector<size_t> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  pool::run(5, 1, [&](size_t i, unsigned worker) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(worker, 0u);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(Pool, EveryCellRunsOnceIntoItsOwnSlot) {
+  std::vector<std::atomic<int>> runs(257);
+  std::vector<size_t> slots(257, 0);
+  pool::run(slots.size(), 4, [&](size_t i, unsigned worker) {
+    EXPECT_LT(worker, 4u);
+    runs[i].fetch_add(1);
+    slots[i] = i * i;
+  });
+  for (size_t i = 0; i < slots.size(); ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "cell " << i;
+    EXPECT_EQ(slots[i], i * i);
+  }
+}
+
+// A host exception in a threaded batch reaches the caller the way it does
+// in a serial one: the lowest failing cell's, with every cell below it run
+// and every worker joined.
+TEST(Pool, RethrowsTheLowestFailingCellAfterJoiningEveryWorker) {
+  for (const unsigned threads : {1u, 4u}) {
+    const size_t before = live_threads();
+    std::vector<int> slots(8, -1);
+    std::string caught;
+    try {
+      pool::run(slots.size(), threads, [&](size_t i, unsigned) {
+        if (i == 3) {
+          // Cell 5 fails first when the cells run concurrently.
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("cell 3");
+        }
+        if (i == 5) throw std::logic_error("cell 5");
+        slots[i] = static_cast<int>(i);
+      });
+    } catch (const std::exception& e) {
+      caught = e.what();
+    }
+    EXPECT_EQ(caught, "cell 3") << threads << " thread(s)";
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(slots[i], static_cast<int>(i)) << threads << " thread(s)";
+    }
+    // A joined thread can stay listed for a moment after it exits.
+    for (int wait = 0; live_threads() != before && wait < 100; ++wait) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(live_threads(), before) << threads << " thread(s)";
+  }
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "fleet/engine.h"
 #include "obs/event.h"
 #include "serve/program.h"
 #include "serve/redteam.h"
@@ -318,27 +317,19 @@ TEST(ServeChaos, AttackUnderChaosStillCaughtAndDeterministic) {
 }
 
 TEST(ServeDeterminism, LedgerByteIdenticalAcrossHostThreadCounts) {
-  // The scenario sweep the CLI runs under --threads: the ledger for each
-  // scenario must not depend on how many host threads ran siblings.
-  std::vector<ServeConfig> scenarios;
-  scenarios.push_back(small_config());
-  for (const auto& atk : serve::redteam::attacks()) {
-    ServeConfig cfg = small_config();
-    cfg.attack = atk.kind;
-    scenarios.push_back(cfg);
-  }
-  auto sweep = [&](u32 threads) {
-    std::vector<std::string> ledgers(scenarios.size());
-    fleet::run_indexed(scenarios.size(), threads, [&](size_t i, unsigned) {
-      ledgers[i] = serve::canonical_ledger(serve::run_server(scenarios[i]));
-    });
-    return ledgers;
-  };
-  const std::vector<std::string> one = sweep(1);
-  const std::vector<std::string> many = sweep(4);
+  // The attack suite `sealpk-serve attack --all --threads` runs: the ledger
+  // for each scenario must not depend on how many host threads ran
+  // siblings.
+  const std::vector<serve::AttackRun> one =
+      serve::run_attack_suite(small_config(), 1);
+  const std::vector<serve::AttackRun> many =
+      serve::run_attack_suite(small_config(), 4);
+  ASSERT_EQ(one.size(), serve::redteam::attacks().size());
   ASSERT_EQ(one.size(), many.size());
   for (size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i], many[i]) << "scenario " << i;
+    EXPECT_EQ(serve::canonical_ledger(one[i].result),
+              serve::canonical_ledger(many[i].result))
+        << "scenario " << i;
   }
 }
 

@@ -11,10 +11,12 @@
 //     value prints "<tool>: bad value for --flag: '<v>'" plus the usage,
 //     and any exception escaping the tool body prints "<tool>: <what>";
 //   - the -q/--quiet, --threads=, --json[=<path>] and --selfcheck
-//     conventions, plus the flag groups several tools repeat (shadow
-//     stack, fault plan, rollback).
+//     conventions (sweep() is the one serial-vs-threaded check), plus the
+//     flag groups several tools repeat (shadow stack, fault plan,
+//     rollback).
 #pragma once
 
+#include <cstdio>
 #include <functional>
 #include <initializer_list>
 #include <optional>
@@ -169,6 +171,39 @@ Flag json_sink(JsonSink* sink, const char* help);
 // re-run's; otherwise the first diverging line goes to stderr.
 bool records_match(const std::string& threaded, const std::string& serial,
                    unsigned threads);
+
+// A batch tool's --threads, --selfcheck and -q.
+struct Sweep {
+  unsigned threads = 1;
+  bool selfcheck = false;
+  bool quiet = false;
+  bool print_records = false;  // the records are the tool's stdout report
+};
+
+// The one --selfcheck. Runs work(threads), prints its records() when they
+// are the stdout report, and hands the result to report(), which writes
+// the tool's other reports and returns its exit status. With --selfcheck,
+// work(1) runs in between and the two record strings must be
+// byte-identical (records_match): a match prints one line (not under -q)
+// and keeps the status; a mismatch names the first differing line on
+// stderr and, once the reports are written, returns 1.
+template <typename Work, typename Records, typename Report>
+int sweep(const Sweep& flags, Work&& work, Records&& records,
+          Report&& report) {
+  const auto result = work(flags.threads);
+  if (flags.print_records && !flags.quiet) {
+    std::fputs(records(result).c_str(), stdout);
+  }
+  bool match = true;
+  if (flags.selfcheck) {
+    match = records_match(records(result), records(work(1u)), flags.threads);
+    if (match && !flags.quiet) {
+      std::printf("selfcheck: serial re-run byte-identical\n");
+    }
+  }
+  const int status = report(result);
+  return match ? status : 1;
+}
 
 // --- flag groups -------------------------------------------------------------
 

@@ -24,8 +24,8 @@
 // --json writes the aggregated report; with --canonical the scheduling-
 // dependent "timing" section is omitted so reports from different thread
 // counts are byte-comparable (that is what `diff` checks). --selfcheck runs
-// the matrix twice — serial and with --threads workers — and fails unless
-// every record matches.
+// the matrix twice — with --threads workers and serially — and fails,
+// after writing the report, unless every record matches.
 //
 // Exit status: 0 all jobs ok, 1 job failures / record divergence, 2 usage.
 //
@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli.h"
@@ -252,39 +253,32 @@ int run_mode(const CliOptions& cli) {
     return 2;
   }
 
-  const SweepOutcome sweep = run_matrix(specs, cli.threads, !cli.quiet);
-
-  if (cli.selfcheck) {
-    // Determinism oracle: the same matrix run serially must produce byte-
-    // identical canonical records.
-    const SweepOutcome serial = run_matrix(specs, 1, false);
-    std::string threaded_records, serial_records;
-    for (size_t i = 0; i < specs.size(); ++i) {
-      threaded_records += fleet::canonical_record(sweep.results[i]) + "\n";
-      serial_records += fleet::canonical_record(serial.results[i]) + "\n";
-    }
-    if (!cli::records_match(threaded_records, serial_records, cli.threads)) {
-      return 1;
-    }
-    if (!cli.quiet) {
-      std::printf("selfcheck ok: %zu records byte-identical (%u threads vs "
-                  "serial)\n",
-                  specs.size(), cli.threads);
-    }
-  }
-
-  fleet::ReportOptions ropts;
-  ropts.threads = cli.threads;
-  ropts.elapsed_ms = sweep.elapsed_ms;
-  ropts.canonical = cli.canonical;
-  if (!cli.json.path.empty() &&
-      !fleet::write_report_file(cli.json.path, sweep.results, ropts)) {
-    throw std::runtime_error("cannot write '" + cli.json.path + "'");
-  }
-
-  const fleet::Aggregate agg = fleet::aggregate(sweep.results);
-  if (!cli.quiet || agg.failures != 0) print_summary(sweep, cli.threads);
-  return agg.failures == 0 ? 0 : 1;
+  bool progress = !cli.quiet;  // the first (threaded) run only
+  return cli::sweep(
+      {.threads = cli.threads, .selfcheck = cli.selfcheck, .quiet = cli.quiet},
+      [&](unsigned threads) {
+        return run_matrix(specs, threads, std::exchange(progress, false));
+      },
+      [](const SweepOutcome& sweep) {
+        std::string records;
+        for (const fleet::JobResult& r : sweep.results) {
+          records += fleet::canonical_record(r) + "\n";
+        }
+        return records;
+      },
+      [&cli](const SweepOutcome& sweep) {
+        fleet::ReportOptions ropts;
+        ropts.threads = cli.threads;
+        ropts.elapsed_ms = sweep.elapsed_ms;
+        ropts.canonical = cli.canonical;
+        if (!cli.json.path.empty() &&
+            !fleet::write_report_file(cli.json.path, sweep.results, ropts)) {
+          throw std::runtime_error("cannot write '" + cli.json.path + "'");
+        }
+        const fleet::Aggregate agg = fleet::aggregate(sweep.results);
+        if (!cli.quiet || agg.failures != 0) print_summary(sweep, cli.threads);
+        return agg.failures == 0 ? 0 : 1;
+      });
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli.h"
@@ -88,38 +89,19 @@ void print_stats_json(std::ostream& os, const CliOptions& cli,
      << "\n}\n";
 }
 
-int cmd_explore(const CliOptions& cli) {
-  ProgressFn progress;
-  if (!cli.quiet) {
-    progress = [](u64 depth, u64 states, u64 transitions) {
-      std::fprintf(stderr, "depth %llu: %llu states, %llu transitions\n",
-                   static_cast<unsigned long long>(depth),
-                   static_cast<unsigned long long>(states),
-                   static_cast<unsigned long long>(transitions));
-    };
+// What the determinism contract covers: every reported statistic and
+// each counterexample's canonical trace.
+std::string explore_records(const CliOptions& cli, const ExploreResult& res) {
+  std::ostringstream os;
+  print_stats_json(os, cli, res);
+  os << "truncated: " << res.stats.truncated << "\n";
+  for (const Counterexample& ce : res.counterexamples) {
+    os << trace_to_json(make_trace(cli.cfg, ce));
   }
-  const ExploreResult res = explore(cli.cfg, progress);
+  return os.str();
+}
 
-  if (cli.selfcheck) {
-    // Determinism contract: the same exploration on 1 thread and on the
-    // requested thread count must agree on every reported number and on
-    // the counterexample list.
-    ModelConfig serial = cli.cfg;
-    serial.threads = 1;
-    const ExploreResult ref = explore(serial);
-    if (!(ref.stats == res.stats) ||
-        !(ref.counterexamples == res.counterexamples)) {
-      std::fprintf(stderr,
-                   "selfcheck FAILED: %u-thread run disagrees with the "
-                   "serial run\n",
-                   cli.cfg.threads);
-      return 1;
-    }
-    if (!cli.quiet) {
-      std::printf("selfcheck ok: serial run identical\n");
-    }
-  }
-
+int report_explore(const CliOptions& cli, const ExploreResult& res) {
   if (cli.json.on) {
     std::ostringstream os;
     print_stats_json(os, cli, res);
@@ -145,6 +127,30 @@ int cmd_explore(const CliOptions& cli) {
   if (!cli.ce_dir.empty()) dump_counterexamples(cli, res.counterexamples);
   if (!res.counterexamples.empty()) return 1;
   return res.stats.truncated ? 3 : 0;
+}
+
+int cmd_explore(const CliOptions& cli) {
+  ProgressFn progress;
+  if (!cli.quiet) {
+    progress = [](u64 depth, u64 states, u64 transitions) {
+      std::fprintf(stderr, "depth %llu: %llu states, %llu transitions\n",
+                   static_cast<unsigned long long>(depth),
+                   static_cast<unsigned long long>(states),
+                   static_cast<unsigned long long>(transitions));
+    };
+  }
+  return cli::sweep(
+      {.threads = cli.cfg.threads,
+       .selfcheck = cli.selfcheck,
+       .quiet = cli.quiet},
+      [&](unsigned threads) {
+        ModelConfig cfg = cli.cfg;
+        cfg.threads = threads;
+        // Progress for the first (threaded) run only.
+        return explore(cfg, std::exchange(progress, nullptr));
+      },
+      [&cli](const ExploreResult& res) { return explore_records(cli, res); },
+      [&cli](const ExploreResult& res) { return report_explore(cli, res); });
 }
 
 int cmd_repro(const CliOptions& cli) {

@@ -17,7 +17,7 @@
 //
 // --chaos composes the FaultInjector on top of any mode (seeded PKR
 // upsets); the canonical ledger stays byte-identical for a fixed config.
-// `attack --all --threads=N` drains the suite through the fleet worker
+// `attack --all --threads=N` drains the suite through the shared worker
 // pool; ledgers and reports are byte-identical for any N. --json writes
 // the machine-readable report (array form for --all) to stdout,
 // --json=<path> to a file. --trace-out records
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "cli.h"
-#include "fleet/engine.h"
 #include "obs/export.h"
 #include "serve/redteam.h"
 #include "serve/server.h"
@@ -144,38 +143,30 @@ int run_one(const CliOptions& cli) {
   return verdict(r);
 }
 
-// The whole registry drained by the fleet worker pool; per-attack reports
-// and the exit verdict are byte-identical for any --threads value.
+// The whole registry drained by the shared pool; per-attack reports and
+// the exit verdict are byte-identical for any --threads value.
 int run_all(const CliOptions& cli) {
-  const auto& registry = serve::redteam::attacks();
-  std::vector<serve::ServeResult> results(registry.size());
-  std::vector<serve::ServeConfig> cfgs(registry.size());
-  for (size_t i = 0; i < registry.size(); ++i) {
-    cfgs[i] = cli.cfg;
-    cfgs[i].attack = registry[i].kind;
-  }
-  fleet::run_indexed(registry.size(), cli.threads,
-                     [&](size_t i, unsigned) {
-                       results[i] = serve::run_server(cfgs[i]);
-                     });
-
+  const std::vector<serve::AttackRun> runs =
+      serve::run_attack_suite(cli.cfg, cli.threads);
   int rc = 0;
-  for (size_t i = 0; i < registry.size(); ++i) {
-    if (!cli.quiet) print_summary(cfgs[i], results[i], registry[i].name);
-    if (verdict(results[i]) != 0) rc = 1;
+  for (const serve::AttackRun& run : runs) {
+    if (!cli.quiet) {
+      print_summary(run.cfg, run.result, run.result.attack->name);
+    }
+    if (verdict(run.result) != 0) rc = 1;
   }
   if (cli.json.on) {
     std::ostringstream os;
     os << "[\n";
-    for (size_t i = 0; i < registry.size(); ++i) {
-      serve::write_result_json(os, cfgs[i], results[i]);
-      os << (i + 1 < registry.size() ? ",\n" : "\n");
+    for (size_t i = 0; i < runs.size(); ++i) {
+      serve::write_result_json(os, runs[i].cfg, runs[i].result);
+      os << (i + 1 < runs.size() ? ",\n" : "\n");
     }
     os << "]\n";
     cli.json.emit(os.str());
   }
   if (!cli.quiet) {
-    std::printf("%s: %zu attack(s), %s\n", "red team", registry.size(),
+    std::printf("%s: %zu attack(s), %s\n", "red team", runs.size(),
                 rc == 0 ? "all caught by their declared catcher"
                         : "ESCAPE OR MONITOR LOSS — see above");
   }

@@ -28,6 +28,7 @@
 //       --report=vkey=vkey.json --report=spans=BENCH_spans.json
 //   (one command line, wrapped here)
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -35,7 +36,7 @@
 
 #include "cli.h"
 #include "common/json_parse.h"
-#include "fleet/engine.h"
+#include "common/pool.h"
 #include "mpk/session.h"
 #include "obs/slo.h"
 #include "obs/span.h"
@@ -140,8 +141,7 @@ std::string span_cell_json(const char* name, const obs::Trace& trace) {
 
 std::string run_span_bench(unsigned threads) {
   std::vector<std::string> cells(kSpanWorkloadCount);
-  fleet::run_indexed(kSpanWorkloadCount, threads, [&cells](size_t i,
-                                                           unsigned) {
+  pool::run(kSpanWorkloadCount, threads, [&cells](size_t i, unsigned) {
     cells[i] = span_cell_json(kSpanWorkloads[i].name, kSpanWorkloads[i].run());
   });
   std::ostringstream os;
@@ -155,25 +155,18 @@ std::string run_span_bench(unsigned threads) {
 }
 
 int mode_spans(const CliOptions& cli) {
-  const std::string report = run_span_bench(cli.threads);
-  if (cli.selfcheck) {
-    // Determinism oracle: the serial re-run must be byte-identical.
-    if (!cli::records_match(report, run_span_bench(1), cli.threads)) {
-      return 1;
-    }
-    if (!cli.quiet) {
-      std::printf("selfcheck ok: %u-thread and serial span benches are "
-                  "byte-identical\n",
-                  cli.threads);
-    }
-  }
-  if (!cli.out_path.empty()) {
-    cli::write_text(cli.out_path, report);
-    if (!cli.quiet) std::printf("%s: span bench\n", cli.out_path.c_str());
-  } else if (!cli.quiet) {
-    std::printf("%s", report.c_str());
-  }
-  return 0;
+  return cli::sweep(
+      {.threads = cli.threads,
+       .selfcheck = cli.selfcheck,
+       .quiet = cli.quiet,
+       .print_records = cli.out_path.empty()},
+      run_span_bench, std::identity{}, [&cli](const std::string& report) {
+        if (!cli.out_path.empty()) {
+          cli::write_text(cli.out_path, report);
+          if (!cli.quiet) std::printf("%s: span bench\n", cli.out_path.c_str());
+        }
+        return 0;
+      });
 }
 
 // --- SLO gate ---------------------------------------------------------------

@@ -72,25 +72,25 @@ int mode_run(const CliOptions& cli) {
 }
 
 int mode_sweep(const CliOptions& cli) {
-  const vault::SweepResult r = vault::run_sweep(cli.cfg);
-  if (!cli.quiet) std::printf("%s", r.canonical.c_str());
-  int rc = r.ok ? 0 : 1;
-  if (cli.selfcheck) {
-    vault::SweepConfig serial = cli.cfg;
-    serial.threads = 1;
-    const vault::SweepResult again = vault::run_sweep(serial);
-    if (!cli::records_match(r.canonical, again.canonical, cli.cfg.threads)) {
-      rc = 1;
-    } else if (!cli.quiet) {
-      std::printf("selfcheck: serial re-run byte-identical\n");
-    }
-  }
-  if (cli.json.on) {
-    std::ostringstream os;
-    vault::write_sweep_json(os, cli.cfg, r);
-    cli.json.emit(os.str());
-  }
-  return rc;
+  return cli::sweep(
+      {.threads = cli.cfg.threads,
+       .selfcheck = cli.selfcheck,
+       .quiet = cli.quiet,
+       .print_records = true},
+      [&cli](unsigned threads) {
+        vault::SweepConfig cfg = cli.cfg;
+        cfg.threads = threads;
+        return vault::run_sweep(cfg);
+      },
+      [](const vault::SweepResult& r) { return r.canonical; },
+      [&cli](const vault::SweepResult& r) {
+        if (cli.json.on) {
+          std::ostringstream os;
+          vault::write_sweep_json(os, cli.cfg, r);
+          cli.json.emit(os.str());
+        }
+        return r.ok ? 0 : 1;
+      });
 }
 
 }  // namespace

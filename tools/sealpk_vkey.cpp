@@ -12,7 +12,7 @@
 //   run     one session-server run; prints the canonical churn record,
 //           exits 0 iff the guest checksum matches the host golden
 //   sweep   the key-churn matrix: virt-eager + virt-lazy (+ raw where it
-//           fits) cells per scale, drained through the fleet pool;
+//           fits) cells per scale, drained through the shared pool;
 //           --json writes the BENCH_keychurn.json report (bare --json
 //           to stdout, --json=<path> to a file)
 //
@@ -69,27 +69,24 @@ int mode_run(const CliOptions& cli) {
 }
 
 int mode_sweep(const CliOptions& cli) {
-  const std::vector<mpk::ChurnCell> cells =
-      mpk::run_churn_sweep(cli.scales, cli.cfg.seed, cli.threads);
-  const std::string records = mpk::sweep_records(cells);
-  if (!cli.quiet) std::printf("%s", records.c_str());
-  int rc = 0;
-  for (const mpk::ChurnCell& cell : cells) {
-    if (!cell.result.ok()) rc = 1;
-  }
-  if (rc != 0) std::fprintf(stderr, "sweep: at least one cell failed\n");
-  if (cli.selfcheck) {
-    const std::vector<mpk::ChurnCell> serial =
-        mpk::run_churn_sweep(cli.scales, cli.cfg.seed, 1);
-    if (!cli::records_match(records, mpk::sweep_records(serial),
-                            cli.threads)) {
-      rc = 1;
-    } else if (!cli.quiet) {
-      std::printf("selfcheck: serial re-run byte-identical\n");
-    }
-  }
-  if (cli.json.on) cli.json.emit(mpk::churn_json(cells));
-  return rc;
+  return cli::sweep(
+      {.threads = cli.threads,
+       .selfcheck = cli.selfcheck,
+       .quiet = cli.quiet,
+       .print_records = true},
+      [&cli](unsigned threads) {
+        return mpk::run_churn_sweep(cli.scales, cli.cfg.seed, threads);
+      },
+      mpk::sweep_records,
+      [&cli](const std::vector<mpk::ChurnCell>& cells) {
+        int rc = 0;
+        for (const mpk::ChurnCell& cell : cells) {
+          if (!cell.result.ok()) rc = 1;
+        }
+        if (rc != 0) std::fprintf(stderr, "sweep: at least one cell failed\n");
+        if (cli.json.on) cli.json.emit(mpk::churn_json(cells));
+        return rc;
+      });
 }
 
 }  // namespace
