@@ -244,7 +244,7 @@ int main() {
   }
   // --- Static layer: the same Func-D gadget is visible *before* run time.
   // Permission sealing kills the injected WRPKR dynamically; the static
-  // verifier (ERIM-style occurrence scan, `sealpk-verify`) catches it at
+  // verifier (ERIM-style occurrence scan, `sealpk verify`) catches it at
   // admission. Func-A's in-body WRPKR toggles are legitimate — its sealed
   // region is the permissible WRPKR range — so it is registered as a
   // trusted gate, exactly like --trust=func_a on the CLI.

@@ -75,7 +75,7 @@ int main() {
 
   // Load under the strict admission policy: the static verifier inspects
   // the linked binary first (every WRPKR here lives inside the trusted
-  // __pkey_set gate, so the image is admitted — see `sealpk-verify`).
+  // __pkey_set gate, so the image is admitted — see `sealpk verify`).
   sim::MachineConfig config;
   config.verify_policy = analysis::LoadVerifyPolicy::kEnforce;
   sim::Machine machine{config};

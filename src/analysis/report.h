@@ -1,7 +1,7 @@
 // Findings report for the static SealPK policy verifier.
 //
 // Every check emits Findings; a Report aggregates them and renders the
-// human-readable listing the sealpk-verify CLI prints. Severity kError is
+// human-readable listing the sealpk verify CLI prints. Severity kError is
 // what the loader gate refuses on; kWarning/kInfo are advisory.
 #pragma once
 

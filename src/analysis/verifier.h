@@ -16,7 +16,7 @@
 //      non-instrumentation code (our reserved-register ABI), ecalls with
 //      unknown syscall numbers, writable+executable segments.
 //
-// Reports are consumed by the sealpk-verify CLI and the Machine/Kernel
+// Reports are consumed by the sealpk verify CLI and the Machine/Kernel
 // loader gate (LoadVerifyPolicy).
 #pragma once
 

@@ -1,6 +1,6 @@
 // Minimal recursive-descent JSON parser for the tools that *consume* the
-// repo's own hand-streamed reports (the SLO gate reads sealpk-serve /
-// sealpk-vkey / sealpk-fleet JSON and its own spec). Full JSON value
+// repo's own hand-streamed reports (the SLO gate reads sealpk serve /
+// sealpk vkey / sealpk fleet JSON and its own spec). Full JSON value
 // model; objects keep member order so downstream rendering stays
 // deterministic. Throws std::runtime_error with a byte offset on damage,
 // including nesting deeper than 64 levels.

@@ -43,7 +43,7 @@ std::vector<JobResult> run_jobs(const std::vector<JobSpec>& specs,
                                 const FleetOptions& opts = {});
 
 // The oracle verdict strings kChaosDiff produces (shared with
-// `sealpk-fleet --chaos` output and its tests).
+// `sealpk fleet --chaos` output and its tests).
 namespace verdicts {
 inline constexpr char kCleanIncomplete[] = "FAIL: clean run did not complete";
 inline constexpr char kUnaccounted[] = "FAIL: unaccounted fault events";

@@ -268,7 +268,6 @@ bool write_diff_report_file(const std::string& path, const std::string& a_name,
 
 void write_matrix_json(std::ostream& os) {
   const auto& workloads = wl::all_workloads();
-  const auto& scenarios = wl::scenario_workloads();
   os << "{\n  \"schema\": \"sealpk-fleet-matrix-v1\",\n"
      << "  \"workloads\": [\n";
   for (size_t i = 0; i < workloads.size(); ++i) {
@@ -278,15 +277,6 @@ void write_matrix_json(std::ostream& os) {
        << "\", \"test_scale\": " << w.test_scale
        << ", \"bench_scale\": " << w.bench_scale << "}"
        << (i + 1 < workloads.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"scenarios\": [\n";
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    const wl::Workload& w = scenarios[i];
-    os << "    {\"suite\": \"" << json_escape(wl::suite_name(w.suite))
-       << "\", \"name\": \"" << json_escape(w.name)
-       << "\", \"test_scale\": " << w.test_scale
-       << ", \"bench_scale\": " << w.bench_scale << "}"
-       << (i + 1 < scenarios.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"variants\": [\n";
   const size_t variants = std::size(kVariants);

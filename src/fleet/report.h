@@ -3,7 +3,7 @@
 // The "records" array of a report is the canonical, deterministic part:
 // one canonical_record() line per job, ordered by job id. Wall-clock,
 // thread count and per-job timing live in a separate "timing" section that
-// canonical mode omits, so `sealpk-fleet diff` (and the determinism tests)
+// canonical mode omits, so `sealpk fleet diff` (and the determinism tests)
 // can compare reports from different thread counts byte-for-byte.
 #pragma once
 
@@ -99,7 +99,7 @@ bool write_report_file(const std::string& path,
 // Machine-readable workload x variant matrix ("sealpk-fleet-matrix-v1"):
 // every Figure-5 workload, every kVariants entry, and the full cell cross
 // product — so the SLO gate and CI asserts can enumerate cells without
-// scraping `sealpk-fleet list` text. Deterministic (list order x table
+// scraping `sealpk fleet list` text. Deterministic (list order x table
 // order).
 void write_matrix_json(std::ostream& os);
 
@@ -109,7 +109,7 @@ void write_matrix_json(std::ostream& os);
 size_t diff_reports(const std::string& a_text, const std::string& b_text,
                     std::ostream& log);
 
-// Machine-readable form of a diff_reports outcome, for `sealpk-fleet diff
+// Machine-readable form of a diff_reports outcome, for `sealpk fleet diff
 // --json=...`. The JSON carries the verdict only; the process exit code
 // must signal divergence identically in both output modes (the CLI
 // regression in tests/test_fleet.cpp pins that contract).

@@ -50,7 +50,7 @@ ExploreResult explore(const ModelConfig& cfg,
                       const ProgressFn& progress = nullptr);
 
 // Replays one op script with the same per-transition checks the explorer
-// runs. Used by `sealpk-model repro` and the committed-trace regression
+// runs. Used by `sealpk model repro` and the committed-trace regression
 // tests.
 struct ReplayFinding {
   std::string kind;  // as in Counterexample

@@ -2,7 +2,7 @@
 //
 // A trace records the reduced configuration, the mutation it was found
 // under, the op script, and the expected failure (kind / invariant /
-// message / failing op index). `sealpk-model repro` and the committed-trace
+// message / failing op index). `sealpk model repro` and the committed-trace
 // regression tests replay the script and require the same failure at the
 // same op — and the serializer is canonical, so a parsed-and-rewritten
 // trace is byte-identical to the file on disk.

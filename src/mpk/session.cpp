@@ -19,6 +19,11 @@ const char* session_mode(const SessionConfig& cfg) {
 }
 
 SessionResult run_session_server(const SessionConfig& cfg) {
+  if (!valid_sessions(cfg.sessions)) {
+    throw SessionError("sessions must be in [1, " +
+                       std::to_string(kMaxSessions) + "], not " +
+                       std::to_string(cfg.sessions));
+  }
   SEALPK_CHECK_MSG(!cfg.raw || (cfg.flavor == core::IsaFlavor::kSealPk &&
                                  cfg.sessions <= kRawSessionCap),
                    "raw mode needs the SealPK flavour and sessions <= "

@@ -1,5 +1,5 @@
 // Host driver for the session-server workload (DESIGN.md §15): the
-// key-churn benchmark behind BENCH_keychurn.json and the sealpk-vkey CLI.
+// key-churn benchmark behind BENCH_keychurn.json and `sealpk vkey`.
 //
 // One run builds the guest for a SessionConfig, executes it on a private
 // Machine of either ISA flavour (SessionConfig::flavor: SealPK's 1023
@@ -18,6 +18,7 @@
 // count — the CLI's --selfcheck re-runs serially and compares.
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,24 @@ namespace sealpk::mpk {
 // Raw (physical-pkey) cells must leave headroom under the 1023 usable keys
 // for reconnect churn against lazily de-allocated keys.
 inline constexpr u64 kRawSessionCap = 768;
+
+// The most sessions one run can hold. The guest mmaps its arena, one page
+// per session, from os::kMmapBase (64 GiB) and must end 1 GiB below the
+// top of Sv39's user half (256 GiB), where the main stack sits.
+// DRAM, sized to the arena plus a 1/64 page-table share plus 96 MiB, then
+// stays under 200 GiB, so no size computed from the count can wrap.
+inline constexpr u64 kMaxSessions =
+    ((u64{1} << (mem::sv39::kVaBits - 1)) - os::kMmapBase - (u64{1} << 30)) /
+    mem::kPageSize;
+constexpr bool valid_sessions(u64 sessions) {
+  return sessions >= 1 && sessions <= kMaxSessions;
+}
+
+// Thrown by run_session_server, before anything is allocated, for a
+// session count outside [1, kMaxSessions].
+struct SessionError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 struct SessionConfig {
   core::IsaFlavor flavor = core::IsaFlavor::kSealPk;
@@ -70,6 +89,7 @@ struct SessionResult {
   }
 };
 
+// Throws SessionError for a session count outside [1, kMaxSessions].
 SessionResult run_session_server(const SessionConfig& cfg);
 
 // "raw", "virt-eager" or "virt-lazy" on SealPK; "mpk-eager" or "mpk-lazy"

@@ -1,6 +1,6 @@
 // SLO / perf-regression gate (DESIGN.md §16): a small deterministic rules
-// engine evaluated by the sealpk-slo CLI against the repo's own canonical
-// JSON reports (sealpk-serve, sealpk-vkey, sealpk-fleet, span benches).
+// engine evaluated by the sealpk slo CLI against the repo's own canonical
+// JSON reports (sealpk serve, sealpk vkey, sealpk fleet, span benches).
 //
 // Spec schema ("sealpk-slo-v1"):
 //   {"schema": "sealpk-slo-v1",

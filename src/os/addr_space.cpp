@@ -6,10 +6,6 @@
 
 namespace sealpk::os {
 
-namespace {
-constexpr u64 kMmapBase = 0x10'0000'0000;  // 64 GiB, well inside Sv39
-}  // namespace
-
 u64 AddressSpace::leaf_flags_for_prot(u64 prot) {
   u64 flags = mem::pte::kV | mem::pte::kU;
   if (prot & prot::kRead) flags |= mem::pte::kR;

@@ -18,6 +18,9 @@ namespace sealpk::os {
 
 class KeyManager;
 
+// Where mmap(0, ...) places its first region: 64 GiB, well inside Sv39.
+inline constexpr u64 kMmapBase = 0x10'0000'0000;
+
 struct Vma {
   u64 start = 0;  // page aligned, inclusive
   u64 end = 0;    // page aligned, exclusive

@@ -38,7 +38,7 @@ enum class AttackKind : u8 {
 
 // The layer contractually responsible for stopping the attack.
 enum class Catcher : u8 {
-  kVerifier,  // sealpk-verify admission gate (load refused)
+  kVerifier,  // sealpk verify admission gate (load refused)
   kHardware,  // seal/permission check -> delivered fault, attempt poisoned
   kGate,      // the gate's own post-exit monotonic RDPKR check
   kAuditor,   // kernel audit scrub / machine-check kill

@@ -53,7 +53,7 @@ struct ServeConfig {
   u32 strike_limit = 2;         // failures before a slot is quarantined
   redteam::AttackKind attack = redteam::AttackKind::kNone;
   ChaosOptions chaos;
-  bool trace = false;  // keep an obs ring (CLI exports it via sealpk-trace)
+  bool trace = false;  // keep an obs ring (CLI exports it via sealpk trace)
   analysis::LoadVerifyPolicy verify = analysis::LoadVerifyPolicy::kEnforce;
 };
 
@@ -84,7 +84,7 @@ struct ServeResult {
   os::KernelStats kstats;      // summed over epochs
   // When ServeConfig::trace is set: per-epoch event rings concatenated
   // (plus host-emitted kQuarantine transitions), ready for the obs
-  // exporters (sealpk-serve --trace-out, rendered by sealpk-trace).
+  // exporters (sealpk serve --trace-out, rendered by sealpk trace).
   obs::Trace trace;
 
   double crossings_per_sec() const {
@@ -102,7 +102,7 @@ struct AttackRun {
   ServeResult result;
 };
 
-// `sealpk-serve attack --all`: every registered attack, in registry order,
+// `sealpk serve attack --all`: every registered attack, in registry order,
 // run on `base` through the shared pool on `threads` workers (0 = one per
 // hardware thread). Ledgers and reports match at any thread count.
 std::vector<AttackRun> run_attack_suite(const ServeConfig& base,
@@ -114,7 +114,7 @@ std::vector<AttackRun> run_attack_suite(const ServeConfig& base,
 std::string canonical_ledger(const ServeResult& r);
 
 // Full machine-readable report (includes the ledger fields, throughput,
-// evidence and catcher verdict) for `sealpk-serve --json`.
+// evidence and catcher verdict) for `sealpk serve --json`.
 void write_result_json(std::ostream& os, const ServeConfig& cfg,
                        const ServeResult& r);
 

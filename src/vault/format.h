@@ -74,6 +74,11 @@ struct Geometry {
   u64 slot_off(u64 slot) const { return data_off + slot * slot_size; }
 };
 
+// A slot size the format accepts: a non-zero multiple of 8 bytes.
+constexpr bool valid_slot_size(u64 bytes) {
+  return bytes != 0 && bytes % 8 == 0;
+}
+
 inline std::vector<u8> superblock_bytes(const Geometry& g) {
   std::vector<u8> b(kSuperblockSize, 0);
   store_u64(&b[0], kVaultMagic);
@@ -109,9 +114,7 @@ inline std::optional<Geometry> parse_superblock(const u8* p, u64 len) {
   if (g.data_off < g.journal_off + g.journal_cap * kRecordSize) {
     return std::nullopt;
   }
-  if (g.n_slots == 0 || g.slot_size == 0 || (g.slot_size % 8) != 0) {
-    return std::nullopt;
-  }
+  if (g.n_slots == 0 || !valid_slot_size(g.slot_size)) return std::nullopt;
   return g;
 }
 

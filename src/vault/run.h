@@ -1,5 +1,5 @@
 // One clean vault run as a reusable primitive (extracted from the
-// sealpk-vault CLI so the SLO span bench and tests can drive it too):
+// sealpk vault CLI so the SLO span bench and tests can drive it too):
 // build the owner/vault guest for a spec, run it on a private machine,
 // cold-replay the vault region into a ledger and compare against the
 // build-time oracle. Optionally traced — vault intent/commit/unseal

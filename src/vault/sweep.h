@@ -130,7 +130,7 @@ class SecretScan {
 // min(16, len) bytes of each payload at least 8 bytes long.
 SecretScan secret_scan(const BuiltVault& built);
 
-// Machine-readable verdict for `sealpk-vault sweep --json` (and the CI
+// Machine-readable verdict for `sealpk vault sweep --json` (and the CI
 // artifact uploaded on failure).
 void write_sweep_json(std::ostream& os, const SweepConfig& cfg,
                       const SweepResult& r);

@@ -9,7 +9,6 @@ const char* suite_name(Suite suite) {
     case Suite::kSpec2000: return "SPECint2000";
     case Suite::kSpec2006: return "SPECint2006";
     case Suite::kMiBench: return "MiBench";
-    case Suite::kScenario: return "Scenario";
   }
   return "?";
 }
@@ -44,21 +43,8 @@ const std::vector<Workload>& all_workloads() {
   return kWorkloads;
 }
 
-const std::vector<Workload>& scenario_workloads() {
-  // bench_scale 8 = 1536 sessions: past the 1023 physical keys, so the
-  // benchmark run exercises the eviction/park machinery for real.
-  static const std::vector<Workload> kScenarios = {
-      {"session_server", Suite::kScenario, build_session_server,
-       golden_session_server, 1, 8},
-  };
-  return kScenarios;
-}
-
 const Workload* find_workload(Suite suite, const char* name) {
   for (const auto& w : all_workloads()) {
-    if (w.suite == suite && std::strcmp(w.name, name) == 0) return &w;
-  }
-  for (const auto& w : scenario_workloads()) {
     if (w.suite == suite && std::strcmp(w.name, name) == 0) return &w;
   }
   return nullptr;

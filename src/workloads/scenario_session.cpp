@@ -1,4 +1,4 @@
-// Scenario "session_server": one protection domain per user session.
+// The session server: one protection domain per user session.
 //
 // The guest mmaps an arena of one page per session, then ramps every
 // session up (connect = key alloc + pkey_mprotect of the session page +
@@ -40,8 +40,10 @@ void emit_perm(Function& f, bool raw, u64 perm) {
   }
 }
 
+}  // namespace
+
 // The shared guest skeleton for both modes.
-isa::Program build_session(const SessionShape& p) {
+isa::Program build_session_prog(const SessionShape& p) {
   SEALPK_CHECK(p.sessions >= 1);
   Program prog = make_workload_program();
   rt::add_rand_lib(prog);
@@ -222,12 +224,6 @@ isa::Program build_session(const SessionShape& p) {
   return prog;
 }
 
-}  // namespace
-
-isa::Program build_session_prog(const SessionShape& shape) {
-  return build_session(shape);
-}
-
 u64 golden_session_sum(const SessionShape& shape) {
   std::vector<u64> cell(shape.sessions);
   u64 sum = 0;
@@ -264,16 +260,6 @@ SessionSchedule session_schedule(const SessionShape& shape) {
     }
   }
   return sched;
-}
-
-isa::Program build_session_server(u64 scale) {
-  return build_session(SessionShape{.sessions = 192 * scale,
-                                    .ops = 384 * scale});
-}
-
-u64 golden_session_server(u64 scale) {
-  return golden_session_sum(SessionShape{.sessions = 192 * scale,
-                                         .ops = 384 * scale});
 }
 
 }  // namespace sealpk::wl

@@ -20,7 +20,7 @@ namespace sealpk::wl {
 // replay the same stream host-side).
 constexpr u64 kWorkloadSeed = 0x5EED0F5EA1ULL;
 
-enum class Suite : u8 { kSpec2000, kSpec2006, kMiBench, kScenario };
+enum class Suite : u8 { kSpec2000, kSpec2006, kMiBench };
 
 const char* suite_name(Suite suite);
 
@@ -37,16 +37,13 @@ struct Workload {
 };
 
 // All 17 workloads in the paper's Figure-5 order. FROZEN at 17: the Fig-5
-// harness, its goldens and the fleet reports all iterate this list, so
-// system-level scenarios live in scenario_workloads() instead.
+// harness, its goldens and the fleet reports all iterate this list. The
+// session server (below) is a whole-system driver with its own shape, run
+// through mpk::run_session_server, not a Figure-5 benchmark proxy.
 const std::vector<Workload>& all_workloads();
 
-// System-level scenario workloads (Suite::kScenario) — whole-system drivers
-// like the session server, not Figure-5 benchmark proxies.
-const std::vector<Workload>& scenario_workloads();
-
-// Lookup by (suite-qualified) name across both lists; nullptr if unknown.
-// Names are unique except bzip2, which appears in both SPEC suites.
+// Lookup by (suite-qualified) name; nullptr if unknown. Names are unique
+// except bzip2, which appears in both SPEC suites.
 const Workload* find_workload(Suite suite, const char* name);
 
 // --- individual builders/goldens (one pair per benchmark) -------------------
@@ -115,10 +112,5 @@ struct SessionSchedule {
   u64 touches = 0;
 };
 SessionSchedule session_schedule(const SessionShape& shape);
-
-// Registry entry points (scenario_workloads): scale s = 192*s sessions and
-// 384*s churn ops, so bench_scale pushes past the physical key space.
-isa::Program build_session_server(u64 scale);
-u64 golden_session_server(u64 scale);
 
 }  // namespace sealpk::wl

@@ -1,11 +1,12 @@
 # Runs a command and fails unless it exits with exactly EXPECT. With
 # NO_FILE set, also fails if the command left that file behind; with
-# STDOUT_MATCHES set, also fails unless its standard output matches that
-# regular expression; with STDOUT_JSON set, also fails unless its standard
-# output parses as JSON.
+# STDOUT_MATCHES (STDERR_MATCHES) set, also fails unless its standard
+# output (error) matches that regular expression; with STDOUT_JSON set,
+# also fails unless its standard output parses as JSON.
 #
 #   cmake -DEXPECT=2 [-DNO_FILE=<path>] [-DSTDOUT_MATCHES=<regex>]
-#         [-DSTDOUT_JSON=ON] -P expect_exit.cmake <command> <args>...
+#         [-DSTDERR_MATCHES=<regex>] [-DSTDOUT_JSON=ON]
+#         -P expect_exit.cmake <command> <args>...
 set(cmd "")
 set(seen_script FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -27,6 +28,10 @@ endif()
 if(DEFINED STDOUT_MATCHES AND NOT out MATCHES "${STDOUT_MATCHES}")
   message(FATAL_ERROR "${cmd}: stdout does not match ${STDOUT_MATCHES}:\n"
                       "${out}")
+endif()
+if(DEFINED STDERR_MATCHES AND NOT err MATCHES "${STDERR_MATCHES}")
+  message(FATAL_ERROR "${cmd}: stderr does not match ${STDERR_MATCHES}:\n"
+                      "${err}")
 endif()
 if(STDOUT_JSON)
   # string(JSON) ignores text after the first value, so the stripped output

@@ -1,4 +1,4 @@
-// The shared command-line layer of the sealpk-* tools (tools/cli.h):
+// The shared command-line layer of the `sealpk` commands (tools/cli.h):
 // strict value parsing per target kind, the flag table, generated usage,
 // and the shared flag groups.
 #include "cli.h"
@@ -227,12 +227,24 @@ TEST(CliTool, UsageNamesEveryFlag) {
 
 TEST(CliTool, TakeMode) {
   std::vector<std::string> args = {"qsort", "run", "sha"};
-  EXPECT_EQ(take_mode(args, {"run", "sweep"}), "run");
+  EXPECT_EQ(take_mode(args, {{"run", 2, 2}, {"sweep"}}), "run");
   EXPECT_EQ(args, (std::vector<std::string>{"qsort", "sha"}));
   std::vector<std::string> none = {"qsort"};
-  EXPECT_THROW(take_mode(none, {"run", "sweep"}), UsageError);
+  EXPECT_THROW(take_mode(none, {{"run"}, {"sweep"}}), UsageError);
   std::vector<std::string> two = {"run", "sweep"};
-  EXPECT_THROW(take_mode(two, {"run", "sweep"}), UsageError);
+  EXPECT_THROW(take_mode(two, {{"run"}, {"sweep"}}), UsageError);
+  // Each mode takes its own count of other arguments; after the mode, a
+  // word that spells another mode is one of them.
+  const auto diff = [](std::vector<std::string> a) {
+    return take_mode(a, {{"diff", 2, 2}, {"run", 1, kMany}, {"list"}});
+  };
+  EXPECT_EQ(diff({"diff", "a", "b"}), "diff");
+  EXPECT_THROW(diff({"diff", "a"}), UsageError);
+  EXPECT_THROW(diff({"diff", "a", "b", "c"}), UsageError);
+  EXPECT_EQ(diff({"run", "a", "b", "c"}), "run");
+  EXPECT_THROW(diff({"run"}), UsageError);
+  EXPECT_THROW(diff({"list", "a"}), UsageError);
+  EXPECT_EQ(diff({"run", "list"}), "run");
 }
 
 TEST(CliTool, RunMapsOutcomesToExitStatus) {

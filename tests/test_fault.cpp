@@ -491,7 +491,7 @@ TEST(HostErrorContainment, TornRunQueueNeverEscapesRun) {
 }
 
 // The end-to-end differential oracle over a real workload (the full
-// 17-workload sweep runs as the `sealpk-fleet --chaos` ctest entries; this
+// 17-workload sweep runs as the `sealpk fleet --chaos` ctest entries; this
 // keeps one in-process instance under ASan/UBSan coverage).
 TEST(ChaosOracle, ShaUnderFullFaultPlanRecoversOrKills) {
   const isa::Image image = wl::build_sha(1).link();

@@ -330,7 +330,7 @@ TEST(Fleet, CanonicalReportsDiffCleanAcrossThreadCounts) {
 }
 
 TEST(Fleet, DiffJsonReportCarriesTheVerdictNotJustTheLog) {
-  // `sealpk-fleet diff --json` must exit nonzero on divergence exactly like
+  // `sealpk fleet diff --json` must exit nonzero on divergence exactly like
   // the plain mode; the JSON body is the machine-readable mirror of that
   // verdict. Pin the library layer both CLI paths are built on: the same
   // `diverging` count feeds the exit code and the report, so the two can

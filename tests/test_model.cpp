@@ -393,7 +393,7 @@ TEST(ModelTraces, ParserRejectsMalformedDocuments) {
     EXPECT_EQ(error, "missing or invalid field \"pkeys\"") << pkeys;
   }
   // An integral spelling parses; the canonical rewrite differs from it, so
-  // `sealpk-model repro` still refuses such a file as non-canonical.
+  // `sealpk model repro` still refuses such a file as non-canonical.
   const auto two = parse_trace(with_pkeys("2.0"), &error);
   ASSERT_TRUE(two.has_value()) << error;
   EXPECT_EQ(two->num_pkeys, 2u);

@@ -317,7 +317,7 @@ TEST(ServeChaos, AttackUnderChaosStillCaughtAndDeterministic) {
 }
 
 TEST(ServeDeterminism, LedgerByteIdenticalAcrossHostThreadCounts) {
-  // The attack suite `sealpk-serve attack --all --threads` runs: the ledger
+  // The attack suite `sealpk serve attack --all --threads` runs: the ledger
   // for each scenario must not depend on how many host threads ran
   // siblings.
   const std::vector<serve::AttackRun> one =

@@ -723,7 +723,7 @@ TEST(SnapshotGolden, CommittedV1SnapshotStillRestoresAndCompletes) {
   // instret 20'000, mid-run). Any encoding change that breaks old files must
   // show up here — bump kFormatVersion and regenerate deliberately, never
   // silently:
-  //   sealpk-snapshot save qsort --at=20000 --out=tests/golden/qsort_mid.spksnap
+  //   sealpk snapshot save qsort --at=20000 --out=tests/golden/qsort_mid.spksnap
   const std::string path =
       std::string(SEALPK_SOURCE_DIR) + "/tests/golden/qsort_mid.spksnap";
   const std::vector<u8> blob = snapshot::read_file(path);

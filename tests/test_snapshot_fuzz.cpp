@@ -254,7 +254,7 @@ TEST(SnapshotFuzz, MidRunVkeyChurnMachine) {
 }
 
 // `sha` under the perm-sealed write-only shadow stack, 50,000 instructions
-// in (`sealpk-snapshot replay sha --at=50000 --ss=sealpk-wr --seal`).
+// in (`sealpk snapshot replay sha --at=50000 --ss=sealpk-wr --seal`).
 std::vector<u8> sealed_sha_blob() {
   for (const wl::Workload& w : wl::all_workloads()) {
     if (std::string(w.name) != "sha") continue;

@@ -631,6 +631,19 @@ TEST(SessionServer, SmallScaleMatchesGolden) {
   EXPECT_EQ(r.reconnects + r.touches, cfg.ops);
 }
 
+// A session count the guest's address space cannot hold is a typed error,
+// raised before the guest is built or any DRAM is sized.
+TEST(SessionServer, RefusesSessionCountsOutsideTheGuestLayout) {
+  mpk::SessionConfig cfg;
+  cfg.sessions = mpk::kMaxSessions + 1;
+  EXPECT_THROW(mpk::run_session_server(cfg), mpk::SessionError);
+  cfg.sessions = u64{1} << 52;  // sessions * kPageSize wraps to 0
+  EXPECT_THROW(mpk::run_session_server(cfg), mpk::SessionError);
+  cfg.sessions = 0;
+  EXPECT_THROW(mpk::run_session_server(cfg), mpk::SessionError);
+  EXPECT_GE(mpk::kMaxSessions, 102'400u);  // vkey_run_100k
+}
+
 // The vpkey syscalls are on the kernel's served list, so the static
 // verifier admits the session server under the strict loader gate.
 TEST(SessionServer, LoadsUnderTheEnforcingVerifier) {

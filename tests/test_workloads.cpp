@@ -79,7 +79,6 @@ TEST(WorkloadRegistry, SeventeenBenchmarksInPaperOrder) {
       case wl::Suite::kSpec2000: ++spec2000; break;
       case wl::Suite::kSpec2006: ++spec2006; break;
       case wl::Suite::kMiBench: ++mibench; break;
-      case wl::Suite::kScenario: FAIL() << "scenario in all_workloads"; break;
     }
   }
   EXPECT_EQ(spec2000, 6u);  // paper §V-A: 6 of 12 SPECint2000 apps

@@ -173,21 +173,18 @@ int run(const Tool& tool, int argc, char** argv,
 }
 
 std::string take_mode(std::vector<std::string>& args,
-                      std::initializer_list<const char*> modes) {
-  std::string mode;
-  for (auto it = args.begin(); it != args.end();) {
-    bool is_mode = false;
-    for (const char* m : modes) is_mode |= *it == m;
-    if (!is_mode) {
-      ++it;
-      continue;
+                      std::initializer_list<Mode> modes) {
+  for (auto it = args.begin(); it != args.end(); ++it) {
+    for (const Mode& m : modes) {
+      if (*it != m.name) continue;
+      args.erase(it);
+      if (args.size() < m.min_args || args.size() > m.max_args) {
+        throw UsageError();
+      }
+      return m.name;
     }
-    if (!mode.empty()) throw UsageError("more than one mode given");
-    mode = *it;
-    it = args.erase(it);
   }
-  if (mode.empty()) throw UsageError();
-  return mode;
+  throw UsageError();
 }
 
 Flag quiet(bool* target) {
@@ -289,8 +286,6 @@ std::string kind_names(const char* sep) {
   return out;
 }
 
-std::string kinds_help() { return "fault kinds: " + kind_names(", "); }
-
 FaultTargets plan_targets(fault::FaultPlan* plan) {
   return {&plan->seed, &plan->rate, &plan->cam_rate, &plan->max_faults,
           &plan->kinds};
@@ -316,10 +311,9 @@ void add_fault_plan(Tool& tool, const FaultTargets& t) {
   tool.add(value("--max-faults", t.max_faults, "<n>",
                  "fault budget (0 = unlimited)"));
   if (t.kinds != nullptr) {
-    tool.add(action("--kinds", "<kind,...>", kinds_help().c_str(),
-                    [t](const std::string& v) {
-                      *t.kinds = parse_kinds(v);
-                    }));
+    tool.add(action("--kinds", "<kind,...>",
+                    ("fault kinds: " + kind_names(", ")).c_str(),
+                    [t](const std::string& v) { *t.kinds = parse_kinds(v); }));
   }
 }
 

@@ -1,6 +1,6 @@
-// The command-line layer shared by the sealpk-* tools (DESIGN.md §18).
+// The command-line layer shared by the `sealpk` commands (DESIGN.md §18).
 //
-// Each tool declares its flags once, as a table of typed entries; the
+// Each command declares its flags once, as a table of typed entries; the
 // layer parses argv against it, generates the usage text from it, and
 // owns the conventions every tool shares:
 //   - values are parsed strictly: the whole text must be consumed,
@@ -90,15 +90,22 @@ Flag value(const char* name, T* target, const char* meta, const char* help) {
   });
 }
 
+// A typed value flag refusing values for which ok(value) is false.
+template <typename T, typename Ok>
+Flag checked(const char* name, T* target, Ok ok, const char* meta,
+             const char* help) {
+  return action(name, meta, help, [target, ok](const std::string& v) {
+    const T parsed = parse<T>(v);
+    if (!ok(parsed)) throw BadValue{};
+    *target = parsed;
+  });
+}
+
 // An integer value flag refusing values below `min`.
 template <typename T>
 Flag at_least(const char* name, T* target, std::type_identity_t<T> min,
               const char* meta, const char* help) {
-  return action(name, meta, help, [target, min](const std::string& v) {
-    const T parsed = parse<T>(v);
-    if (parsed < min) throw BadValue{};
-    *target = parsed;
-  });
+  return checked(name, target, [min](T v) { return v >= min; }, meta, help);
 }
 
 template <typename E>
@@ -132,7 +139,7 @@ struct Tool {
   Tool(std::string tool_name, std::vector<std::string> usage_lines)
       : name(std::move(tool_name)), synopsis(std::move(usage_lines)) {}
 
-  std::string name;                   // "sealpk-vkey"
+  std::string name;                   // "sealpk vkey"
   std::vector<std::string> synopsis;  // usage lines after the tool name
   std::vector<Flag> flags;
 
@@ -148,10 +155,20 @@ struct Tool {
 int run(const Tool& tool, int argc, char** argv,
         const std::function<int(std::vector<std::string>&)>& body);
 
-// Removes the one mode word (e.g. "run"/"sweep") from `args`; a missing or
-// repeated mode is a usage error.
+// A mode word and how many positional arguments it takes.
+struct Mode {
+  const char* name;
+  size_t min_args = 0;
+  size_t max_args = 0;  // kMany: no limit
+};
+inline constexpr size_t kMany = static_cast<size_t>(-1);
+
+// Removes the first argument that names a mode (e.g. "run"/"sweep") from
+// `args`; later arguments stay positional even when they spell a mode. No
+// mode, or a count of other arguments outside the mode's range, is a usage
+// error.
 std::string take_mode(std::vector<std::string>& args,
-                      std::initializer_list<const char*> modes);
+                      std::initializer_list<Mode> modes);
 
 // --- shared conventions ------------------------------------------------------
 
@@ -232,9 +249,8 @@ void add_fault_plan(Tool& tool, const FaultTargets& targets);
 double parse_rate(const std::string& text);
 // Comma list of fault kinds as a kind mask.
 u32 parse_kinds(const std::string& text);
-// The accepted fault-kind names, joined by `sep`, and the --kinds help.
+// The accepted fault-kind names, joined by `sep`.
 std::string kind_names(const char* sep);
-std::string kinds_help();
 
 // --rollback, --ckpt-interval, --max-rollbacks, --no-pkr-save.
 struct Rollback {

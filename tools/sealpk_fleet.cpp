@@ -1,4 +1,4 @@
-// sealpk-fleet — parallel batch-execution driver for the workload matrix.
+// sealpk fleet — parallel batch-execution driver for the workload matrix.
 //
 // A fixed-size worker pool drains the (workload x instrumentation-variant)
 // job matrix; each worker owns a private Machine per job, linked images are
@@ -21,21 +21,19 @@
 // code; every injected fault must be resolved and no host exception may
 // escape Machine::run. --rollback adds checkpoints and snapshot-rollback
 // recovery, so otherwise-fatal machine checks finish with clean output.
-// --json writes the aggregated report; with --canonical the scheduling-
-// dependent "timing" section is omitted so reports from different thread
-// counts are byte-comparable (that is what `diff` checks). --selfcheck runs
-// the matrix twice — with --threads workers and serially — and fails,
-// after writing the report, unless every record matches.
+// --canonical leaves the scheduling-dependent "timing" section out of the
+// --json report, so reports from any thread count are byte-comparable
+// (that is what `diff` checks).
 //
 // Exit status: 0 all jobs ok, 1 job failures / record divergence, 2 usage.
 //
 // Usage:
-//   sealpk-fleet sweep --threads=8 --scale=1 --json=BENCH_fleet.json
-//   sealpk-fleet sweep --variants='sealpk-*' --workloads='MiBench/*'
-//   sealpk-fleet run qsort sha --variants=none,mprotect --threads=4
-//   sealpk-fleet sweep --chaos --chaos-seed=7 --chaos-rate=2e-5 --threads=0
-//   sealpk-fleet sweep --chaos --variants=sealed --scale=1 --cam-rate=0.3
-//   sealpk-fleet sweep --scale=1 --threads=4 --selfcheck
+//   sealpk fleet sweep --threads=8 --scale=1 --json=BENCH_fleet.json
+//   sealpk fleet sweep --variants='sealpk-*' --workloads='MiBench/*'
+//   sealpk fleet run qsort sha --variants=none,mprotect --threads=4
+//   sealpk fleet sweep --chaos --chaos-seed=7 --chaos-rate=2e-5 --threads=0
+//   sealpk fleet sweep --chaos --variants=sealed --scale=1 --cam-rate=0.3
+//   sealpk fleet sweep --scale=1 --threads=4 --selfcheck
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -200,7 +198,6 @@ void print_summary(const SweepOutcome& sweep, unsigned threads) {
 
 int mode_diff(const std::vector<std::string>& names,
               const std::string& json_path) {
-  if (names.size() != 2) throw cli::UsageError();
   std::ostringstream log;
   const size_t diverging = fleet::diff_reports(
       cli::read_text(names[0]), cli::read_text(names[1]), log);
@@ -245,7 +242,6 @@ int run_mode(const CliOptions& cli) {
     return 0;
   }
   if (cli.mode == "diff") return mode_diff(cli.names, cli.json.path);
-  if (cli.mode == "run" && cli.names.empty()) throw cli::UsageError();
 
   const std::vector<fleet::JobSpec> specs = build_matrix(cli);
   if (specs.empty()) {
@@ -283,7 +279,7 @@ int run_mode(const CliOptions& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int sealpk_fleet(int argc, char** argv) {
   CliOptions cli;
   cli.plan.enabled = true;
   cli.plan.seed = 7;
@@ -292,7 +288,7 @@ int main(int argc, char** argv) {
   for (const fleet::Variant& v : fleet::kVariants) {
     variants_help += std::string(" ") + v.name;
   }
-  cli::Tool tool{"sealpk-fleet",
+  cli::Tool tool{"sealpk fleet",
                  {"<sweep | run <workload>... | diff <a> <b> | list> "
                   "[options]"}};
   tool.add(cli::threads(&cli.threads, "worker threads (0 = one per core)"));
@@ -317,7 +313,8 @@ int main(int argc, char** argv) {
                       "trace ring capacity per job"));
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
-    cli.mode = cli::take_mode(args, {"sweep", "run", "diff", "list"});
+    cli.mode = cli::take_mode(
+        args, {{"sweep"}, {"run", 1, cli::kMany}, {"diff", 2, 2}, {"list"}});
     cli.names = args;
     return run_mode(cli);
   });

@@ -1,4 +1,4 @@
-// sealpk-model — bounded exhaustive model checker for the seal/pkey state
+// sealpk model — bounded exhaustive model checker for the seal/pkey state
 // machine (src/model).
 //
 // Drives the real hardware units (Pkr, SealUnit, PK-CAM refill path) and the
@@ -8,12 +8,12 @@
 // committed-trace regression tests) replay byte-for-byte.
 //
 // Usage:
-//   sealpk-model explore                     # explore to closure, report
-//   sealpk-model explore --selfcheck         # + determinism cross-check
-//   sealpk-model explore --mutation=skip-free-clear --ce-dir=out/
-//   sealpk-model repro trace.json...         # replay committed traces
-//   sealpk-model stats                       # config + op alphabet
-//   sealpk-model mutations                   # mutation self-test matrix
+//   sealpk model explore                     # explore to closure, report
+//   sealpk model explore --selfcheck         # + determinism cross-check
+//   sealpk model explore --mutation=skip-free-clear --ce-dir=out/
+//   sealpk model repro trace.json...         # replay committed traces
+//   sealpk model stats                       # config + op alphabet
+//   sealpk model mutations                   # mutation self-test matrix
 //
 // Exit status: 0 clean (and complete for explore), 1 counterexamples found
 // or a self-test failed, 2 usage/IO errors, 3 exploration hit a budget
@@ -154,7 +154,6 @@ int cmd_explore(const CliOptions& cli) {
 }
 
 int cmd_repro(const CliOptions& cli) {
-  if (cli.paths.empty()) throw cli::UsageError();
   int failures = 0;
   for (const auto& path : cli.paths) {
     const std::string text = cli::read_text(path);
@@ -247,10 +246,10 @@ int cmd_mutations(const CliOptions& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int sealpk_model(int argc, char** argv) {
   CliOptions cli;
   ModelConfig& cfg = cli.cfg;
-  cli::Tool tool{"sealpk-model",
+  cli::Tool tool{"sealpk model",
                  {"explore [options]", "repro <trace.json>... [-q]",
                   "stats [--pkeys=N] [--pages=N] [--cam=N]",
                   "mutations [--depth=N] [--max-states=N] [-q]"}};
@@ -281,14 +280,13 @@ int main(int argc, char** argv) {
   tool.add(cli::json_sink(&cli.json, "exploration stats as JSON (explore)"));
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
-    if (args.empty()) throw cli::UsageError();
-    const std::string cmd = args[0];
-    cli.paths.assign(args.begin() + 1, args.end());
+    const std::string mode =
+        cli::take_mode(args, {{"explore"}, {"repro", 1, cli::kMany},
+                              {"stats"}, {"mutations"}});
+    cli.paths = args;
     cfg.validate();
-    if (cmd == "explore") return cmd_explore(cli);
-    if (cmd == "repro") return cmd_repro(cli);
-    if (cmd == "stats") return cmd_stats(cli);
-    if (cmd == "mutations") return cmd_mutations(cli);
-    throw cli::UsageError();
+    if (mode == "explore") return cmd_explore(cli);
+    if (mode == "repro") return cmd_repro(cli);
+    return mode == "stats" ? cmd_stats(cli) : cmd_mutations(cli);
   });
 }

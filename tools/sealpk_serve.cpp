@@ -1,12 +1,9 @@
-// sealpk-serve — in-process sandboxed plugin server workbench (src/serve).
+// sealpk serve — in-process sandboxed plugin server workbench (src/serve).
 //
-// A trusted monitor domain dispatches a seeded synthetic request stream to
-// untrusted handler domains through perm-sealed call gates, reporting
-// domain-crossings/sec and per-handler latency (in instructions) alongside
-// the Fig-5 overhead numbers. The request plane degrades gracefully:
-// per-request instruction budgets, strike-based handler quarantine, bounded
-// retry with deterministic backoff onto the replica slot, and load shedding
-// — every request ends in exactly one canonical disposition.
+// A trusted monitor domain serves a seeded request stream to untrusted
+// handler domains through perm-sealed call gates (the request plane is
+// described in serve/server.h), reporting domain-crossings/sec, handler
+// latency in instructions and one canonical disposition per request.
 //
 // Modes:
 //   run                  clean serving run
@@ -19,20 +16,18 @@
 // upsets); the canonical ledger stays byte-identical for a fixed config.
 // `attack --all --threads=N` drains the suite through the shared worker
 // pool; ledgers and reports are byte-identical for any N. --json writes
-// the machine-readable report (array form for --all) to stdout,
-// --json=<path> to a file. --trace-out records
-// gate entry/exit, dispositions and quarantine transitions per handler and
-// exports Perfetto JSON (open in ui.perfetto.dev, or feed the same events
-// through sealpk-trace).
+// the report (an array for --all). --trace-out records gate entry/exit,
+// dispositions and quarantine transitions per handler and exports
+// Perfetto JSON (open in ui.perfetto.dev).
 //
 // Exit status: 0 ok, 1 attack escaped / monitor died / request lost,
 // 2 usage or I/O error.
 //
 // Usage:
-//   sealpk-serve run --requests=64 --primaries=3 --json=serve.json
-//   sealpk-serve attack gate-exit-hijack --trace-out=hijack.perfetto.json
-//   sealpk-serve attack --all --threads=4 --json=redteam.json
-//   sealpk-serve run --chaos --chaos-seed=11 --chaos-rate=1e-4
+//   sealpk serve run --requests=64 --primaries=3 --json=serve.json
+//   sealpk serve attack gate-exit-hijack --trace-out=hijack.perfetto.json
+//   sealpk serve attack --all --threads=4 --json=redteam.json
+//   sealpk serve run --chaos --chaos-seed=11 --chaos-rate=1e-4
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -57,8 +52,7 @@ struct CliOptions {
   serve::ServeConfig cfg;
 };
 
-void print_summary(const serve::ServeConfig& cfg, const serve::ServeResult& r,
-                   const char* label) {
+void print_summary(const serve::ServeResult& r, const char* label) {
   std::printf(
       "%-22s served=%llu retried=%llu shed=%llu quarantined=%llu "
       "crossings=%llu (%.0f/sec) epochs=%llu instructions=%llu\n",
@@ -89,7 +83,6 @@ void print_summary(const serve::ServeConfig& cfg, const serve::ServeResult& r,
                 r.monitor_alive ? "alive" : "DEAD",
                 r.canary_intact ? "intact" : "CLOBBERED");
   }
-  (void)cfg;
 }
 
 // 0 when the run upholds the contract this tool exists to demonstrate:
@@ -123,7 +116,7 @@ int run_one(const CliOptions& cli) {
     const serve::redteam::Attack* atk =
         serve::redteam::find_attack(cli.attack_name);
     if (atk == nullptr) {
-      std::fprintf(stderr, "unknown attack '%s' (see `sealpk-serve list`)\n",
+      std::fprintf(stderr, "unknown attack '%s' (see `sealpk serve list`)\n",
                    cli.attack_name.c_str());
       return 2;
     }
@@ -131,8 +124,8 @@ int run_one(const CliOptions& cli) {
   }
   const serve::ServeResult r = serve::run_server(cfg);
   if (!cli.quiet) {
-    print_summary(cfg, r,
-                  cli.attack_name.empty() ? "clean" : cli.attack_name.c_str());
+    print_summary(r, cli.attack_name.empty() ? "clean"
+                                             : cli.attack_name.c_str());
   }
   if (cli.json.on) {
     std::ostringstream os;
@@ -150,9 +143,7 @@ int run_all(const CliOptions& cli) {
       serve::run_attack_suite(cli.cfg, cli.threads);
   int rc = 0;
   for (const serve::AttackRun& run : runs) {
-    if (!cli.quiet) {
-      print_summary(run.cfg, run.result, run.result.attack->name);
-    }
+    if (!cli.quiet) print_summary(run.result, run.result.attack->name);
     if (verdict(run.result) != 0) rc = 1;
   }
   if (cli.json.on) {
@@ -175,10 +166,10 @@ int run_all(const CliOptions& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int sealpk_serve(int argc, char** argv) {
   CliOptions cli;
   serve::ServeConfig& cfg = cli.cfg;
-  cli::Tool tool{"sealpk-serve",
+  cli::Tool tool{"sealpk serve",
                  {"run [options]", "attack <name>|--all [options]", "list"}};
   tool.add(cli::value("--primaries", &cfg.primaries, "<n>",
                       "handler pairs (slots = 2 * primaries)"));
@@ -203,12 +194,9 @@ int main(int argc, char** argv) {
                       "Perfetto JSON of the obs event stream"));
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
-    const std::string mode = cli::take_mode(args, {"run", "attack", "list"});
-    if (mode == "attack" && args.size() == 1) {
-      cli.attack_name = args[0];
-    } else if (!args.empty()) {
-      throw cli::UsageError();
-    }
+    const std::string mode =
+        cli::take_mode(args, {{"run"}, {"attack", 0, 1}, {"list"}});
+    if (!args.empty()) cli.attack_name = args[0];
     if (mode == "list") return mode_list();
     if (mode == "run") return run_one(cli);
     if (cli.all_attacks) return run_all(cli);

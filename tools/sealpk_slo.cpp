@@ -1,14 +1,12 @@
-// sealpk-slo — the in-repo SLO / perf-regression gate (DESIGN.md §16).
+// sealpk slo — the in-repo SLO / perf-regression gate (DESIGN.md §16).
 //
 // Subcommands:
 //   check --spec=<SLO.json> --report=<name>=<path>...
-//       Evaluate a committed SLO spec ("sealpk-slo-v1": crossings/sec
-//       floors, handler-latency p99 ceilings, churn-ops/sec floors,
-//       recovery-count ceilings, tolerance bands) against the repo's own
-//       machine-readable reports (sealpk-serve --json, sealpk-vkey sweep
-//       --json, sealpk-fleet list --json, the span bench below). Exits
-//       nonzero on any breach — this is what CI runs, and what the
-//       WILL_FAIL ctest pair proves actually fails on a violated spec.
+//       Evaluate a committed SLO spec ("sealpk-slo-v1", obs/slo.h) against
+//       the repo's own machine-readable reports (sealpk serve --json,
+//       sealpk vkey sweep --json, sealpk fleet list --json, the span bench
+//       below). Exits nonzero on any breach; the WILL_FAIL ctest pair
+//       proves it fails on a violated spec.
 //   spans [--threads=<n>] [--selfcheck] [--out=<path>]
 //       The deterministic span benchmark behind BENCH_spans.json: run the
 //       fixed episode suite (clean + degraded serve, vault, eager + lazy
@@ -16,15 +14,14 @@
 //       causal spans (obs/span.h) and report per-kind duration quantiles
 //       from the integer histogram (obs/hist.h). Everything is
 //       instruction-count based, so the output is byte-identical across
-//       hosts, runs and thread counts; --selfcheck re-runs serially and
-//       requires byte-identity (the determinism contract CI pins by
-//       regenerating + git-diffing BENCH_spans.json).
+//       hosts, runs and thread counts (the bench_spans_committed ctest
+//       compares it with BENCH_spans.json).
 //
 // Exit status: 0 ok, 1 SLO breach / selfcheck mismatch, 2 usage or I/O.
 //
 // Usage:
-//   sealpk-slo spans --threads=4 --selfcheck --out=BENCH_spans.json -q
-//   sealpk-slo check --spec=SLO.json --report=serve=serve.json
+//   sealpk slo spans --threads=4 --selfcheck --out=BENCH_spans.json -q
+//   sealpk slo check --spec=SLO.json --report=serve=serve.json
 //       --report=vkey=vkey.json --report=spans=BENCH_spans.json
 //   (one command line, wrapped here)
 #include <cstdio>
@@ -194,9 +191,9 @@ int mode_check(const CliOptions& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int sealpk_slo(int argc, char** argv) {
   CliOptions cli;
-  cli::Tool tool{"sealpk-slo",
+  cli::Tool tool{"sealpk slo",
                  {"check --spec=<SLO.json> --report=<name>=<path>... "
                   "[--json[=<path>]] [-q]",
                   "spans [--threads=<n>] [--selfcheck] [--out=<path>] [-q]"}};
@@ -220,8 +217,7 @@ int main(int argc, char** argv) {
                       "write the span bench here (spans)"));
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
-    const std::string mode = cli::take_mode(args, {"check", "spans"});
-    if (!args.empty()) throw cli::UsageError();
+    const std::string mode = cli::take_mode(args, {{"check"}, {"spans"}});
     return mode == "spans" ? mode_spans(cli) : mode_check(cli);
   });
 }

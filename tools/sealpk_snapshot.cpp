@@ -1,4 +1,4 @@
-// sealpk-snapshot — checkpoint/restore workbench for the simulated machine.
+// sealpk snapshot — checkpoint/restore workbench for the simulated machine.
 //
 // Subcommands:
 //   save <workload> --at=<instret> [--out=<file>]
@@ -19,11 +19,7 @@
 //   info <file>
 //       Header, checksum and section table of a snapshot file.
 //
-// info and diff accept --json[=<path>] for a machine-readable view (the
-// same contract as the fleet/verify/serve tools): the flag changes
-// the output format only, never the exit code.
-//
-// Workload construction accepts the same shaping flags as sealpk-verify
+// Workload construction accepts the same shaping flags as sealpk verify
 // (--ss=, --seal) plus a fault plan (--chaos-seed/--chaos-rate/--cam-rate/
 // --max-faults), so replay can prove determinism *under fault injection*:
 // the injector's RNG stream and event log travel inside the snapshot.
@@ -220,9 +216,9 @@ int cmd_info(const CliOptions& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int sealpk_snapshot(int argc, char** argv) {
   CliOptions cli;
-  cli::Tool tool{"sealpk-snapshot",
+  cli::Tool tool{"sealpk snapshot",
                  {"save <workload> --at=<instret> [--out=<file>]",
                   "restore <file> [--expect-exit=<code>]",
                   "replay <workload> --at=<instret>",
@@ -242,15 +238,16 @@ int main(int argc, char** argv) {
   cli::add_fault_plan(tool, plan);
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
-    if (args.empty()) throw cli::UsageError();
-    const std::string command = args[0];
-    cli.positional.assign(args.begin() + 1, args.end());
-    const size_t nargs = cli.positional.size();
-    if (command == "save" && nargs == 1 && cli.at) return cmd_save(cli);
-    if (command == "restore" && nargs == 1) return cmd_restore(cli);
-    if (command == "replay" && nargs == 1 && cli.at) return cmd_replay(cli);
-    if (command == "diff" && nargs == 2) return cmd_diff(cli);
-    if (command == "info" && nargs == 1) return cmd_info(cli);
-    throw cli::UsageError();
+    const std::string mode = cli::take_mode(
+        args, {{"save", 1, 1}, {"restore", 1, 1}, {"replay", 1, 1},
+               {"diff", 2, 2}, {"info", 1, 1}});
+    cli.positional = args;
+    if ((mode == "save" || mode == "replay") && !cli.at) {
+      throw cli::UsageError();
+    }
+    if (mode == "save") return cmd_save(cli);
+    if (mode == "restore") return cmd_restore(cli);
+    if (mode == "replay") return cmd_replay(cli);
+    return mode == "diff" ? cmd_diff(cli) : cmd_info(cli);
   });
 }

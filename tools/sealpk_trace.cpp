@@ -1,4 +1,4 @@
-// sealpk-trace — record and inspect deterministic execution traces.
+// sealpk trace — record and inspect deterministic execution traces.
 //
 // Subcommands:
 //   record <workload> [--out=<file>] [--sample=<n>] [--ring=<n>]
@@ -19,7 +19,7 @@
 //       must produce byte-identical blobs. --json writes a machine-readable
 //       verdict without changing the exit code.
 //
-// Workload construction accepts the same shaping flags as sealpk-snapshot
+// Workload construction accepts the same shaping flags as sealpk snapshot
 // (--ss=, --seal), so sealed shadow-stack variants can be profiled too.
 // Timestamps in every output are modelled instruction/cycle counts — never
 // host wall-clock — which is what makes traces diffable at all.
@@ -148,7 +148,7 @@ int cmd_diff(const CliOptions& cli) {
                        load_trace(cli.positional[1]));
   // --json changes the output format, never the verdict: structural
   // divergence exits nonzero in JSON mode exactly as in plain mode (the
-  // same contract sealpk-fleet diff --json pins).
+  // same contract sealpk fleet diff --json pins).
   if (!cli.json.path.empty()) {
     cli::write_text(cli.json.path,
                     "{\"a\": \"" + json_escape(cli.positional[0]) +
@@ -168,9 +168,9 @@ int cmd_diff(const CliOptions& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int sealpk_trace(int argc, char** argv) {
   CliOptions cli;
-  cli::Tool tool{"sealpk-trace",
+  cli::Tool tool{"sealpk trace",
                  {"record <workload> [--out=<file>] [--sample=<n>] "
                   "[--ring=<n>]",
                   "report <file> [--json[=<file>]]",
@@ -193,14 +193,12 @@ int main(int argc, char** argv) {
   cli::add_shadow_stack(tool, &cli.ss);
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
-    if (args.empty()) throw cli::UsageError();
-    const std::string command = args[0];
-    cli.positional.assign(args.begin() + 1, args.end());
-    const size_t nargs = cli.positional.size();
-    if (command == "record" && nargs == 1) return cmd_record(cli);
-    if (command == "report" && nargs == 1) return cmd_report(cli);
-    if (command == "export" && nargs == 1) return cmd_export(cli);
-    if (command == "diff" && nargs == 2) return cmd_diff(cli);
-    throw cli::UsageError();
+    const std::string mode = cli::take_mode(
+        args, {{"record", 1, 1}, {"report", 1, 1}, {"export", 1, 1},
+               {"diff", 2, 2}});
+    cli.positional = args;
+    if (mode == "record") return cmd_record(cli);
+    if (mode == "report") return cmd_report(cli);
+    return mode == "export" ? cmd_export(cli) : cmd_diff(cli);
   });
 }

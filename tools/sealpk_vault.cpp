@@ -1,10 +1,8 @@
-// sealpk-vault — crash-anywhere sealed-storage durability workbench
+// sealpk vault — crash-anywhere sealed-storage durability workbench
 // (src/vault).
 //
-// An owner domain seals secret bundles into a write-only, perm-sealed
-// vault region through the kernel's vault syscalls, journaling every
-// operation (guest-written intent record, kernel-written commit record,
-// FNV-1a checksums throughout). This tool drives the workload and its
+// Drives the owner-vs-vault workload (an owner domain sealing bundles into
+// a journaled, write-only, perm-sealed region; vault/program.h) and its
 // durability harness:
 //
 //   run     one clean run; prints the recovered ledger and vault counters,
@@ -18,22 +16,18 @@
 //           completion. --chaos layers seeded vault-record bit
 //           flips on top (invariants weaken exactly to detection).
 //
-// --selfcheck re-runs the sweep serially and requires the canonical
-// verdict to be byte-identical to the parallel run. --json writes the
-// machine-readable verdict (the CI artifact uploaded on failure) to
-// stdout, --json=<path> to a file.
-//
 // Exit status: 0 ok, 1 invariant violated, 2 usage or I/O error.
 //
 // Usage:
-//   sealpk-vault run --seals=5 --reseals=2 --unseals=3
-//   sealpk-vault sweep --threads=4 --selfcheck --json=vault_sweep.json
-//   sealpk-vault sweep --chaos --chaos-seed=7 --threads=4
+//   sealpk vault run --seals=5 --reseals=2 --unseals=3
+//   sealpk vault sweep --threads=4 --selfcheck --json=vault_sweep.json
+//   sealpk vault sweep --chaos --chaos-seed=7 --threads=4
 #include <cstdio>
 #include <sstream>
 #include <string>
 
 #include "cli.h"
+#include "vault/format.h"
 #include "vault/run.h"
 #include "vault/sweep.h"
 
@@ -95,13 +89,14 @@ int mode_sweep(const CliOptions& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int sealpk_vault(int argc, char** argv) {
   CliOptions cli;
   vault::SweepConfig& cfg = cli.cfg;
-  cli::Tool tool{"sealpk-vault", {"run [options]", "sweep [options]"}};
+  cli::Tool tool{"sealpk vault", {"run [options]", "sweep [options]"}};
   tool.add(cli::value("--slots", &cfg.spec.n_slots, "<n>", "vault slots"));
-  tool.add(cli::value("--slot-size", &cfg.spec.slot_size, "<bytes>",
-                      "bytes per slot"));
+  tool.add(cli::checked("--slot-size", &cfg.spec.slot_size,
+                        vault::valid_slot_size, "<bytes>",
+                        "bytes per slot (a non-zero multiple of 8)"));
   tool.add(cli::value("--seals", &cfg.spec.seals, "<n>", "seal operations"));
   tool.add(cli::value("--reseals", &cfg.spec.reseals, "<n>",
                       "reseal operations"));
@@ -133,8 +128,7 @@ int main(int argc, char** argv) {
   tool.add(cli::json_sink(&cli.json, "machine-readable sweep verdict"));
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
-    const std::string mode = cli::take_mode(args, {"run", "sweep"});
-    if (!args.empty()) throw cli::UsageError();
+    const std::string mode = cli::take_mode(args, {{"run"}, {"sweep"}});
     return mode == "run" ? mode_run(cli) : mode_sweep(cli);
   });
 }

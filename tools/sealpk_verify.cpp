@@ -1,4 +1,4 @@
-// sealpk-verify — static SealPK policy verifier CLI.
+// sealpk verify — static SealPK policy verifier CLI.
 //
 // Builds guest programs from the workload registry (optionally applying a
 // shadow-stack instrumentation variant first, exactly as the Figure-5
@@ -7,13 +7,13 @@
 // admissible (no error-severity findings), 1 otherwise, 2 on usage errors.
 //
 // Usage:
-//   sealpk-verify --all                      # inspect all 17 workloads
-//   sealpk-verify qsort sha gzip             # inspect a subset
-//   sealpk-verify --all --ss=sealpk-rdwr     # instrumented flavour
-//   sealpk-verify --all --ss=sealpk-wr --seal
-//   sealpk-verify --all --json               # machine-readable findings
-//   sealpk-verify --all --json=out.json      # ... written to a file
-//   sealpk-verify --list                     # list known workload names
+//   sealpk verify --all                      # inspect all 17 workloads
+//   sealpk verify qsort sha gzip             # inspect a subset
+//   sealpk verify --all --ss=sealpk-rdwr     # instrumented flavour
+//   sealpk verify --all --ss=sealpk-wr --seal
+//   sealpk verify --all --json               # machine-readable findings
+//   sealpk verify --all --json=out.json      # ... written to a file
+//   sealpk verify --list                     # list known workload names
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -92,9 +92,9 @@ int verify_workloads(const CliOptions& cli,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int sealpk_verify(int argc, char** argv) {
   CliOptions cli;
-  cli::Tool tool{"sealpk-verify", {"[--all | <workload>...] [options]"}};
+  cli::Tool tool{"sealpk verify", {"[--all | <workload>...] [options]"}};
   cli::add_workload_pick(tool, &cli.workloads);
   cli::add_shadow_stack(tool, &cli.ss);
   tool.add(cli::action("--trust", "<function>",

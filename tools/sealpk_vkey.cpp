@@ -1,30 +1,24 @@
-// sealpk-vkey — unbounded pkey virtualization workbench (src/mpk).
+// sealpk vkey — unbounded pkey virtualization workbench (src/mpk).
 //
-// Drives the session-server workload: one virtual protection domain per
-// user session, seeded connect/touch/disconnect churn, far more live
-// domains than the 1023 usable physical keys. The kernel's vkey layer
-// (vkey_table.h) multiplexes physical keys under the sessions with LRU
-// eviction, real PTE re-keying, batched map-in and an MRU pin cache;
-// --lazy selects the deferred drain-queue sync policy and --raw runs the
-// same schedule on physical pkeys (capped at 768 sessions) for the
-// virtualization-tax baseline.
+// Drives the session-server workload (one virtual protection domain per
+// user session, seeded churn, far more live domains than the 1023 usable
+// physical keys) on the kernel's vkey layer (mpk/vkey_table.h). --lazy
+// selects the drain-queue sync policy; --raw runs the same schedule on
+// physical pkeys (at most 768 sessions) as the virtualization-tax baseline.
 //
 //   run     one session-server run; prints the canonical churn record,
 //           exits 0 iff the guest checksum matches the host golden
 //   sweep   the key-churn matrix: virt-eager + virt-lazy (+ raw where it
 //           fits) cells per scale, drained through the shared pool;
-//           --json writes the BENCH_keychurn.json report (bare --json
-//           to stdout, --json=<path> to a file)
-//
-// --selfcheck re-runs the sweep serially and requires the concatenated
-// canonical records to be byte-identical to the parallel run.
+//           --json writes the BENCH_keychurn.json report
 //
 // Exit status: 0 ok, 1 checksum/selfcheck failure, 2 usage or I/O error.
 //
 // Usage:
-//   sealpk-vkey run --sessions=4096 --ops=8192
-//   sealpk-vkey run --sessions=512 --raw
-//   sealpk-vkey sweep --threads=4 --selfcheck --json=BENCH_keychurn.json
+//   sealpk vkey run --sessions=4096 --ops=8192
+//   sealpk vkey run --sessions=512 --raw
+//   sealpk vkey sweep --threads=4 --selfcheck --json=BENCH_keychurn.json
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -91,12 +85,12 @@ int mode_sweep(const CliOptions& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int sealpk_vkey(int argc, char** argv) {
   CliOptions cli;
   mpk::SessionConfig& cfg = cli.cfg;
-  cli::Tool tool{"sealpk-vkey", {"run [options]", "sweep [options]"}};
-  tool.add(cli::at_least("--sessions", &cfg.sessions, 1, "<n>",
-                         "live session domains (run)"));
+  cli::Tool tool{"sealpk vkey", {"run [options]", "sweep [options]"}};
+  tool.add(cli::checked("--sessions", &cfg.sessions, mpk::valid_sessions,
+                        "<n>", "live session domains (run)"));
   tool.add(cli::value("--ops", &cli.ops, "<n>",
                       "churn operations after ramp (run; default "
                       "2*sessions)"));
@@ -107,21 +101,18 @@ int main(int argc, char** argv) {
   tool.add(cli::sw("--raw", &cfg.raw, "physical pkeys (sessions <= 768)"));
   tool.add(cli::value("--max-instr", &cfg.max_instructions, "<n>",
                       "instruction budget per run"));
-  tool.add(cli::action("--scales", "<a,b,...>",
-                       "session scales for the sweep (each >= 1)",
-                       [&cli](const std::string& v) {
-                         cli.scales = cli::parse<std::vector<u64>>(v);
-                         for (const u64 s : cli.scales) {
-                           if (s == 0) throw cli::BadValue{};
-                         }
-                       }));
+  tool.add(cli::checked(
+      "--scales", &cli.scales,
+      [](const std::vector<u64>& scales) {
+        return std::all_of(scales.begin(), scales.end(), mpk::valid_sessions);
+      },
+      "<a,b,...>", "session scales for the sweep"));
   tool.add(cli::threads(&cli.threads, "fleet workers for the sweep"));
   tool.add(cli::selfcheck(&cli.selfcheck));
   tool.add(cli::json_sink(&cli.json, "machine-readable sweep report"));
   tool.add(cli::quiet(&cli.quiet));
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
-    const std::string mode = cli::take_mode(args, {"run", "sweep"});
-    if (!args.empty()) throw cli::UsageError();
+    const std::string mode = cli::take_mode(args, {{"run"}, {"sweep"}});
     return mode == "run" ? mode_run(cli) : mode_sweep(cli);
   });
 }
