@@ -11,8 +11,10 @@
 //
 // The BM_Hart* benchmarks time the interpreter alone: host nanoseconds per
 // guest instruction (host_ns_per_inst) on a straight-line ALU loop, a
-// load/store loop on one data page, and a loop that hops across more code
-// and data pages than the hart's page caches hold.
+// load/store loop on one data page, a loop that hops across eight code
+// pages and eight data pages, and loads and stores streamed over 8 to 40
+// data pages beside two hot ones (the data set's reach against the
+// DTLB's).
 //
 // The services layers, each in isolation: snapshot save and restore of a
 // mid-run vault machine (bytes/s), vpkey_set through the vkey table at 6x
@@ -409,6 +411,40 @@ static void BM_HartPageHopping(benchmark::State& state) {
           }));
 }
 BENCHMARK(BM_HartPageHopping);
+
+static void BM_HartDataFootprint(benchmark::State& state) {
+  // A load and a store on each of `pages` streamed pages in turn, each next
+  // to a load and a store on one of two hot pages, as mcf's pointer chase
+  // walks its arcs: the data set's reach against the DTLB's 32 entries.
+  const i64 pages = state.range(0);
+  run_hart_bench(
+      state, forever_program(
+                 [pages](Program&, Function& f) {
+                   mmap_pages(f, pages + 2, s1);
+                   f.li(t1, 4096);
+                   f.li(t2, pages * 4096);
+                   f.add(s2, s1, t2);  // the hot pages follow the stream
+                   f.add(s3, s2, t1);
+                 },
+                 [pages](Program&, Function& f) {
+                   f.mv(a0, s1);
+                   for (i64 i = 0; i < pages; ++i) {
+                     const u8 hot = i % 2 == 0 ? s2 : s3;
+                     f.ld(t0, 0, a0);
+                     f.sd(t0, 8, a0);
+                     f.ld(t3, 0, hot);
+                     f.add(t3, t3, t0);
+                     f.sd(t3, 8, hot);
+                     f.add(a0, a0, t1);
+                   }
+                 }));
+}
+BENCHMARK(BM_HartDataFootprint)
+    ->ArgName("pages")
+    ->Arg(8)
+    ->Arg(24)
+    ->Arg(32)
+    ->Arg(40);
 
 // --- services layers ----------------------------------------------------------
 

@@ -183,8 +183,11 @@ class Hart {
   // no tag: validity is the raw-word compare, which makes a page slot
   // shared by two frames cost re-decodes, never a wrong instruction.
   static constexpr size_t kDecodedPages = 16;
-  // Data translations, direct-mapped by virtual page number.
-  static constexpr size_t kDataPageSlots = 8;
+  // Data translations, direct-mapped by virtual page number. A slot hits
+  // only while the DTLB still holds its page, so the set never has more
+  // live pages than the DTLB has entries (HartConfig::dtlb_entries, 32 by
+  // default); a smaller set keeps losing pages the DTLB still holds.
+  static constexpr size_t kDataPageSlots = 32;
 
   // 0 = no translation (S-mode or bare); 3 = Sv39; 4 = Sv48.
   unsigned paging_levels() const;

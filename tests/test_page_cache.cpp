@@ -1,5 +1,5 @@
-// Page fast paths (DESIGN.md §17): the hart's one-entry code-page and
-// data-page caches must be invisible. Each test changes one term of the
+// Page fast paths (DESIGN.md §17): the hart's one-entry code-page cache
+// and its data-page set must be invisible. Each test changes one term of the
 // cache key (satp, privilege, a TLB mutator, the PhysMem generation, the
 // PKR/PKRU state, a clean page's D bit) between two accesses to the same
 // page and checks the hart behaves exactly as a full translation would.
@@ -488,6 +488,63 @@ TEST(PageCacheDifferential, Sv48Guest) {
   sim::MachineConfig config;
   config.kernel.sv48 = true;
   expect_restores_invisible(keyed_page_guest(false).link(), config);
+}
+
+// mcf's data footprint: loads and stores streamed over 26 contiguous pages
+// between two hot pages, within the DTLB's reach. A third page lies 32
+// pages past the first hot one, so it shares that page's data slot and
+// every streamed page alternates between the two.
+isa::Program footprint_guest() {
+  using namespace isa;
+  constexpr i64 kPage = 4096;
+  return testutil::make_main_program([](Program&, Function& f) {
+    f.li(a0, 0);
+    f.li(a1, 33 * kPage);
+    f.li(a2, 3);
+    rt::syscall(f, os::sys::kMmap);
+    f.mv(s0, a0);  // hot page 0; pages 1..26 are streamed
+    f.li(t4, kPage);
+    f.li(t5, 27 * kPage);
+    f.add(s5, s0, t5);  // hot page 27
+    f.li(t5, 32 * kPage);
+    f.add(s6, s0, t5);  // page 32: page 0's slot
+    f.li(s2, 0);
+    f.li(s3, 12);
+    const Label pass = f.new_label();
+    const Label page = f.new_label();
+    f.bind(pass);
+    f.add(s7, s0, t4);
+    f.bind(page);
+    f.ld(t0, 0, s0);
+    f.sd(t0, 8, s7);
+    f.ld(t1, 16, s7);
+    f.add(t0, t0, t1);
+    f.sd(t0, 0, s5);
+    f.ld(t2, 0, s6);
+    f.add(s4, s4, t2);
+    f.sd(s4, 8, s6);
+    f.sd(s4, 0, s0);
+    f.add(s7, s7, t4);
+    f.blt(s7, s5, page);
+    f.addi(s2, s2, 1);
+    f.blt(s2, s3, pass);
+    f.mv(a0, s4);
+    rt::syscall(f, os::sys::kReport);
+    f.li(a0, 0);
+  });
+}
+
+TEST(PageCacheDifferential, DtlbReachFootprintInBothFlavours) {
+  for (IsaFlavor flavor : {IsaFlavor::kSealPk, IsaFlavor::kIntelMpkCompat}) {
+    SCOPED_TRACE(static_cast<int>(flavor));
+    sim::MachineConfig config;
+    config.hart.flavor = flavor;
+    const testutil::GuestRun run =
+        testutil::run_guest(footprint_guest(), config);
+    ASSERT_EQ(run.exit_code, 0);
+    ASSERT_EQ(run.reports.size(), 1u);
+    expect_restores_invisible(footprint_guest().link(), config);
+  }
 }
 
 }  // namespace

@@ -350,14 +350,12 @@ std::vector<const wl::Workload*> WorkloadPick::pick(
     throw Exit{0};
   }
   if (!all && names.empty()) throw UsageError();
+  for (const std::string& name : names) find_workload(name);  // or throws
   std::vector<const wl::Workload*> picked;
   for (const wl::Workload& w : wl::all_workloads()) {
     bool wanted = all;
     for (const std::string& name : names) wanted |= name == w.name;
     if (wanted) picked.push_back(&w);
-  }
-  if (picked.empty()) {
-    throw std::runtime_error("no matching workload; try --list");
   }
   return picked;
 }

@@ -266,8 +266,9 @@ void add_rollback(Tool& tool, Rollback* rollback);
 struct WorkloadPick {
   bool all = false;
   bool list = false;
-  // The named workloads (all with --all) in registry order. --list prints
-  // the registry and exits 0 instead.
+  // The named workloads (all with --all) in registry order; a name that
+  // names no workload throws. --list prints the registry and exits 0
+  // instead.
   std::vector<const wl::Workload*> pick(
       const std::vector<std::string>& names) const;
 };

@@ -25,7 +25,9 @@
 // --json report, so reports from any thread count are byte-comparable
 // (that is what `diff` checks).
 //
-// Exit status: 0 all jobs ok, 1 job failures / record divergence, 2 usage.
+// Exit status: 0 all jobs ok, 1 job failures / record divergence, 2 usage
+// (including a run name or --workloads/--variants glob that matches
+// nothing).
 //
 // Usage:
 //   sealpk fleet sweep --threads=8 --scale=1 --json=BENCH_fleet.json
@@ -34,8 +36,10 @@
 //   sealpk fleet sweep --chaos --chaos-seed=7 --chaos-rate=2e-5 --threads=0
 //   sealpk fleet sweep --chaos --variants=sealed --scale=1 --cam-rate=0.3
 //   sealpk fleet sweep --scale=1 --threads=4 --selfcheck
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -83,33 +87,66 @@ bool glob_match(const char* pat, const char* text) {
   return glob_match(pat + 1, text + 1);
 }
 
-bool any_glob(const std::vector<std::string>& pats, const std::string& text) {
-  for (const auto& p : pats) {
-    if (glob_match(p.c_str(), text.c_str())) return true;
+std::string qualified_name(const wl::Workload& w) {
+  return std::string(wl::suite_name(w.suite)) + "/" + w.name;
+}
+
+bool names_workload(const std::string& name, const wl::Workload& w) {
+  return name == w.name || name == qualified_name(w);
+}
+
+bool glob_selects_workload(const std::string& glob, const wl::Workload& w) {
+  return glob_match(glob.c_str(), w.name) ||
+         glob_match(glob.c_str(), qualified_name(w).c_str());
+}
+
+bool glob_selects_variant(const std::string& glob, const fleet::Variant& v) {
+  return glob_match(glob.c_str(), v.name);
+}
+
+// Whether one of `patterns` selects `item`; no patterns select every item.
+template <typename Item, typename Selects>
+bool selected(const std::vector<std::string>& patterns, const Item& item,
+              Selects selects) {
+  return patterns.empty() ||
+         std::any_of(patterns.begin(), patterns.end(),
+                     [&](const std::string& p) { return selects(p, item); });
+}
+
+// Throws naming the first of `patterns` that selects none of `items`, so a
+// typo fails instead of quietly shrinking the matrix.
+template <typename Items, typename Selects>
+void require_each_selects(const std::vector<std::string>& patterns,
+                          const Items& items, const char* what,
+                          Selects selects) {
+  for (const std::string& p : patterns) {
+    const auto hit = [&](const auto& item) { return selects(p, item); };
+    if (std::none_of(std::begin(items), std::end(items), hit)) {
+      throw std::runtime_error("no " + std::string(what) + " matches '" + p +
+                               "'; try list");
+    }
   }
-  return false;
 }
 
 // Builds the selected (workload x variant) job matrix in deterministic
-// (figure, variant-table) order.
+// (figure, variant-table) order. Every run name and --workloads/--variants
+// glob must select something on its own.
 std::vector<fleet::JobSpec> build_matrix(const CliOptions& cli) {
+  const bool run = cli.mode == "run";
+  if (run) {
+    require_each_selects(cli.names, wl::all_workloads(), "workload",
+                         names_workload);
+  }
+  require_each_selects(cli.workloads, wl::all_workloads(), "workload",
+                       glob_selects_workload);
+  require_each_selects(cli.variants, fleet::kVariants, "variant",
+                       glob_selects_variant);
   std::vector<fleet::JobSpec> specs;
   for (const auto& w : wl::all_workloads()) {
-    const std::string qualified =
-        std::string(wl::suite_name(w.suite)) + "/" + w.name;
-    if (cli.mode == "run") {
-      bool wanted = false;
-      for (const auto& name : cli.names) {
-        if (name == w.name || name == qualified) wanted = true;
-      }
-      if (!wanted) continue;
-    }
-    if (!cli.workloads.empty() && !any_glob(cli.workloads, qualified) &&
-        !any_glob(cli.workloads, w.name)) {
-      continue;
-    }
+    if (run && !selected(cli.names, w, names_workload)) continue;
+    if (!selected(cli.workloads, w, glob_selects_workload)) continue;
     for (const fleet::Variant& v : fleet::kVariants) {
-      if (!cli.variants.empty() && !any_glob(cli.variants, v.name)) continue;
+      if (!selected(cli.variants, v, glob_selects_variant)) continue;
       fleet::JobSpec spec;
       spec.id = static_cast<u32>(specs.size());
       spec.workload = &w;
