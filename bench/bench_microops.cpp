@@ -20,6 +20,10 @@
 // mid-run vault machine (bytes/s), vpkey_set through the vkey table at 6x
 // the physical keys (ns per set), and the vault sweep's confidentiality
 // scan of one sparse 256 KiB mapping for 7 needles (bytes/s).
+//
+// The kernel-bound path under those services, each structure alone: a TLB
+// refill after a shootdown (2, 8 or 32 live pages), one pkey_mprotect among
+// 64 or 6144 VMAs, and a PhysMem read over 8 or 6144 written pages.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -27,8 +31,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "mem/phys_mem.h"
+#include "mem/tlb.h"
 #include "mpk/vkey_table.h"
 #include "os/addr_space.h"
+#include "os/key_manager.h"
 #include "os/syscall_abi.h"
 #include "runtime/guest.h"
 #include "sim/machine.h"
@@ -559,5 +566,81 @@ static void BM_VaultConfidentialityScan(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<i64>(state.iterations() * kLen));
 }
 BENCHMARK(BM_VaultConfidentialityScan);
+
+// --- kernel-bound path ---------------------------------------------------------
+
+static void BM_TlbRefillAfterFlush(benchmark::State& state) {
+  // A shootdown, then a working set of `live` pages refilled (a missing
+  // lookup and an insert each) and hit once, in a 32-entry TLB: the DTLB's
+  // traffic after every re-key batch.
+  const u64 live = static_cast<u64>(state.range(0));
+  mem::Tlb tlb(32);
+  for (auto _ : state) {
+    tlb.flush();
+    for (u64 vpn = 0; vpn < live; ++vpn) {
+      if (!tlb.lookup(vpn)) tlb.insert({.vpn = vpn, .ppn = vpn, .r = true});
+    }
+    for (u64 vpn = 0; vpn < live; ++vpn) {
+      benchmark::DoNotOptimize(tlb.lookup(vpn));
+    }
+  }
+  state.counters["ns_per_refill"] = benchmark::Counter(
+      static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TlbRefillAfterFlush)->ArgName("live")->Arg(2)->Arg(8)->Arg(32);
+
+static void BM_ProtectPkey(benchmark::State& state) {
+  // pkey_mprotect of one whole one-page VMA among `vmas`, with the seal
+  // vetoes consulted: the re-key a vkey map-in or eviction issues per page
+  // group.
+  const u64 vmas = static_cast<u64>(state.range(0));
+  mem::PhysMem mem;
+  os::FrameAllocator frames(1 << 20, (256 << 20) - (1 << 20));
+  os::AddressSpace aspace(mem, frames, mem::pte::kSealPkPkeyBits);
+  os::SealPkKeyManager keys;
+  for (u32 k = 1; k <= 15; ++k) keys.alloc();
+  std::vector<u64> pages;
+  for (u64 i = 0; i < vmas; ++i) {
+    const i64 addr = aspace.map(0, 4096, os::prot::kRead | os::prot::kWrite);
+    if (addr < 0) {
+      state.SkipWithError("map failed");
+      return;
+    }
+    pages.push_back(static_cast<u64>(addr));
+  }
+  Rng rng(vmas);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aspace.protect_pkey(
+        pages[rng.below(vmas)], 4096, os::prot::kRead | os::prot::kWrite,
+        static_cast<u32>(rng.range(1, 15)), &keys, nullptr));
+  }
+  state.counters["ns_per_call"] = benchmark::Counter(
+      static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ProtectPkey)->ArgName("vmas")->Arg(64)->Arg(6144);
+
+static void BM_PhysMemPageLookup(benchmark::State& state) {
+  // 8-byte reads spread over `pages` written pages of 256 MiB of DRAM, in a
+  // random order fixed up front: the page-table and session-frame reads of
+  // the kernel's re-key path.
+  const u64 pages = static_cast<u64>(state.range(0));
+  constexpr u64 kStride = 7;  // pages apart, so they span many 2 MiB runs
+  mem::PhysMem mem;
+  for (u64 i = 0; i < pages; ++i) mem.write_u64(i * kStride * 4096, i);
+  Rng rng(pages);
+  std::vector<u64> addrs(4096);
+  for (u64& a : addrs) a = rng.below(pages) * kStride * 4096 + 8 * rng.below(512);
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mem.read_u64(addrs[next]));
+    next = (next + 1) % addrs.size();
+  }
+  state.counters["ns_per_read"] = benchmark::Counter(
+      static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PhysMemPageLookup)->ArgName("pages")->Arg(8)->Arg(6144);
 
 BENCHMARK_MAIN();

@@ -6,7 +6,7 @@
 #include <bit>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bits.h"
@@ -23,11 +23,16 @@ constexpr unsigned kPageShift = 12;
 // simulator. All accesses are bounds-checked against the configured size
 // (the Zedboard used in the paper has 256 MiB).
 //
-// Single-owner: the mutable page cache makes even const reads
-// non-thread-safe, so a PhysMem must not be shared across threads.
+// Pages hang off a radix page directory: nodes of kFanout slots, as many
+// levels as the configured size needs (two for 256 MiB), with every node and
+// page allocated on first write. A lookup is one indexed load per level, so
+// no separate cache of recent pages is kept. Memory grows with the pages
+// written, never with the configured size. Reads change nothing, so const
+// access may be shared across threads; writes need the only reference.
 class PhysMem {
  public:
-  explicit PhysMem(u64 size_bytes = 256 * 1024 * 1024) : size_(size_bytes) {
+  explicit PhysMem(u64 size_bytes = 256 * 1024 * 1024)
+      : size_(size_bytes), top_shift_(top_shift_for(size_bytes)) {
     SEALPK_CHECK(size_bytes % kPageSize == 0);
   }
   PhysMem(const PhysMem&) = delete;
@@ -77,10 +82,12 @@ class PhysMem {
   size_t materialized_pages() const { return pages_.size(); }
 
   // Host address of the page holding `addr` if that page is already
-  // materialised, else nullptr. Never materialises a page and never
-  // returns the shared zero page, so writes through the pointer land in
-  // guest memory. The pointer stays valid until generation() changes.
+  // materialised, else nullptr (also past the end). Never materialises a
+  // page and never returns the shared zero page, so writes through the
+  // pointer land in guest memory. The pointer stays valid until
+  // generation() changes.
   u8* host_page(u64 addr) {
+    if (!contains(addr)) return nullptr;
     Page* page = find_page(addr >> kPageShift);
     return page == nullptr ? nullptr : page->data();
   }
@@ -103,34 +110,31 @@ class PhysMem {
   // history. That property is what lets tests compare whole snapshots.
   void save_state(ByteWriter& w) const {
     w.put_u64(size_);
-    std::vector<u64> indices;
-    indices.reserve(pages_.size());
-    static const Page kZero{};
-    for (const auto& [index, page] : pages_) {
-      if (*page != kZero) indices.push_back(index);
-    }
-    std::sort(indices.begin(), indices.end());
-    w.put_u64(indices.size());
-    for (u64 index : indices) {
+    std::vector<std::pair<u64, const Page*>> pages;
+    pages.reserve(pages_.size());
+    for_each_page(root_, top_shift_, 0, [&](u64 index, const Page& page) {
+      if (page != kZeroPage) pages.emplace_back(index, &page);
+    });
+    w.put_u64(pages.size());
+    for (const auto& [index, page] : pages) {
       w.put_u64(index);
-      w.put_bytes(pages_.at(index)->data(), kPageSize);
+      w.put_bytes(page->data(), kPageSize);
     }
   }
   void load_state(ByteReader& r) {
     const u64 size = r.get_u64();
     SEALPK_CHECK_MSG(size == size_, "phys size mismatch: snapshot has "
                                         << size << ", machine has " << size_);
+    root_ = {};
+    nodes_.clear();
     pages_.clear();
-    cache_ = {};
     ++generation_;
     const u64 count = r.get_u64();
     for (u64 i = 0; i < count; ++i) {
       const u64 index = r.get_u64();
       SEALPK_CHECK_MSG(index < (size_ >> kPageShift),
                        "snapshot page index out of range: " << index);
-      auto page = std::make_unique<Page>();
-      r.get_bytes(page->data(), kPageSize);
-      pages_[index] = std::move(page);
+      r.get_bytes(mutable_page(index << kPageShift).data(), kPageSize);
     }
   }
 
@@ -140,25 +144,31 @@ class PhysMem {
   static_assert(std::endian::native == std::endian::little,
                 "read_le/write_le copy host words as guest little-endian");
 
-  // Direct-mapped cache of recently used materialised pages (page index ->
-  // Page*). Fetches and data accesses alternate between pages, so a handful
-  // of slots keeps both warm. Only existing pages are cached, never the
-  // shared zero page, so a later write materialises a page exactly as an
-  // uncached lookup would. Pages are only ever dropped by load_state,
-  // which clears the cache too and bumps generation().
-  struct CacheSlot {
-    u64 index = ~u64{0};
-    Page* page = nullptr;
+  // A directory node. Below the last level a slot holds a Page*, above it
+  // a Node*; both are owned by nodes_ and pages_, which only load_state
+  // clears (it bumps generation() too).
+  static constexpr unsigned kFanoutBits = 9;
+  static constexpr u64 kFanout = u64{1} << kFanoutBits;
+  struct Node {
+    std::array<void*, kFanout> slot{};
   };
-  static constexpr size_t kCacheSlots = 8;
+
+  // Shift of the root's slot index: the levels cover every page index
+  // below size_bytes / kPageSize.
+  static unsigned top_shift_for(u64 size_bytes) {
+    const u64 pages = size_bytes >> kPageShift;
+    const unsigned bits = std::bit_width(pages > 1 ? pages - 1 : 0);
+    const unsigned levels = std::max(1u, (bits + kFanoutBits - 1) / kFanoutBits);
+    return (levels - 1) * kFanoutBits;
+  }
 
   Page* find_page(u64 index) const {
-    CacheSlot& slot = cache_[index % kCacheSlots];
-    if (slot.index == index) return slot.page;
-    auto it = pages_.find(index);
-    if (it == pages_.end()) return nullptr;
-    slot = {index, it->second.get()};
-    return slot.page;
+    const Node* node = &root_;
+    for (unsigned shift = top_shift_; shift != 0; shift -= kFanoutBits) {
+      node = static_cast<const Node*>(node->slot[(index >> shift) % kFanout]);
+      if (node == nullptr) return nullptr;
+    }
+    return static_cast<Page*>(node->slot[index % kFanout]);
   }
 
   const Page& page_at(u64 addr) const {
@@ -172,11 +182,37 @@ class PhysMem {
     SEALPK_CHECK_MSG(contains(addr), "phys write out of range 0x" << std::hex
                                                                   << addr);
     const u64 index = addr >> kPageShift;
-    if (Page* page = find_page(index)) return *page;
-    auto& owned = pages_[index];
-    owned = std::make_unique<Page>(Page{});
-    cache_[index % kCacheSlots] = {index, owned.get()};
-    return *owned;
+    Node* node = &root_;
+    for (unsigned shift = top_shift_; shift != 0; shift -= kFanoutBits) {
+      void*& child = node->slot[(index >> shift) % kFanout];
+      if (child == nullptr) {
+        child = nodes_.emplace_back(std::make_unique<Node>()).get();
+      }
+      node = static_cast<Node*>(child);
+    }
+    void*& page = node->slot[index % kFanout];
+    if (page == nullptr) {
+      page = pages_.emplace_back(std::make_unique<Page>()).get();
+    }
+    return *static_cast<Page*>(page);
+  }
+
+  // Calls fn(index, page) for every materialised page under `node`, in
+  // ascending index order.
+  template <typename Fn>
+  static void for_each_page(const Node& node, unsigned shift, u64 base,
+                            Fn&& fn) {
+    for (u64 i = 0; i < kFanout; ++i) {
+      const void* child = node.slot[i];
+      if (child == nullptr) continue;
+      const u64 index = base | (i << shift);
+      if (shift == 0) {
+        fn(index, *static_cast<const Page*>(child));
+      } else {
+        for_each_page(*static_cast<const Node*>(child), shift - kFanoutBits,
+                      index, fn);
+      }
+    }
   }
 
   // Calls fn(addr, offset_into_buffer, length) once per page-bounded chunk.
@@ -219,9 +255,11 @@ class PhysMem {
   }
 
   u64 size_;
-  std::unordered_map<u64, std::unique_ptr<Page>> pages_;
-  mutable std::array<CacheSlot, kCacheSlots> cache_{};
-  u64 generation_ = 0;  // see generation()
+  unsigned top_shift_;
+  Node root_;
+  std::vector<std::unique_ptr<Node>> nodes_;  // every node but the root
+  std::vector<std::unique_ptr<Page>> pages_;  // every materialised page
+  u64 generation_ = 0;                        // see generation()
 };
 
 }  // namespace sealpk::mem

@@ -52,7 +52,7 @@ class Tlb {
       ++stats_.hits;
       return hinted.entry;
     }
-    for (size_t i = 0; i < entries_.size(); ++i) {
+    for (size_t i = 0, end = scan_end(); i < end; ++i) {
       const Slot& slot = entries_[i];
       if (slot.valid && slot.entry.vpn == vpn) {
         hint_ = i;
@@ -86,16 +86,24 @@ class Tlb {
   // policy; round-robin keeps the model deterministic).
   void insert(const TlbEntry& entry) {
     ++epoch_;
-    for (auto& slot : entries_) {
+    for (size_t i = 0, end = scan_end(); i < end; ++i) {
+      Slot& slot = entries_[i];
       if (slot.valid && slot.entry.vpn == entry.vpn) {
         slot.entry = entry;
         return;
       }
     }
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (!entries_[i].valid) {
-        entries_[i] = {entry, true};
+    if (prefix_) {
+      if (live_ < entries_.size()) {
+        entries_[live_++] = {entry, true};
         return;
+      }
+    } else {
+      for (size_t i = 0; i < entries_.size(); ++i) {
+        if (!entries_[i].valid) {
+          entries_[i] = {entry, true};
+          return;
+        }
       }
     }
     ++stats_.evictions;
@@ -106,7 +114,11 @@ class Tlb {
   // sfence.vma with rs1 = x0: global flush.
   void flush() {
     ++epoch_;
-    for (auto& slot : entries_) slot.valid = false;
+    for (size_t i = 0, end = scan_end(); i < end; ++i) {
+      entries_[i].valid = false;
+    }
+    prefix_ = true;
+    live_ = 0;
     ++stats_.flushes;
   }
 
@@ -116,9 +128,11 @@ class Tlb {
     for (auto& slot : entries_) {
       if (slot.valid && slot.entry.vpn == vpn) slot.valid = false;
     }
+    prefix_ = false;
   }
 
   size_t valid_count() const {
+    if (prefix_) return live_;
     size_t n = 0;
     for (const auto& slot : entries_)
       if (slot.valid) ++n;
@@ -161,6 +175,7 @@ class Tlb {
     ++epoch_;
     fields(r, *this);
     hint_ = 0;  // a blob may hold duplicate VPNs; slot 0 is never shadowed
+    prefix_ = false;
   }
 
  private:
@@ -188,10 +203,26 @@ class Tlb {
     TlbEntry entry;
     bool valid = false;
   };
+
+  // Every valid slot lies below this: the live prefix while it holds, else
+  // the whole array. A scan for a valid slot may stop here.
+  size_t scan_end() const { return prefix_ ? live_ : entries_.size(); }
+
   std::vector<Slot> entries_;
   size_t next_victim_ = 0;
   size_t hint_ = 0;  // slot of the last lookup hit; see lookup()
   u64 epoch_ = 0;    // see epoch()
+  // While prefix_ holds, the valid slots are exactly [0, live_). That is
+  // exact because the constructor and flush() leave no slot valid, and from
+  // there insert() either rewrites a valid slot in place, fills slot live_
+  // (the first invalid one, as every slot below it is valid and none above
+  // it is) or, with all slots valid, evicts one; corrupt_slot() changes no
+  // slot's validity. flush_vpn() and load_state() may leave a hole, so they
+  // drop the claim until the next flush(). A scan that stops at live_ thus
+  // visits every valid slot in the same order as a full scan, and the
+  // first-invalid slot insert() fills is the same.
+  bool prefix_ = true;
+  size_t live_ = 0;
   TlbStats stats_;
 };
 

@@ -208,6 +208,9 @@ template <typename Lru>
 class BasicVkeyTable {
  public:
   explicit BasicVkeyTable(VkeyTableConfig config = {}) : config_(config) {}
+  // Not copyable: the index holds iterators into this object's map.
+  BasicVkeyTable(const BasicVkeyTable&) = delete;
+  BasicVkeyTable& operator=(const BasicVkeyTable&) = delete;
 
   const VkeyTableConfig& config() const { return config_; }
   const VkeyStats& stats() const { return stats_; }
@@ -225,7 +228,9 @@ class BasicVkeyTable {
     const u64 vkey = next_vkey_++;
     VkeyEntry e;
     e.perm = init_perm;
-    entries_.emplace(vkey, std::move(e));
+    // Ids only grow, so the new entry is the map's last.
+    index_.emplace(vkey, entries_.emplace_hint(entries_.end(), vkey,
+                                               std::move(e)));
     ++stats_.allocs;
     return static_cast<i64>(vkey);
   }
@@ -334,7 +339,9 @@ class BasicVkeyTable {
       case VkeyState::kUnmapped:
         break;
     }
-    entries_.erase(vkey);
+    const auto at = index_.find(vkey);
+    entries_.erase(at->second);
+    index_.erase(at);
     ++stats_.frees;
     return 0;
   }
@@ -344,12 +351,12 @@ class BasicVkeyTable {
   // the audit's repair path. Policy state (LRU, pool, drain queue) stays
   // private; repair goes through force_phys/rebuild_pool below.
   VkeyEntry* find(u64 vkey) {
-    auto it = entries_.find(vkey);
-    return it == entries_.end() ? nullptr : &it->second;
+    const auto it = index_.find(vkey);
+    return it == index_.end() ? nullptr : &it->second->second;
   }
   const VkeyEntry* find(u64 vkey) const {
-    auto it = entries_.find(vkey);
-    return it == entries_.end() ? nullptr : &it->second;
+    const auto it = index_.find(vkey);
+    return it == index_.end() ? nullptr : &it->second->second;
   }
 
   // Overwrites a vkey's recorded physical key (audit repair: the leaf
@@ -530,6 +537,14 @@ class BasicVkeyTable {
       io.seq(e.groups, kGroupBytes,
              [&](auto& g) { io.fields(g.addr, g.len, g.prot); });
     });
+    if constexpr (Io::kLoading) {
+      // Sized by the entry count get_count bounded, never by an id.
+      self.index_.clear();
+      self.index_.reserve(self.entries_.size());
+      for (auto it = self.entries_.begin(); it != self.entries_.end(); ++it) {
+        self.index_.emplace(it->first, it);
+      }
+    }
     // Every LRU member must be a distinct mapped vkey: touch/remove and
     // pick_victim rely on it.
     io.seq(self.lru_, sizeof(u64), [&](auto& vkey) {
@@ -573,6 +588,9 @@ class BasicVkeyTable {
 
   VkeyTableConfig config_;
   std::map<u64, VkeyEntry> entries_;  // ordered: canonical serialization
+  // find()'s index: each live vkey's node in entries_, so a lookup hashes
+  // an id instead of walking the tree.
+  std::unordered_map<u64, std::map<u64, VkeyEntry>::iterator> index_;
   Lru lru_;                           // mapped vkeys, front = most recent
   std::vector<u64> mru_;              // pinned cache, front = most recent
   std::vector<u32> pool_;             // free acquired physical keys (stack)

@@ -97,17 +97,6 @@ const Vma* AddressSpace::find_vma(u64 addr) const {
   return addr < it->second.end ? &it->second : nullptr;
 }
 
-bool AddressSpace::range_fully_mapped(u64 addr, u64 len) const {
-  u64 cursor = addr;
-  const u64 end = addr + len;
-  while (cursor < end) {
-    const Vma* vma = find_vma(cursor);
-    if (vma == nullptr) return false;
-    cursor = vma->end;
-  }
-  return true;
-}
-
 void AddressSpace::split_at(u64 addr) {
   auto it = vmas_.upper_bound(addr);
   if (it == vmas_.begin()) return;
@@ -188,24 +177,60 @@ i64 AddressSpace::protect_pkey(u64 addr, u64 len, u64 prot,
   if (len == 0 || (addr & (mem::kPageSize - 1)) != 0) return err::kInval;
   if (pkey && *pkey >= (u32{1} << pkey_bits_)) return err::kInval;
   len = align_up(len, mem::kPageSize);
-  if (!range_fully_mapped(addr, len)) return err::kNoMem;
-
-  // Pre-flight the seal vetoes across the whole range so the call is
-  // all-or-nothing.
-  for (u64 cursor = addr; keys != nullptr && cursor < addr + len;) {
-    const Vma* vma = find_vma(cursor);
-    const i64 rc = retag_veto(*keys, vma->pkey, pkey.value_or(vma->pkey));
-    if (rc != 0) return rc;
-    cursor = vma->end;
+  const u64 end = addr + len;
+  if (end <= addr) {
+    // A range that wraps past the top covers no page, but both of its ends
+    // still become VMA boundaries.
+    split_at(addr);
+    split_at(end);
+    return 0;
   }
 
-  split_at(addr);
-  split_at(addr + len);
+  // The one search: `head` is the VMA find_vma(addr) would look at. Each
+  // later step of the walk below is find_vma(cursor) done by moving forward
+  // from the previous VMA, so the range check and the seal-veto pre-flight
+  // see the VMAs they always did. A hole anywhere beats a veto, and a veto
+  // leaves the call all-or-nothing.
+  auto head = vmas_.upper_bound(addr);
+  if (head == vmas_.begin()) return err::kNoMem;
+  --head;
+  i64 veto = 0;
+  u64 cursor = addr;
+  for (auto it = head;;) {
+    if (cursor >= it->second.end) return err::kNoMem;
+    if (keys != nullptr && veto == 0) {
+      veto = retag_veto(*keys, it->second.pkey,
+                        pkey.value_or(it->second.pkey));
+    }
+    cursor = it->second.end;
+    if (cursor >= end) break;
+    while (std::next(it) != vmas_.end() && std::next(it)->first <= cursor) {
+      ++it;
+    }
+  }
+  if (veto != 0) return veto;
+
+  // Make addr and end VMA boundaries, then rewrite every VMA between them.
+  // The VMA split at end is the last one starting at or below end, which
+  // is the last one the loop visits.
+  auto it = head;
+  if (it->first < addr) {
+    Vma tail = it->second;
+    tail.start = addr;
+    it->second.end = addr;
+    it = vmas_.emplace_hint(std::next(it), addr, tail);
+  }
   i64 pages = 0;
   const u64 flags = leaf_flags_for_prot(prot);
-  for (auto it = vmas_.lower_bound(addr);
-       it != vmas_.end() && it->second.start < addr + len; ++it) {
+  for (; it != vmas_.end() && it->second.start < end; ++it) {
     Vma& vma = it->second;
+    const auto next = std::next(it);
+    if (vma.end > end && (next == vmas_.end() || next->first > end)) {
+      Vma tail = vma;
+      tail.start = end;
+      vma.end = end;
+      vmas_.emplace_hint(next, end, tail);
+    }
     const u32 to = pkey.value_or(vma.pkey);
     for (u64 page = vma.start; page < vma.end; page += mem::kPageSize) {
       const u64 slot = lookup_pte_slot(page);

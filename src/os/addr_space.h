@@ -118,7 +118,6 @@ class AddressSpace {
   static u64 leaf_flags_for_prot(u64 prot);
   // Splits any VMA straddling `addr` so that `addr` becomes a boundary.
   void split_at(u64 addr);
-  bool range_fully_mapped(u64 addr, u64 len) const;
 
   mem::PhysMem& mem_;
   FrameAllocator& frames_;

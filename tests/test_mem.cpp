@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -182,6 +184,164 @@ TEST(PhysMem, LoadStateAfterCachedAccessReturnsRestoredBytes) {
   mem.write_u32(0x9004, 5);  // the dropped page materialises afresh
   EXPECT_EQ(mem.read_u64(0x9000), u64{5} << 32);
   EXPECT_EQ(mem.materialized_pages(), 2u);
+}
+
+// Reference model: memory as an ordered map of materialised pages, each
+// created zeroed by its first write, with the canonical snapshot encoding
+// (ascending indices, all-zero pages left out).
+class ReferencePhysMem {
+ public:
+  explicit ReferencePhysMem(u64 size) : size_(size) {}
+
+  u8 read(u64 addr) const {
+    const auto it = pages_.find(addr / kPageSize);
+    return it == pages_.end() ? 0 : it->second[addr % kPageSize];
+  }
+  void write(u64 addr, u8 v) { pages_[addr / kPageSize][addr % kPageSize] = v; }
+  bool materialized(u64 addr) const {
+    return pages_.count(addr / kPageSize) != 0;
+  }
+  size_t materialized_pages() const { return pages_.size(); }
+
+  std::vector<u8> save() const {
+    static const std::array<u8, kPageSize> kZero{};
+    ByteWriter w;
+    w.put_u64(size_);
+    u64 n = 0;
+    for (const auto& [index, page] : pages_) n += page != kZero ? 1 : 0;
+    w.put_u64(n);
+    for (const auto& [index, page] : pages_) {
+      if (page == kZero) continue;
+      w.put_u64(index);
+      w.put_bytes(page.data(), kPageSize);
+    }
+    return w.take();
+  }
+  void load(const std::vector<u8>& blob) {
+    ByteReader r(blob);
+    r.get_u64();
+    pages_.clear();
+    for (u64 n = r.get_u64(); n > 0; --n) {
+      const u64 index = r.get_u64();
+      r.get_bytes(pages_[index].data(), kPageSize);
+    }
+  }
+
+ private:
+  u64 size_;
+  std::map<u64, std::array<u8, kPageSize>> pages_;
+};
+
+// Seeded reads, writes, fills and snapshot round trips on PhysMem and the
+// map model, at sizes that give the directory one, two and four levels.
+// After every step the two agree on contents, materialized_pages() and
+// save_state bytes, and every host_page()/page_view() pointer taken since
+// generation() last moved still names its page.
+TEST(PhysMem, DirectoryMatchesMapModel) {
+  for (const u64 size : {u64{1} << 20, u64{64} << 20, u64{1} << 46}) {
+    SCOPED_TRACE(size);
+    Rng rng(size + 7);
+    PhysMem mem(size);
+    ReferencePhysMem ref(size);
+    // Pages cluster at the bottom, the middle and the top, with a stray
+    // page anywhere now and then, so several directory nodes fill up.
+    const u64 pages = size / kPageSize;
+    const auto random_addr = [&](u64 span) {
+      const u64 cluster = rng.below(4);
+      u64 page = cluster == 0   ? rng.below(16)
+                 : cluster == 1 ? pages / 2 - 8 + rng.below(16)
+                 : cluster == 2 ? pages - 1 - rng.below(16)
+                                : rng.below(pages);
+      const u64 addr = page * kPageSize + rng.below(kPageSize);
+      return std::min(addr, size - span);
+    };
+    struct Held {
+      u64 addr;
+      u8* host;
+      const u8* view;
+    };
+    std::vector<Held> held;
+    std::vector<u8> earlier;
+    u64 generation = mem.generation();
+    for (int step = 0; step < 3000; ++step) {
+      const u64 op = rng.below(100);
+      if (op < 25) {
+        const unsigned width = 1u << rng.below(4);
+        const u64 addr = random_addr(width);
+        const u64 v = rng.next();
+        switch (width) {
+          case 1: mem.write_u8(addr, static_cast<u8>(v)); break;
+          case 2: mem.write_u16(addr, static_cast<u16>(v)); break;
+          case 4: mem.write_u32(addr, static_cast<u32>(v)); break;
+          default: mem.write_u64(addr, v); break;
+        }
+        for (unsigned i = 0; i < width; ++i)
+          ref.write(addr + i, static_cast<u8>(v >> (8 * i)));
+      } else if (op < 35) {
+        std::vector<u8> data(rng.below(2 * kPageSize + 64));
+        for (u8& b : data) b = static_cast<u8>(rng.next());
+        const u64 addr = random_addr(data.size());
+        mem.write_bytes(addr, data.data(), data.size());
+        for (u64 i = 0; i < data.size(); ++i) ref.write(addr + i, data[i]);
+      } else if (op < 42) {
+        const u64 len = rng.below(3 * kPageSize);
+        const u8 v = rng.chance(0.5) ? 0 : static_cast<u8>(rng.next());
+        const u64 addr = random_addr(len);
+        mem.fill(addr, v, len);
+        for (u64 i = 0; i < len; ++i) ref.write(addr + i, v);
+      } else if (op < 62) {
+        const unsigned width = 1u << rng.below(4);
+        const u64 addr = random_addr(width);
+        u64 want = 0;
+        for (unsigned i = 0; i < width; ++i)
+          want |= u64{ref.read(addr + i)} << (8 * i);
+        const u64 got = width == 1   ? mem.read_u8(addr)
+                        : width == 2 ? mem.read_u16(addr)
+                        : width == 4 ? mem.read_u32(addr)
+                                     : mem.read_u64(addr);
+        ASSERT_EQ(got, want) << "step " << step;
+      } else if (op < 70) {
+        std::vector<u8> got(rng.below(2 * kPageSize + 64));
+        const u64 addr = random_addr(got.size());
+        mem.read_bytes(addr, got.data(), got.size());
+        for (u64 i = 0; i < got.size(); ++i)
+          ASSERT_EQ(got[i], ref.read(addr + i)) << "step " << step;
+      } else if (op < 90) {
+        const u64 addr = random_addr(1) & ~(kPageSize - 1);
+        u8* host = mem.host_page(addr);
+        const u8* view = mem.page_view(addr);
+        ASSERT_EQ(host != nullptr, ref.materialized(addr)) << "step " << step;
+        ASSERT_EQ(view, host);
+        if (host != nullptr) held.push_back({addr, host, view});
+        EXPECT_EQ(mem.host_page(size), nullptr);
+        EXPECT_EQ(mem.host_page(size + (rng.next() >> 8)), nullptr);
+      } else if (op < 96) {
+        ByteWriter w;
+        mem.save_state(w);
+        ASSERT_EQ(w.buffer(), ref.save()) << "step " << step;
+        earlier = w.take();
+      } else {
+        // Roll back to the last snapshot taken: pages first written since
+        // then are dropped.
+        const std::vector<u8> blob = earlier.empty() ? ref.save() : earlier;
+        ByteReader r(blob);
+        mem.load_state(r);
+        ref.load(blob);
+        ASSERT_NE(mem.generation(), generation);
+        generation = mem.generation();
+        held.clear();
+      }
+      ASSERT_EQ(mem.generation(), generation);
+      ASSERT_EQ(mem.materialized_pages(), ref.materialized_pages())
+          << "step " << step;
+      for (const Held& h : held) {
+        ASSERT_EQ(mem.host_page(h.addr), h.host) << "step " << step;
+        ASSERT_EQ(mem.page_view(h.addr), h.view);
+        const u64 at = rng.below(kPageSize);
+        ASSERT_EQ(h.host[at], ref.read(h.addr + at)) << "step " << step;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -498,6 +658,28 @@ class ReferenceTlb {
     stats_.flushes = r.get_u64();
     stats_.evictions = r.get_u64();
   }
+  void save_state(ByteWriter& w) const {
+    w.put_u64(slots_.size());
+    for (const auto& s : slots_) {
+      w.put_u64(s.entry.vpn);
+      w.put_u64(s.entry.ppn);
+      for (bool b : {s.entry.r, s.entry.w, s.entry.x, s.entry.user,
+                     s.entry.dirty}) {
+        w.put_bool(b);
+      }
+      w.put_u16(s.entry.pkey);
+      w.put_bool(s.valid);
+    }
+    for (u64 v : {u64{victim_}, stats_.hits, stats_.misses, stats_.flushes,
+                  stats_.evictions}) {
+      w.put_u64(v);
+    }
+  }
+  size_t valid_count() const {
+    size_t n = 0;
+    for (const auto& s : slots_) n += s.valid ? 1 : 0;
+    return n;
+  }
   const TlbStats& stats() const { return stats_; }
   const TlbEntry* peek_slot(size_t i) const {
     return slots_[i].valid ? &slots_[i].entry : nullptr;
@@ -543,54 +725,86 @@ std::vector<u8> random_tlb_blob(Rng& rng, size_t n) {
   return w.take();
 }
 
+// Cumulative percentages of one random step; the rest loads a random blob.
+struct TlbOpMix {
+  u64 lookup, insert, flush, flush_vpn, corrupt;
+};
+
+// Drives a Tlb and the reference through the same `steps` random
+// operations on VPNs below `vpns`, comparing lookups, slots, stats,
+// valid_count() and save_state bytes after every one.
+void check_against_reference(u64 seed, size_t n, u64 vpns, TlbOpMix mix,
+                             int steps) {
+  SCOPED_TRACE(::testing::Message() << "seed " << seed << ", " << n
+                                    << " slots");
+  Rng rng(seed);
+  Tlb tlb(n);
+  ReferenceTlb ref(n);
+  for (int step = 0; step < steps; ++step) {
+    const u64 op = rng.below(100);
+    const u64 vpn = rng.below(vpns);
+    if (op < mix.lookup) {
+      const auto got = tlb.lookup(vpn);
+      const auto want = ref.lookup(vpn);
+      ASSERT_EQ(describe(got), describe(want)) << "step " << step;
+    } else if (op < mix.insert) {
+      TlbEntry e = entry_for(vpn, static_cast<u16>(rng.below(1024)));
+      e.ppn = rng.below(1 << 20);
+      e.dirty = rng.chance(0.5);
+      tlb.insert(e);
+      ref.insert(e);
+    } else if (op < mix.flush) {
+      tlb.flush();
+      ref.flush();
+    } else if (op < mix.flush_vpn) {
+      tlb.flush_vpn(vpn);
+      ref.flush_vpn(vpn);
+    } else if (op < mix.corrupt) {
+      const size_t slot = rng.below(n);
+      const u16 pkey_xor = static_cast<u16>(rng.below(1024));
+      const u8 perm_xor = static_cast<u8>(rng.below(16));
+      const bool dirty = rng.chance(0.5);
+      ASSERT_EQ(tlb.corrupt_slot(slot, pkey_xor, perm_xor, dirty),
+                ref.corrupt_slot(slot, pkey_xor, perm_xor, dirty));
+    } else {
+      const std::vector<u8> blob = random_tlb_blob(rng, n);
+      ByteReader a(blob), b(blob);
+      tlb.load_state(a);
+      ref.load_state(b);
+    }
+    ASSERT_EQ(tlb.stats().hits, ref.stats().hits);
+    ASSERT_EQ(tlb.stats().misses, ref.stats().misses);
+    ASSERT_EQ(tlb.stats().flushes, ref.stats().flushes);
+    ASSERT_EQ(tlb.stats().evictions, ref.stats().evictions);
+    ASSERT_EQ(tlb.valid_count(), ref.valid_count()) << "step " << step;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(describe(as_optional(tlb.peek_slot(i))),
+                describe(as_optional(ref.peek_slot(i))))
+          << "slot " << i << " after step " << step;
+    }
+    ByteWriter got, want;
+    tlb.save_state(got);
+    ref.save_state(want);
+    ASSERT_EQ(got.buffer(), want.buffer()) << "step " << step;
+  }
+}
+
 TEST(Tlb, LookupHintMatchesReferenceScan) {
   for (u64 seed = 1; seed <= 20; ++seed) {
-    SCOPED_TRACE(seed);
-    Rng rng(seed);
-    const size_t n = 1 + rng.below(8);
-    Tlb tlb(n);
-    ReferenceTlb ref(n);
-    for (int step = 0; step < 4000; ++step) {
-      const u64 op = rng.below(100);
-      const u64 vpn = rng.below(12);
-      if (op < 50) {
-        const auto got = tlb.lookup(vpn);
-        const auto want = ref.lookup(vpn);
-        ASSERT_EQ(describe(got), describe(want)) << "step " << step;
-      } else if (op < 80) {
-        TlbEntry e = entry_for(vpn, static_cast<u16>(rng.below(1024)));
-        e.ppn = rng.below(1 << 20);
-        e.dirty = rng.chance(0.5);
-        tlb.insert(e);
-        ref.insert(e);
-      } else if (op < 84) {
-        tlb.flush();
-        ref.flush();
-      } else if (op < 90) {
-        tlb.flush_vpn(vpn);
-        ref.flush_vpn(vpn);
-      } else if (op < 96) {
-        const size_t slot = rng.below(n);
-        const u16 pkey_xor = static_cast<u16>(rng.below(1024));
-        const u8 perm_xor = static_cast<u8>(rng.below(16));
-        const bool dirty = rng.chance(0.5);
-        ASSERT_EQ(tlb.corrupt_slot(slot, pkey_xor, perm_xor, dirty),
-                  ref.corrupt_slot(slot, pkey_xor, perm_xor, dirty));
-      } else {
-        const std::vector<u8> blob = random_tlb_blob(rng, n);
-        ByteReader a(blob), b(blob);
-        tlb.load_state(a);
-        ref.load_state(b);
-      }
-      ASSERT_EQ(tlb.stats().hits, ref.stats().hits);
-      ASSERT_EQ(tlb.stats().misses, ref.stats().misses);
-      ASSERT_EQ(tlb.stats().flushes, ref.stats().flushes);
-      ASSERT_EQ(tlb.stats().evictions, ref.stats().evictions);
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(describe(as_optional(tlb.peek_slot(i))),
-                  describe(as_optional(ref.peek_slot(i))))
-            << "slot " << i << " after step " << step;
-      }
+    const size_t n = 1 + Rng(seed * 977).below(8);
+    check_against_reference(seed, n, 12, {50, 80, 84, 90, 96}, 4000);
+  }
+}
+
+// The valid-prefix scans: flushes often enough that most inserts refill a
+// partly empty TLB, with flush_vpn and blob loads (holes, duplicate VPNs)
+// breaking the prefix in between, at every capacity the hart uses.
+TEST(Tlb, ValidPrefixMatchesReferenceScan) {
+  u64 seed = 100;
+  for (const size_t n : {1, 2, 3, 8, 32}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      check_against_reference(++seed, n, 2 * n + 4, {45, 85, 93, 96, 98},
+                              3000);
     }
   }
 }

@@ -30,6 +30,7 @@
 
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "mpk/vkey_table.h"
 #include "obs/recorder.h"
 #include "passes/shadow_stack.h"
 #include "snapshot/snapshot.h"
@@ -299,6 +300,89 @@ TEST(SnapshotFuzz, OutOfRangeCursorsAreRefused) {
   restore_one(blob, with_field(blob, "DTLB", 4 * 8 + 8, 8, slots),
               "DTLB cursor one past capacity", fixed);
   EXPECT_EQ(fixed.typed_errors, 2u);
+}
+
+// Offset of the only u64 in section `name` equal to `value`.
+size_t unique_u64_at(const std::vector<u8>& blob, const std::string& name,
+                     u64 value) {
+  const auto sec = testutil::section_named(blob, name);
+  SEALPK_CHECK(sec.has_value());
+  std::vector<size_t> hits;
+  for (size_t at = sec->body; at + 8 <= sec->body + sec->len; ++at) {
+    if (testutil::load_le64(blob, at) == value) hits.push_back(at);
+  }
+  SEALPK_CHECK_MSG(hits.size() == 1, hits.size() << " u64s equal " << value
+                                                 << " in " << name);
+  return hits.front();
+}
+
+std::vector<u8> with_u64(std::vector<u8> blob, size_t at, u64 value) {
+  testutil::store_le64(blob, at, value);
+  snapshot::seal(blob);
+  return blob;
+}
+
+// Nothing in a machine may be sized from its configured DRAM, which a blob
+// carries unchecked beyond page alignment. A CFG claiming 2^46 B against a
+// 256 MiB MEM section is refused; a machine really built with 2^46 B runs,
+// saves and restores as a load-then-save fixed point. Neither asks for an
+// allocation over the cap.
+TEST(SnapshotFuzz, HugeDramIsNeverAllocated) {
+  const std::vector<u8> blob = sealed_sha_blob();
+  constexpr u64 kHuge = u64{1} << 46;
+  // mem_bytes is followed by 90 bytes of CFG: the preemption quantum, the
+  // fault plan (45), the audit and watchdog fields (40) and the vkey
+  // config (5).
+  const auto cfg = testutil::section_named(blob, "CFG");
+  ASSERT_TRUE(cfg.has_value());
+  const size_t mem_at = cfg->body + cfg->len - 90 - 8;
+  ASSERT_EQ(testutil::load_le64(blob, mem_at), u64{256} << 20);
+  Tally fixed;
+  restore_one(blob, with_u64(blob, mem_at, kHuge),
+              "CFG claiming 2^46 B of DRAM", fixed);
+  EXPECT_EQ(fixed.typed_errors, 1u);
+
+  sim::MachineConfig config;
+  config.mem_bytes = kHuge;
+  sim::Machine machine(config);
+  for (const wl::Workload& w : wl::all_workloads()) {
+    if (std::string(w.name) != "sha") continue;
+    ASSERT_GE(machine.load(w.build(w.test_scale).link()), 0);
+  }
+  machine.run(50'000);
+  ASSERT_EQ(machine.hart().instret(), 50'000u);
+  const std::vector<u8> huge = snapshot::save(machine);
+  restore_one(huge, huge, "a machine with 2^46 B of DRAM", fixed);
+  EXPECT_EQ(fixed.restored, 1u);
+}
+
+// Vkey ids are unbounded, so nothing may be sized from one: a VKEY section
+// naming id 2^40 (as an entry, or as the next id to hand out) restores or
+// is refused without an allocation over the cap.
+TEST(SnapshotFuzz, HugeVkeyIdIsNeverAllocated) {
+  const auto m = testutil::mid_run_vkey_machine();
+  ASSERT_NE(m, nullptr);
+  const mpk::VkeyTable* table = m->kernel().process(1).vkeys.get();
+  ASSERT_NE(table, nullptr);
+  ASSERT_FALSE(table->entries().empty());
+  const std::vector<u8> blob = snapshot::save(*m);
+  constexpr u64 kHuge = u64{1} << 40;
+  // The first entry's id follows next_vkey (u64), park (u32) and the entry
+  // count (u64).
+  const size_t next_at = unique_u64_at(
+      blob, "VKEY", mpk::kVkeyBase + table->stats().allocs);
+  const size_t first_at = next_at + 8 + 4 + 8;
+  ASSERT_EQ(testutil::load_le64(blob, first_at),
+            table->entries().begin()->first);
+  Tally fixed;
+  restore_one(blob, with_u64(blob, first_at, kHuge), "VKEY entry id 2^40",
+              fixed);
+  restore_one(blob, with_u64(blob, next_at, kHuge), "VKEY next id 2^40",
+              fixed);
+  std::vector<u8> both = with_u64(blob, next_at, kHuge + 1);
+  restore_one(blob, with_u64(both, first_at, kHuge),
+              "VKEY entry id 2^40 below next id 2^40 + 1", fixed);
+  EXPECT_EQ(fixed.restored + fixed.typed_errors, 3u);
 }
 
 // A recorded trace of the qsort workload.

@@ -375,6 +375,7 @@ void run_against_reference(u32 keys, u64 live_target, bool lazy, u64 seed) {
   Side<mpk::VkeyLru> fast(config, keys);
   Side<FindLru> ref(config, keys);
   Rng rng(seed);
+  Rng probe(~seed);  // ids for the find() check, off the op stream
   std::vector<u64> live;
   std::map<u64, u64> next_page;  // per-vkey group placement
   constexpr int kOps = 2'500;
@@ -414,6 +415,17 @@ void run_against_reference(u32 keys, u64 live_target, bool lazy, u64 seed) {
     ASSERT_EQ(a, b) << "op " << op;
     ASSERT_EQ(table_state(*fast.table), table_state(*ref.table))
         << "op " << op;
+    // find() goes through the id index; it must name the same entry as a
+    // search of the ordered map, for live, freed and never-issued ids.
+    const auto& entries = fast.table->entries();
+    for (const u64 vkey :
+         {live.empty() ? u64{0} : live[probe.below(live.size())],
+          mpk::kVkeyBase + probe.below(op + 2), u64{0}}) {
+      const auto it = entries.find(vkey);
+      ASSERT_EQ(fast.table->find(vkey),
+                it == entries.end() ? nullptr : &it->second)
+          << "op " << op << " vkey " << vkey;
+    }
   }
   EXPECT_EQ(fast.ops.perm_writes, ref.ops.perm_writes);
   EXPECT_EQ(fast.ops.evicts, ref.ops.evicts);

@@ -27,7 +27,7 @@
 //
 // Exit status: 0 all jobs ok, 1 job failures / record divergence, 2 usage
 // (including a run name or --workloads/--variants glob that matches
-// nothing).
+// nothing, and any flag but --json and -q given to list or diff).
 //
 // Usage:
 //   sealpk fleet sweep --threads=8 --scale=1 --json=BENCH_fleet.json
@@ -68,6 +68,7 @@ struct CliOptions {
   bool canonical = false;
   bool selfcheck = false;
   cli::JsonSink json;  // bare --json: list writes the matrix to stdout
+  std::vector<std::string> matrix_flags;  // given flags list/diff refuse
   // chaos plan / robustness knobs (only consulted with --chaos)
   fault::FaultPlan plan;
   cli::Rollback rollback;
@@ -349,10 +350,25 @@ int sealpk_fleet(int argc, char** argv) {
   tool.add(cli::value("--trace-ring", &cli.trace_ring, "<n>",
                       "trace ring capacity per job"));
   tool.add(cli::quiet(&cli.quiet));
+  // list and diff read only --json and -q; every other flag shapes or runs
+  // the matrix, so those modes refuse it rather than ignore it.
+  for (cli::Flag& flag : tool.flags) {
+    if (flag.name == "--json" || flag.name == "--quiet") continue;
+    flag.set = [&cli, name = flag.name,
+                set = std::move(flag.set)](const std::string& v) {
+      cli.matrix_flags.push_back(name);
+      set(v);
+    };
+  }
   return cli::run(tool, argc, argv, [&](std::vector<std::string>& args) {
     cli.mode = cli::take_mode(
         args, {{"sweep"}, {"run", 1, cli::kMany}, {"diff", 2, 2}, {"list"}});
     cli.names = args;
+    if ((cli.mode == "list" || cli.mode == "diff") &&
+        !cli.matrix_flags.empty()) {
+      throw cli::UsageError(cli.matrix_flags.front() +
+                            " applies only to sweep and run");
+    }
     return run_mode(cli);
   });
 }
